@@ -17,7 +17,6 @@ from .engine import (
     substitute,
 )
 from .errors import (
-    ClauseMismatch,
     CmodError,
     EngineFailure,
     LexError,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CallSite",
-    "ClauseMismatch",
     "CmodError",
     "EngineFailure",
     "ExecOutcome",

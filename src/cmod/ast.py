@@ -368,50 +368,74 @@ def desugar_decl(decl: Declaration) -> Declaration:
 
 
 # ---------------------------------------------------------------------------
-# Declared-name collection
+# Clause heads in search order
 # ---------------------------------------------------------------------------
 
 
-def free_procedure_names(decl: Declaration, env=None) -> frozenset[str]:
-    """The set of procedure names declared by clause heads in decl.
+def walk_heads(
+    decl: Declaration, env, name, visit, steps=None, depth=0, path=(), renames=(), binders=None
+):
+    """Return the first truthy visit(clause, head, renames, binders, depth)
+    over the clause heads of decl named name (all heads when name is None),
+    in backchaining order: conjunctions left first, macro references
+    followed through env unless undefined, already on path, or env is None.
 
-    Looks through And/Forall/Rename, and through macro references when an
-    environment is supplied (chains of references are followed, cycles
-    cut); without one a macro reference contributes the empty set.
-    Renames accumulate outermost first and replay on every name, exactly
-    mirroring how backchaining applies them while resolving references,
-    so the names reported here are the names backchaining can match.
+    Nothing is rebuilt on the way. head is the clause's name after renames,
+    the enclosing ``ren`` pairs, outermost first, each chased through the
+    ones outside it. binders links the enclosing quantifiers innermost
+    first as (var, scope, outer) triples; a macro reference starts a new
+    scope. When steps is a list, each node passed is appended to it as
+    (depth, bc rule id, node, renames, binders).
     """
-    return _declared_names(decl, env, frozenset(), ())
+    # Only a left operand costs a recursive call; everything else loops.
+    while True:
+        if isinstance(decl, Clause):
+            head = _chase(decl.name, renames) if renames else decl.name
+            if name is None or head == name:
+                return visit(decl, head, renames, binders, depth)
+            return None
+        if isinstance(decl, And):
+            if steps is not None:
+                steps.append((depth, 3, decl, renames, binders))
+            found = walk_heads(decl.left, env, name, visit, steps, depth + 1, path, renames, binders)
+            if found:
+                return found
+            if steps is not None:
+                steps.append((depth, 4, decl, renames, binders))
+            decl = decl.right
+        elif isinstance(decl, Forall):
+            if steps is not None:
+                steps.append((depth, 2, decl, renames, binders))
+            binders = (decl.var, decl.decl, binders)
+            decl = decl.decl
+        elif isinstance(decl, Rename):
+            if steps is not None:
+                steps.append((depth, 5, decl, renames, binders))
+            renames += ((_chase(decl.old, renames), _chase(decl.new, renames)),)
+            decl = decl.decl
+        elif isinstance(decl, MacroRef):
+            body = None if env is None or decl.name in path else env.find(decl.name)
+            if body is None:
+                return None
+            if steps is not None:
+                steps.append((depth, 6, decl, renames, binders))
+            path += (decl.name,)
+            binders, decl = None, body
+        else:
+            raise TypeError(f"not a declaration: {decl!r}")
+        depth += 1
 
 
-def _chase(name: str, pending: tuple[tuple[str, str], ...]) -> str:
-    for old, new in pending:
+def _chase(name: str, renames: tuple[tuple[str, str], ...]) -> str:
+    for old, new in renames:
         if name == old:
             name = new
     return name
 
 
-def _declared_names(
-    decl: Declaration, env, path: frozenset[str], pending: tuple[tuple[str, str], ...]
-) -> frozenset[str]:
-    if isinstance(decl, Clause):
-        return frozenset((_chase(decl.name, pending),))
-    if isinstance(decl, And):
-        return _declared_names(decl.left, env, path, pending) | _declared_names(
-            decl.right, env, path, pending
-        )
-    if isinstance(decl, Forall):
-        return _declared_names(decl.decl, env, path, pending)
-    if isinstance(decl, Rename):
-        # enclosing renames have already passed over this node's fields
-        step = (_chase(decl.old, pending), _chase(decl.new, pending))
-        return _declared_names(decl.decl, env, path, pending + (step,))
-    if isinstance(decl, MacroRef):
-        if env is None or decl.name in path:
-            return frozenset()
-        body = env.find(decl.name)
-        if body is None:
-            return frozenset()
-        return _declared_names(body, env, path | {decl.name}, pending)
-    raise TypeError(f"not a declaration: {decl!r}")
+def free_procedure_names(decl: Declaration, env=None) -> frozenset[str]:
+    """The procedure names declared by clause heads in decl, after renaming:
+    the names clause search can match, as both come from walk_heads."""
+    names: set[str] = set()
+    walk_heads(decl, env, None, lambda clause, head, *_: names.add(head))
+    return frozenset(names)

@@ -3,10 +3,12 @@
 Execution reduces a statement against the machine, mutating store,
 regions and output; module frames pushed by implication statements are
 popped on scope exit no matter how the body ends, so effects persist
-while declarations stay local. Backchaining locates a matching clause for
-a call inside one declaration tree: conjunctions are searched left to
-right, falling through only when a head fails to match, and a clause body
-is never re-entered once its head has matched.
+while declarations stay local. Backchaining first selects a clause: one
+walk over the newest frame that declares the called name, conjunctions
+left to right, yields the first clause whose head matches, renamed and
+instantiated from the call. Only then does the clause body run, outside
+the search, so a failure inside a body fails the call and never sends
+the search on to a later conjunct.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import (
     NO_MATCHING_CLAUSE,
     TYPE_MISMATCH,
     UNBOUND_VARIABLE,
-    ClauseMismatch,
     EngineFailure,
 )
 from .machine import DEFAULT_MAX_DEPTH, Machine
@@ -230,91 +231,94 @@ def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
                 f"call depth exceeded the limit of {machine.max_depth}",
                 machine.call_stack,
             )
-        # Dynamic scoping: the most recent frame declaring the name wins,
-        # and selection is by name only.
-        for frame in reversed(machine.module_stack):
-            if call.name in ast.free_procedure_names(frame, machine.macro_env):
-                _backchain(frame, machine, call, depth, frozenset(), ())
-                return
-        raise EngineFailure(NO_MATCHING_CLAUSE, call.signature(), machine.call_stack)
+        _run(machine.module_stack, machine, call, depth)
     finally:
         machine.depth -= 1
         machine.call_stack.pop()
 
 
 def backchain(decl: ast.Declaration, machine: Machine, call: CallSite) -> ExecOutcome:
-    return as_outcome(machine, _backchain, decl, machine, call, 0, frozenset(), ())
+    """Run call against decl alone, as if decl were the only frame."""
+    return as_outcome(machine, _run, (decl,), machine, call, 0)
 
 
-def _backchain(
-    decl: ast.Declaration,
-    machine: Machine,
-    call: CallSite,
-    depth: int,
-    path: frozenset[str],
-    pending: tuple[tuple[str, str], ...],
-) -> None:
-    """pending holds renames applied eagerly on the way down; a macro
-    reference cannot be renamed textually, so they replay on its resolved
-    body (outermost first), keeping resolution consistent with how
-    free_procedure_names reports the frame's names."""
-    if isinstance(decl, ast.Clause):
-        if not _head_matches(decl, call):
-            raise ClauseMismatch(call.signature(), machine.call_stack)
-        _emit_bc(machine, depth, decl, 1)
-        _execute(machine, decl.body, depth + 1)
-        return
+def _run(frames, machine: Machine, call: CallSite, depth: int) -> None:
+    """Select the clause call runs, then run its body outside the search.
 
-    if isinstance(decl, ast.Forall):
-        _emit_bc(machine, depth, decl, 2)
-        value = _instantiation(decl.decl, decl.var, call.actuals)
-        if value is None:
-            inner = decl.decl
-        else:
-            inner = substitute(decl.decl, decl.var, value)
-        _backchain(inner, machine, call, depth + 1, path, pending)
-        return
-
-    if isinstance(decl, ast.And):
-        _emit_bc(machine, depth, decl, 3)
-        try:
-            _backchain(decl.left, machine, call, depth + 1, path, pending)
-            return
-        except ClauseMismatch:
-            pass
-        _emit_bc(machine, depth, decl, 4)
-        _backchain(decl.right, machine, call, depth + 1, path, pending)
-        return
-
-    if isinstance(decl, ast.Rename):
-        _emit_bc(machine, depth, decl, 5)
-        renamed = rename(decl.decl, decl.old, decl.new)
-        _backchain(renamed, machine, call, depth + 1, path, pending + ((decl.old, decl.new),))
-        return
-
-    if isinstance(decl, ast.MacroRef):
-        if decl.name in path:
-            raise ClauseMismatch(f"macro '/{decl.name}' expands cyclically", machine.call_stack)
-        body = machine.macro_env.find(decl.name)
-        if body is None:
-            raise ClauseMismatch(f"macro '/{decl.name}' is not defined", machine.call_stack)
-        _emit_bc(machine, depth, decl, 6)
-        for old, new in pending:
-            body = rename(body, old, new)
-        _backchain(body, machine, call, depth + 1, path | {decl.name}, pending)
-        return
-
-    raise TypeError(f"not a declaration: {decl!r}")
+    Dynamic scoping: frames are searched newest (last) first, and the
+    first one with a head of the call's name decides, by name only; if
+    none of its heads matches, the call fails with no-matching-clause.
+    When tracing, the deciding frame's search steps are emitted before
+    the body runs; nothing else the search builds outlives it.
+    """
+    clause, at = _select(frames, machine, call, depth)
+    _execute(machine, clause.body, at + 1)
 
 
-def _head_matches(clause: ast.Clause, call: CallSite) -> bool:
-    if clause.name != call.name or len(clause.params) != len(call.actuals):
+def _select(frames, machine: Machine, call: CallSite, depth: int) -> tuple[ast.Clause, int]:
+    """The matched clause, renamed and instantiated, and its trace depth."""
+    actuals = call.actuals
+    declared = False
+
+    def visit(clause, head, renames, binders, at):
+        nonlocal declared
+        declared = True
+        values = _bindings(binders, actuals)
+        if _head_matches(clause, values, actuals):
+            return clause, renames, values, at
+        return None
+
+    found = None
+    for frame in reversed(frames):
+        steps = None if machine.trace is None else []
+        found = ast.walk_heads(frame, machine.macro_env, call.name, visit, steps, depth)
+        if declared:
+            for at, rule_id, node, renames, binders in steps or ():
+                _emit_bc(machine, at, _instantiate(node, renames, _bindings(binders, actuals)), rule_id)
+            break
+    if found is None:
+        raise EngineFailure(NO_MATCHING_CLAUSE, call.signature(), machine.call_stack)
+    clause, renames, values, at = found
+    clause = _instantiate(clause, renames, values)
+    _emit_bc(machine, at, clause, 1)
+    return clause, at
+
+
+def _bindings(binders, actuals: tuple[ast.Value, ...]) -> dict[str, ast.Value | None]:
+    """The value each enclosing quantifier takes from the call (None when
+    its variable is in no head), innermost first; an outer quantifier of
+    a name already seen is shadowed and left out."""
+    values: dict[str, ast.Value | None] = {}
+    while binders is not None:
+        var, scope, binders = binders
+        if var not in values:
+            values[var] = _instantiation(scope, var, actuals)
+    return values
+
+
+def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) -> bool:
+    """Whether the head, instantiated with values, matches the actuals."""
+    if len(clause.params) != len(actuals):
         return False
-    for param, actual in zip(clause.params, call.actuals):
-        value = ast.literal_value(param)
+    for param, actual in zip(clause.params, actuals):
+        if isinstance(param, ast.Var):
+            value = values.get(param.name)
+        else:
+            value = ast.literal_value(param)
         if value is None or value != actual:
             return False
     return True
+
+
+def _instantiate(decl: ast.Declaration, renames, values) -> ast.Declaration:
+    """decl with the enclosing renames applied, outermost first, and the
+    instantiated quantifier variables substituted."""
+    for old, new in renames:
+        decl = rename(decl, old, new)
+    for var, value in values.items():
+        if value is not None:
+            decl = substitute(decl, var, value)
+    return decl
 
 
 def _instantiation(

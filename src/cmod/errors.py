@@ -1,4 +1,9 @@
-"""Exception types and runtime failure reasons shared across the interpreter."""
+"""Exception types and runtime failure reasons shared across the interpreter.
+
+A runtime failure is raised once, as an EngineFailure, and ends the run
+it happens in; clause search never raises to say that a head did not
+match, it returns.
+"""
 
 NO_MATCHING_CLAUSE = "no-matching-clause"
 UNBOUND_VARIABLE = "unbound-variable"
@@ -52,15 +57,3 @@ class EngineFailure(CmodError):
         self.detail = detail
         self.call_chain = tuple(call_chain)
         super().__init__(f"{reason}: {detail}")
-
-
-class ClauseMismatch(EngineFailure):
-    """A clause head did not match the call being backchained.
-
-    Conjunction nodes fall through to their second operand on this signal
-    only; any failure raised after a head has matched propagates unchanged,
-    so clause bodies are never re-run.
-    """
-
-    def __init__(self, detail: str, call_chain=()):
-        super().__init__(NO_MATCHING_CLAUSE, detail, call_chain)

@@ -44,18 +44,3 @@ class Machine:
 
     def output_text(self) -> str:
         return "".join(self.output)
-
-    def clone(self) -> "Machine":
-        """An independent copy; declarations and values are immutable and
-        shared, mutable containers are copied."""
-        return Machine(
-            module_stack=list(self.module_stack),
-            macro_env=self.macro_env,
-            store=Store(self.store),
-            regions=self.regions.clone(),
-            output=list(self.output),
-            depth=self.depth,
-            max_depth=self.max_depth,
-            trace=self.trace,
-            call_stack=list(self.call_stack),
-        )

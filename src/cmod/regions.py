@@ -85,13 +85,6 @@ class RegionStack:
                 return region
         raise EngineFailure(REGION_FAULT, f"unknown region {handle.region_id}")
 
-    def clone(self) -> "RegionStack":
-        copied = [
-            Region(r.id, r.generation, r.elem_type, list(r.cells), r.live)
-            for r in self.regions
-        ]
-        return RegionStack(copied, self.next_id, list(self.events))
-
 
 def region_read(machine, handle: ast.Handle, index: int) -> ast.Value:
     """The cell value at index, when the handle is live and in range."""

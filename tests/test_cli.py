@@ -40,6 +40,15 @@ def test_run_call_outside_its_module_exits_1(tmp_path, capsys):
     assert "Age" in captured.err
 
 
+def test_body_mismatch_fails_the_call_and_exits_1(tmp_path, capsys):
+    path = write(tmp_path, "((p() = (x = 1; q()) and p() = (y = 2)) and q(a) = true) => p()")
+    code = main(["run", path, "--dump-state"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "cmod: no matching clause: q/0 (call chain: q() <- p())\n"
+    assert "x = 1\n" in captured.out and "y = " not in captured.out
+
+
 def test_run_syntax_error_exits_2_with_position(tmp_path, capsys):
     path = write(tmp_path, "x = ;")
     code = main(["run", path])

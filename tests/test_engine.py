@@ -227,6 +227,15 @@ def test_backchain_head_mismatch_is_no_matching_clause():
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
 
 
+def test_mismatch_detail_is_the_call_signature_past_an_undefined_macro():
+    # the frame declares pa, so it decides the call; the undefined /nope
+    # searched last contributes no clause and does not become the detail
+    decl = A.And(A.Clause("pa", (), A.TrueStmt()), A.MacroRef("nope"))
+    outcome = backchain(decl, Machine.initial(), CallSite("pa", (A.Int(1),)))
+    assert isinstance(outcome, Failure)
+    assert (outcome.reason, outcome.detail) == (NO_MATCHING_CLAUSE, "pa/1")
+
+
 def test_no_fallback_after_a_head_matches():
     # both clauses are named p; the first head matches and its body fails,
     # so the second clause must not run
@@ -239,6 +248,33 @@ def test_no_fallback_after_a_head_matches():
     outcome = resolve_call(machine, CallSite("p", ()))
     assert isinstance(outcome, Failure)
     assert "x" not in machine.store
+
+
+FALL_THROUGH_REPRO = "((p() = (x = 1; q()) and p() = (y = 2)) and q(a) = true) => p()"
+
+
+def test_body_mismatch_does_not_fall_through_to_the_next_clause():
+    # q() reaches a frame declaring only q/1; that failure happens inside
+    # the body of p's first clause, so p() fails rather than trying the
+    # second clause
+    outcome, machine = run(FALL_THROUGH_REPRO)
+    assert isinstance(outcome, Failure)
+    assert (outcome.reason, outcome.detail) == (NO_MATCHING_CLAUSE, "q/0")
+    assert [site.name for site in outcome.call_chain] == ["p", "q"]
+    assert machine.store["x"] == A.Int(1)
+    assert "y" not in machine.store
+
+
+def test_body_mismatch_from_a_module_frame_does_not_fall_through():
+    source = (
+        "module M.\nq(a) = true\nend\n"
+        "(/M => ((p() = (x = 1; q()) and p() = (y = 2)) => p()))"
+    )
+    outcome, machine = run(source)
+    assert isinstance(outcome, Failure)
+    assert (outcome.reason, outcome.detail) == (NO_MATCHING_CLAUSE, "q/0")
+    assert machine.store["x"] == A.Int(1)
+    assert "y" not in machine.store
 
 
 def test_backchain_rename_directly():
