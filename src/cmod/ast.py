@@ -9,6 +9,7 @@ and freely shareable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Union
 
 # ---------------------------------------------------------------------------
@@ -134,32 +135,24 @@ class Quoted:
 Expression = Union[IntLit, BoolLit, StrLit, AtomLit, Var, BinOp, UnaryOp, Index, Quoted]
 
 
+# The literal expression class of each value class that has one; both
+# hold the same single field, named first in their __match_args__.
+_LITERAL_OF = {Int: IntLit, Bool: BoolLit, Str: StrLit, Atom: AtomLit}
+_VALUE_OF = {literal: value for value, literal in _LITERAL_OF.items()}
+
+
 def literal_of(value: Value) -> Expression:
     """The expression form of a runtime value, used by instantiation."""
-    if isinstance(value, Int):
-        return IntLit(value.value)
-    if isinstance(value, Bool):
-        return BoolLit(value.value)
-    if isinstance(value, Str):
-        return StrLit(value.value)
-    if isinstance(value, Atom):
-        return AtomLit(value.name)
-    return Quoted(value)
+    literal = _LITERAL_OF.get(type(value))
+    return Quoted(value) if literal is None else literal(getattr(value, value.__match_args__[0]))
 
 
 def literal_value(expr: Expression) -> Value | None:
     """The value of a literal expression, or None if expr is not a literal."""
-    if isinstance(expr, IntLit):
-        return Int(expr.value)
-    if isinstance(expr, BoolLit):
-        return Bool(expr.value)
-    if isinstance(expr, StrLit):
-        return Str(expr.value)
-    if isinstance(expr, AtomLit):
-        return Atom(expr.name)
-    if isinstance(expr, Quoted):
+    if type(expr) is Quoted:
         return expr.value
-    return None
+    value = _VALUE_OF.get(type(expr))
+    return None if value is None else value(getattr(expr, expr.__match_args__[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +315,70 @@ class MacroDef:
 
 
 # ---------------------------------------------------------------------------
+# Child mapping
+# ---------------------------------------------------------------------------
+
+# How a field holds child nodes: one node, a tuple of nodes, or Switch's
+# (label, statement) pairs, whose labels are values and are not mapped.
+NODE, NODES, CASES = 1, 2, 3
+
+# Per node class, the fields that hold child nodes, as (position among the
+# class's fields, kind) pairs in field order. Classes not listed are leaves.
+CHILD_FIELDS: dict[type, tuple[tuple[int, int], ...]] = {
+    BinOp: ((1, NODE), (2, NODE)),  # left, right
+    UnaryOp: ((1, NODE),),  # operand
+    Index: ((0, NODE), (1, NODE)),  # base, index
+    Call: ((1, NODES),),  # args
+    Assign: ((1, NODE),),  # expr
+    StoreIndex: ((0, NODE), (1, NODE), (2, NODE)),  # base, index, value
+    Seq: ((0, NODE), (1, NODE)),  # first, second
+    Implication: ((0, NODE), (1, NODE)),  # decl, body
+    ModuleImplication: ((1, NODE),),  # body
+    MacroScope: ((0, NODES), (1, NODE)),  # defs, body
+    AllocScope: ((2, NODE), (3, NODE)),  # length, body
+    If: ((0, NODE), (1, NODE), (2, NODE)),  # cond, then, orelse
+    Switch: ((0, NODE), (1, CASES), (2, NODE)),  # scrutinee, cases, default
+    Print: ((0, NODE),),  # expr
+    Clause: ((1, NODES), (2, NODE)),  # params, body
+    And: ((0, NODE), (1, NODE)),  # left, right
+    Forall: ((1, NODE),),  # decl
+    Rename: ((2, NODE),),  # decl
+    MacroDef: ((1, NODE),),  # body
+}
+
+
+def map_children(node, fn):
+    """node with fn applied to each of its child nodes.
+
+    The node is rebuilt, positionally, only when fn changed some child
+    (returned another object); otherwise node itself is returned, so
+    unchanged subtrees are shared between the old tree and the new one.
+    """
+    children = CHILD_FIELDS.get(type(node))
+    if children is None:
+        return node
+    # __match_args__ names a dataclass's fields in order; vars() would give
+    # the node a real __dict__, which slows every later attribute read
+    values = list(map(node.__getattribute__, node.__match_args__))
+    changed = False
+    for i, kind in children:
+        old = values[i]
+        if kind == NODE:
+            new = fn(old)
+            if new is old:
+                continue
+        else:
+            items = old if kind == NODES else [body for _, body in old]
+            mapped = list(map(fn, items))
+            if all(map(is_, mapped, items)):
+                continue
+            new = tuple(mapped) if kind == NODES else tuple(zip([label for label, _ in old], mapped))
+        values[i] = new
+        changed = True
+    return type(node)(*values) if changed else node
+
+
+# ---------------------------------------------------------------------------
 # Desugaring
 # ---------------------------------------------------------------------------
 
@@ -331,7 +388,8 @@ def desugar(stmt: Statement) -> Statement:
 
     Each case becomes an equality test of the scrutinee against the case
     label, ending in the default branch; all other nodes are preserved
-    structurally (including inside declarations). Idempotent.
+    structurally (including inside declarations), so any node may be
+    passed. Idempotent.
     """
     if isinstance(stmt, Switch):
         result = desugar(stmt.default)
@@ -339,32 +397,11 @@ def desugar(stmt: Statement) -> Statement:
             test = BinOp("==", stmt.scrutinee, literal_of(label))
             result = If(test, desugar(body), result)
         return result
-    if isinstance(stmt, Seq):
-        return Seq(desugar(stmt.first), desugar(stmt.second))
-    if isinstance(stmt, Implication):
-        return Implication(desugar_decl(stmt.decl), desugar(stmt.body))
-    if isinstance(stmt, ModuleImplication):
-        return ModuleImplication(stmt.name, desugar(stmt.body))
-    if isinstance(stmt, MacroScope):
-        defs = tuple(MacroDef(d.name, desugar_decl(d.body)) for d in stmt.defs)
-        return MacroScope(defs, desugar(stmt.body))
-    if isinstance(stmt, AllocScope):
-        return AllocScope(stmt.handle, stmt.elem_type, stmt.length, desugar(stmt.body))
-    if isinstance(stmt, If):
-        return If(stmt.cond, desugar(stmt.then), desugar(stmt.orelse))
-    return stmt
+    return map_children(stmt, desugar)
 
 
 def desugar_decl(decl: Declaration) -> Declaration:
-    if isinstance(decl, Clause):
-        return Clause(decl.name, decl.params, desugar(decl.body))
-    if isinstance(decl, And):
-        return And(desugar_decl(decl.left), desugar_decl(decl.right))
-    if isinstance(decl, Forall):
-        return Forall(decl.var, desugar_decl(decl.decl))
-    if isinstance(decl, Rename):
-        return Rename(decl.old, decl.new, desugar_decl(decl.decl))
-    return decl
+    return desugar(decl)
 
 
 # ---------------------------------------------------------------------------

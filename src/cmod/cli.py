@@ -3,8 +3,8 @@ formatter.
 
 Exit codes: 0 success, 1 no matching clause, 2 lex/parse error, 3 other
 runtime faults (unbound variable, region fault, depth exceeded, type
-mismatch, division by zero). Program output goes to stdout; diagnostics
-and the derivation trace go to stderr.
+mismatch, division by zero) and internal errors. Program output goes to
+stdout; diagnostics and the derivation trace go to stderr.
 """
 
 from __future__ import annotations
@@ -71,14 +71,9 @@ def _cmd_run(args) -> int:
         return EXIT_SYNTAX
 
     trace = _stderr_trace if args.trace else None
-    try:
-        outcome, machine = call_with_deep_stack(
-            run_source, source, max_depth=args.max_depth, trace=trace
-        )
-    except (LexError, ParseError) as exc:
-        print(f"cmod: syntax error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-
+    outcome, machine = call_with_deep_stack(
+        run_source, source, max_depth=args.max_depth, trace=trace
+    )
     sys.stdout.write(machine.output_text())
     if args.dump_state:
         _dump_state(machine)
@@ -94,12 +89,7 @@ def _cmd_fmt(args) -> int:
     except OSError as exc:
         print(f"cmod: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    try:
-        program = parse_source(source)
-    except (LexError, ParseError) as exc:
-        print(f"cmod: syntax error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    print(pretty_print(program))
+    print(call_with_deep_stack(lambda: pretty_print(parse_source(source))))
     return EXIT_OK
 
 
@@ -162,8 +152,7 @@ def _cmd_repl(args) -> int:
         buffer = ""
 
         if seeds:
-            desugared = [ast.MacroDef(d.name, ast.desugar_decl(d.body)) for d in seeds]
-            machine.macro_env = machine.macro_env.define(desugared)
+            machine.macro_env = machine.macro_env.define(ast.desugar(d) for d in seeds)
             print("defined " + ", ".join(f"/{d.name}" for d in seeds))
         if stmt is not None:
             emitted = len(machine.output)
@@ -205,8 +194,14 @@ def main(argv=None) -> int:
         if args.command == "repl":
             return _cmd_repl(args)
         return _cmd_fmt(args)
+    except (LexError, ParseError) as exc:
+        print(f"cmod: syntax error: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
     except CmodError as exc:  # pragma: no cover - safety net
         print(f"cmod: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as exc:  # noqa: BLE001 - no input may end in a traceback
+        print(f"cmod: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -292,8 +292,26 @@ def _bindings(binders, actuals: tuple[ast.Value, ...]) -> dict[str, ast.Value | 
     while binders is not None:
         var, scope, binders = binders
         if var not in values:
-            values[var] = _instantiation(scope, var, actuals)
+            values[var] = ast.walk_heads(scope, None, None, _head_actual(var, actuals))
     return values
+
+
+def _head_actual(var: str, actuals: tuple[ast.Value, ...]):
+    """A walk_heads visit giving the actual at var's first position in a
+    head no inner quantifier of var shadows, or None when var is in no
+    such head (then stripping the quantifier is harmless: an
+    uninstantiated head never matches)."""
+
+    def visit(clause, head, renames, binders, depth):
+        while binders is not None and binders[0] != var:
+            binders = binders[2]
+        if binders is None:
+            for param, actual in zip(clause.params, actuals):
+                if isinstance(param, ast.Var) and param.name == var:
+                    return actual
+        return None
+
+    return visit
 
 
 def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) -> bool:
@@ -321,31 +339,6 @@ def _instantiate(decl: ast.Declaration, renames, values) -> ast.Declaration:
     return decl
 
 
-def _instantiation(
-    decl: ast.Declaration, var: str, actuals: tuple[ast.Value, ...]
-) -> ast.Value | None:
-    """The actual at the first head position where the bound variable
-    occurs, or None when it occurs in none (then stripping the quantifier
-    is harmless: an uninstantiated head never matches)."""
-    if isinstance(decl, ast.Clause):
-        for i, param in enumerate(decl.params):
-            if isinstance(param, ast.Var) and param.name == var and i < len(actuals):
-                return actuals[i]
-        return None
-    if isinstance(decl, ast.And):
-        value = _instantiation(decl.left, var, actuals)
-        if value is None:
-            value = _instantiation(decl.right, var, actuals)
-        return value
-    if isinstance(decl, ast.Forall):
-        if decl.var == var:
-            return None  # shadowed
-        return _instantiation(decl.decl, var, actuals)
-    if isinstance(decl, ast.Rename):
-        return _instantiation(decl.decl, var, actuals)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Instantiation
 # ---------------------------------------------------------------------------
@@ -360,75 +353,18 @@ def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declara
     expression occurrences, and stay untouched.
     """
     literal = ast.literal_of(value)
-    return _subst_decl(decl, var, literal)
 
+    def subst(node):
+        if type(node) is ast.Var:
+            return literal if node.name == var else node
+        if type(node) is ast.Forall and node.var == var:
+            return node
+        if type(node) is ast.AllocScope and node.handle == var:
+            # the handle hides var in the body, not in the length
+            return ast.map_children(node, lambda child: subst(child) if child is node.length else child)
+        return ast.map_children(node, subst)
 
-def _subst_decl(decl: ast.Declaration, var: str, literal: ast.Expression) -> ast.Declaration:
-    if isinstance(decl, ast.Clause):
-        params = tuple(_subst_expr(p, var, literal) for p in decl.params)
-        return ast.Clause(decl.name, params, _subst_stmt(decl.body, var, literal))
-    if isinstance(decl, ast.And):
-        return ast.And(_subst_decl(decl.left, var, literal), _subst_decl(decl.right, var, literal))
-    if isinstance(decl, ast.Forall):
-        if decl.var == var:
-            return decl
-        return ast.Forall(decl.var, _subst_decl(decl.decl, var, literal))
-    if isinstance(decl, ast.Rename):
-        return ast.Rename(decl.old, decl.new, _subst_decl(decl.decl, var, literal))
-    return decl
-
-
-def _subst_stmt(stmt: ast.Statement, var: str, literal: ast.Expression) -> ast.Statement:
-    if isinstance(stmt, ast.Call):
-        return ast.Call(stmt.name, tuple(_subst_expr(a, var, literal) for a in stmt.args))
-    if isinstance(stmt, ast.Assign):
-        return ast.Assign(stmt.name, _subst_expr(stmt.expr, var, literal))
-    if isinstance(stmt, ast.StoreIndex):
-        return ast.StoreIndex(
-            _subst_expr(stmt.base, var, literal),
-            _subst_expr(stmt.index, var, literal),
-            _subst_expr(stmt.value, var, literal),
-        )
-    if isinstance(stmt, ast.Seq):
-        return ast.Seq(_subst_stmt(stmt.first, var, literal), _subst_stmt(stmt.second, var, literal))
-    if isinstance(stmt, ast.Implication):
-        return ast.Implication(_subst_decl(stmt.decl, var, literal), _subst_stmt(stmt.body, var, literal))
-    if isinstance(stmt, ast.ModuleImplication):
-        return ast.ModuleImplication(stmt.name, _subst_stmt(stmt.body, var, literal))
-    if isinstance(stmt, ast.MacroScope):
-        defs = tuple(ast.MacroDef(d.name, _subst_decl(d.body, var, literal)) for d in stmt.defs)
-        return ast.MacroScope(defs, _subst_stmt(stmt.body, var, literal))
-    if isinstance(stmt, ast.AllocScope):
-        length = _subst_expr(stmt.length, var, literal)
-        if stmt.handle == var:
-            return ast.AllocScope(stmt.handle, stmt.elem_type, length, stmt.body)
-        return ast.AllocScope(stmt.handle, stmt.elem_type, length, _subst_stmt(stmt.body, var, literal))
-    if isinstance(stmt, ast.If):
-        return ast.If(
-            _subst_expr(stmt.cond, var, literal),
-            _subst_stmt(stmt.then, var, literal),
-            _subst_stmt(stmt.orelse, var, literal),
-        )
-    if isinstance(stmt, ast.Switch):
-        cases = tuple((label, _subst_stmt(body, var, literal)) for label, body in stmt.cases)
-        return ast.Switch(
-            _subst_expr(stmt.scrutinee, var, literal), cases, _subst_stmt(stmt.default, var, literal)
-        )
-    if isinstance(stmt, ast.Print):
-        return ast.Print(_subst_expr(stmt.expr, var, literal))
-    return stmt
-
-
-def _subst_expr(expr: ast.Expression, var: str, literal: ast.Expression) -> ast.Expression:
-    if isinstance(expr, ast.Var):
-        return literal if expr.name == var else expr
-    if isinstance(expr, ast.BinOp):
-        return ast.BinOp(expr.op, _subst_expr(expr.left, var, literal), _subst_expr(expr.right, var, literal))
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _subst_expr(expr.operand, var, literal))
-    if isinstance(expr, ast.Index):
-        return ast.Index(_subst_expr(expr.base, var, literal), _subst_expr(expr.index, var, literal))
-    return expr
+    return subst(decl)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +490,7 @@ def machine_for(
 ) -> Machine:
     """An empty machine seeded with the program's module and macro
     definitions (desugared)."""
-    seeds = [ast.MacroDef(d.name, ast.desugar_decl(d.body)) for d in program.seeds()]
+    seeds = [ast.desugar(d) for d in program.seeds()]
     return Machine.initial(seeds=seeds, max_depth=max_depth, trace=trace)
 
 

@@ -64,21 +64,15 @@ def conj_expand(env: MacroEnv, decl: ast.Declaration) -> ast.Declaration:
     reference (cycle cut). Statement bodies are not walked; references
     inside them resolve against the environment at run time.
     """
-    return _expand(env, decl, frozenset())
 
+    def expand(node, path: frozenset[str]):
+        if isinstance(node, ast.MacroRef) and node.name not in path:
+            return expand(env.lookup(node.name), path | {node.name})
+        if isinstance(node, (ast.MacroRef, ast.Clause)):
+            return node
+        return ast.map_children(node, lambda child: expand(child, path))
 
-def _expand(env: MacroEnv, decl: ast.Declaration, path: frozenset[str]) -> ast.Declaration:
-    if isinstance(decl, ast.MacroRef):
-        if decl.name in path:
-            return decl
-        return _expand(env, env.lookup(decl.name), path | {decl.name})
-    if isinstance(decl, ast.And):
-        return ast.And(_expand(env, decl.left, path), _expand(env, decl.right, path))
-    if isinstance(decl, ast.Forall):
-        return ast.Forall(decl.var, _expand(env, decl.decl, path))
-    if isinstance(decl, ast.Rename):
-        return ast.Rename(decl.old, decl.new, _expand(env, decl.decl, path))
-    return decl
+    return expand(decl, frozenset())
 
 
 def rename(decl: ast.Declaration, old: str, new: str) -> ast.Declaration:
@@ -89,42 +83,17 @@ def rename(decl: ast.Declaration, old: str, new: str) -> ast.Declaration:
     """
     if old == new:
         return decl
-    return _rename_decl(decl, old, new)
 
+    def ren(node):
+        node = ast.map_children(node, ren)
+        if isinstance(node, ast.Clause) and node.name == old:
+            return ast.Clause(new, node.params, node.body)
+        if isinstance(node, ast.Call) and node.name == old:
+            return ast.Call(new, node.args)
+        if isinstance(node, ast.Rename) and old in (node.old, node.new):
+            a = new if node.old == old else node.old
+            b = new if node.new == old else node.new
+            return ast.Rename(a, b, node.decl)
+        return node
 
-def _rename_decl(decl: ast.Declaration, old: str, new: str) -> ast.Declaration:
-    if isinstance(decl, ast.Clause):
-        name = new if decl.name == old else decl.name
-        return ast.Clause(name, decl.params, _rename_stmt(decl.body, old, new))
-    if isinstance(decl, ast.And):
-        return ast.And(_rename_decl(decl.left, old, new), _rename_decl(decl.right, old, new))
-    if isinstance(decl, ast.Forall):
-        return ast.Forall(decl.var, _rename_decl(decl.decl, old, new))
-    if isinstance(decl, ast.Rename):
-        a = new if decl.old == old else decl.old
-        b = new if decl.new == old else decl.new
-        return ast.Rename(a, b, _rename_decl(decl.decl, old, new))
-    return decl
-
-
-def _rename_stmt(stmt: ast.Statement, old: str, new: str) -> ast.Statement:
-    if isinstance(stmt, ast.Call):
-        name = new if stmt.name == old else stmt.name
-        return ast.Call(name, stmt.args)
-    if isinstance(stmt, ast.Seq):
-        return ast.Seq(_rename_stmt(stmt.first, old, new), _rename_stmt(stmt.second, old, new))
-    if isinstance(stmt, ast.Implication):
-        return ast.Implication(_rename_decl(stmt.decl, old, new), _rename_stmt(stmt.body, old, new))
-    if isinstance(stmt, ast.ModuleImplication):
-        return ast.ModuleImplication(stmt.name, _rename_stmt(stmt.body, old, new))
-    if isinstance(stmt, ast.MacroScope):
-        defs = tuple(ast.MacroDef(d.name, _rename_decl(d.body, old, new)) for d in stmt.defs)
-        return ast.MacroScope(defs, _rename_stmt(stmt.body, old, new))
-    if isinstance(stmt, ast.AllocScope):
-        return ast.AllocScope(stmt.handle, stmt.elem_type, stmt.length, _rename_stmt(stmt.body, old, new))
-    if isinstance(stmt, ast.If):
-        return ast.If(stmt.cond, _rename_stmt(stmt.then, old, new), _rename_stmt(stmt.orelse, old, new))
-    if isinstance(stmt, ast.Switch):
-        cases = tuple((label, _rename_stmt(body, old, new)) for label, body in stmt.cases)
-        return ast.Switch(stmt.scrutinee, cases, _rename_stmt(stmt.default, old, new))
-    return stmt
+    return ren(decl)

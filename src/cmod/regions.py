@@ -18,6 +18,10 @@ from .errors import (
     EngineFailure,
 )
 
+# The longest region an allocation scope may create, in cells; a longer
+# one is a region fault rather than an attempt to allocate it.
+MAX_REGION_LENGTH = 2**24
+
 
 class Store(dict):
     """Variable-value bindings, updated destructively by assignment."""
@@ -43,30 +47,29 @@ class Region:
 
 @dataclass
 class RegionStack:
-    # All regions ever allocated, in allocation order; dead ones are kept
-    # for fault diagnostics. (id, generation) pairs are never reused.
+    # All regions ever allocated, in allocation order, so a region's id is
+    # its position; dead ones are kept for fault diagnostics. (id,
+    # generation) pairs are never reused. live holds the live regions,
+    # oldest first: only its last one may be freed.
     regions: list[Region] = field(default_factory=list)
-    next_id: int = 0
+    live: list[Region] = field(default_factory=list)
     events: list[tuple[str, int]] = field(default_factory=list)
 
     def allocate(self, elem_type: str, length: int) -> ast.Handle:
-        region = Region(self.next_id, 0, elem_type, [ast.Int(0)] * length)
-        self.next_id += 1
+        region = Region(len(self.regions), 0, elem_type, [ast.Int(0)] * length)
         self.regions.append(region)
+        self.live.append(region)
         self.events.append(("alloc", region.id))
         return ast.Handle(region.id, region.generation)
 
-    def live_regions(self) -> list[Region]:
-        return [r for r in self.regions if r.live]
-
     def live_count(self) -> int:
-        return sum(1 for r in self.regions if r.live)
+        return len(self.live)
 
     def free(self, handle: ast.Handle) -> None:
         region = self._region(handle)
-        live = self.live_regions()
-        if not live or live[-1] is not region:
+        if not self.live or self.live[-1] is not region:
             raise RuntimeError(f"region {region.id} freed out of stack order")
+        self.live.pop()
         region.live = False
         region.generation += 1  # retire the handle generation
         self.events.append(("free", region.id))
@@ -80,42 +83,40 @@ class RegionStack:
         return region
 
     def _region(self, handle: ast.Handle) -> Region:
-        for region in self.regions:
-            if region.id == handle.region_id:
-                return region
+        if 0 <= handle.region_id < len(self.regions):
+            return self.regions[handle.region_id]
         raise EngineFailure(REGION_FAULT, f"unknown region {handle.region_id}")
 
 
 def region_read(machine, handle: ast.Handle, index: int) -> ast.Value:
     """The cell value at index, when the handle is live and in range."""
-    try:
-        region = machine.regions.checked(handle)
-        if not 0 <= index < len(region.cells):
-            raise EngineFailure(
-                REGION_FAULT,
-                f"bounds: index {index} outside region {region.id} of length {len(region.cells)}",
-            )
-        return region.cells[index]
-    except EngineFailure as failure:
-        raise _with_chain(machine, failure) from None
+    return _live_region(machine, handle, index).cells[index]
 
 
 def region_write(machine, handle: ast.Handle, index: int, value: ast.Value) -> None:
+    region = _live_region(machine, handle, index)
+    if region.elem_type == "int" and not isinstance(value, ast.Int):
+        raise EngineFailure(
+            TYPE_MISMATCH,
+            f"region {region.id} holds int elements, not {ast.render_value(value)}",
+            machine.call_stack,
+        )
+    region.cells[index] = value
+
+
+def _live_region(machine, handle: ast.Handle, index: int) -> Region:
+    """handle's region, when the handle is live and index is in range."""
     try:
         region = machine.regions.checked(handle)
-        if not 0 <= index < len(region.cells):
-            raise EngineFailure(
-                REGION_FAULT,
-                f"bounds: index {index} outside region {region.id} of length {len(region.cells)}",
-            )
-        if region.elem_type == "int" and not isinstance(value, ast.Int):
-            raise EngineFailure(
-                TYPE_MISMATCH,
-                f"region {region.id} holds int elements, not {ast.render_value(value)}",
-            )
-        region.cells[index] = value
     except EngineFailure as failure:
-        raise _with_chain(machine, failure) from None
+        raise EngineFailure(failure.reason, failure.detail, machine.call_stack) from None
+    if not 0 <= index < len(region.cells):
+        raise EngineFailure(
+            REGION_FAULT,
+            f"bounds: index {index} outside region {region.id} of length {len(region.cells)}",
+            machine.call_stack,
+        )
+    return region
 
 
 def alloc_scope(machine, handle_name, elem_type, length_expr, body, depth: int = 0):
@@ -143,6 +144,12 @@ def _alloc_scope(machine, handle_name, elem_type, length_expr, body, depth: int 
         )
     if length.value < 0:
         raise EngineFailure(REGION_FAULT, f"negative region length {length.value}", machine.call_stack)
+    if length.value > MAX_REGION_LENGTH:
+        raise EngineFailure(
+            REGION_FAULT,
+            f"region length {length.value} exceeds the limit of {MAX_REGION_LENGTH}",
+            machine.call_stack,
+        )
 
     handle = machine.regions.allocate(elem_type, length.value)
     machine.store.assign(handle_name, handle)
@@ -151,9 +158,3 @@ def _alloc_scope(machine, handle_name, elem_type, length_expr, body, depth: int 
     finally:
         machine.regions.free(handle)
         machine.store.pop(handle_name, None)
-
-
-def _with_chain(machine, failure: EngineFailure) -> EngineFailure:
-    if failure.call_chain:
-        return failure
-    return EngineFailure(failure.reason, failure.detail, tuple(machine.call_stack))

@@ -199,40 +199,20 @@ def inline_macros(program: SourceProgram) -> A.Statement:
     """
 
     def expand_decl(decl: A.Declaration, env: MacroEnv) -> A.Declaration:
-        return _walk_decl(conj_expand(env, decl), env)
+        return walk(conj_expand(env, decl), env)
 
-    def _walk_decl(decl: A.Declaration, env: MacroEnv) -> A.Declaration:
-        if isinstance(decl, A.Clause):
-            return A.Clause(decl.name, decl.params, walk(decl.body, env))
-        if isinstance(decl, A.And):
-            return A.And(_walk_decl(decl.left, env), _walk_decl(decl.right, env))
-        if isinstance(decl, A.Forall):
-            return A.Forall(decl.var, _walk_decl(decl.decl, env))
-        if isinstance(decl, A.Rename):
-            return A.Rename(decl.old, decl.new, _walk_decl(decl.decl, env))
-        return decl
-
-    def walk(stmt: A.Statement, env: MacroEnv) -> A.Statement:
-        if isinstance(stmt, A.Implication):
-            return A.Implication(expand_decl(stmt.decl, env), walk(stmt.body, env))
-        if isinstance(stmt, A.ModuleImplication):
-            return A.Implication(expand_decl(env.lookup(stmt.name), env), walk(stmt.body, env))
-        if isinstance(stmt, A.MacroScope):
-            inner_env = env.define(stmt.defs)
-            result = walk(stmt.body, inner_env)
-            for macro_def in reversed(stmt.defs):
+    def walk(node, env: MacroEnv):
+        if isinstance(node, A.Implication):
+            return A.Implication(expand_decl(node.decl, env), walk(node.body, env))
+        if isinstance(node, A.ModuleImplication):
+            return A.Implication(expand_decl(env.lookup(node.name), env), walk(node.body, env))
+        if isinstance(node, A.MacroScope):
+            inner_env = env.define(node.defs)
+            result = walk(node.body, inner_env)
+            for macro_def in reversed(node.defs):
                 result = A.Implication(expand_decl(macro_def.body, inner_env), result)
             return result
-        if isinstance(stmt, A.Seq):
-            return A.Seq(walk(stmt.first, env), walk(stmt.second, env))
-        if isinstance(stmt, A.AllocScope):
-            return A.AllocScope(stmt.handle, stmt.elem_type, stmt.length, walk(stmt.body, env))
-        if isinstance(stmt, A.If):
-            return A.If(stmt.cond, walk(stmt.then, env), walk(stmt.orelse, env))
-        if isinstance(stmt, A.Switch):
-            cases = tuple((label, walk(body, env)) for label, body in stmt.cases)
-            return A.Switch(stmt.scrutinee, cases, walk(stmt.default, env))
-        return stmt
+        return A.map_children(node, lambda child: walk(child, env))
 
     return walk(program.main, MacroEnv.seeded(program.seeds()))
 

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import hypothesis.strategies as st
 from hypothesis import given
 
@@ -59,6 +62,46 @@ def test_desugar_idempotent_on_corpus(corpus_files):
         for _, decl in program.module_defs:
             declared = A.desugar_decl(decl)
             assert A.desugar_decl(declared) == declared
+
+
+NODE_TYPES = A.Expression.__args__ + A.Statement.__args__ + A.Declaration.__args__ + (A.MacroDef,)
+
+
+def test_child_fields_name_exactly_the_fields_that_hold_nodes():
+    # a field holds nodes when its annotation mentions a node union or class
+    holds_nodes = re.compile(r"\b(Expression|Statement|Declaration|MacroDef)\b")
+    for cls in NODE_TYPES:
+        fields = dataclasses.fields(cls)
+        expected = [i for i, f in enumerate(fields) if holds_nodes.search(str(f.type))]
+        assert [i for i, _ in A.CHILD_FIELDS.get(cls, ())] == expected, cls.__name__
+
+
+def test_map_children_shares_a_node_whose_children_are_unchanged():
+    tree = A.Seq(A.Call("p", (A.Var("x"),)), emp_switch())
+    assert A.map_children(tree, lambda child: child) is tree
+    assert A.map_children(emp_switch(), lambda child: child) == emp_switch()
+    assert A.map_children(A.Var("x"), lambda child: A.IntLit(1)) == A.Var("x")
+
+
+def test_map_children_rebuilds_only_the_changed_path():
+    call = A.Call("p", (A.Var("x"), A.IntLit(2)))
+    kept = A.Print(A.Var("y"))
+    tree = A.Seq(call, kept)
+
+    def swap(node):
+        return A.IntLit(1) if node == A.Var("x") else A.map_children(node, swap)
+
+    result = A.map_children(tree, swap)
+    assert result == A.Seq(A.Call("p", (A.IntLit(1), A.IntLit(2))), kept)
+    assert result.second is kept and result.first.args[1] is call.args[1]
+
+
+def test_map_children_maps_switch_case_bodies_not_labels():
+    seen = []
+    result = A.map_children(emp_switch(), lambda child: seen.append(child) or A.TrueStmt())
+    bodies = [A.Assign("age", A.IntLit(n)) for n in (31, 40, 0)]
+    assert seen == [A.Var("emp")] + bodies
+    assert result.cases == ((A.Atom("tom"), A.TrueStmt()), (A.Atom("kim"), A.TrueStmt()))
 
 
 def test_declared_names_direct_heads():

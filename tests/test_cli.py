@@ -139,6 +139,34 @@ def test_fmt_syntax_error_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_fmt_handles_a_long_statement_chain(tmp_path, capsys):
+    path = write(tmp_path, "x = 1;\n" * 4999 + "x = 1")
+    code = main(["fmt", path])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.count("x = 1") == 5000
+
+
+def test_huge_region_length_is_a_region_fault_not_a_memory_error(tmp_path, capsys):
+    path = write(tmp_path, "(p = new int[100000000000] => print(1))")
+    code = main(["run", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("cmod: region fault: region length 100000000000 exceeds")
+
+
+def test_unexpected_exception_is_an_internal_error_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("cmod.cli.run_source", broken)
+    code = main(["run", write(tmp_path, "x = 1")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "cmod: internal error: ValueError: boom\n"
+
+
 # -- REPL ---------------------------------------------------------------------
 
 

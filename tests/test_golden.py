@@ -7,7 +7,11 @@ final store and the output. The hand-built cases cover the places where
 clause search must rename and instantiate exactly as the declaration
 tree says: a nested ``forall`` rebinding the same variable, ``ren`` over
 a macro reference, renames that collide, a cyclic macro reference, and a
-``forall`` whose variable sits in no clause head.
+``forall`` whose variable sits in no clause head. The closure cases pin
+what a call's substitution reaches inside a clause body: a macro defined
+there, an inner ``forall`` of the formal's name, a declaration pushed
+from the body, an allocation handle named like the formal, and a
+``switch`` over the formal.
 
 Record the files again with ``PYTHONPATH=src python tests/test_golden.py``,
 and only when a trace change is intended.
@@ -114,12 +118,61 @@ def _forall_in_no_head() -> tuple[list[A.MacroDef], A.Statement]:
     return [], A.Implication(A.And(lone, shared), proggen.fold_seq(calls))
 
 
+def _macro_in_body_captures_formal() -> tuple[list[A.MacroDef], A.Statement]:
+    # p(x) = (macro /m = { q() = print(x) } in (/m => q())): the call
+    # substitutes into the macro body too, so p(3) prints 3
+    macro = A.MacroDef("m", A.Clause("q", (), A.Print(_x())))
+    body = A.MacroScope((macro,), A.ModuleImplication("m", A.Call("q", ())))
+    frame = proggen.closed_clause("p", ("x",), body)
+    return [], A.Implication(frame, A.Call("p", (A.IntLit(3),)))
+
+
+def _inner_forall_hides_formal() -> tuple[list[A.MacroDef], A.Statement]:
+    # p(x) = ((forall x q() = print(x)) => q()): the inner x is in no head,
+    # so it hides the formal and q reads the store, printing 9
+    inner = A.Implication(A.Forall("x", A.Clause("q", (), A.Print(_x()))), A.Call("q", ()))
+    frame = proggen.closed_clause("p", ("x",), inner)
+    calls = [A.Assign("x", A.IntLit(9)), A.Call("p", (A.IntLit(3),))]
+    return [], A.Implication(frame, proggen.fold_seq(calls))
+
+
+def _pushed_decl_captures_formal() -> tuple[list[A.MacroDef], A.Statement]:
+    # p(x) = ((q() = print(x)) => r()) and r() = q(): r lives in the outer
+    # frame, yet its call to q finds the clause p pushed, holding x = 3
+    pushed = A.Implication(A.Clause("q", (), A.Print(_x())), A.Call("r", ()))
+    frame = A.And(proggen.closed_clause("p", ("x",), pushed), A.Clause("r", (), A.Call("q", ())))
+    return [], A.Implication(frame, A.Call("p", (A.IntLit(3),)))
+
+
+def _alloc_handle_hides_formal() -> tuple[list[A.MacroDef], A.Statement]:
+    # p(x) = (x = new int[x] => print(x)): the length sees the formal, the
+    # body sees the handle
+    scope = A.AllocScope("x", "int", _x(), A.Print(_x()))
+    frame = proggen.closed_clause("p", ("x",), scope)
+    return [], A.Implication(frame, A.Call("p", (A.IntLit(3),)))
+
+
+def _switch_over_formal() -> tuple[list[A.MacroDef], A.Statement]:
+    # p(x) = switch (x) { case 1: print(one) case two: print(x) default:
+    # print(x) }, left undesugared so the call substitutes into the switch
+    cases = ((A.Int(1), A.Print(A.AtomLit("one"))), (A.Atom("two"), A.Print(_x())))
+    body = A.Switch(_x(), cases, A.Seq(A.Print(_x()), A.Assign("seen", _x())))
+    frame = proggen.closed_clause("p", ("x",), body)
+    calls = [A.Call("p", (A.IntLit(1),)), A.Call("p", (A.AtomLit("two"),)), A.Call("p", (A.IntLit(5),))]
+    return [], A.Implication(frame, proggen.fold_seq(calls))
+
+
 CASES = {
     "nested_forall_rebinds": _nested_forall_rebinds,
     "rename_over_macro_ref": _rename_over_macro_ref,
     "colliding_renames": _colliding_renames,
     "cyclic_macro_ref": _cyclic_macro_ref,
     "forall_in_no_head": _forall_in_no_head,
+    "macro_in_body_captures_formal": _macro_in_body_captures_formal,
+    "inner_forall_hides_formal": _inner_forall_hides_formal,
+    "pushed_decl_captures_formal": _pushed_decl_captures_formal,
+    "alloc_handle_hides_formal": _alloc_handle_hides_formal,
+    "switch_over_formal": _switch_over_formal,
 }
 
 

@@ -13,7 +13,14 @@ from cmod.errors import (
     EngineFailure,
 )
 from cmod.machine import Machine
-from cmod.regions import RegionStack, Store, alloc_scope, region_read, region_write
+from cmod.regions import (
+    MAX_REGION_LENGTH,
+    RegionStack,
+    Store,
+    alloc_scope,
+    region_read,
+    region_write,
+)
 
 
 def test_store_assign_and_read():
@@ -135,12 +142,53 @@ def test_non_integer_length_is_a_region_fault():
     assert isinstance(outcome, Failure) and outcome.reason == REGION_FAULT
 
 
+def test_length_above_the_cap_is_a_region_fault_and_allocates_nothing():
+    outcome, machine = run_source(f"(p = new int[{MAX_REGION_LENGTH + 1}] => print(1))")
+    assert isinstance(outcome, Failure) and outcome.reason == REGION_FAULT
+    assert str(MAX_REGION_LENGTH) in outcome.detail
+    assert machine.regions.regions == [] and machine.output_text() == ""
+
+
+def test_unknown_region_id_is_a_region_fault():
+    stack = RegionStack()
+    stack.allocate("int", 1)
+    for region_id in (1, 7, -1):
+        with pytest.raises(EngineFailure) as info:
+            stack.checked(A.Handle(region_id, 0))
+        assert info.value.reason == REGION_FAULT
+        assert info.value.detail == f"unknown region {region_id}"
+
+
+def test_free_follows_the_live_stack_across_reuse_of_the_top():
+    # alloc A, alloc B, free B, alloc C, free C, free A
+    stack = RegionStack()
+    a = stack.allocate("int", 1)
+    b = stack.allocate("int", 2)
+    stack.free(b)
+    c = stack.allocate("int", 3)
+    assert stack.live == [stack.regions[0], stack.regions[2]]
+    stack.free(c)
+    stack.free(a)
+    assert stack.live_count() == 0
+    assert [r.id for r in stack.regions] == [0, 1, 2]
+    assert [len(r.cells) for r in stack.regions] == [1, 2, 3]
+    assert stack.events == [
+        ("alloc", 0), ("alloc", 1), ("free", 1), ("alloc", 2), ("free", 2), ("free", 0),
+    ]
+    with pytest.raises(EngineFailure):
+        stack.checked(b)
+
+
 def test_free_out_of_order_is_a_hard_error():
     stack = RegionStack()
     first = stack.allocate("int", 1)
-    stack.allocate("int", 1)
+    second = stack.allocate("int", 1)
     with pytest.raises(RuntimeError):
         stack.free(first)
+    stack.free(second)
+    stack.allocate("int", 1)
+    with pytest.raises(RuntimeError):
+        stack.free(second)  # already freed
 
 
 def test_lifo_event_log():
