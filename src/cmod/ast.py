@@ -400,10 +400,6 @@ def desugar(stmt: Statement) -> Statement:
     return map_children(stmt, desugar)
 
 
-def desugar_decl(decl: Declaration) -> Declaration:
-    return desugar(decl)
-
-
 # ---------------------------------------------------------------------------
 # Clause heads in search order
 # ---------------------------------------------------------------------------

@@ -14,13 +14,8 @@ import sys
 from pathlib import Path
 
 from . import ast
-from .engine import (
-    Failure,
-    call_with_deep_stack,
-    execute,
-    run_source,
-)
-from .errors import NO_MATCHING_CLAUSE, CmodError, LexError, ParseError
+from .engine import call_with_deep_stack, execute, run_source
+from .errors import NO_MATCHING_CLAUSE, CmodError, EngineFailure, LexError, ParseError
 from .machine import DEFAULT_MAX_DEPTH, Machine
 from .parser import parse_repl_input, parse_source
 from .printer import format_declaration, pretty_print
@@ -38,7 +33,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _diagnostic(failure: Failure) -> str:
+def _diagnostic(failure: EngineFailure) -> str:
     line = f"{failure.reason.replace('-', ' ')}: {failure.detail}"
     chain = failure.render_chain()
     if chain:
@@ -50,10 +45,14 @@ def _stderr_trace(event) -> None:
     print(event.format(), file=sys.stderr)
 
 
+def _store_lines(machine: Machine) -> list[str]:
+    return [f"{name} = {ast.render_value(machine.store[name])}" for name in sorted(machine.store)]
+
+
 def _dump_state(machine: Machine) -> None:
     print("-- store --")
-    for name in sorted(machine.store):
-        print(f"{name} = {ast.render_value(machine.store[name])}")
+    for line in _store_lines(machine):
+        print(line)
     print("-- regions --")
     print("id gen type length live")
     for region in machine.regions.regions:
@@ -63,13 +62,7 @@ def _dump_state(machine: Machine) -> None:
         )
 
 
-def _cmd_run(args) -> int:
-    try:
-        source = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cmod: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-
+def _cmd_run(args, source: str) -> int:
     trace = _stderr_trace if args.trace else None
     outcome, machine = call_with_deep_stack(
         run_source, source, max_depth=args.max_depth, trace=trace
@@ -77,18 +70,13 @@ def _cmd_run(args) -> int:
     sys.stdout.write(machine.output_text())
     if args.dump_state:
         _dump_state(machine)
-    if isinstance(outcome, Failure):
+    if isinstance(outcome, EngineFailure):
         print(f"cmod: {_diagnostic(outcome)}", file=sys.stderr)
         return EXIT_NO_CLAUSE if outcome.reason == NO_MATCHING_CLAUSE else EXIT_RUNTIME
     return EXIT_OK
 
 
-def _cmd_fmt(args) -> int:
-    try:
-        source = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cmod: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+def _cmd_fmt(source: str) -> int:
     print(call_with_deep_stack(lambda: pretty_print(parse_source(source))))
     return EXIT_OK
 
@@ -114,11 +102,8 @@ def _cmd_repl(args) -> int:
                 machine = Machine.initial(max_depth=args.max_depth, trace=trace)
                 print("machine reset")
             elif command == ":store":
-                if machine.store:
-                    for name in sorted(machine.store):
-                        print(f"{name} = {ast.render_value(machine.store[name])}")
-                else:
-                    print("(empty)")
+                for line in _store_lines(machine) or ["(empty)"]:
+                    print(line)
             elif command == ":stack":
                 if machine.module_stack:
                     for frame in reversed(machine.module_stack):
@@ -138,30 +123,31 @@ def _cmd_repl(args) -> int:
             continue
 
         try:
-            seeds, stmt = parse_repl_input(buffer)
+            call_with_deep_stack(_repl_entry, machine, buffer)
         except ParseError as exc:
             if exc.at_eof and line.strip():
                 continue  # statement not finished; keep reading
             print(f"syntax error: {exc}")
-            buffer = ""
-            continue
         except LexError as exc:
             print(f"syntax error: {exc}")
-            buffer = ""
-            continue
         buffer = ""
 
-        if seeds:
-            machine.macro_env = machine.macro_env.define(ast.desugar(d) for d in seeds)
-            print("defined " + ", ".join(f"/{d.name}" for d in seeds))
-        if stmt is not None:
-            emitted = len(machine.output)
-            outcome = call_with_deep_stack(execute, machine, ast.desugar(stmt))
-            sys.stdout.write("".join(machine.output[emitted:]))
-            if isinstance(outcome, Failure):
-                print(_diagnostic(outcome))
-            else:
-                print("ok")
+
+def _repl_entry(machine: Machine, source: str) -> None:
+    """Parse one REPL entry, define its modules and macros, and run its
+    statement, reporting each step."""
+    seeds, stmt = parse_repl_input(source)
+    if seeds:
+        machine.macro_env = machine.macro_env.define(ast.desugar(d) for d in seeds)
+        print("defined " + ", ".join(f"/{d.name}" for d in seeds))
+    if stmt is not None:
+        emitted = len(machine.output)
+        outcome = execute(machine, ast.desugar(stmt))
+        sys.stdout.write("".join(machine.output[emitted:]))
+        if isinstance(outcome, EngineFailure):
+            print(_diagnostic(outcome))
+        else:
+            print("ok")
 
 
 def main(argv=None) -> int:
@@ -189,11 +175,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
         if args.command == "repl":
             return _cmd_repl(args)
-        return _cmd_fmt(args)
+        try:
+            source = Path(args.file).read_text(encoding="utf-8")
+        except OSError as exc:
+            print(f"cmod: cannot read {args.file}: {exc}", file=sys.stderr)
+            return EXIT_SYNTAX
+        if args.command == "run":
+            return _cmd_run(args, source)
+        return _cmd_fmt(source)
     except (LexError, ParseError) as exc:
         print(f"cmod: syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

@@ -9,6 +9,11 @@ left to right, yields the first clause whose head matches, renamed and
 instantiated from the call. Only then does the clause body run, outside
 the search, so a failure inside a body fails the call and never sends
 the search on to a later conjunct.
+
+Implication, macro and allocation scopes work alike: push, run the body,
+pop even when the body fails. A failure is an EngineFailure raised with
+its reason and detail only; the innermost call it leaves attaches the
+call chain, and execute returns the failure itself as the outcome.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .errors import (
     DEPTH_EXCEEDED,
     DIVISION_BY_ZERO,
     NO_MATCHING_CLAUSE,
+    REGION_FAULT,
     TYPE_MISMATCH,
     UNBOUND_VARIABLE,
     EngineFailure,
@@ -31,7 +37,7 @@ from .machine import DEFAULT_MAX_DEPTH, Machine
 from .macros import rename
 from .parser import SourceProgram, parse_source
 from .printer import format_declaration, format_statement
-from .regions import _alloc_scope, region_read, region_write
+from .regions import MAX_REGION_LENGTH, region_read, region_write
 
 
 @dataclass(frozen=True)
@@ -62,31 +68,10 @@ class Success:
     machine: Machine
 
 
-@dataclass(frozen=True)
-class Failure:
-    reason: str
-    detail: str
-    call_chain: tuple[CallSite, ...] = ()
+# A failed outcome is the raised failure itself.
+Failure = EngineFailure
 
-    def render_chain(self, limit: int = 8) -> str:
-        """The chain innermost-first, elided past limit sites."""
-        if not self.call_chain:
-            return ""
-        sites = [site.render() for site in reversed(self.call_chain)]
-        if len(sites) > limit:
-            sites = sites[:limit] + [f"... {len(self.call_chain) - limit} more"]
-        return " <- ".join(sites)
-
-
-ExecOutcome = Union[Success, Failure]
-
-
-def as_outcome(machine: Machine, fn, *args, **kwargs) -> ExecOutcome:
-    try:
-        fn(*args, **kwargs)
-    except EngineFailure as failure:
-        return Failure(failure.reason, failure.detail, failure.call_chain)
-    return Success(machine)
+ExecOutcome = Union[Success, EngineFailure]
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +80,12 @@ def as_outcome(machine: Machine, fn, *args, **kwargs) -> ExecOutcome:
 
 
 def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
-    return as_outcome(machine, _execute, machine, stmt, 0)
+    """Run stmt; store, region and output effects persist either way."""
+    try:
+        _execute(machine, stmt, 0)
+    except EngineFailure as failure:
+        return failure.with_traceback(None)  # an outcome holds no frames
+    return Success(machine)
 
 
 def _emit_ex(machine: Machine, depth: int, stmt: ast.Statement, rule_id: int) -> None:
@@ -115,7 +105,7 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
 
     if isinstance(stmt, ast.Assign):
         _emit_ex(machine, depth, stmt, 9)
-        machine.store.assign(stmt.name, eval_expr(machine, stmt.expr))
+        machine.store[stmt.name] = eval_expr(machine, stmt.expr)
         return
 
     if isinstance(stmt, ast.StoreIndex):
@@ -125,11 +115,10 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
             raise EngineFailure(
                 TYPE_MISMATCH,
                 f"{ast.render_value(handle)} is not a region handle",
-                machine.call_stack,
             )
         index = eval_expr(machine, stmt.index)
         if not isinstance(index, ast.Int):
-            raise EngineFailure(TYPE_MISMATCH, "region index must be an integer", machine.call_stack)
+            raise EngineFailure(TYPE_MISMATCH, "region index must be an integer")
         region_write(machine, handle, index.value, eval_expr(machine, stmt.value))
         return
 
@@ -154,7 +143,6 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
             raise EngineFailure(
                 NO_MATCHING_CLAUSE,
                 f"module or macro '/{stmt.name}' is not defined",
-                machine.call_stack,
             )
         machine.module_stack.append(ast.MacroRef(stmt.name))
         try:
@@ -178,7 +166,26 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
 
     if isinstance(stmt, ast.AllocScope):
         _emit_ex(machine, depth, stmt, 11)
-        _alloc_scope(machine, stmt.handle, stmt.elem_type, stmt.length, stmt.body, depth + 1)
+        length = eval_expr(machine, stmt.length)
+        if not isinstance(length, ast.Int):
+            raise EngineFailure(
+                REGION_FAULT,
+                f"region length must be an integer, not {ast.render_value(length)}",
+            )
+        if length.value < 0:
+            raise EngineFailure(REGION_FAULT, f"negative region length {length.value}")
+        if length.value > MAX_REGION_LENGTH:
+            raise EngineFailure(
+                REGION_FAULT,
+                f"region length {length.value} exceeds the limit of {MAX_REGION_LENGTH}",
+            )
+        handle = machine.regions.allocate(stmt.elem_type, length.value)
+        machine.store[stmt.handle] = handle
+        try:
+            _execute(machine, stmt.body, depth + 1)
+        finally:
+            machine.regions.free(handle)
+            machine.store.pop(stmt.handle, None)
         return
 
     if isinstance(stmt, ast.If):
@@ -189,7 +196,6 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
             raise EngineFailure(
                 TYPE_MISMATCH,
                 f"if condition must be boolean, got {ast.render_value(cond)}",
-                machine.call_stack,
             )
         _execute(machine, stmt.then if cond.value else stmt.orelse, depth)
         return
@@ -217,11 +223,19 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def resolve_call(machine: Machine, call: CallSite) -> ExecOutcome:
-    return as_outcome(machine, _resolve_call, machine, call, 0)
-
-
 def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
+    """Select the clause call runs, then run its body outside the search.
+
+    Dynamic scoping: module frames are searched newest (last) first, and
+    the first one with a head of the call's name decides, by name only;
+    if none of its heads matches, the call fails with no-matching-clause.
+    When tracing, the deciding frame's search steps are emitted before
+    the body runs; nothing else the search builds outlives it.
+
+    A failure leaving the call gets the active call chain if it has
+    none yet: the innermost call sees it first, so the chain is the one
+    active where it was raised.
+    """
     machine.call_stack.append(call)
     machine.depth += 1
     try:
@@ -229,30 +243,16 @@ def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
             raise EngineFailure(
                 DEPTH_EXCEEDED,
                 f"call depth exceeded the limit of {machine.max_depth}",
-                machine.call_stack,
             )
-        _run(machine.module_stack, machine, call, depth)
+        clause, at = _select(machine.module_stack, machine, call, depth)
+        _execute(machine, clause.body, at + 1)
+    except EngineFailure as failure:
+        if not failure.call_chain:
+            failure.call_chain = tuple(machine.call_stack)
+        raise
     finally:
         machine.depth -= 1
         machine.call_stack.pop()
-
-
-def backchain(decl: ast.Declaration, machine: Machine, call: CallSite) -> ExecOutcome:
-    """Run call against decl alone, as if decl were the only frame."""
-    return as_outcome(machine, _run, (decl,), machine, call, 0)
-
-
-def _run(frames, machine: Machine, call: CallSite, depth: int) -> None:
-    """Select the clause call runs, then run its body outside the search.
-
-    Dynamic scoping: frames are searched newest (last) first, and the
-    first one with a head of the call's name decides, by name only; if
-    none of its heads matches, the call fails with no-matching-clause.
-    When tracing, the deciding frame's search steps are emitted before
-    the body runs; nothing else the search builds outlives it.
-    """
-    clause, at = _select(frames, machine, call, depth)
-    _execute(machine, clause.body, at + 1)
 
 
 def _select(frames, machine: Machine, call: CallSite, depth: int) -> tuple[ast.Clause, int]:
@@ -277,7 +277,7 @@ def _select(frames, machine: Machine, call: CallSite, depth: int) -> tuple[ast.C
                 _emit_bc(machine, at, _instantiate(node, renames, _bindings(binders, actuals)), rule_id)
             break
     if found is None:
-        raise EngineFailure(NO_MATCHING_CLAUSE, call.signature(), machine.call_stack)
+        raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
     clause, renames, values, at = found
     clause = _instantiate(clause, renames, values)
     _emit_bc(machine, at, clause, 1)
@@ -391,17 +391,17 @@ def eval_expr(machine: Machine, expr: ast.Expression) -> ast.Value:
         if expr.name == expr.name.lower():
             return ast.Atom(expr.name)
         raise EngineFailure(
-            UNBOUND_VARIABLE, f"variable '{expr.name}' is not bound", machine.call_stack
+            UNBOUND_VARIABLE, f"variable '{expr.name}' is not bound"
         )
 
     if isinstance(expr, ast.UnaryOp):
         operand = eval_expr(machine, expr.operand)
         if expr.op == "!":
             if not isinstance(operand, ast.Bool):
-                raise _type_error(machine, "!", operand)
+                raise _type_error("!", operand)
             return ast.Bool(not operand.value)
         if not isinstance(operand, ast.Int):
-            raise _type_error(machine, "unary -", operand)
+            raise _type_error("unary -", operand)
         return ast.Int(-operand.value)
 
     if isinstance(expr, ast.BinOp):
@@ -410,10 +410,10 @@ def eval_expr(machine: Machine, expr: ast.Expression) -> ast.Value:
     if isinstance(expr, ast.Index):
         base = eval_expr(machine, expr.base)
         if not isinstance(base, ast.Handle):
-            raise _type_error(machine, "indexing", base)
+            raise _type_error("indexing", base)
         index = eval_expr(machine, expr.index)
         if not isinstance(index, ast.Int):
-            raise _type_error(machine, "region index", index)
+            raise _type_error("region index", index)
         return region_read(machine, base, index.value)
 
     raise TypeError(f"not an expression: {expr!r}")
@@ -425,14 +425,14 @@ def _eval_binop(machine: Machine, expr: ast.BinOp) -> ast.Value:
     if op in ("&&", "||"):
         left = eval_expr(machine, expr.left)
         if not isinstance(left, ast.Bool):
-            raise _type_error(machine, op, left)
+            raise _type_error(op, left)
         if op == "&&" and not left.value:
             return ast.Bool(False)
         if op == "||" and left.value:
             return ast.Bool(True)
         right = eval_expr(machine, expr.right)
         if not isinstance(right, ast.Bool):
-            raise _type_error(machine, op, right)
+            raise _type_error(op, right)
         return right
 
     left = eval_expr(machine, expr.left)
@@ -443,7 +443,7 @@ def _eval_binop(machine: Machine, expr: ast.BinOp) -> ast.Value:
         return ast.Bool(equal if op == "==" else not equal)
 
     if not isinstance(left, ast.Int) or not isinstance(right, ast.Int):
-        raise _type_error(machine, op, left if not isinstance(left, ast.Int) else right)
+        raise _type_error(op, left if not isinstance(left, ast.Int) else right)
 
     a, b = left.value, right.value
     if op == "+":
@@ -454,7 +454,7 @@ def _eval_binop(machine: Machine, expr: ast.BinOp) -> ast.Value:
         return ast.Int(a * b)
     if op == "/":
         if b == 0:
-            raise EngineFailure(DIVISION_BY_ZERO, f"{a} / 0", machine.call_stack)
+            raise EngineFailure(DIVISION_BY_ZERO, f"{a} / 0")
         quotient = a // b
         if quotient < 0 and quotient * b != a:
             quotient += 1  # truncate toward zero
@@ -470,11 +470,10 @@ def _eval_binop(machine: Machine, expr: ast.BinOp) -> ast.Value:
     raise TypeError(f"unknown operator {op!r}")
 
 
-def _type_error(machine: Machine, op: str, value: ast.Value) -> EngineFailure:
+def _type_error(op: str, value: ast.Value) -> EngineFailure:
     return EngineFailure(
         TYPE_MISMATCH,
         f"{op} is not applicable to {ast.render_value(value)}",
-        machine.call_stack,
     )
 
 

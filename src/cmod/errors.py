@@ -2,7 +2,9 @@
 
 A runtime failure is raised once, as an EngineFailure, and ends the run
 it happens in; clause search never raises to say that a head did not
-match, it returns.
+match, it returns. The raise site gives only the reason and detail: the
+engine attaches the call chain as the failure leaves the innermost call,
+and hands the failure itself back as the outcome of the run.
 """
 
 NO_MATCHING_CLAUSE = "no-matching-clause"
@@ -46,10 +48,11 @@ class MacroNotDefined(CmodError):
 
 
 class EngineFailure(CmodError):
-    """A runtime failure of the interpreter.
+    """A runtime failure of the interpreter, and the outcome of a failed run.
 
     ``reason`` is one of the module-level reason constants; ``call_chain``
-    is the chain of active call sites, outermost first.
+    is the chain of call sites active where it was raised, outermost
+    first, and empty for a failure outside every call.
     """
 
     def __init__(self, reason: str, detail: str, call_chain=()):
@@ -57,3 +60,12 @@ class EngineFailure(CmodError):
         self.detail = detail
         self.call_chain = tuple(call_chain)
         super().__init__(f"{reason}: {detail}")
+
+    def render_chain(self, limit: int = 8) -> str:
+        """The chain innermost-first, elided past limit sites."""
+        if not self.call_chain:
+            return ""
+        sites = [site.render() for site in reversed(self.call_chain)]
+        if len(sites) > limit:
+            sites = sites[:limit] + [f"... {len(self.call_chain) - limit} more"]
+        return " <- ".join(sites)

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Optional
 
 from . import ast
 from .macros import MacroEnv
-from .regions import RegionStack, Store
+from .regions import RegionStack
 
 DEFAULT_MAX_DEPTH = 10000
 
@@ -19,7 +19,7 @@ class Machine:
     # macro environment, and variable store.
     module_stack: list[ast.Declaration] = field(default_factory=list)
     macro_env: MacroEnv = field(default_factory=MacroEnv)
-    store: Store = field(default_factory=Store)
+    store: dict[str, ast.Value] = field(default_factory=dict)
     regions: RegionStack = field(default_factory=RegionStack)
     output: list[str] = field(default_factory=list)
     depth: int = 0
@@ -37,10 +37,6 @@ class Machine:
         """An empty machine whose macro environment holds the given
         top-level module/macro definitions."""
         return cls(macro_env=MacroEnv.seeded(seeds), max_depth=max_depth, trace=trace)
-
-    def emit(self, event) -> None:
-        if self.trace is not None:
-            self.trace(event)
 
     def output_text(self) -> str:
         return "".join(self.output)

@@ -112,9 +112,7 @@ class _Parser:
         module_defs, macro_defs, main = self._parse_items(need_main=False)
         if self._peek().kind != "eof":
             raise self._error("end of input")
-        seeds = [ast.MacroDef(name, decl) for name, decl in module_defs]
-        seeds.extend(macro_defs)
-        return seeds, main
+        return SourceProgram(tuple(module_defs), tuple(macro_defs), main).seeds(), main
 
     def _parse_items(self, need_main: bool):
         module_defs: list[tuple[str, ast.Declaration]] = []

@@ -182,6 +182,37 @@ def region_case(rng: random.Random) -> tuple[A.Statement, bool]:
     return stmt, dangle
 
 
+def record_region_events(stack) -> list[tuple[str, int]]:
+    """Wrap stack's allocate and free so each successful one appends
+    ("alloc" | "free", region id) to the returned list."""
+    events: list[tuple[str, int]] = []
+    allocate, free = stack.allocate, stack.free
+
+    def recording_allocate(elem_type, length):
+        handle = allocate(elem_type, length)
+        events.append(("alloc", handle.region_id))
+        return handle
+
+    def recording_free(handle):
+        free(handle)
+        events.append(("free", handle.region_id))
+
+    stack.allocate, stack.free = recording_allocate, recording_free
+    return events
+
+
+def assert_lifo(events: list[tuple[str, int]]) -> None:
+    """Every free releases the most recently allocated live region, and
+    every allocated region is freed."""
+    open_regions = []
+    for kind, region_id in events:
+        if kind == "alloc":
+            open_regions.append(region_id)
+        else:
+            assert open_regions.pop() == region_id
+    assert open_regions == []
+
+
 # ---------------------------------------------------------------------------
 # Macro programs and their eager inlining
 # ---------------------------------------------------------------------------

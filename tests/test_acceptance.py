@@ -250,6 +250,7 @@ def test_c7_regions():
     for _ in range(1000):
         stmt, expect_dangle = proggen.region_case(rng)
         machine = Machine.initial()
+        events = proggen.record_region_events(machine.regions)
         outcome = execute(machine, stmt)
         if expect_dangle:
             assert isinstance(outcome, Failure), "dangling read went undetected"
@@ -257,14 +258,9 @@ def test_c7_regions():
         else:
             assert isinstance(outcome, Success)
         # the region count always returns to its pre-scope value
-        assert machine.regions.live_count() == 0
+        assert machine.regions.live == []
         # frees happen strictly LIFO
-        open_regions = []
-        for kind, region_id in machine.regions.events:
-            if kind == "alloc":
-                open_regions.append(region_id)
-            else:
-                assert open_regions.pop() == region_id
+        proggen.assert_lifo(events)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_desugar_recurses_into_declarations():
         "module M.\nAge(e) = switch (e) { case tom: x = 1; break; }\nend\n(M => Age(tom))"
     )
     _, decl = program.module_defs[0]
-    sugared = A.desugar_decl(decl)
+    sugared = A.desugar(decl)
     assert isinstance(sugared.decl.body, A.If)
 
 
@@ -60,8 +60,8 @@ def test_desugar_idempotent_on_corpus(corpus_files):
         once = A.desugar(program.main)
         assert A.desugar(once) == once
         for _, decl in program.module_defs:
-            declared = A.desugar_decl(decl)
-            assert A.desugar_decl(declared) == declared
+            declared = A.desugar(decl)
+            assert A.desugar(declared) == declared
 
 
 NODE_TYPES = A.Expression.__args__ + A.Statement.__args__ + A.Declaration.__args__ + (A.MacroDef,)

@@ -208,6 +208,13 @@ def test_repl_multiline_module_paste_and_run(monkeypatch, capsys):
     assert "ok" in captured.out
 
 
+def test_repl_parses_a_long_statement_chain(monkeypatch, capsys):
+    code, captured = repl(monkeypatch, capsys, ["; ".join(["x = 1"] * 5000), ":quit"])
+    assert code == 0
+    assert captured.out.splitlines()[1:] == ["cmod> ok", "cmod> "]
+    assert captured.err == ""
+
+
 def test_repl_reset_clears_the_store(monkeypatch, capsys):
     code, captured = repl(monkeypatch, capsys, ["x = 1", ":reset", ":store", ":quit"])
     assert code == 0

@@ -5,13 +5,10 @@ import pytest
 import proggen
 from cmod import ast as A
 from cmod.engine import (
-    CallSite,
     Failure,
     Success,
-    backchain,
     eval_expr,
     execute,
-    resolve_call,
     run_source,
     substitute,
 )
@@ -40,7 +37,7 @@ def main_of(source):
 
 def test_true_is_always_a_success():
     machine = Machine.initial()
-    machine.store.assign("x", A.Int(1))
+    machine.store["x"] = A.Int(1)
     outcome = execute(machine, A.TrueStmt())
     assert isinstance(outcome, Success)
     assert outcome.machine is machine
@@ -49,7 +46,7 @@ def test_true_is_always_a_success():
 
 def test_assignment_replaces_the_binding():
     machine = Machine.initial()
-    machine.store.assign("x", A.Int(1))
+    machine.store["x"] = A.Int(1)
     execute(machine, A.Assign("x", A.IntLit(2)))
     assert machine.store == {"x": A.Int(2)}
 
@@ -118,6 +115,7 @@ def test_unbound_module_name_fails():
 def test_if_condition_must_be_boolean():
     outcome, _ = run("if (1) true else true")
     assert isinstance(outcome, Failure) and outcome.reason == TYPE_MISMATCH
+    assert outcome.call_chain == ()  # raised outside every call
 
 
 def test_switch_executes_like_its_desugaring():
@@ -136,7 +134,7 @@ def test_switch_executes_like_its_desugaring():
 
 def test_execute_accepts_an_undesugared_switch():
     machine = Machine.initial()
-    machine.store.assign("x", A.Atom("kim"))
+    machine.store["x"] = A.Atom("kim")
     raw = parse_source("switch (x) { case kim: r = 1; break; }").main
     assert isinstance(raw, A.Switch)
     outcome = execute(machine, raw)
@@ -151,13 +149,13 @@ def test_resolve_call_picks_the_top_declaring_frame():
     machine = Machine.initial()
     machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.IntLit(1))))
     machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.IntLit(2))))
-    outcome = resolve_call(machine, CallSite("p", ()))
+    outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Success)
     assert machine.store["x"] == A.Int(2)
 
 
 def test_resolve_call_empty_stack():
-    outcome = resolve_call(Machine.initial(), CallSite("p", ()))
+    outcome = execute(Machine.initial(), A.Call("p", ()))
     assert isinstance(outcome, Failure)
     assert outcome.reason == NO_MATCHING_CLAUSE and outcome.detail == "p/0"
 
@@ -165,7 +163,7 @@ def test_resolve_call_empty_stack():
 def test_resolve_call_name_absent():
     machine = Machine.initial()
     machine.module_stack.append(A.Clause("q", (), A.TrueStmt()))
-    outcome = resolve_call(machine, CallSite("p", ()))
+    outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
 
 
@@ -175,7 +173,7 @@ def test_selection_is_by_name_only_no_fall_through():
     machine = Machine.initial()
     machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.IntLit(1))))
     machine.module_stack.append(proggen.closed_clause("p", ("a",), A.TrueStmt()))
-    outcome = resolve_call(machine, CallSite("p", ()))
+    outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
     assert "x" not in machine.store
 
@@ -191,6 +189,7 @@ def test_failure_carries_the_call_chain():
     outcome, _ = run("(outer() = inner(1) => outer())")
     assert isinstance(outcome, Failure)
     assert [site.name for site in outcome.call_chain] == ["outer", "inner"]
+    assert outcome.__traceback__ is None  # the outcome holds no frames
 
 
 # -- backchaining -----------------------------------------------------------
@@ -216,14 +215,14 @@ def test_backchain_instantiates_from_the_call():
 def test_backchain_falls_through_to_the_right_branch():
     machine = Machine.initial()
     decl = A.And(A.Clause("p", (), A.TrueStmt()), A.Clause("q", (), A.Assign("x", A.IntLit(1))))
-    outcome = backchain(decl, machine, CallSite("q", ()))
+    outcome = execute(machine, A.Implication(decl, A.Call("q", ())))
     assert isinstance(outcome, Success)
     assert machine.store["x"] == A.Int(1)
 
 
 def test_backchain_head_mismatch_is_no_matching_clause():
     machine = Machine.initial()
-    outcome = backchain(A.Clause("p", (), A.TrueStmt()), machine, CallSite("q", ()))
+    outcome = execute(machine, A.Implication(A.Clause("p", (), A.TrueStmt()), A.Call("q", ())))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
 
 
@@ -231,7 +230,7 @@ def test_mismatch_detail_is_the_call_signature_past_an_undefined_macro():
     # the frame declares pa, so it decides the call; the undefined /nope
     # searched last contributes no clause and does not become the detail
     decl = A.And(A.Clause("pa", (), A.TrueStmt()), A.MacroRef("nope"))
-    outcome = backchain(decl, Machine.initial(), CallSite("pa", (A.Int(1),)))
+    outcome = execute(Machine.initial(), A.Implication(decl, A.Call("pa", (A.IntLit(1),))))
     assert isinstance(outcome, Failure)
     assert (outcome.reason, outcome.detail) == (NO_MATCHING_CLAUSE, "pa/1")
 
@@ -245,7 +244,7 @@ def test_no_fallback_after_a_head_matches():
         A.Clause("p", (), A.Assign("x", A.IntLit(1))),
     )
     machine.module_stack.append(decl)
-    outcome = resolve_call(machine, CallSite("p", ()))
+    outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure)
     assert "x" not in machine.store
 
@@ -279,9 +278,9 @@ def test_body_mismatch_from_a_module_frame_does_not_fall_through():
 
 def test_backchain_rename_directly():
     renamed = A.Rename("f", "g", A.Forall("x", A.Clause("f", (A.Var("x"),), A.TrueStmt())))
-    ok = backchain(renamed, Machine.initial(), CallSite("g", (A.Int(1),)))
+    ok = execute(Machine.initial(), A.Implication(renamed, A.Call("g", (A.IntLit(1),))))
     assert isinstance(ok, Success)
-    bad = backchain(renamed, Machine.initial(), CallSite("f", (A.Int(1),)))
+    bad = execute(Machine.initial(), A.Implication(renamed, A.Call("f", (A.IntLit(1),))))
     assert isinstance(bad, Failure) and bad.reason == NO_MATCHING_CLAUSE
 
 
@@ -355,11 +354,11 @@ def test_colliding_renames_merge_names_textually():
     frame = A.Rename("p", "q", A.Rename("q", "r", A.MacroRef("m")))
     assert A.free_procedure_names(frame, machine.macro_env) == {"r"}
     machine.module_stack.append(frame)
-    assert isinstance(resolve_call(machine, CallSite("r", ())), Success)
+    assert isinstance(execute(machine, A.Call("r", ())), Success)
     assert machine.store["x"] == A.Int(1)
     assert "y" not in machine.store
-    assert isinstance(resolve_call(machine, CallSite("q", ())), Failure)
-    assert isinstance(resolve_call(machine, CallSite("p", ())), Failure)
+    assert isinstance(execute(machine, A.Call("q", ())), Failure)
+    assert isinstance(execute(machine, A.Call("p", ())), Failure)
 
 
 def test_macro_ref_resolves_most_recent_at_call_time():
@@ -394,7 +393,7 @@ def test_forall_with_unused_binder_still_matches():
 def eval_in(store, expr):
     machine = Machine.initial()
     for key, value in store.items():
-        machine.store.assign(key, value)
+        machine.store[key] = value
     return eval_expr(machine, expr)
 
 

@@ -154,7 +154,7 @@ def test_lazy_resolution_agrees_with_eager_inlining_on_random_programs():
     rng = random.Random(424242)
     for _ in range(250):
         program = proggen.macro_equivalence_case(rng)
-        seeds = [A.MacroDef(d.name, A.desugar_decl(d.body)) for d in program.seeds()]
+        seeds = [A.MacroDef(d.name, A.desugar(d.body)) for d in program.seeds()]
         direct = Machine.initial(seeds=seeds, max_depth=48)
         direct_out = execute(direct, A.desugar(program.main))
 

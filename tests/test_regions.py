@@ -4,8 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import proggen
 from cmod import ast as A
-from cmod.engine import Failure, Success, execute, run_source
+from cmod.engine import Failure, Success, eval_expr, execute, run_source
 from cmod.errors import (
     REGION_FAULT,
     TYPE_MISMATCH,
@@ -13,34 +14,32 @@ from cmod.errors import (
     EngineFailure,
 )
 from cmod.machine import Machine
+from cmod.parser import parse_source
 from cmod.regions import (
     MAX_REGION_LENGTH,
     RegionStack,
-    Store,
-    alloc_scope,
     region_read,
     region_write,
 )
 
 
 def test_store_assign_and_read():
-    store = Store()
-    store.assign("age", A.Int(31))
-    assert store.read("age") == A.Int(31)
-    store.assign("age", A.Int(40))
-    assert store == {"age": A.Int(40)}
+    outcome, machine = run_source("Age = 31; print(Age); Age = 40")
+    assert isinstance(outcome, Success)
+    assert machine.output_text() == "31\n"
+    assert machine.store == {"Age": A.Int(40)}
 
 
 def test_store_disjoint_assign():
-    store = Store({"y": A.Int(1)})
-    store.assign("x", A.Int(2))
-    assert store == {"y": A.Int(1), "x": A.Int(2)}
+    machine = Machine(store={"y": A.Int(1)})
+    assert isinstance(execute(machine, A.Assign("x", A.IntLit(2))), Success)
+    assert machine.store == {"y": A.Int(1), "x": A.Int(2)}
 
 
 def test_store_unbound_read():
-    with pytest.raises(EngineFailure) as info:
-        Store().read("x")
-    assert info.value.reason == UNBOUND_VARIABLE
+    outcome, machine = run_source("y = X")
+    assert isinstance(outcome, Failure) and outcome.reason == UNBOUND_VARIABLE
+    assert machine.store == {}
 
 
 @given(
@@ -49,9 +48,9 @@ def test_store_unbound_read():
     st.integers(-99, 99).map(A.Int),
 )
 def test_store_read_after_assign(bindings, name, value):
-    store = Store(bindings)
-    store.assign(name, value)
-    assert store.read(name) == value
+    machine = Machine(store=dict(bindings))
+    assert isinstance(execute(machine, A.Assign(name, A.literal_of(value))), Success)
+    assert eval_expr(machine, A.Var(name)) == value
 
 
 def test_fresh_region_is_zero_initialized():
@@ -97,7 +96,7 @@ def test_nested_scopes_see_both_regions(corpus_files):
     outcome, machine = run_source(path.read_text(encoding="utf-8"))
     assert isinstance(outcome, Success)
     assert machine.output_text() == "33\n12\n"
-    assert machine.regions.live_count() == 0
+    assert machine.regions.live == []
     assert machine.store["sum"] == A.Int(33)
 
 
@@ -125,10 +124,10 @@ def test_handle_binding_removed_at_scope_exit():
 def test_scope_pops_even_when_the_body_fails():
     machine = Machine.initial()
     body = A.Call("nope", ())
-    outcome = alloc_scope(machine, "p", "int", A.IntLit(2), body)
+    outcome = execute(machine, A.AllocScope("p", "int", A.IntLit(2), body))
     assert isinstance(outcome, Failure)
     assert outcome.reason == "no-matching-clause"
-    assert machine.regions.live_count() == 0
+    assert machine.regions.live == []
     assert "p" not in machine.store
 
 
@@ -162,6 +161,7 @@ def test_unknown_region_id_is_a_region_fault():
 def test_free_follows_the_live_stack_across_reuse_of_the_top():
     # alloc A, alloc B, free B, alloc C, free C, free A
     stack = RegionStack()
+    events = proggen.record_region_events(stack)
     a = stack.allocate("int", 1)
     b = stack.allocate("int", 2)
     stack.free(b)
@@ -169,10 +169,10 @@ def test_free_follows_the_live_stack_across_reuse_of_the_top():
     assert stack.live == [stack.regions[0], stack.regions[2]]
     stack.free(c)
     stack.free(a)
-    assert stack.live_count() == 0
+    assert stack.live == []
     assert [r.id for r in stack.regions] == [0, 1, 2]
     assert [len(r.cells) for r in stack.regions] == [1, 2, 3]
-    assert stack.events == [
+    assert events == [
         ("alloc", 0), ("alloc", 1), ("free", 1), ("alloc", 2), ("free", 2), ("free", 0),
     ]
     with pytest.raises(EngineFailure):
@@ -192,25 +192,21 @@ def test_free_out_of_order_is_a_hard_error():
 
 
 def test_lifo_event_log():
-    outcome, machine = run_source(
-        "(a = new int[1] => ((b = new int[2] => true); (c = new int[3] => true)))"
-    )
+    machine = Machine.initial()
+    events = proggen.record_region_events(machine.regions)
+    source = "(a = new int[1] => ((b = new int[2] => true); (c = new int[3] => true)))"
+    outcome = execute(machine, parse_source(source).main)
     assert isinstance(outcome, Success)
-    open_stack = []
-    for kind, region_id in machine.regions.events:
-        if kind == "alloc":
-            open_stack.append(region_id)
-        else:
-            assert open_stack.pop() == region_id
-    assert open_stack == []
+    assert len(events) == 6
+    proggen.assert_lifo(events)
 
 
 def test_assign_never_touches_regions_and_writes_never_touch_the_store():
     machine = Machine.initial()
     handle = machine.regions.allocate("int", 2)
-    machine.store.assign("x", A.Int(1))
+    execute(machine, A.Assign("x", A.IntLit(1)))
     cells_before = list(machine.regions.regions[0].cells)
-    machine.store.assign("x", A.Int(2))
+    execute(machine, A.Assign("x", A.IntLit(2)))
     assert machine.regions.regions[0].cells == cells_before
     store_before = dict(machine.store)
     region_write(machine, handle, 0, A.Int(7))
@@ -238,7 +234,7 @@ def test_scope_exit_restores_region_count_at_every_level():
     source = "(a = new int[1] => ((b = new int[2] => b[0] = 1); a[0] = 2))"
     outcome, machine = run_source(source)
     assert isinstance(outcome, Success)
-    assert machine.regions.live_count() == 0
+    assert machine.regions.live == []
     assert [r.live for r in machine.regions.regions] == [False, False]
     assert [r.generation for r in machine.regions.regions] == [1, 1]
 
@@ -252,11 +248,11 @@ def test_handles_pass_through_procedure_parameters():
     outcome, machine = run_source(source)
     assert isinstance(outcome, Success)
     assert machine.store["seen"] == A.Int(9)
-    assert machine.regions.live_count() == 0
+    assert machine.regions.live == []
 
 
 def test_execute_store_index_through_non_handle_is_a_type_error():
     machine = Machine.initial()
-    machine.store.assign("x", A.Int(3))
+    machine.store["x"] = A.Int(3)
     outcome = execute(machine, A.StoreIndex(A.Var("x"), A.IntLit(0), A.IntLit(1)))
     assert isinstance(outcome, Failure) and outcome.reason == TYPE_MISMATCH
