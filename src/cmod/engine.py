@@ -80,11 +80,20 @@ ExecOutcome = Union[Success, EngineFailure]
 
 
 def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
-    """Run stmt; store, region and output effects persist either way."""
+    """Run stmt; store, region and output effects persist either way.
+
+    Running out of Python stack before the call-depth limit is a
+    depth-exceeded failure too; the scopes it left are unwound by then.
+    """
     try:
         _execute(machine, stmt, 0)
     except EngineFailure as failure:
         return failure.with_traceback(None)  # an outcome holds no frames
+    except RecursionError:
+        return EngineFailure(
+            DEPTH_EXCEEDED,
+            f"the Python stack ran out before the call-depth limit of {machine.max_depth}",
+        )
     return Success(machine)
 
 

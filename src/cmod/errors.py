@@ -52,7 +52,8 @@ class EngineFailure(CmodError):
 
     ``reason`` is one of the module-level reason constants; ``call_chain``
     is the chain of call sites active where it was raised, outermost
-    first, and empty for a failure outside every call.
+    first, and empty for a failure outside every call or one that ran
+    out of Python stack.
     """
 
     def __init__(self, reason: str, detail: str, call_chain=()):

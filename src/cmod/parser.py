@@ -4,8 +4,13 @@ Concrete syntax notes:
 
 * ``D => G`` is the implication statement; ``/n => G`` and ``Name => G``
   are module implications; ``p = new int[E] => G`` is the allocation
-  scope. The three are separated by lookahead on the tokens before the
-  arrow.
+  scope.
+* In statement position the first tokens decide, in one pass, between a
+  statement and a declaration: ``forall``, ``ren`` and ``/`` start a
+  declaration, ``IDENT(args) =`` is a clause, and a parenthesised group
+  is whatever it holds. A group holding a declaration closes either
+  before the arrow, ``(D) => G``, or after the body, ``(D => G)``. Each
+  token is read once, so parsing time is linear in the input.
 * An arrow's body extends as far as possible (through ``;``) and is
   closed by the matching parenthesis, so compound bodies are written in
   parentheses.
@@ -24,7 +29,7 @@ from . import ast
 from .errors import ParseError
 from .lexer import Token, tokenize
 
-_STATEMENT_START_KEYWORDS = {"true", "if", "switch", "print", "macro"}
+_STATEMENT_START_KEYWORDS = {"true", "if", "switch", "print", "macro", "forall", "ren"}
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
@@ -165,11 +170,11 @@ class _Parser:
     # -- statements ----------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
-        first = self._parse_arrow()
-        if self._check(";"):
-            self._advance()
-            if self._starts_statement():
-                return ast.Seq(first, self.parse_statement())
+        return self._parse_seq(self._parse_arrow())
+
+    def _parse_seq(self, first: ast.Statement) -> ast.Statement:
+        if self._accept(";") and self._starts_statement():
+            return ast.Seq(first, self.parse_statement())
         return first
 
     def _starts_statement(self) -> bool:
@@ -181,56 +186,69 @@ class _Parser:
         return tok.kind == "punct" and tok.lexeme in ("(", "/")
 
     def _parse_arrow(self) -> ast.Statement:
-        tok = self._peek()
+        unit = self._parse_unit()
+        if isinstance(unit, ast.Declaration):
+            return self._parse_implication(self._parse_conjuncts(unit))
+        return unit
 
+    def _parse_implication(self, decl: ast.Declaration) -> ast.Statement:
+        self._expect("=>")
+        body = self.parse_statement()
+        # A bare macro reference before the arrow is the module
+        # implication form, whether or not it is parenthesized.
+        if isinstance(decl, ast.MacroRef):
+            return ast.ModuleImplication(decl.name, body)
+        return ast.Implication(decl, body)
+
+    def _parse_unit(self) -> ast.Statement | ast.Declaration:
+        """A statement, or the first unit of an implication's declaration,
+        decided by the first tokens."""
         if self._check("("):
-            return self._parse_paren_statement()
-
-        if self._check("/"):
-            self._advance()
-            name = self._expect_ident("module name").lexeme
-            self._expect("=>")
-            return ast.ModuleImplication(name, self.parse_statement())
-
-        if self._check("forall") or self._check("ren"):
-            decl = self.parse_declaration()
-            self._expect("=>")
-            return ast.Implication(decl, self.parse_statement())
-
-        if tok.kind == "ident":
+            return self._parse_group()
+        if self._check("forall") or self._check("ren") or self._check("/"):
+            return self._parse_decl_unit()
+        if self._peek().kind == "ident":
             return self._parse_ident_statement()
-
-        if self._check("true"):
-            self._advance()
+        if self._accept("true"):
             return ast.TrueStmt()
         if self._check("if"):
             return self._parse_if()
         if self._check("switch"):
             return self._parse_switch()
-        if self._check("print"):
-            self._advance()
+        if self._accept("print"):
             self._expect("(")
             expr = self.parse_expression()
             self._expect(")")
             return ast.Print(expr)
-        if self._check("macro"):
-            self._advance()
+        if self._accept("macro"):
             defs = self._parse_macro_defs()
             self._expect("in")
             return ast.MacroScope(defs, self.parse_statement())
-
         raise self._error("statement")
 
-    def _parse_ident_statement(self) -> ast.Statement:
+    def _parse_group(self) -> ast.Statement | ast.Declaration:
+        """A parenthesised group: a declaration when it holds one and
+        closes before the arrow, as in ``(D) => G``; otherwise a statement,
+        which may be ``(D => G)``."""
+        self._expect("(")
+        unit = self._parse_unit()
+        if isinstance(unit, ast.Declaration):
+            decl = self._parse_conjuncts(unit)
+            if self._accept(")"):
+                return decl
+            unit = self._parse_implication(decl)
+        inner = self._parse_seq(unit)
+        self._expect(")")
+        return inner
+
+    def _parse_ident_statement(self) -> ast.Statement | ast.Declaration:
         name_tok = self._advance()
         name = name_tok.lexeme
 
-        if self._check("=>"):
-            self._advance()
+        if self._accept("=>"):
             return ast.ModuleImplication(name, self.parse_statement())
 
-        if self._check("="):
-            self._advance()
+        if self._accept("="):
             if self._check("new"):
                 return self._parse_alloc(name_tok)
             if name in self._handles:
@@ -239,29 +257,22 @@ class _Parser:
                 )
             return ast.Assign(name, self.parse_expression())
 
-        if self._check("["):
-            self._advance()
+        if self._accept("["):
             index = self.parse_expression()
             self._expect("]")
             self._expect("=")
             return ast.StoreIndex(ast.Var(name), index, self.parse_expression())
 
-        if self._check("("):
-            self._advance()
+        if self._accept("("):
             args: list[ast.Expression] = []
             if not self._check(")"):
                 args.append(self.parse_expression())
                 while self._accept(","):
                     args.append(self.parse_expression())
             self._expect(")")
-            if self._check("="):
-                # Clause head in statement position: start of an implication.
-                self._advance()
-                decl = self._finish_clause(name_tok, tuple(args))
-                while self._accept("and"):
-                    decl = ast.And(decl, self._parse_decl_unit())
-                self._expect("=>")
-                return ast.Implication(decl, self.parse_statement())
+            if self._accept("="):
+                # A clause head: the first unit of an implication.
+                return self._finish_clause(name_tok, tuple(args))
             return ast.Call(name, tuple(args))
 
         raise self._error("'=>', '=', '[' or '(' after identifier", name_tok)
@@ -279,43 +290,9 @@ class _Parser:
         self._expect("]")
         self._expect("=>")
         self._handles.append(name)
-        try:
-            body = self.parse_statement()
-        finally:
-            self._handles.pop()
+        body = self.parse_statement()
+        self._handles.pop()
         return ast.AllocScope(name, "int", length, body)
-
-    def _parse_paren_statement(self) -> ast.Statement:
-        mark = self.pos
-        saved_handles = list(self._handles)
-        self._advance()  # (
-        try:
-            decl = self.parse_declaration()
-            if self._check(")") and self._check("=>", offset=1):
-                self._advance()
-                self._advance()
-                return self._implication(decl, self.parse_statement())
-            if self._check("=>"):
-                self._advance()
-                body = self.parse_statement()
-                self._expect(")")
-                return self._implication(decl, body)
-            raise self._error("'=>' after declaration")
-        except ParseError:
-            self.pos = mark
-            self._handles = saved_handles
-        self._advance()  # (
-        inner = self.parse_statement()
-        self._expect(")")
-        return inner
-
-    @staticmethod
-    def _implication(decl: ast.Declaration, body: ast.Statement) -> ast.Statement:
-        # A bare macro reference before the arrow is the module
-        # implication form, whether or not it is parenthesized.
-        if isinstance(decl, ast.MacroRef):
-            return ast.ModuleImplication(decl.name, body)
-        return ast.Implication(decl, body)
 
     def _parse_if(self) -> ast.If:
         self._expect("if")
@@ -373,7 +350,9 @@ class _Parser:
     # -- declarations ---------------------------------------------------
 
     def parse_declaration(self) -> ast.Declaration:
-        decl = self._parse_decl_unit()
+        return self._parse_conjuncts(self._parse_decl_unit())
+
+    def _parse_conjuncts(self, decl: ast.Declaration) -> ast.Declaration:
         while self._accept("and"):
             decl = ast.And(decl, self._parse_decl_unit())
         return decl

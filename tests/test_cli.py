@@ -252,3 +252,14 @@ def test_repl_trace_flag_streams_to_stderr(monkeypatch, capsys):
     assert code == 0
     assert TRACE_LINE.match(captured.err.splitlines()[0])
     assert "bc:1" in captured.err
+
+
+def test_python_stack_overflow_is_a_depth_diagnostic(tmp_path, capsys, monkeypatch):
+    # Run on the main thread's small stack so the overflow comes quickly.
+    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    path = write(tmp_path, "(Loop(n) = if (n == 0) (done = 1) else (Loop(n - 1)) => Loop(600))")
+    code = main(["run", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("cmod: depth exceeded: ")
+    assert "internal error" not in captured.err

@@ -526,3 +526,12 @@ def test_left_first_search_matches_the_branch_order_oracle_quick():
         machine = Machine.initial(max_depth=32)
         outcome = execute(machine, A.Implication(frame, A.Call(target, ())))
         assert isinstance(outcome, Success) == proggen.branch_order_success(frame, target)
+
+
+def test_python_stack_overflow_is_depth_exceeded():
+    # On the main thread the Python stack runs out long before the
+    # default call-depth limit.
+    outcome, machine = run("(Loop(n) = if (n == 0) (done = 1) else (Loop(n - 1)) => Loop(600))")
+    assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
+    assert "Python stack" in outcome.detail and outcome.__traceback__ is None
+    assert machine.module_stack == [] and machine.call_stack == [] and machine.depth == 0

@@ -236,3 +236,92 @@ def test_repl_incomplete_input_is_flagged():
     with pytest.raises(ParseError) as info:
         parse_repl_input("x = ;")
     assert not info.value.at_eof
+
+
+# -- one pass over the tokens ---------------------------------------------
+
+
+def nested_groups(levels):
+    """A valid program whose groups nest levels deep, alternating
+    declarations and statements."""
+    source = "x = 1"
+    for _ in range(levels):
+        source = "((p() = (%s) => p()); y = 2)" % source
+    return source
+
+
+@pytest.mark.parametrize(
+    "source", [nested_groups(8), "(" * 300 + "x = 1" + ")" * 300], ids=["nested-8", "parens-300"]
+)
+def test_each_token_is_advanced_once(source, monkeypatch):
+    from cmod.lexer import tokenize
+    from cmod.parser import _Parser
+
+    calls = 0
+    advance = _Parser._advance
+
+    def counting_advance(self):
+        nonlocal calls
+        calls += 1
+        return advance(self)
+
+    monkeypatch.setattr(_Parser, "_advance", counting_advance)
+    parse_source(source)
+    assert calls == len(tokenize(source)) - 1  # every token but end of input
+
+
+def test_deeply_nested_groups_run():
+    from cmod.engine import Success, call_with_deep_stack, run_source
+
+    outcome, machine = call_with_deep_stack(run_source, nested_groups(12))
+    assert isinstance(outcome, Success)
+    assert machine.store == {"x": A.Int(1), "y": A.Int(2)}
+
+
+# -- a group is what it holds -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "source, decl",
+    [
+        (
+            "(p() = true) and q() = true => p()",
+            A.And(A.Clause("p", (), A.TrueStmt()), A.Clause("q", (), A.TrueStmt())),
+        ),
+        (
+            "macro /m = { p() = true } and /n = { q() = true } /m and /n => p()",
+            A.And(A.MacroRef("m"), A.MacroRef("n")),
+        ),
+    ],
+    ids=["group", "macro-refs"],
+)
+def test_conjunction_after_a_group_or_macro_reference(source, decl):
+    from cmod.engine import Success, run_source
+    from cmod.printer import pretty_print
+
+    program = parse_source(source)
+    assert program.main == A.Implication(decl, A.Call("p", ()))
+    assert isinstance(run_source(source)[0], Success)
+    assert parse_source(pretty_print(program)) == program
+
+
+def test_repl_lone_declaration_group_asks_for_more():
+    with pytest.raises(ParseError) as info:
+        parse_repl_input("(p() = true)")
+    assert info.value.at_eof and info.value.expected == "'=>'"
+
+
+def test_forall_declaration_after_semicolon():
+    program = parse_source("x = 1; forall y p() = true => p()")
+    assert program.main == A.Seq(
+        A.Assign("x", A.IntLit(1)),
+        A.Implication(A.Forall("y", A.Clause("p", (), A.TrueStmt())), A.Call("p", ())),
+    )
+
+
+def test_ren_declaration_after_semicolon():
+    program = parse_source("x = 1; ren(p, q) p() = true => q()")
+    assert program.main == A.Seq(
+        A.Assign("x", A.IntLit(1)),
+        A.Implication(A.Rename("p", "q", A.Clause("p", (), A.TrueStmt())), A.Call("q", ())),
+    )
