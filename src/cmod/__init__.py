@@ -17,13 +17,12 @@ from .errors import (
     CmodError,
     EngineFailure,
     LexError,
-    MacroNotDefined,
     ParseError,
 )
 from .ast import desugar, free_procedure_names
 from .lexer import Token, tokenize
 from .machine import Machine
-from .macros import MacroEnv, conj_expand, rename
+from .macros import MacroEnv, rename
 from .parser import SourceProgram, parse_program, parse_repl_input, parse_source
 from .printer import format_declaration, format_expression, format_statement, pretty_print
 from .regions import RegionStack, region_read, region_write
@@ -38,7 +37,6 @@ __all__ = [
     "LexError",
     "Machine",
     "MacroEnv",
-    "MacroNotDefined",
     "ParseError",
     "RegionStack",
     "SourceProgram",
@@ -46,7 +44,6 @@ __all__ = [
     "Token",
     "TraceEvent",
     "call_with_deep_stack",
-    "conj_expand",
     "desugar",
     "eval_expr",
     "execute",

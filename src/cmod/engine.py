@@ -5,10 +5,22 @@ regions and output; module frames pushed by implication statements are
 popped on scope exit no matter how the body ends, so effects persist
 while declarations stay local. Backchaining first selects a clause: one
 walk over the newest frame that declares the called name, conjunctions
-left to right, yields the first clause whose head matches, renamed and
-instantiated from the call. Only then does the clause body run, outside
-the search, so a failure inside a body fails the call and never sends
-the search on to a later conjunct.
+left to right, yields the first clause whose head matches, renamed for
+the call. Only then does the clause body run, outside the search, so a
+failure inside a body fails the call and never sends the search on to a
+later conjunct.
+
+A body runs in an activation environment, the values its clause's
+quantifiers took from the call: variables are read there, then in the
+store, and assigned in the store. Only a declaration leaving the body is
+rebuilt, closed over the environment by substitution; a traced call
+substitutes into the whole clause instead, so the trace shows it.
+
+Shallow binding finds the deciding frame: an index from each procedure
+name to the live frames declaring it, kept on every push and pop, and
+rebuilt at the first call after the macro environment changed (what a
+macro reference frame declares depends on it) or after frames were
+appended to the stack directly.
 
 Implication, macro and allocation scopes work alike: push, run the body,
 pop even when the body fails. A failure is an EngineFailure raised with
@@ -21,6 +33,7 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Union
 
 from . import ast
@@ -73,6 +86,8 @@ Failure = EngineFailure
 
 ExecOutcome = Union[Success, EngineFailure]
 
+_NO_BINDINGS = MappingProxyType({})  # the environment outside every call
+
 
 # ---------------------------------------------------------------------------
 # Execution phase
@@ -86,7 +101,7 @@ def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
     depth-exceeded failure too; the scopes it left are unwound by then.
     """
     try:
-        _execute(machine, stmt, 0)
+        _execute(machine, stmt, 0, _NO_BINDINGS)
     except EngineFailure as failure:
         return failure.with_traceback(None)  # an outcome holds no frames
     except RecursionError:
@@ -107,75 +122,70 @@ def _emit_bc(machine: Machine, depth: int, decl: ast.Declaration, rule_id: int) 
         machine.trace(TraceEvent("bc", depth, format_declaration(decl, compact=True), rule_id))
 
 
-def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
+def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
     if isinstance(stmt, ast.TrueStmt):
         _emit_ex(machine, depth, stmt, 8)
         return
 
     if isinstance(stmt, ast.Assign):
         _emit_ex(machine, depth, stmt, 9)
-        machine.store[stmt.name] = eval_expr(machine, stmt.expr)
+        machine.store[stmt.name] = eval_expr(machine, stmt.expr, env)
         return
 
     if isinstance(stmt, ast.StoreIndex):
         _emit_ex(machine, depth, stmt, 9)
-        handle = eval_expr(machine, stmt.base)
+        handle = eval_expr(machine, stmt.base, env)
         if not isinstance(handle, ast.Handle):
             raise EngineFailure(
                 TYPE_MISMATCH,
                 f"{ast.render_value(handle)} is not a region handle",
             )
-        index = eval_expr(machine, stmt.index)
+        index = eval_expr(machine, stmt.index, env)
         if not isinstance(index, ast.Int):
             raise EngineFailure(TYPE_MISMATCH, "region index must be an integer")
-        region_write(machine, handle, index.value, eval_expr(machine, stmt.value))
+        region_write(machine, handle, index.value, eval_expr(machine, stmt.value, env))
         return
 
     if isinstance(stmt, ast.Seq):
         _emit_ex(machine, depth, stmt, 10)
-        _execute(machine, stmt.first, depth + 1)
-        _execute(machine, stmt.second, depth + 1)
+        _execute(machine, stmt.first, depth + 1, env)
+        _execute(machine, stmt.second, depth + 1, env)
         return
 
-    if isinstance(stmt, ast.Implication):
+    if isinstance(stmt, (ast.Implication, ast.ModuleImplication)):
         _emit_ex(machine, depth, stmt, 11)
-        machine.module_stack.append(stmt.decl)
-        try:
-            _execute(machine, stmt.body, depth + 1)
-        finally:
-            machine.module_stack.pop()
-        return
-
-    if isinstance(stmt, ast.ModuleImplication):
-        _emit_ex(machine, depth, stmt, 11)
-        if machine.macro_env.find(stmt.name) is None:
+        if isinstance(stmt, ast.Implication):
+            frame = _instantiate(stmt.decl, (), env)
+        elif machine.macro_env.find(stmt.name) is None:
             raise EngineFailure(
                 NO_MATCHING_CLAUSE,
                 f"module or macro '/{stmt.name}' is not defined",
             )
-        machine.module_stack.append(ast.MacroRef(stmt.name))
+        else:
+            frame = ast.MacroRef(stmt.name)
+        _push(machine, (frame,))
         try:
-            _execute(machine, stmt.body, depth + 1)
+            _execute(machine, stmt.body, depth + 1, env)
         finally:
-            machine.module_stack.pop()
+            _pop(machine, 1)
         return
 
     if isinstance(stmt, ast.MacroScope):
         _emit_ex(machine, depth, stmt, 12)
-        machine.macro_env = machine.macro_env.define(stmt.defs)
-        frames = [ast.MacroRef(d.name) for d in stmt.defs]
-        machine.module_stack.extend(frames)
+        machine.macro_env = machine.macro_env.define(_instantiate(d, (), env) for d in stmt.defs)
         try:
-            _execute(machine, stmt.body, depth + 1)
+            _push(machine, tuple(ast.MacroRef(d.name) for d in stmt.defs))
+            try:
+                _execute(machine, stmt.body, depth + 1, env)
+            finally:
+                _pop(machine, len(stmt.defs))
         finally:
-            if frames:
-                del machine.module_stack[-len(frames):]
             machine.macro_env = machine.macro_env.pop_frame()
         return
 
     if isinstance(stmt, ast.AllocScope):
         _emit_ex(machine, depth, stmt, 11)
-        length = eval_expr(machine, stmt.length)
+        length = eval_expr(machine, stmt.length, env)
         if not isinstance(length, ast.Int):
             raise EngineFailure(
                 REGION_FAULT,
@@ -190,8 +200,10 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
             )
         handle = machine.regions.allocate(stmt.elem_type, length.value)
         machine.store[stmt.handle] = handle
+        if stmt.handle in env:  # the handle hides a formal of its name
+            env = {var: value for var, value in env.items() if var != stmt.handle}
         try:
-            _execute(machine, stmt.body, depth + 1)
+            _execute(machine, stmt.body, depth + 1, env)
         finally:
             machine.regions.free(handle)
             machine.store.pop(stmt.handle, None)
@@ -200,27 +212,27 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
     if isinstance(stmt, ast.If):
         # Surface form: transparent in the trace, the chosen branch runs
         # in its place.
-        cond = eval_expr(machine, stmt.cond)
+        cond = eval_expr(machine, stmt.cond, env)
         if not isinstance(cond, ast.Bool):
             raise EngineFailure(
                 TYPE_MISMATCH,
                 f"if condition must be boolean, got {ast.render_value(cond)}",
             )
-        _execute(machine, stmt.then if cond.value else stmt.orelse, depth)
+        _execute(machine, stmt.then if cond.value else stmt.orelse, depth, env)
         return
 
     if isinstance(stmt, ast.Switch):
-        _execute(machine, ast.desugar(stmt), depth)
+        _execute(machine, ast.desugar(stmt), depth, env)
         return
 
     if isinstance(stmt, ast.Print):
         _emit_ex(machine, depth, stmt, 7)
-        machine.output.append(ast.render_value(eval_expr(machine, stmt.expr)) + "\n")
+        machine.output.append(ast.render_value(eval_expr(machine, stmt.expr, env)) + "\n")
         return
 
     if isinstance(stmt, ast.Call):
         _emit_ex(machine, depth, stmt, 7)
-        actuals = tuple(eval_expr(machine, arg) for arg in stmt.args)
+        actuals = tuple(eval_expr(machine, arg, env) for arg in stmt.args)
         _resolve_call(machine, CallSite(stmt.name, actuals), depth + 1)
         return
 
@@ -235,11 +247,11 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int) -> None:
 def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
     """Select the clause call runs, then run its body outside the search.
 
-    Dynamic scoping: module frames are searched newest (last) first, and
-    the first one with a head of the call's name decides, by name only;
-    if none of its heads matches, the call fails with no-matching-clause.
-    When tracing, the deciding frame's search steps are emitted before
-    the body runs; nothing else the search builds outlives it.
+    Dynamic scoping: the newest (last) module frame with a head of the
+    call's name decides, by name only; if none of its heads matches, the
+    call fails with no-matching-clause. When tracing, the deciding
+    frame's search steps are emitted before the body runs; nothing else
+    the search builds outlives it.
 
     A failure leaving the call gets the active call chain if it has
     none yet: the innermost call sees it first, so the chain is the one
@@ -253,8 +265,8 @@ def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
                 DEPTH_EXCEEDED,
                 f"call depth exceeded the limit of {machine.max_depth}",
             )
-        clause, at = _select(machine.module_stack, machine, call, depth)
-        _execute(machine, clause.body, at + 1)
+        clause, env, at = _select(machine, call, depth)
+        _execute(machine, clause.body, at + 1, env)
     except EngineFailure as failure:
         if not failure.call_chain:
             failure.call_chain = tuple(machine.call_stack)
@@ -264,33 +276,30 @@ def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
         machine.call_stack.pop()
 
 
-def _select(frames, machine: Machine, call: CallSite, depth: int) -> tuple[ast.Clause, int]:
-    """The matched clause, renamed and instantiated, and its trace depth."""
+def _select(machine: Machine, call: CallSite, depth: int):
+    """The matched clause, renamed, the environment its body runs in, and
+    its trace depth; traced, the clause is instantiated, the env empty."""
     actuals = call.actuals
-    declared = False
 
     def visit(clause, head, renames, binders, at):
-        nonlocal declared
-        declared = True
         values = _bindings(binders, actuals)
         if _head_matches(clause, values, actuals):
             return clause, renames, values, at
         return None
 
-    found = None
-    for frame in reversed(frames):
-        steps = None if machine.trace is None else []
-        found = ast.walk_heads(frame, machine.macro_env, call.name, visit, steps, depth)
-        if declared:
-            for at, rule_id, node, renames, binders in steps or ():
-                _emit_bc(machine, at, _instantiate(node, renames, _bindings(binders, actuals)), rule_id)
-            break
+    frame = _deciding_frame(machine, call.name)
+    steps = None if machine.trace is None else []
+    found = frame and ast.walk_heads(frame, machine.macro_env, call.name, visit, steps, depth)
+    for at, rule_id, node, renames, binders in steps or ():
+        _emit_bc(machine, at, _instantiate(node, renames, _bindings(binders, actuals)), rule_id)
     if found is None:
         raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
     clause, renames, values, at = found
+    if steps is None:
+        return _instantiate(clause, renames, {}), values, at
     clause = _instantiate(clause, renames, values)
     _emit_bc(machine, at, clause, 1)
-    return clause, at
+    return clause, _NO_BINDINGS, at
 
 
 def _bindings(binders, actuals: tuple[ast.Value, ...]) -> dict[str, ast.Value | None]:
@@ -349,6 +358,51 @@ def _instantiate(decl: ast.Declaration, renames, values) -> ast.Declaration:
 
 
 # ---------------------------------------------------------------------------
+# The module stack, indexed by declared name (shallow binding)
+# ---------------------------------------------------------------------------
+
+
+def _push(machine: Machine, frames) -> None:
+    """Push frames on the module stack and index the names they declare.
+    Every push goes through here, and every pop through _pop."""
+    declared = [tuple(ast.free_procedure_names(frame, machine.macro_env)) for frame in frames]
+    for frame, names in zip(frames, declared):
+        for name in names:
+            machine.frame_index.setdefault(name, []).append(len(machine.module_stack))
+        machine.frame_names.append(names)
+        machine.module_stack.append(frame)
+
+
+def _pop(machine: Machine, count: int) -> None:
+    """Pop count frames and their index entries, by deletions only: none
+    of them can hit the recursion limit, so pops survive a stack overflow."""
+    while count:
+        del machine.module_stack[-1]
+        for name in machine.frame_names[-1]:
+            positions = machine.frame_index[name]
+            del positions[-1]
+            if not positions:
+                del machine.frame_index[name]
+        del machine.frame_names[-1]
+        count -= 1
+
+
+def _deciding_frame(machine: Machine, name: str) -> ast.Declaration | None:
+    """The newest live frame declaring name, or None; a rebuilt index replaces the old whole."""
+    stack = machine.module_stack
+    env = machine.macro_env
+    if machine.indexed_env is not env or len(machine.frame_names) != len(stack):
+        frame_names = [tuple(ast.free_procedure_names(frame, env)) for frame in stack]
+        index: dict[str, list[int]] = {}
+        for position, names in enumerate(frame_names):
+            for declared in names:
+                index.setdefault(declared, []).append(position)
+        machine.frame_index, machine.frame_names, machine.indexed_env = index, frame_names, env
+    positions = machine.frame_index.get(name)
+    return stack[positions[-1]] if positions else None
+
+
+# ---------------------------------------------------------------------------
 # Instantiation
 # ---------------------------------------------------------------------------
 
@@ -381,7 +435,9 @@ def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declara
 # ---------------------------------------------------------------------------
 
 
-def eval_expr(machine: Machine, expr: ast.Expression) -> ast.Value:
+def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.Value:
+    """The value of expr; a variable is looked up in env (the activation
+    environment), then in the store."""
     if isinstance(expr, ast.IntLit):
         return ast.Int(expr.value)
     if isinstance(expr, ast.BoolLit):
@@ -394,6 +450,9 @@ def eval_expr(machine: Machine, expr: ast.Expression) -> ast.Value:
         return expr.value
 
     if isinstance(expr, ast.Var):
+        value = env.get(expr.name)
+        if value is not None:
+            return value
         if expr.name in machine.store:
             return machine.store[expr.name]
         # An unbound all-lowercase identifier is a self-evaluating atom.
@@ -404,7 +463,7 @@ def eval_expr(machine: Machine, expr: ast.Expression) -> ast.Value:
         )
 
     if isinstance(expr, ast.UnaryOp):
-        operand = eval_expr(machine, expr.operand)
+        operand = eval_expr(machine, expr.operand, env)
         if expr.op == "!":
             if not isinstance(operand, ast.Bool):
                 raise _type_error("!", operand)
@@ -414,13 +473,13 @@ def eval_expr(machine: Machine, expr: ast.Expression) -> ast.Value:
         return ast.Int(-operand.value)
 
     if isinstance(expr, ast.BinOp):
-        return _eval_binop(machine, expr)
+        return _eval_binop(machine, expr, env)
 
     if isinstance(expr, ast.Index):
-        base = eval_expr(machine, expr.base)
+        base = eval_expr(machine, expr.base, env)
         if not isinstance(base, ast.Handle):
             raise _type_error("indexing", base)
-        index = eval_expr(machine, expr.index)
+        index = eval_expr(machine, expr.index, env)
         if not isinstance(index, ast.Int):
             raise _type_error("region index", index)
         return region_read(machine, base, index.value)
@@ -428,24 +487,24 @@ def eval_expr(machine: Machine, expr: ast.Expression) -> ast.Value:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _eval_binop(machine: Machine, expr: ast.BinOp) -> ast.Value:
+def _eval_binop(machine: Machine, expr: ast.BinOp, env) -> ast.Value:
     op = expr.op
 
     if op in ("&&", "||"):
-        left = eval_expr(machine, expr.left)
+        left = eval_expr(machine, expr.left, env)
         if not isinstance(left, ast.Bool):
             raise _type_error(op, left)
         if op == "&&" and not left.value:
             return ast.Bool(False)
         if op == "||" and left.value:
             return ast.Bool(True)
-        right = eval_expr(machine, expr.right)
+        right = eval_expr(machine, expr.right, env)
         if not isinstance(right, ast.Bool):
             raise _type_error(op, right)
         return right
 
-    left = eval_expr(machine, expr.left)
-    right = eval_expr(machine, expr.right)
+    left = eval_expr(machine, expr.left, env)
+    right = eval_expr(machine, expr.right, env)
 
     if op in ("==", "!="):
         equal = type(left) is type(right) and left == right
@@ -513,32 +572,44 @@ def run_source(
     return execute(machine, ast.desugar(program.main)), machine
 
 
+# sys.setrecursionlimit and threading.stack_size are process-wide: the
+# first of concurrent callers raises both and the last restores them.
+_deep_stack_lock = threading.Lock()
+_deep_stack_callers = 0
+_saved_limits = (0, 0)
+
+
 def call_with_deep_stack(fn, *args, **kwargs):
-    """Run fn in a worker thread with a large stack.
+    """Run fn in a worker thread with a large stack; thread-safe.
 
     Deeply recursive programs are legal up to the machine's call-depth
     limit, which outruns the main thread's stack; the worker makes the
     limit, not the platform stack, the binding constraint.
     """
+    global _deep_stack_callers, _saved_limits
     result: dict = {}
 
     def worker():
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1_000_000)
         try:
             result["value"] = fn(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - re-raised in caller
             result["error"] = exc
-        finally:
-            sys.setrecursionlimit(old_limit)
 
-    old_size = threading.stack_size(512 * 1024 * 1024)
+    with _deep_stack_lock:
+        if not _deep_stack_callers:
+            _saved_limits = sys.getrecursionlimit(), threading.stack_size(512 * 1024 * 1024)
+            sys.setrecursionlimit(1_000_000)
+        _deep_stack_callers += 1
     try:
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
     finally:
-        threading.stack_size(old_size)
+        with _deep_stack_lock:
+            _deep_stack_callers -= 1
+            if not _deep_stack_callers:
+                sys.setrecursionlimit(_saved_limits[0])
+                threading.stack_size(_saved_limits[1])
 
     if "error" in result:
         raise result["error"]

@@ -41,12 +41,6 @@ class ParseError(CmodError):
         super().__init__(f"{line}:{column}: expected {expected}, found {found}")
 
 
-class MacroNotDefined(CmodError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"macro or module '/{name}' is not defined")
-
-
 class EngineFailure(CmodError):
     """A runtime failure of the interpreter, and the outcome of a failed run.
 

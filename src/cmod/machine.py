@@ -26,6 +26,10 @@ class Machine:
     max_depth: int = DEFAULT_MAX_DEPTH
     trace: Optional[Callable] = None
     call_stack: list = field(default_factory=list)
+    # Shallow binding: frame positions per declared name, each frame's names, their macro env.
+    frame_index: dict[str, list[int]] = field(default_factory=dict)
+    frame_names: list[tuple[str, ...]] = field(default_factory=list)
+    indexed_env: Optional[MacroEnv] = None
 
     @classmethod
     def initial(

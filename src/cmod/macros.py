@@ -1,5 +1,5 @@
 """The macro environment: named declarations with most-recent lookup,
-plus the renaming/conjunction algebra over declaration trees.
+plus renaming over declaration trees.
 
 Environments are immutable snapshots; update operations return new
 values, so scoped definition groups are reverted by restoring or popping.
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import ast
-from .errors import MacroNotDefined
 
 
 @dataclass(frozen=True)
@@ -43,36 +42,8 @@ class MacroEnv:
                 return macro.body
         return None
 
-    def lookup(self, name: str) -> ast.Declaration:
-        body = self.find(name)
-        if body is None:
-            raise MacroNotDefined(name)
-        return body
-
     def names(self) -> list[str]:
         return [macro.name for macro in self.defs]
-
-    def __len__(self) -> int:
-        return len(self.defs)
-
-
-def conj_expand(env: MacroEnv, decl: ast.Declaration) -> ast.Declaration:
-    """decl with every macro reference replaced by its looked-up body,
-    recursively.
-
-    A name already being expanded is left in place as a residual
-    reference (cycle cut). Statement bodies are not walked; references
-    inside them resolve against the environment at run time.
-    """
-
-    def expand(node, path: frozenset[str]):
-        if isinstance(node, ast.MacroRef) and node.name not in path:
-            return expand(env.lookup(node.name), path | {node.name})
-        if isinstance(node, (ast.MacroRef, ast.Clause)):
-            return node
-        return ast.map_children(node, lambda child: expand(child, path))
-
-    return expand(decl, frozenset())
 
 
 def rename(decl: ast.Declaration, old: str, new: str) -> ast.Declaration:

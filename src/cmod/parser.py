@@ -265,13 +265,20 @@ class _Parser:
 
         if self._accept("("):
             args: list[ast.Expression] = []
+            not_formal = None  # the first argument that is not a lone identifier
             if not self._check(")"):
-                args.append(self.parse_expression())
-                while self._accept(","):
+                while True:
+                    start = self.pos
                     args.append(self.parse_expression())
+                    if not_formal is None and (self.pos != start + 1 or self.tokens[start].kind != "ident"):
+                        not_formal = self.tokens[start]
+                    if not self._accept(","):
+                        break
             self._expect(")")
             if self._accept("="):
                 # A clause head: the first unit of an implication.
+                if not_formal is not None:
+                    raise self._error("formal parameter", not_formal)
                 return self._finish_clause(name_tok, tuple(args))
             return ast.Call(name, tuple(args))
 
@@ -389,11 +396,7 @@ class _Parser:
         raise self._error("declaration")
 
     def _finish_clause(self, name_tok: Token, params: tuple[ast.Expression, ...]) -> ast.Declaration:
-        names = []
-        for p in params:
-            if not isinstance(p, ast.Var):
-                raise self._error("formal parameters to be variable names", name_tok)
-            names.append(p.name)
+        names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise self._error("distinct formal parameter names", name_tok)
         body = self.parse_statement()

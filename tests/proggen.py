@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 from cmod import ast as A
-from cmod.macros import MacroEnv, conj_expand
+from cmod.errors import CmodError
+from cmod.macros import MacroEnv
 from cmod.parser import SourceProgram
 
 
@@ -127,7 +128,7 @@ class ScopeBalanceChecker:
             batch.append(self.open.pop())
         self._verify(batch)
         if event.phase == "ex" and event.rule_id in (11, 12):
-            self.open.append((event.depth, len(self.machine.module_stack), len(self.machine.macro_env)))
+            self.open.append((event.depth, len(self.machine.module_stack), len(self.machine.macro_env.defs)))
 
     def finish(self) -> None:
         batch = list(reversed(self.open))
@@ -139,8 +140,86 @@ class ScopeBalanceChecker:
             return
         _, stack_len, env_len = batch[-1]  # outermost scope closed here
         assert len(self.machine.module_stack) == stack_len, "module stack not restored"
-        assert len(self.machine.macro_env) == env_len, "macro environment not restored"
+        assert len(self.machine.macro_env.defs) == env_len, "macro environment not restored"
         self.checked += len(batch)
+
+
+# ---------------------------------------------------------------------------
+# Closure programs: where a call's values must reach, and where not
+# ---------------------------------------------------------------------------
+
+CLOSURE_SEEDS = [
+    A.MacroDef(
+        "gm",
+        A.And(A.Clause("gq", (), A.Print(A.IntLit(0))), A.Clause("gk", (), A.Assign("gk_ran", A.IntLit(1)))),
+    )
+]
+
+
+def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
+    """A procedure p whose body uses its formals where a call's values
+    must reach or must not: a declaration pushed from the body and called
+    from an outer clause, a macro defined in the body, an allocation
+    handle or an inner forall of a formal's name, a formal assigned and
+    then read, a switch over a formal, and a recursive call. Some bodies
+    also redefine the seeded macro /gm under a frame that refers to it,
+    which changes the names that frame declares: without gk, a call to
+    gk falls to the outer frame. Returns the seeds (CLOSURE_SEEDS) and a
+    statement that calls p, perhaps renamed."""
+    formals = tuple(rng.sample(["x", "y", "z"], rng.randint(1, 2)))
+
+    def fragment(i: int, v: str) -> A.Statement:
+        kind = rng.randrange(7)
+        if kind == 0:  # a pushed declaration captures v; r calls it from outside
+            pushed = closed_clause("rq", ("w",), A.Print(A.BinOp("+", A.Var(v), A.Var("w"))))
+            return A.Implication(pushed, A.Seq(A.Call("rq", (A.IntLit(i),)), A.Call("r", ())))
+        if kind == 1:  # a macro defined in the body captures v
+            defs = (A.MacroDef(f"m{i}", closed_clause(f"mq{i}", (), A.Print(A.Var(v)))),)
+            return A.MacroScope(defs, A.ModuleImplication(f"m{i}", A.Call(f"mq{i}", ())))
+        if kind == 2:  # the handle hides v in the body, not in the length
+            body = fold_seq([
+                A.StoreIndex(A.Var(v), A.IntLit(0), A.IntLit(7)),
+                A.Print(A.Index(A.Var(v), A.IntLit(0))),
+                A.Print(A.Var(v)),
+            ])
+            return A.AllocScope(v, "int", A.Var(v), body)
+        if kind == 3:  # an inner forall of v's name hides it
+            inner = A.Forall(v, A.Clause(f"fq{i}", (), A.Print(A.Var(v))))
+            return A.Implication(inner, A.Call(f"fq{i}", ()))
+        if kind == 4:  # the store gets the assignment, reads still see v
+            return A.Seq(A.Assign(v, A.BinOp("+", A.Var(v), A.IntLit(10))), A.Print(A.Var(v)))
+        if kind == 5:  # a switch over v
+            cases = ((A.Int(1), A.Print(A.AtomLit("one"))), (A.Int(2), A.Assign(f"o{i}", A.Var(v))))
+            return A.Switch(A.Var(v), cases, A.Print(A.Var(v)))
+        if kind == 6:  # /gm redefined under a frame that refers to it
+            if rng.random() < 0.5:
+                new = closed_clause("gq", (), A.Print(A.Var(v)))
+            else:
+                new = A.Clause("gz", (), A.TrueStmt())
+            inner = A.MacroScope((A.MacroDef("gm", new),), A.Call(rng.choice(["gq", "gk"]), ()))
+            return A.ModuleImplication("gm", A.Seq(inner, A.Call(rng.choice(["gq", "gk"]), ())))
+
+    parts = [fragment(i, rng.choice(formals)) for i in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:  # one recursive call, so activations nest
+        v = rng.choice(formals)
+        args = tuple(A.BinOp("-", A.Var(f), A.IntLit(1)) if f == v else A.Var(f) for f in formals)
+        recurse = A.If(A.BinOp(">", A.Var(v), A.IntLit(0)), A.Call("p", args), A.TrueStmt())
+        parts.insert(rng.randint(0, len(parts)), recurse)
+    body = fold_seq(parts)
+    outer = A.And(
+        A.Clause("r", (), A.Call("rq", (A.IntLit(0),))),
+        A.Clause("gk", (), A.Assign("gk_outer", A.IntLit(1))),
+    )
+    frame: A.Declaration = A.And(closed_clause("p", formals, body), outer)
+    name = "p"
+    if rng.random() < 0.3:
+        frame, name = A.Rename("p", "pp", frame), "pp"
+    calls: list[A.Statement] = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            calls.append(A.Assign(rng.choice(formals), A.IntLit(9)))
+        calls.append(A.Call(name, tuple(A.IntLit(rng.randint(0, 3)) for _ in formals)))
+    return CLOSURE_SEEDS, A.Implication(frame, fold_seq(calls))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +293,44 @@ def assert_lifo(events: list[tuple[str, int]]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Eager macro expansion: the oracle lazy resolution is checked against
+# ---------------------------------------------------------------------------
+
+
+class MacroNotDefined(CmodError):
+    def __init__(self, name: str):
+        self.name = name
+        super().__init__(f"macro or module '/{name}' is not defined")
+
+
+def lookup(env: MacroEnv, name: str) -> A.Declaration:
+    """The body env binds name to; MacroNotDefined when it binds none."""
+    body = env.find(name)
+    if body is None:
+        raise MacroNotDefined(name)
+    return body
+
+
+def conj_expand(env: MacroEnv, decl: A.Declaration) -> A.Declaration:
+    """decl with every macro reference replaced by its looked-up body,
+    recursively.
+
+    A name already being expanded is left in place as a residual
+    reference (cycle cut). Statement bodies are not walked; references
+    inside them resolve against the environment at run time.
+    """
+
+    def expand(node, path: frozenset[str]):
+        if isinstance(node, A.MacroRef) and node.name not in path:
+            return expand(lookup(env, node.name), path | {node.name})
+        if isinstance(node, (A.MacroRef, A.Clause)):
+            return node
+        return A.map_children(node, lambda child: expand(child, path))
+
+    return expand(decl, frozenset())
+
+
+# ---------------------------------------------------------------------------
 # Macro programs and their eager inlining
 # ---------------------------------------------------------------------------
 
@@ -236,7 +353,7 @@ def inline_macros(program: SourceProgram) -> A.Statement:
         if isinstance(node, A.Implication):
             return A.Implication(expand_decl(node.decl, env), walk(node.body, env))
         if isinstance(node, A.ModuleImplication):
-            return A.Implication(expand_decl(env.lookup(node.name), env), walk(node.body, env))
+            return A.Implication(expand_decl(lookup(env, node.name), env), walk(node.body, env))
         if isinstance(node, A.MacroScope):
             inner_env = env.define(node.defs)
             result = walk(node.body, inner_env)
@@ -375,3 +492,51 @@ def branch_order_success(frame: A.Declaration, target: str, limit: int = 16) -> 
         raise TypeError(f"unexpected body node {stmt!r}")
 
     return bc(frame, target, 0)
+
+
+# ---------------------------------------------------------------------------
+# Every family above, as (seeds, statement) programs
+# ---------------------------------------------------------------------------
+
+
+def _shadowing_program(rng: random.Random):
+    return [], shadowing_case(rng)[0]
+
+
+def _balanced_program(rng: random.Random):
+    seeds, stmt, _ = balanced_case(rng)
+    return seeds, stmt
+
+
+def _region_program(rng: random.Random):
+    return [], region_case(rng)[0]
+
+
+def _macro_program(rng: random.Random):
+    program = macro_equivalence_case(rng)
+    return program.seeds(), program.main
+
+
+def _conj_frame_program(rng: random.Random):
+    frame, _, target = conj_frame(rng)
+    return [], A.Implication(frame, A.Call(target, ()))
+
+
+FAMILIES = {
+    "shadowing": _shadowing_program,
+    "balanced": _balanced_program,
+    "region": _region_program,
+    "macro_equivalence": _macro_program,
+    "conj_frame": _conj_frame_program,
+    "closure": closure_case,
+}
+
+
+def family_programs(rounds: int, families=FAMILIES):
+    """Yield (name, seeds, statement) for rounds programs of each of the
+    families, every family drawn from its own random.Random(7)."""
+    for family in families:
+        program, rng = FAMILIES[family], random.Random(7)
+        for i in range(rounds):
+            seeds, stmt = program(rng)
+            yield f"{family}-{i}", seeds, stmt

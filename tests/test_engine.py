@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -7,6 +9,7 @@ from cmod import ast as A
 from cmod.engine import (
     Failure,
     Success,
+    call_with_deep_stack,
     eval_expr,
     execute,
     run_source,
@@ -76,7 +79,7 @@ def test_module_stack_restored_after_implication():
     outcome = execute(machine, main_of("(p() = true => true)"))
     assert isinstance(outcome, Success)
     assert machine.module_stack == before
-    assert len(machine.macro_env) == 0
+    assert len(machine.macro_env.defs) == 0
 
 
 def test_store_effects_survive_the_pop():
@@ -373,6 +376,48 @@ def test_macro_ref_resolves_most_recent_at_call_time():
     assert machine.store["x"] == A.Int(1)  # last call saw the outer macro
 
 
+def test_a_live_frame_declares_what_its_macro_holds_now():
+    # /m declares q when its frame is pushed; redefined under that frame
+    # it declares z only, so q() falls to the older frame, until the
+    # macro scope ends and /m declares q again
+    source = (
+        "macro /m = { q() = (x = 1) }\n"
+        "((q() = (x = 2)) => (/m => ((macro /m = { z() = true } in q()); y = x; q())))"
+    )
+    outcome, machine = run(source)
+    assert isinstance(outcome, Success)
+    assert (machine.store["y"], machine.store["x"]) == (A.Int(2), A.Int(1))
+
+
+def test_selection_walks_only_the_deciding_frame(monkeypatch):
+    # shallow binding: base() is declared at the bottom of 200 frames,
+    # and only its frame is walked
+    stmt = A.Call("base", ())
+    for i in range(200):
+        stmt = A.Implication(A.Clause(f"p{i}", (), A.TrueStmt()), stmt)
+    stmt = A.Implication(A.Clause("base", (), A.Assign("x", A.IntLit(1))), stmt)
+    walked = []
+    walk_heads = A.walk_heads
+
+    def counting(decl, env, name, *args):
+        if name == "base":
+            walked.append(decl)
+        return walk_heads(decl, env, name, *args)
+
+    monkeypatch.setattr(A, "walk_heads", counting)
+    machine = Machine.initial()
+    assert isinstance(execute(machine, stmt), Success)
+    assert machine.store["x"] == A.Int(1)
+    assert len(walked) == 1
+
+
+def test_the_frame_index_holds_live_frames_only():
+    machine = Machine.initial()
+    outcome = execute(machine, main_of("(p() = q() => (r() = true => p()))"))
+    assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
+    assert machine.module_stack == [] and machine.frame_names == [] and machine.frame_index == {}
+
+
 def test_cyclic_macro_reference_terminates():
     # /loop includes itself; calling with the wrong arity must fail
     # finitely instead of re-expanding forever
@@ -535,3 +580,66 @@ def test_python_stack_overflow_is_depth_exceeded():
     assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
     assert "Python stack" in outcome.detail and outcome.__traceback__ is None
     assert machine.module_stack == [] and machine.call_stack == [] and machine.depth == 0
+
+
+def test_concurrent_deep_runs_keep_the_deep_stack():
+    # The recursion limit and thread stack size are process-wide. A run
+    # that started first ends first, while a later one has yet to recurse;
+    # the later one must keep the deep limits, and the originals come
+    # back once the last run ends.
+    limit, size = sys.getrecursionlimit(), threading.stack_size()
+    shallow_in, deep_in, shallow_done = threading.Event(), threading.Event(), threading.Event()
+    results = {}
+
+    def shallow():
+        shallow_in.set()
+        assert deep_in.wait(timeout=30)
+        return "shallow"
+
+    def deep():
+        deep_in.set()
+        assert shallow_done.wait(timeout=30)
+        outcome, machine = run_source("(Loop(n) = if (n == 0) (done = 1) else Loop(n - 1) => Loop(3000))")
+        return outcome, machine.store.get("done")
+
+    def caller(name, fn):
+        results[name] = call_with_deep_stack(fn)
+        if name == "shallow":
+            shallow_done.set()
+
+    first = threading.Thread(target=caller, args=("shallow", shallow))
+    second = threading.Thread(target=caller, args=("deep", deep))
+    first.start()
+    assert shallow_in.wait(timeout=30)
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert results["shallow"] == "shallow"
+    outcome, done = results["deep"]
+    assert isinstance(outcome, Success) and done == A.Int(1)
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
+
+
+def test_many_concurrent_deep_runs():
+    limit, size = sys.getrecursionlimit(), threading.stack_size()
+    switch = sys.getswitchinterval()
+    results = []
+    source = "(Loop(n) = if (n == 0) (done = 1) else Loop(n - 1) => Loop(1500))"
+
+    def caller():
+        outcome, machine = call_with_deep_stack(run_source, source)
+        results.append(isinstance(outcome, Success) and machine.store.get("done") == A.Int(1))
+
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [True] * 4
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)

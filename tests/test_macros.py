@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 
 from cmod import ast as A
-from cmod.errors import MacroNotDefined
-from cmod.macros import MacroEnv, conj_expand, rename
+from cmod.macros import MacroEnv, rename
+from proggen import MacroNotDefined, conj_expand, lookup
 
 
 def clause(name, body=None):
@@ -17,20 +17,20 @@ def macro(name, body):
 
 def test_define_and_lookup():
     env = MacroEnv().define([macro("p", clause("f"))])
-    assert env.lookup("p") == clause("f")
+    assert lookup(env, "p") == clause("f")
 
 
 def test_most_recent_definition_wins():
     env = MacroEnv().define([macro("p", clause("old"))]).define([macro("p", clause("new"))])
-    assert env.lookup("p") == clause("new")
+    assert lookup(env, "p") == clause("new")
 
 
 def test_shadow_then_pop_restores():
     base = MacroEnv().define([macro("p", clause("old"))])
     shadowed = base.define([macro("p", clause("new"))])
-    assert shadowed.lookup("p") == clause("new")
+    assert lookup(shadowed, "p") == clause("new")
     assert shadowed.pop_frame() == base
-    assert shadowed.pop_frame().lookup("p") == clause("old")
+    assert lookup(shadowed.pop_frame(), "p") == clause("old")
 
 
 def test_empty_frame_define_keeps_defs():
@@ -42,18 +42,18 @@ def test_empty_frame_define_keeps_defs():
 
 def test_lookup_missing_raises():
     with pytest.raises(MacroNotDefined):
-        MacroEnv().lookup("p")
+        lookup(MacroEnv(), "p")
     assert MacroEnv().find("p") is None
 
 
 def test_within_one_group_later_definitions_shadow():
     env = MacroEnv().define([macro("p", clause("a")), macro("p", clause("b"))])
-    assert env.lookup("p") == clause("b")
+    assert lookup(env, "p") == clause("b")
 
 
 def test_seeded_environment_has_no_frames():
     env = MacroEnv.seeded([macro("p", clause("a")), macro("p", clause("b"))])
-    assert env.lookup("p") == clause("b")
+    assert lookup(env, "p") == clause("b")
     with pytest.raises(RuntimeError):
         env.pop_frame()
 

@@ -325,3 +325,31 @@ def test_ren_declaration_after_semicolon():
         A.Assign("x", A.IntLit(1)),
         A.Implication(A.Rename("p", "q", A.Clause("p", (), A.TrueStmt())), A.Call("q", ())),
     )
+
+
+@pytest.mark.parametrize(
+    "source, column",
+    [
+        ("p((a)) = print(a) => p(1)", 3),
+        ("(p((a)) = true) => p(1)", 4),
+        ("p(a, (b)) = print(b) => p(1, 2)", 6),
+        ("p(1) = true => p(1)", 3),
+        ("p(a + 1) = true => p(1)", 3),
+    ],
+    ids=["statement-head", "group-head", "second-formal", "literal", "expression"],
+)
+def test_formals_are_bare_identifiers(source, column):
+    # formals in docs/grammar.ebnf are identifiers, wherever the head is
+    with pytest.raises(ParseError) as info:
+        parse_source(source)
+    assert (info.value.expected, info.value.column) == ("formal parameter", column)
+
+
+def test_parenthesised_formal_is_a_syntax_error_in_cmod_run(tmp_path, capsys):
+    from cmod.cli import main
+
+    path = tmp_path / "prog.cmod"
+    path.write_text("p((a)) = print(a) => p(1)\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected formal parameter" in captured.err
