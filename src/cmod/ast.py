@@ -2,8 +2,11 @@
 
 Statements are the executable trees, declarations are procedure-clause
 trees (module bodies), and macro definitions bind names to declarations.
-Every node is a frozen dataclass holding tuples, so trees are immutable
-and freely shareable after construction.
+A runtime value is also an expression leaf, its own literal: the parser
+builds ``Int(5)`` for ``5``, and instantiation puts the value itself in
+place of a variable. ``/m => G`` is an Implication whose declaration is
+``MacroRef("m")``. Every node is a frozen dataclass holding tuples, so
+trees are immutable and freely shareable after construction.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from operator import is_
 from typing import Union
 
 # ---------------------------------------------------------------------------
-# Runtime values
+# Runtime values, each also an expression: its own literal
 # ---------------------------------------------------------------------------
 
 
@@ -40,11 +43,6 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Unit:
-    pass
-
-
-@dataclass(frozen=True)
 class Handle:
     """Reference to a region; the generation pair detects dangling use."""
 
@@ -52,9 +50,8 @@ class Handle:
     generation: int
 
 
-UNIT = Unit()
-
-Value = Union[Int, Bool, Str, Atom, Unit, Handle]
+VALUE_TYPES = (Int, Bool, Str, Atom, Handle)
+Value = Union[VALUE_TYPES]
 
 
 def render_value(value: Value) -> str:
@@ -66,34 +63,12 @@ def render_value(value: Value) -> str:
         return value.value
     if isinstance(value, Atom):
         return value.name
-    if isinstance(value, Handle):
-        return f"<region {value.region_id}:{value.generation}>"
-    return "unit"
+    return f"<region {value.region_id}:{value.generation}>"
 
 
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
-
-
-@dataclass(frozen=True)
-class StrLit:
-    value: str
-
-
-@dataclass(frozen=True)
-class AtomLit:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -125,34 +100,7 @@ class Index:
     index: "Expression"
 
 
-@dataclass(frozen=True)
-class Quoted:
-    """An already-computed value embedded in syntax by instantiation."""
-
-    value: Value
-
-
-Expression = Union[IntLit, BoolLit, StrLit, AtomLit, Var, BinOp, UnaryOp, Index, Quoted]
-
-
-# The literal expression class of each value class that has one; both
-# hold the same single field, named first in their __match_args__.
-_LITERAL_OF = {Int: IntLit, Bool: BoolLit, Str: StrLit, Atom: AtomLit}
-_VALUE_OF = {literal: value for value, literal in _LITERAL_OF.items()}
-
-
-def literal_of(value: Value) -> Expression:
-    """The expression form of a runtime value, used by instantiation."""
-    literal = _LITERAL_OF.get(type(value))
-    return Quoted(value) if literal is None else literal(getattr(value, value.__match_args__[0]))
-
-
-def literal_value(expr: Expression) -> Value | None:
-    """The value of a literal expression, or None if expr is not a literal."""
-    if type(expr) is Quoted:
-        return expr.value
-    value = _VALUE_OF.get(type(expr))
-    return None if value is None else value(getattr(expr, expr.__match_args__[0]))
+Expression = Union[Value, Var, BinOp, UnaryOp, Index]
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +146,10 @@ class Seq:
 
 @dataclass(frozen=True)
 class Implication:
-    """``D => G``: run body with decl pushed as the most recent module."""
+    """``D => G``: run body with decl pushed as the most recent module;
+    ``/n => G`` is the one whose decl is ``MacroRef(n)``."""
 
     decl: "Declaration"
-    body: "Statement"
-
-
-@dataclass(frozen=True)
-class ModuleImplication:
-    """``/n => G``: like Implication, with the module looked up by name."""
-
-    name: str
     body: "Statement"
 
 
@@ -256,7 +197,6 @@ Statement = Union[
     StoreIndex,
     Seq,
     Implication,
-    ModuleImplication,
     MacroScope,
     AllocScope,
     If,
@@ -270,7 +210,7 @@ class Clause:
     """One procedure declaration ``name(params) = body``.
 
     Parser output has distinct variable names as params; instantiation
-    replaces them with literals, so a fully instantiated head is matchable
+    replaces them with values, so a fully instantiated head is matchable
     against evaluated call arguments.
     """
 
@@ -333,7 +273,6 @@ CHILD_FIELDS: dict[type, tuple[tuple[int, int], ...]] = {
     StoreIndex: ((0, NODE), (1, NODE), (2, NODE)),  # base, index, value
     Seq: ((0, NODE), (1, NODE)),  # first, second
     Implication: ((0, NODE), (1, NODE)),  # decl, body
-    ModuleImplication: ((1, NODE),),  # body
     MacroScope: ((0, NODES), (1, NODE)),  # defs, body
     AllocScope: ((2, NODE), (3, NODE)),  # length, body
     If: ((0, NODE), (1, NODE), (2, NODE)),  # cond, then, orelse
@@ -387,14 +326,14 @@ def desugar(stmt: Statement) -> Statement:
     """Rewrite every Switch into a chain of If nodes.
 
     Each case becomes an equality test of the scrutinee against the case
-    label, ending in the default branch; all other nodes are preserved
-    structurally (including inside declarations), so any node may be
-    passed. Idempotent.
+    label, a value and so its own literal, ending in the default branch;
+    all other nodes are preserved structurally (including inside
+    declarations), so any node may be passed. Idempotent.
     """
     if isinstance(stmt, Switch):
         result = desugar(stmt.default)
         for label, body in reversed(stmt.cases):
-            test = BinOp("==", stmt.scrutinee, literal_of(label))
+            test = BinOp("==", stmt.scrutinee, label)
             result = If(test, desugar(body), result)
         return result
     return map_children(stmt, desugar)

@@ -1,10 +1,11 @@
 """Command-line front end: run programs, the interactive REPL, and the
 formatter.
 
-Exit codes: 0 success, 1 no matching clause, 2 lex/parse error, 3 other
-runtime faults (unbound variable, region fault, depth exceeded, type
-mismatch, division by zero) and internal errors. Program output goes to
-stdout; diagnostics and the derivation trace go to stderr.
+Exit codes: 0 success, 1 no matching clause, 2 lex/parse error or a
+file that cannot be read or decoded, 3 other runtime faults (unbound
+variable, region fault, depth exceeded, type mismatch, division by zero)
+and internal errors. Program output goes to stdout; diagnostics and the
+derivation trace go to stderr.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
             return _cmd_repl(args)
         try:
             source = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cmod: cannot read {args.file}: {exc}", file=sys.stderr)
             return EXIT_SYNTAX
         if args.command == "run":

@@ -152,17 +152,16 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         _execute(machine, stmt.second, depth + 1, env)
         return
 
-    if isinstance(stmt, (ast.Implication, ast.ModuleImplication)):
+    if isinstance(stmt, ast.Implication):
         _emit_ex(machine, depth, stmt, 11)
-        if isinstance(stmt, ast.Implication):
-            frame = _instantiate(stmt.decl, (), env)
-        elif machine.macro_env.find(stmt.name) is None:
+        frame = stmt.decl
+        if type(frame) is not ast.MacroRef:  # a macro reference has no variables
+            frame = _instantiate(frame, (), env)
+        elif machine.macro_env.find(frame.name) is None:
             raise EngineFailure(
                 NO_MATCHING_CLAUSE,
-                f"module or macro '/{stmt.name}' is not defined",
+                f"module or macro '/{frame.name}' is not defined",
             )
-        else:
-            frame = ast.MacroRef(stmt.name)
         _push(machine, (frame,))
         try:
             _execute(machine, stmt.body, depth + 1, env)
@@ -258,9 +257,8 @@ def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
     active where it was raised.
     """
     machine.call_stack.append(call)
-    machine.depth += 1
     try:
-        if machine.depth > machine.max_depth:
+        if len(machine.call_stack) > machine.max_depth:
             raise EngineFailure(
                 DEPTH_EXCEEDED,
                 f"call depth exceeded the limit of {machine.max_depth}",
@@ -272,7 +270,6 @@ def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
             failure.call_chain = tuple(machine.call_stack)
         raise
     finally:
-        machine.depth -= 1
         machine.call_stack.pop()
 
 
@@ -337,10 +334,7 @@ def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) ->
     if len(clause.params) != len(actuals):
         return False
     for param, actual in zip(clause.params, actuals):
-        if isinstance(param, ast.Var):
-            value = values.get(param.name)
-        else:
-            value = ast.literal_value(param)
+        value = values.get(param.name) if isinstance(param, ast.Var) else param
         if value is None or value != actual:
             return False
     return True
@@ -408,18 +402,16 @@ def _deciding_frame(machine: Machine, name: str) -> ast.Declaration | None:
 
 
 def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declaration:
-    """decl with every free occurrence of var replaced by the literal of
-    value, in clause heads and in expressions within bodies.
+    """decl with every free occurrence of var replaced by value, its own
+    literal, in clause heads and in expressions within bodies.
 
     Inner binders of the same name (a quantifier or an allocation handle)
     shadow the substitution; assignment targets are name bindings, not
     expression occurrences, and stay untouched.
     """
-    literal = ast.literal_of(value)
-
     def subst(node):
         if type(node) is ast.Var:
-            return literal if node.name == var else node
+            return value if node.name == var else node
         if type(node) is ast.Forall and node.var == var:
             return node
         if type(node) is ast.AllocScope and node.handle == var:
@@ -437,17 +429,9 @@ def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declara
 
 def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.Value:
     """The value of expr; a variable is looked up in env (the activation
-    environment), then in the store."""
-    if isinstance(expr, ast.IntLit):
-        return ast.Int(expr.value)
-    if isinstance(expr, ast.BoolLit):
-        return ast.Bool(expr.value)
-    if isinstance(expr, ast.StrLit):
-        return ast.Str(expr.value)
-    if isinstance(expr, ast.AtomLit):
-        return ast.Atom(expr.name)
-    if isinstance(expr, ast.Quoted):
-        return expr.value
+    environment), then in the store. A value is its own literal."""
+    if isinstance(expr, ast.VALUE_TYPES):
+        return expr
 
     if isinstance(expr, ast.Var):
         value = env.get(expr.name)

@@ -5,6 +5,7 @@ Source files are UTF-8; ``%`` starts a comment running to end of line.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import LexError
@@ -58,6 +59,8 @@ def tokenize(source: str) -> list[Token]:
     line, col = 1, 1
     i = 0
     n = len(source)
+    # the longest literal int() converts; 0 when there is no such limit
+    max_digits = getattr(sys, "get_int_max_str_digits", int)()
 
     while i < n:
         ch = source[i]
@@ -89,10 +92,12 @@ def tokenize(source: str) -> list[Token]:
             i = j
             continue
 
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: int() would read other scripts' digits
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
+            if max_digits and j - i > max_digits:
+                raise LexError(start_line, start_col, ch, f"integer literal longer than {max_digits} digits")
             tokens.append(Token("int", source[i:j], start_line, start_col))
             col += j - i
             i = j

@@ -22,7 +22,6 @@ class Machine:
     store: dict[str, ast.Value] = field(default_factory=dict)
     regions: RegionStack = field(default_factory=RegionStack)
     output: list[str] = field(default_factory=list)
-    depth: int = 0
     max_depth: int = DEFAULT_MAX_DEPTH
     trace: Optional[Callable] = None
     call_stack: list = field(default_factory=list)

@@ -3,8 +3,8 @@
 Concrete syntax notes:
 
 * ``D => G`` is the implication statement; ``/n => G`` and ``Name => G``
-  are module implications; ``p = new int[E] => G`` is the allocation
-  scope.
+  are module implications, implications whose declaration is the macro
+  reference ``/n``; ``p = new int[E] => G`` is the allocation scope.
 * In statement position the first tokens decide, in one pass, between a
   statement and a declaration: ``forall``, ``ren`` and ``/`` start a
   declaration, ``IDENT(args) =`` is a clause, and a parenthesised group
@@ -193,12 +193,7 @@ class _Parser:
 
     def _parse_implication(self, decl: ast.Declaration) -> ast.Statement:
         self._expect("=>")
-        body = self.parse_statement()
-        # A bare macro reference before the arrow is the module
-        # implication form, whether or not it is parenthesized.
-        if isinstance(decl, ast.MacroRef):
-            return ast.ModuleImplication(decl.name, body)
-        return ast.Implication(decl, body)
+        return ast.Implication(decl, self.parse_statement())
 
     def _parse_unit(self) -> ast.Statement | ast.Declaration:
         """A statement, or the first unit of an implication's declaration,
@@ -246,7 +241,7 @@ class _Parser:
         name = name_tok.lexeme
 
         if self._accept("=>"):
-            return ast.ModuleImplication(name, self.parse_statement())
+            return ast.Implication(ast.MacroRef(name), self.parse_statement())
 
         if self._accept("="):
             if self._check("new"):
@@ -465,16 +460,16 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "int":
             self._advance()
-            return ast.IntLit(int(tok.lexeme))
+            return ast.Int(int(tok.lexeme))
         if tok.kind == "string":
             self._advance()
-            return ast.StrLit(tok.lexeme)
+            return ast.Str(tok.lexeme)
         if self._check("true"):
             self._advance()
-            return ast.BoolLit(True)
+            return ast.Bool(True)
         if self._check("false"):
             self._advance()
-            return ast.BoolLit(False)
+            return ast.Bool(False)
         if tok.kind == "ident":
             self._advance()
             return ast.Var(tok.lexeme)

@@ -39,18 +39,12 @@ def pretty_print(program: SourceProgram) -> str:
 
 
 def format_expression(expr: ast.Expression, min_prec: int = 0) -> str:
-    if isinstance(expr, ast.IntLit):
-        return str(expr.value)
-    if isinstance(expr, ast.BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, ast.StrLit):
-        return '"' + "".join(_ESCAPES.get(c, c) for c in expr.value) + '"'
-    if isinstance(expr, ast.AtomLit):
-        return expr.name
     if isinstance(expr, ast.Var):
         return expr.name
-    if isinstance(expr, ast.Quoted):
-        return ast.render_value(expr.value)
+    if isinstance(expr, ast.Str):
+        return '"' + "".join(_ESCAPES.get(c, c) for c in expr.value) + '"'
+    if isinstance(expr, ast.VALUE_TYPES):
+        return ast.render_value(expr)
     if isinstance(expr, ast.Index):
         return f"{format_expression(expr.base, 7)}[{format_expression(expr.index)}]"
     if isinstance(expr, ast.UnaryOp):
@@ -93,8 +87,6 @@ def format_statement(stmt: ast.Statement, indent: int = 0, compact: bool = False
         decl = format_declaration(stmt.decl, indent + 1, compact)
         body = format_statement(stmt.body, indent + 2, compact)
         return f"({decl} =>{nl2}{body})"
-    if isinstance(stmt, ast.ModuleImplication):
-        return f"(/{stmt.name} =>{nl2}{format_statement(stmt.body, indent + 2, compact)})"
     if isinstance(stmt, ast.MacroScope):
         defs = " and ".join(
             f"/{d.name} = {{{nl2}{format_declaration(d.body, indent + 2, compact)}{nl}}}"

@@ -37,7 +37,7 @@ def shadowing_case(rng: random.Random) -> tuple[A.Statement, int]:
     depth = rng.randint(2, 4)
     body: A.Statement = A.Call("probe", ())
     for level in range(depth - 1, -1, -1):
-        decl: A.Declaration = A.Clause("probe", (), A.Assign("hit", A.IntLit(level)))
+        decl: A.Declaration = A.Clause("probe", (), A.Assign("hit", A.Int(level)))
         if rng.random() < 0.5:
             noise = A.Clause(f"noise{level}", (), A.TrueStmt())
             decl = A.And(noise, decl) if rng.random() < 0.5 else A.And(decl, noise)
@@ -56,8 +56,8 @@ def balanced_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement, li
     counter = [0]
     assigned: list[str] = []
     seeds = [
-        A.MacroDef("M1", closed_clause("mproc1", (), A.Assign("m1", A.IntLit(1)))),
-        A.MacroDef("M2", closed_clause("mproc2", (), A.Assign("m2", A.IntLit(2)))),
+        A.MacroDef("M1", closed_clause("mproc1", (), A.Assign("m1", A.Int(1)))),
+        A.MacroDef("M2", closed_clause("mproc2", (), A.Assign("m2", A.Int(2)))),
     ]
 
     def fresh(prefix: str) -> str:
@@ -68,7 +68,7 @@ def balanced_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement, li
         if budget <= 0:
             var = fresh("v")
             assigned.append(var)
-            return A.Assign(var, A.IntLit(rng.randint(0, 9)))
+            return A.Assign(var, A.Int(rng.randint(0, 9)))
         kind = rng.randrange(6)
         if kind == 0:
             return A.Seq(build(budget - 1), build(budget - 1))
@@ -76,31 +76,31 @@ def balanced_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement, li
             var = fresh("v")
             assigned.append(var)
             proc = fresh("p")
-            decl = A.Clause(proc, (), A.Assign(var, A.IntLit(rng.randint(0, 9))))
+            decl = A.Clause(proc, (), A.Assign(var, A.Int(rng.randint(0, 9))))
             return A.Implication(decl, A.Seq(A.Call(proc, ()), build(budget - 1)))
         if kind == 2:
             name = rng.choice(["M1", "M2"])
             proc = "mproc1" if name == "M1" else "mproc2"
             assigned.append("m1" if name == "M1" else "m2")
-            return A.ModuleImplication(name, A.Seq(A.Call(proc, ()), build(budget - 1)))
+            return A.Implication(A.MacroRef(name), A.Seq(A.Call(proc, ()), build(budget - 1)))
         if kind == 3:
             var = fresh("v")
             assigned.append(var)
             macro = fresh("mac")
             proc = fresh("p")
-            defs = (A.MacroDef(macro, closed_clause(proc, (), A.Assign(var, A.IntLit(3)))),)
+            defs = (A.MacroDef(macro, closed_clause(proc, (), A.Assign(var, A.Int(3)))),)
             return A.MacroScope(defs, A.Seq(A.Call(proc, ()), build(budget - 1)))
         if kind == 4:
             handle = fresh("h")
             length = rng.randint(1, 4)
             inner = A.Seq(
-                A.StoreIndex(A.Var(handle), A.IntLit(rng.randrange(length)), A.IntLit(7)),
+                A.StoreIndex(A.Var(handle), A.Int(rng.randrange(length)), A.Int(7)),
                 build(budget - 1),
             )
-            return A.AllocScope(handle, "int", A.IntLit(length), inner)
+            return A.AllocScope(handle, "int", A.Int(length), inner)
         var = fresh("v")
         assigned.append(var)
-        return A.Seq(A.Assign(var, A.IntLit(rng.randint(0, 9))), build(budget - 1))
+        return A.Seq(A.Assign(var, A.Int(rng.randint(0, 9))), build(budget - 1))
 
     return seeds, build(rng.randint(2, 4)), assigned
 
@@ -151,7 +151,7 @@ class ScopeBalanceChecker:
 CLOSURE_SEEDS = [
     A.MacroDef(
         "gm",
-        A.And(A.Clause("gq", (), A.Print(A.IntLit(0))), A.Clause("gk", (), A.Assign("gk_ran", A.IntLit(1)))),
+        A.And(A.Clause("gq", (), A.Print(A.Int(0))), A.Clause("gk", (), A.Assign("gk_ran", A.Int(1)))),
     )
 ]
 
@@ -172,14 +172,14 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
         kind = rng.randrange(7)
         if kind == 0:  # a pushed declaration captures v; r calls it from outside
             pushed = closed_clause("rq", ("w",), A.Print(A.BinOp("+", A.Var(v), A.Var("w"))))
-            return A.Implication(pushed, A.Seq(A.Call("rq", (A.IntLit(i),)), A.Call("r", ())))
+            return A.Implication(pushed, A.Seq(A.Call("rq", (A.Int(i),)), A.Call("r", ())))
         if kind == 1:  # a macro defined in the body captures v
             defs = (A.MacroDef(f"m{i}", closed_clause(f"mq{i}", (), A.Print(A.Var(v)))),)
-            return A.MacroScope(defs, A.ModuleImplication(f"m{i}", A.Call(f"mq{i}", ())))
+            return A.MacroScope(defs, A.Implication(A.MacroRef(f"m{i}"), A.Call(f"mq{i}", ())))
         if kind == 2:  # the handle hides v in the body, not in the length
             body = fold_seq([
-                A.StoreIndex(A.Var(v), A.IntLit(0), A.IntLit(7)),
-                A.Print(A.Index(A.Var(v), A.IntLit(0))),
+                A.StoreIndex(A.Var(v), A.Int(0), A.Int(7)),
+                A.Print(A.Index(A.Var(v), A.Int(0))),
                 A.Print(A.Var(v)),
             ])
             return A.AllocScope(v, "int", A.Var(v), body)
@@ -187,9 +187,9 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
             inner = A.Forall(v, A.Clause(f"fq{i}", (), A.Print(A.Var(v))))
             return A.Implication(inner, A.Call(f"fq{i}", ()))
         if kind == 4:  # the store gets the assignment, reads still see v
-            return A.Seq(A.Assign(v, A.BinOp("+", A.Var(v), A.IntLit(10))), A.Print(A.Var(v)))
+            return A.Seq(A.Assign(v, A.BinOp("+", A.Var(v), A.Int(10))), A.Print(A.Var(v)))
         if kind == 5:  # a switch over v
-            cases = ((A.Int(1), A.Print(A.AtomLit("one"))), (A.Int(2), A.Assign(f"o{i}", A.Var(v))))
+            cases = ((A.Int(1), A.Print(A.Atom("one"))), (A.Int(2), A.Assign(f"o{i}", A.Var(v))))
             return A.Switch(A.Var(v), cases, A.Print(A.Var(v)))
         if kind == 6:  # /gm redefined under a frame that refers to it
             if rng.random() < 0.5:
@@ -197,18 +197,18 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
             else:
                 new = A.Clause("gz", (), A.TrueStmt())
             inner = A.MacroScope((A.MacroDef("gm", new),), A.Call(rng.choice(["gq", "gk"]), ()))
-            return A.ModuleImplication("gm", A.Seq(inner, A.Call(rng.choice(["gq", "gk"]), ())))
+            return A.Implication(A.MacroRef("gm"), A.Seq(inner, A.Call(rng.choice(["gq", "gk"]), ())))
 
     parts = [fragment(i, rng.choice(formals)) for i in range(rng.randint(1, 4))]
     if rng.random() < 0.5:  # one recursive call, so activations nest
         v = rng.choice(formals)
-        args = tuple(A.BinOp("-", A.Var(f), A.IntLit(1)) if f == v else A.Var(f) for f in formals)
-        recurse = A.If(A.BinOp(">", A.Var(v), A.IntLit(0)), A.Call("p", args), A.TrueStmt())
+        args = tuple(A.BinOp("-", A.Var(f), A.Int(1)) if f == v else A.Var(f) for f in formals)
+        recurse = A.If(A.BinOp(">", A.Var(v), A.Int(0)), A.Call("p", args), A.TrueStmt())
         parts.insert(rng.randint(0, len(parts)), recurse)
     body = fold_seq(parts)
     outer = A.And(
-        A.Clause("r", (), A.Call("rq", (A.IntLit(0),))),
-        A.Clause("gk", (), A.Assign("gk_outer", A.IntLit(1))),
+        A.Clause("r", (), A.Call("rq", (A.Int(0),))),
+        A.Clause("gk", (), A.Assign("gk_outer", A.Int(1))),
     )
     frame: A.Declaration = A.And(closed_clause("p", formals, body), outer)
     name = "p"
@@ -217,8 +217,8 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
     calls: list[A.Statement] = []
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.3:
-            calls.append(A.Assign(rng.choice(formals), A.IntLit(9)))
-        calls.append(A.Call(name, tuple(A.IntLit(rng.randint(0, 3)) for _ in formals)))
+            calls.append(A.Assign(rng.choice(formals), A.Int(9)))
+        calls.append(A.Call(name, tuple(A.Int(rng.randint(0, 3)) for _ in formals)))
     return CLOSURE_SEEDS, A.Implication(frame, fold_seq(calls))
 
 
@@ -240,7 +240,7 @@ def region_case(rng: random.Random) -> tuple[A.Statement, bool]:
         handle = f"h{level}"
         length = rng.randint(1, 4)
         parts: list[A.Statement] = [
-            A.StoreIndex(A.Var(handle), A.IntLit(rng.randrange(length)), A.IntLit(rng.randint(0, 9)))
+            A.StoreIndex(A.Var(handle), A.Int(rng.randrange(length)), A.Int(rng.randint(0, 9)))
         ]
         if rng.random() < 0.8:
             alias = f"q{level}"
@@ -248,16 +248,16 @@ def region_case(rng: random.Random) -> tuple[A.Statement, bool]:
             parts.append(A.Assign(alias, A.Var(handle)))
         if level > 0 and rng.random() < 0.5:
             # the outer region stays accessible inside the inner scope
-            parts.append(A.Assign(f"peek{level}", A.Index(A.Var("h0"), A.IntLit(0))))
+            parts.append(A.Assign(f"peek{level}", A.Index(A.Var("h0"), A.Int(0))))
         parts.append(build(level + 1))
-        parts.append(A.Assign(f"r{level}", A.Index(A.Var(handle), A.IntLit(rng.randrange(length)))))
-        return A.AllocScope(handle, "int", A.IntLit(length), fold_seq(parts))
+        parts.append(A.Assign(f"r{level}", A.Index(A.Var(handle), A.Int(rng.randrange(length)))))
+        return A.AllocScope(handle, "int", A.Int(length), fold_seq(parts))
 
     stmt = build(0)
     dangle = bool(escaped) and rng.random() < 0.6
     if dangle:
         alias = rng.choice(escaped)
-        stmt = A.Seq(stmt, A.Assign("out", A.Index(A.Var(alias), A.IntLit(0))))
+        stmt = A.Seq(stmt, A.Assign("out", A.Index(A.Var(alias), A.Int(0))))
     return stmt, dangle
 
 
@@ -352,8 +352,6 @@ def inline_macros(program: SourceProgram) -> A.Statement:
     def walk(node, env: MacroEnv):
         if isinstance(node, A.Implication):
             return A.Implication(expand_decl(node.decl, env), walk(node.body, env))
-        if isinstance(node, A.ModuleImplication):
-            return A.Implication(expand_decl(lookup(env, node.name), env), walk(node.body, env))
         if isinstance(node, A.MacroScope):
             inner_env = env.define(node.defs)
             result = walk(node.body, inner_env)
@@ -380,12 +378,12 @@ def macro_equivalence_case(rng: random.Random) -> SourceProgram:
     def clause_body() -> A.Statement:
         roll = rng.random()
         if roll < 0.5:
-            return A.Assign(fresh("v"), A.IntLit(rng.randint(0, 9)))
+            return A.Assign(fresh("v"), A.Int(rng.randint(0, 9)))
         if roll < 0.7:
-            return A.Print(A.IntLit(rng.randint(0, 9)))
+            return A.Print(A.Int(rng.randint(0, 9)))
         if roll < 0.9:
             return A.Call(rng.choice(procs + ["ghost"]), ())
-        return A.Seq(A.Assign(fresh("v"), A.IntLit(1)), A.Call(rng.choice(procs), ()))
+        return A.Seq(A.Assign(fresh("v"), A.Int(1)), A.Call(rng.choice(procs), ()))
 
     def macro_body(visible: list[str]) -> A.Declaration:
         leaves: list[A.Declaration] = [
@@ -410,12 +408,12 @@ def macro_equivalence_case(rng: random.Random) -> SourceProgram:
         if budget <= 0:
             if rng.random() < 0.5:
                 return A.Call(rng.choice(procs + ["ghost"]), ())
-            return A.Assign(fresh("v"), A.IntLit(3))
+            return A.Assign(fresh("v"), A.Int(3))
         kind = rng.randrange(5)
         if kind == 0:
             return A.Seq(stmt(budget - 1, visible), stmt(budget - 1, visible))
         if kind == 1:
-            return A.ModuleImplication(rng.choice(visible), stmt(budget - 1, visible))
+            return A.Implication(A.MacroRef(rng.choice(visible)), stmt(budget - 1, visible))
         if kind == 2:
             name = fresh("m")
             scoped = A.MacroDef(name, macro_body(visible))

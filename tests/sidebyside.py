@@ -28,8 +28,6 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-sys.dont_write_bytecode = True
-
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 GENERATED_MAX_DEPTH = 64  # generated programs may recurse without end
@@ -47,12 +45,29 @@ def encode(node):
 
 
 def decode(data):
+    """The tree encode gave data for, built from this process's cmod.ast."""
     from cmod import ast
 
-    if not isinstance(data, list):
-        return data
-    items = [decode(item) for item in data[1:]]
-    return tuple(items) if data[0] == "()" else getattr(ast, data[0])(*items)
+    def build(data):
+        if not isinstance(data, list):
+            return data
+        items = [build(item) for item in data[1:]]
+        return tuple(items) if data[0] == "()" else getattr(ast, data[0])(*items)
+
+    tree = build(data)
+    return _to_literal_classes(ast, tree) if hasattr(ast, "literal_of") else tree
+
+
+def _to_literal_classes(ast, node):
+    """node for a cmod that predates values as their own literals: a value
+    in expression position becomes its literal node (map_children skips
+    Switch labels, which stay values), and an implication over a macro
+    reference becomes a ModuleImplication."""
+    if type(node) is ast.Implication and type(node.decl) is ast.MacroRef:
+        return ast.ModuleImplication(node.decl.name, _to_literal_classes(ast, node.body))
+    if isinstance(node, (ast.Int, ast.Bool, ast.Str, ast.Atom, ast.Handle)):
+        return ast.literal_of(node)
+    return ast.map_children(node, lambda child: _to_literal_classes(ast, child))
 
 
 def observe(program, max_depth: int, traced: bool) -> tuple[str, str, str, str]:
@@ -128,6 +143,7 @@ def run_tree(src: Path, inputs_path: Path) -> list[list[str]]:
 
 
 def main(argv=None) -> int:
+    sys.dont_write_bytecode = True
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", help="git ref of the base commit")
     parser.add_argument("--rounds", type=int, default=400, help="programs per generator family")

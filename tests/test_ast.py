@@ -13,28 +13,28 @@ def emp_switch():
     return A.Switch(
         A.Var("emp"),
         (
-            (A.Atom("tom"), A.Assign("age", A.IntLit(31))),
-            (A.Atom("kim"), A.Assign("age", A.IntLit(40))),
+            (A.Atom("tom"), A.Assign("age", A.Int(31))),
+            (A.Atom("kim"), A.Assign("age", A.Int(40))),
         ),
-        A.Assign("age", A.IntLit(0)),
+        A.Assign("age", A.Int(0)),
     )
 
 
 def test_desugar_switch_to_if_chain():
     result = A.desugar(emp_switch())
     assert result == A.If(
-        A.BinOp("==", A.Var("emp"), A.AtomLit("tom")),
-        A.Assign("age", A.IntLit(31)),
+        A.BinOp("==", A.Var("emp"), A.Atom("tom")),
+        A.Assign("age", A.Int(31)),
         A.If(
-            A.BinOp("==", A.Var("emp"), A.AtomLit("kim")),
-            A.Assign("age", A.IntLit(40)),
-            A.Assign("age", A.IntLit(0)),
+            A.BinOp("==", A.Var("emp"), A.Atom("kim")),
+            A.Assign("age", A.Int(40)),
+            A.Assign("age", A.Int(0)),
         ),
     )
 
 
 def test_desugar_keeps_if_nodes():
-    stmt = A.If(A.Var("c"), A.Assign("x", A.IntLit(1)), A.Assign("x", A.IntLit(2)))
+    stmt = A.If(A.Var("c"), A.Assign("x", A.Int(1)), A.Assign("x", A.Int(2)))
     assert A.desugar(stmt) == stmt
 
 
@@ -80,26 +80,26 @@ def test_map_children_shares_a_node_whose_children_are_unchanged():
     tree = A.Seq(A.Call("p", (A.Var("x"),)), emp_switch())
     assert A.map_children(tree, lambda child: child) is tree
     assert A.map_children(emp_switch(), lambda child: child) == emp_switch()
-    assert A.map_children(A.Var("x"), lambda child: A.IntLit(1)) == A.Var("x")
+    assert A.map_children(A.Var("x"), lambda child: A.Int(1)) == A.Var("x")
 
 
 def test_map_children_rebuilds_only_the_changed_path():
-    call = A.Call("p", (A.Var("x"), A.IntLit(2)))
+    call = A.Call("p", (A.Var("x"), A.Int(2)))
     kept = A.Print(A.Var("y"))
     tree = A.Seq(call, kept)
 
     def swap(node):
-        return A.IntLit(1) if node == A.Var("x") else A.map_children(node, swap)
+        return A.Int(1) if node == A.Var("x") else A.map_children(node, swap)
 
     result = A.map_children(tree, swap)
-    assert result == A.Seq(A.Call("p", (A.IntLit(1), A.IntLit(2))), kept)
+    assert result == A.Seq(A.Call("p", (A.Int(1), A.Int(2))), kept)
     assert result.second is kept and result.first.args[1] is call.args[1]
 
 
 def test_map_children_maps_switch_case_bodies_not_labels():
     seen = []
     result = A.map_children(emp_switch(), lambda child: seen.append(child) or A.TrueStmt())
-    bodies = [A.Assign("age", A.IntLit(n)) for n in (31, 40, 0)]
+    bodies = [A.Assign("age", A.Int(n)) for n in (31, 40, 0)]
     assert seen == [A.Var("emp")] + bodies
     assert result.cases == ((A.Atom("tom"), A.TrueStmt()), (A.Atom("kim"), A.TrueStmt()))
 

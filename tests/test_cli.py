@@ -63,6 +63,30 @@ def test_run_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "fmt"])
+def test_source_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin1.cmod"
+    path.write_bytes('print("caf\u00e9")'.encode("latin-1"))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"cmod: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
+# superscript two, Arabic-Indic twelve, and a literal longer than int()
+# converts (4,300 digits by default)
+BAD_INTEGERS = ["x = \u00b2", "x = \u0661\u0662", "x = " + "1" * 5000]
+
+
+@pytest.mark.parametrize("source", BAD_INTEGERS, ids=["superscript", "arabic-indic", "overlong"])
+def test_a_bad_integer_literal_is_a_syntax_error_exit_2(tmp_path, capsys, source):
+    code = main(["run", write(tmp_path, source)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("cmod: syntax error: 1:5: ")
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -187,6 +211,14 @@ def test_repl_error_does_not_kill_the_session(monkeypatch, capsys):
     code, captured = repl(monkeypatch, capsys, ["p()", "x = 2", ":store", ":quit"])
     assert code == 0
     assert "no matching clause: p/0" in captured.out
+    assert "x = 2" in captured.out
+
+
+@pytest.mark.parametrize("source", BAD_INTEGERS, ids=["superscript", "arabic-indic", "overlong"])
+def test_repl_bad_integer_literal_is_a_syntax_error_not_the_end(monkeypatch, capsys, source):
+    code, captured = repl(monkeypatch, capsys, [source, "x = 2", ":store", ":quit"])
+    assert code == 0
+    assert "syntax error: 1:5: " in captured.out
     assert "x = 2" in captured.out
 
 

@@ -50,7 +50,7 @@ def test_true_is_always_a_success():
 def test_assignment_replaces_the_binding():
     machine = Machine.initial()
     machine.store["x"] = A.Int(1)
-    execute(machine, A.Assign("x", A.IntLit(2)))
+    execute(machine, A.Assign("x", A.Int(2)))
     assert machine.store == {"x": A.Int(2)}
 
 
@@ -115,6 +115,15 @@ def test_unbound_module_name_fails():
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
 
 
+def test_an_implication_over_an_undefined_macro_fails_up_front():
+    # built directly, as a library caller would; the body must not run
+    machine = Machine.initial()
+    outcome = execute(machine, A.Implication(A.MacroRef("nope"), A.Assign("x", A.Int(1))))
+    assert isinstance(outcome, Failure)
+    assert (outcome.reason, outcome.detail) == (NO_MATCHING_CLAUSE, "module or macro '/nope' is not defined")
+    assert machine.store == {} and machine.module_stack == []
+
+
 def test_if_condition_must_be_boolean():
     outcome, _ = run("if (1) true else true")
     assert isinstance(outcome, Failure) and outcome.reason == TYPE_MISMATCH
@@ -150,8 +159,8 @@ def test_execute_accepts_an_undesugared_switch():
 
 def test_resolve_call_picks_the_top_declaring_frame():
     machine = Machine.initial()
-    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.IntLit(1))))
-    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.IntLit(2))))
+    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.Int(1))))
+    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.Int(2))))
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Success)
     assert machine.store["x"] == A.Int(2)
@@ -174,7 +183,7 @@ def test_selection_is_by_name_only_no_fall_through():
     # the top frame declares p/1; a deeper frame declares p/0; calling p()
     # selects the top frame by name and then fails on arity
     machine = Machine.initial()
-    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.IntLit(1))))
+    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.Int(1))))
     machine.module_stack.append(proggen.closed_clause("p", ("a",), A.TrueStmt()))
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
@@ -185,7 +194,7 @@ def test_depth_limit_is_enforced():
     source = "(loop() = loop() => loop())"
     outcome, machine = run(source, max_depth=64)
     assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
-    assert machine.depth == 0  # unwound
+    assert machine.call_stack == []  # unwound
 
 
 def test_failure_carries_the_call_chain():
@@ -217,7 +226,7 @@ def test_backchain_instantiates_from_the_call():
 
 def test_backchain_falls_through_to_the_right_branch():
     machine = Machine.initial()
-    decl = A.And(A.Clause("p", (), A.TrueStmt()), A.Clause("q", (), A.Assign("x", A.IntLit(1))))
+    decl = A.And(A.Clause("p", (), A.TrueStmt()), A.Clause("q", (), A.Assign("x", A.Int(1))))
     outcome = execute(machine, A.Implication(decl, A.Call("q", ())))
     assert isinstance(outcome, Success)
     assert machine.store["x"] == A.Int(1)
@@ -233,7 +242,7 @@ def test_mismatch_detail_is_the_call_signature_past_an_undefined_macro():
     # the frame declares pa, so it decides the call; the undefined /nope
     # searched last contributes no clause and does not become the detail
     decl = A.And(A.Clause("pa", (), A.TrueStmt()), A.MacroRef("nope"))
-    outcome = execute(Machine.initial(), A.Implication(decl, A.Call("pa", (A.IntLit(1),))))
+    outcome = execute(Machine.initial(), A.Implication(decl, A.Call("pa", (A.Int(1),))))
     assert isinstance(outcome, Failure)
     assert (outcome.reason, outcome.detail) == (NO_MATCHING_CLAUSE, "pa/1")
 
@@ -244,7 +253,7 @@ def test_no_fallback_after_a_head_matches():
     machine = Machine.initial()
     decl = A.And(
         A.Clause("p", (), A.Call("missing", ())),
-        A.Clause("p", (), A.Assign("x", A.IntLit(1))),
+        A.Clause("p", (), A.Assign("x", A.Int(1))),
     )
     machine.module_stack.append(decl)
     outcome = execute(machine, A.Call("p", ()))
@@ -281,9 +290,9 @@ def test_body_mismatch_from_a_module_frame_does_not_fall_through():
 
 def test_backchain_rename_directly():
     renamed = A.Rename("f", "g", A.Forall("x", A.Clause("f", (A.Var("x"),), A.TrueStmt())))
-    ok = execute(Machine.initial(), A.Implication(renamed, A.Call("g", (A.IntLit(1),))))
+    ok = execute(Machine.initial(), A.Implication(renamed, A.Call("g", (A.Int(1),))))
     assert isinstance(ok, Success)
-    bad = execute(Machine.initial(), A.Implication(renamed, A.Call("f", (A.IntLit(1),))))
+    bad = execute(Machine.initial(), A.Implication(renamed, A.Call("f", (A.Int(1),))))
     assert isinstance(bad, Failure) and bad.reason == NO_MATCHING_CLAUSE
 
 
@@ -348,8 +357,8 @@ def test_colliding_renames_merge_names_textually():
             A.MacroDef(
                 "m",
                 A.And(
-                    A.Clause("p", (), A.Assign("x", A.IntLit(1))),
-                    A.Clause("q", (), A.Assign("y", A.IntLit(2))),
+                    A.Clause("p", (), A.Assign("x", A.Int(1))),
+                    A.Clause("q", (), A.Assign("y", A.Int(2))),
                 ),
             )
         ]
@@ -395,7 +404,7 @@ def test_selection_walks_only_the_deciding_frame(monkeypatch):
     stmt = A.Call("base", ())
     for i in range(200):
         stmt = A.Implication(A.Clause(f"p{i}", (), A.TrueStmt()), stmt)
-    stmt = A.Implication(A.Clause("base", (), A.Assign("x", A.IntLit(1))), stmt)
+    stmt = A.Implication(A.Clause("base", (), A.Assign("x", A.Int(1))), stmt)
     walked = []
     walk_heads = A.walk_heads
 
@@ -443,8 +452,16 @@ def eval_in(store, expr):
 
 
 def test_eval_arithmetic():
-    assert eval_in({}, A.BinOp("+", A.IntLit(2), A.IntLit(3))) == A.Int(5)
-    assert eval_in({}, A.BinOp("*", A.IntLit(4), A.IntLit(5))) == A.Int(20)
+    assert eval_in({}, A.BinOp("+", A.Int(2), A.Int(3))) == A.Int(5)
+    assert eval_in({}, A.BinOp("*", A.Int(4), A.Int(5))) == A.Int(20)
+
+
+def test_a_value_is_its_own_literal():
+    five = parse_source("x = 5").main.expr
+    assert five == A.Int(5)
+    assert eval_in({}, five) is five
+    decl = substitute(A.Clause("p", (A.Var("n"),), A.Print(A.Var("n"))), "n", five)
+    assert decl.params[0] is five and decl.body.expr is five
 
 
 def test_eval_variable():
@@ -457,32 +474,32 @@ def test_eval_atom_equality():
 
 
 def test_eval_equality_across_types_is_false():
-    assert eval_in({}, A.BinOp("==", A.IntLit(1), A.BoolLit(True))) == A.Bool(False)
-    assert eval_in({}, A.BinOp("!=", A.IntLit(1), A.StrLit("1"))) == A.Bool(True)
+    assert eval_in({}, A.BinOp("==", A.Int(1), A.Bool(True))) == A.Bool(False)
+    assert eval_in({}, A.BinOp("!=", A.Int(1), A.Str("1"))) == A.Bool(True)
 
 
 def test_eval_division_truncates_toward_zero():
-    assert eval_in({}, A.BinOp("/", A.IntLit(7), A.IntLit(2))) == A.Int(3)
-    assert eval_in({}, A.BinOp("/", A.IntLit(-7), A.IntLit(2))) == A.Int(-3)
-    assert eval_in({}, A.BinOp("/", A.IntLit(7), A.IntLit(-2))) == A.Int(-3)
+    assert eval_in({}, A.BinOp("/", A.Int(7), A.Int(2))) == A.Int(3)
+    assert eval_in({}, A.BinOp("/", A.Int(-7), A.Int(2))) == A.Int(-3)
+    assert eval_in({}, A.BinOp("/", A.Int(7), A.Int(-2))) == A.Int(-3)
 
 
 def test_eval_division_by_zero():
     with pytest.raises(EngineFailure) as info:
-        eval_in({}, A.BinOp("/", A.IntLit(1), A.IntLit(0)))
+        eval_in({}, A.BinOp("/", A.Int(1), A.Int(0)))
     assert info.value.reason == DIVISION_BY_ZERO
 
 
 def test_eval_short_circuit_skips_the_right_operand():
-    guarded = A.BinOp("&&", A.BoolLit(False), A.BinOp("/", A.IntLit(1), A.IntLit(0)))
+    guarded = A.BinOp("&&", A.Bool(False), A.BinOp("/", A.Int(1), A.Int(0)))
     assert eval_in({}, guarded) == A.Bool(False)
-    guarded = A.BinOp("||", A.BoolLit(True), A.BinOp("/", A.IntLit(1), A.IntLit(0)))
+    guarded = A.BinOp("||", A.Bool(True), A.BinOp("/", A.Int(1), A.Int(0)))
     assert eval_in({}, guarded) == A.Bool(True)
 
 
 def test_eval_type_mismatch():
     with pytest.raises(EngineFailure) as info:
-        eval_in({}, A.BinOp("+", A.IntLit(1), A.BoolLit(True)))
+        eval_in({}, A.BinOp("+", A.Int(1), A.Bool(True)))
     assert info.value.reason == TYPE_MISMATCH
 
 
@@ -507,11 +524,11 @@ def test_substitute_head_and_body():
     decl = A.Clause(
         "Age",
         (A.Var("emp"),),
-        A.If(A.BinOp("==", A.Var("emp"), A.AtomLit("tom")), A.TrueStmt(), A.TrueStmt()),
+        A.If(A.BinOp("==", A.Var("emp"), A.Atom("tom")), A.TrueStmt(), A.TrueStmt()),
     )
     result = substitute(decl, "emp", A.Atom("tom"))
-    assert result.params == (A.AtomLit("tom"),)
-    assert result.body.cond == A.BinOp("==", A.AtomLit("tom"), A.AtomLit("tom"))
+    assert result.params == (A.Atom("tom"),)
+    assert result.body.cond == A.BinOp("==", A.Atom("tom"), A.Atom("tom"))
 
 
 def test_substitute_absent_variable_is_identity():
@@ -527,11 +544,11 @@ def test_substitute_respects_shadowing():
 
 
 def test_substitute_skips_alloc_body_when_handle_shadows():
-    body = A.Assign("r", A.Index(A.Var("p"), A.IntLit(0)))
+    body = A.Assign("r", A.Index(A.Var("p"), A.Int(0)))
     stmt = A.AllocScope("p", "int", A.Var("p"), body)
     decl = A.Clause("f", (A.Var("p"),), stmt)
     result = substitute(decl, "p", A.Int(2))
-    assert result.body.length == A.IntLit(2)  # the length sees the formal
+    assert result.body.length == A.Int(2)  # the length sees the formal
     assert result.body.body == body  # the body sees the handle
 
 
@@ -579,7 +596,7 @@ def test_python_stack_overflow_is_depth_exceeded():
     outcome, machine = run("(Loop(n) = if (n == 0) (done = 1) else (Loop(n - 1)) => Loop(600))")
     assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
     assert "Python stack" in outcome.detail and outcome.__traceback__ is None
-    assert machine.module_stack == [] and machine.call_stack == [] and machine.depth == 0
+    assert machine.module_stack == [] and machine.call_stack == []
 
 
 def test_concurrent_deep_runs_keep_the_deep_stack():

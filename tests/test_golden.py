@@ -48,18 +48,18 @@ def _nested_forall_rebinds() -> tuple[list[A.MacroDef], A.Statement]:
     frame = A.Forall(
         "x",
         A.And(
-            A.Clause("p", (_x(), A.IntLit(0)), A.Print(_x())),
+            A.Clause("p", (_x(), A.Int(0)), A.Print(_x())),
             A.And(
-                A.Forall("x", A.Clause("q", (A.IntLit(0), _x()), A.Print(_x()))),
+                A.Forall("x", A.Clause("q", (A.Int(0), _x()), A.Print(_x()))),
                 A.Forall("x", proggen.closed_clause("r", ("z",), A.Print(_x()))),
             ),
         ),
     )
     calls = [
-        A.Call("q", (A.IntLit(0), A.IntLit(2))),
-        A.Call("p", (A.IntLit(3), A.IntLit(0))),
-        A.Call("r", (A.IntLit(7),)),
-        A.Call("q", (A.IntLit(1), A.IntLit(2))),
+        A.Call("q", (A.Int(0), A.Int(2))),
+        A.Call("p", (A.Int(3), A.Int(0))),
+        A.Call("r", (A.Int(7),)),
+        A.Call("q", (A.Int(1), A.Int(2))),
     ]
     return [], A.Implication(frame, proggen.fold_seq(calls))
 
@@ -68,24 +68,24 @@ def _rename_over_macro_ref() -> tuple[list[A.MacroDef], A.Statement]:
     # ren(f, g) /m, where /m's clauses call f: heads and call sites in the
     # referenced body are renamed when the reference is resolved
     count_down = A.If(
-        A.BinOp("==", _x("n"), A.IntLit(0)),
+        A.BinOp("==", _x("n"), A.Int(0)),
         A.Assign("done", _x("n")),
-        A.Call("f", (A.BinOp("-", _x("n"), A.IntLit(1)),)),
+        A.Call("f", (A.BinOp("-", _x("n"), A.Int(1)),)),
     )
     body = A.And(
         proggen.closed_clause("f", ("n",), count_down),
-        proggen.closed_clause("h", (), A.Call("f", (A.IntLit(1),))),
+        proggen.closed_clause("h", (), A.Call("f", (A.Int(1),))),
     )
     frame = A.Rename("f", "g", A.And(A.MacroRef("m"), proggen.closed_clause("k", ("n",), A.Call("f", (_x("n"),)))))
-    calls = [A.Call("g", (A.IntLit(2),)), A.Call("h", ()), A.Call("k", (A.IntLit(1),)), A.Call("f", (A.IntLit(1),))]
+    calls = [A.Call("g", (A.Int(2),)), A.Call("h", ()), A.Call("k", (A.Int(1),)), A.Call("f", (A.Int(1),))]
     return [A.MacroDef("m", body)], A.Implication(frame, proggen.fold_seq(calls))
 
 
 def _colliding_renames() -> tuple[list[A.MacroDef], A.Statement]:
     # ren(p, q) ren(q, r) /m: both clauses end up named r, left first wins
     body = A.And(
-        A.Clause("p", (), A.Assign("x", A.IntLit(1))),
-        A.Clause("q", (), A.Assign("y", A.IntLit(2))),
+        A.Clause("p", (), A.Assign("x", A.Int(1))),
+        A.Clause("q", (), A.Assign("y", A.Int(2))),
     )
     frame = A.Rename("p", "q", A.Rename("q", "r", A.MacroRef("m")))
     calls = [A.Call("r", ()), A.Call("q", ())]
@@ -95,10 +95,10 @@ def _colliding_renames() -> tuple[list[A.MacroDef], A.Statement]:
 def _cyclic_macro_ref() -> tuple[list[A.MacroDef], A.Statement]:
     # /a and /b refer to each other; the cycle is cut where it closes
     seeds = [
-        A.MacroDef("a", A.And(A.MacroRef("b"), A.Clause("pa", (), A.Assign("x", A.IntLit(1))))),
-        A.MacroDef("b", A.And(A.MacroRef("a"), A.Clause("pb", (), A.Assign("y", A.IntLit(2))))),
+        A.MacroDef("a", A.And(A.MacroRef("b"), A.Clause("pa", (), A.Assign("x", A.Int(1))))),
+        A.MacroDef("b", A.And(A.MacroRef("a"), A.Clause("pb", (), A.Assign("y", A.Int(2))))),
     ]
-    calls = [A.Call("pb", ()), A.Call("pa", ()), A.Call("pb", (A.IntLit(1),))]
+    calls = [A.Call("pb", ()), A.Call("pa", ()), A.Call("pb", (A.Int(1),))]
     return seeds, A.Implication(A.MacroRef("a"), proggen.fold_seq(calls))
 
 
@@ -114,7 +114,7 @@ def _forall_in_no_head() -> tuple[list[A.MacroDef], A.Statement]:
             proggen.closed_clause("s", ("y",), A.Seq(A.Print(_x()), A.Print(_x("y")))),
         ),
     )
-    calls = [A.Call("p", ()), A.Assign("x", A.IntLit(5)), A.Call("p", ()), A.Call("s", (A.IntLit(9),))]
+    calls = [A.Call("p", ()), A.Assign("x", A.Int(5)), A.Call("p", ()), A.Call("s", (A.Int(9),))]
     return [], A.Implication(A.And(lone, shared), proggen.fold_seq(calls))
 
 
@@ -122,9 +122,9 @@ def _macro_in_body_captures_formal() -> tuple[list[A.MacroDef], A.Statement]:
     # p(x) = (macro /m = { q() = print(x) } in (/m => q())): the call
     # substitutes into the macro body too, so p(3) prints 3
     macro = A.MacroDef("m", A.Clause("q", (), A.Print(_x())))
-    body = A.MacroScope((macro,), A.ModuleImplication("m", A.Call("q", ())))
+    body = A.MacroScope((macro,), A.Implication(A.MacroRef("m"), A.Call("q", ())))
     frame = proggen.closed_clause("p", ("x",), body)
-    return [], A.Implication(frame, A.Call("p", (A.IntLit(3),)))
+    return [], A.Implication(frame, A.Call("p", (A.Int(3),)))
 
 
 def _inner_forall_hides_formal() -> tuple[list[A.MacroDef], A.Statement]:
@@ -132,7 +132,7 @@ def _inner_forall_hides_formal() -> tuple[list[A.MacroDef], A.Statement]:
     # so it hides the formal and q reads the store, printing 9
     inner = A.Implication(A.Forall("x", A.Clause("q", (), A.Print(_x()))), A.Call("q", ()))
     frame = proggen.closed_clause("p", ("x",), inner)
-    calls = [A.Assign("x", A.IntLit(9)), A.Call("p", (A.IntLit(3),))]
+    calls = [A.Assign("x", A.Int(9)), A.Call("p", (A.Int(3),))]
     return [], A.Implication(frame, proggen.fold_seq(calls))
 
 
@@ -141,7 +141,7 @@ def _pushed_decl_captures_formal() -> tuple[list[A.MacroDef], A.Statement]:
     # frame, yet its call to q finds the clause p pushed, holding x = 3
     pushed = A.Implication(A.Clause("q", (), A.Print(_x())), A.Call("r", ()))
     frame = A.And(proggen.closed_clause("p", ("x",), pushed), A.Clause("r", (), A.Call("q", ())))
-    return [], A.Implication(frame, A.Call("p", (A.IntLit(3),)))
+    return [], A.Implication(frame, A.Call("p", (A.Int(3),)))
 
 
 def _alloc_handle_hides_formal() -> tuple[list[A.MacroDef], A.Statement]:
@@ -149,16 +149,16 @@ def _alloc_handle_hides_formal() -> tuple[list[A.MacroDef], A.Statement]:
     # body sees the handle
     scope = A.AllocScope("x", "int", _x(), A.Print(_x()))
     frame = proggen.closed_clause("p", ("x",), scope)
-    return [], A.Implication(frame, A.Call("p", (A.IntLit(3),)))
+    return [], A.Implication(frame, A.Call("p", (A.Int(3),)))
 
 
 def _switch_over_formal() -> tuple[list[A.MacroDef], A.Statement]:
     # p(x) = switch (x) { case 1: print(one) case two: print(x) default:
     # print(x) }, left undesugared so the call substitutes into the switch
-    cases = ((A.Int(1), A.Print(A.AtomLit("one"))), (A.Atom("two"), A.Print(_x())))
+    cases = ((A.Int(1), A.Print(A.Atom("one"))), (A.Atom("two"), A.Print(_x())))
     body = A.Switch(_x(), cases, A.Seq(A.Print(_x()), A.Assign("seen", _x())))
     frame = proggen.closed_clause("p", ("x",), body)
-    calls = [A.Call("p", (A.IntLit(1),)), A.Call("p", (A.AtomLit("two"),)), A.Call("p", (A.IntLit(5),))]
+    calls = [A.Call("p", (A.Int(1),)), A.Call("p", (A.Atom("two"),)), A.Call("p", (A.Int(5),))]
     return [], A.Implication(frame, proggen.fold_seq(calls))
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cmod.errors import LexError
@@ -90,3 +92,22 @@ def test_unterminated_string():
     with pytest.raises(LexError) as info:
         tokenize('msg = "oops')
     assert info.value.column == 7
+
+
+@pytest.mark.parametrize("digits", ["\u00b2", "\u0661\u0662", "\uff11"])
+def test_integers_are_ascii_digits_only(digits):
+    # superscript two, Arabic-Indic twelve, full-width one: str.isdigit
+    # accepts them all and int() reads the last two as numbers
+    with pytest.raises(LexError) as info:
+        tokenize(f"x = {digits}")
+    assert (info.value.line, info.value.column, info.value.char) == (1, 5, digits[0])
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+def test_integer_literal_past_the_conversion_limit_is_a_lex_error():
+    limit = sys.get_int_max_str_digits()
+    assert tokenize("x = " + "1" * limit)[2].kind == "int"
+    with pytest.raises(LexError) as info:
+        tokenize("x = " + "0" * (limit + 1))
+    assert (info.value.line, info.value.column) == (1, 5)
+    assert str(info.value) == f"1:5: integer literal longer than {limit} digits"

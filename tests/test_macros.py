@@ -69,7 +69,7 @@ def test_pop_restores_across_multiple_frames():
 def test_conj_expand_pair():
     # /p and /q expand to the conjunction of their bodies
     f = A.Forall("x", A.Clause("f", (A.Var("x"),), A.Assign("y", A.Var("x"))))
-    g = A.Forall("x", A.Clause("g", (A.Var("x"),), A.Assign("y", A.IntLit(0))))
+    g = A.Forall("x", A.Clause("g", (A.Var("x"),), A.Assign("y", A.Int(0))))
     env = MacroEnv.seeded([macro("p", f), macro("q", g)])
     assert conj_expand(env, A.And(A.MacroRef("p"), A.MacroRef("q"))) == A.And(f, g)
 
@@ -99,16 +99,16 @@ def test_conj_expand_cuts_cycles():
 def test_conj_expand_leaves_statement_bodies_alone():
     ev_body = A.Forall(
         "x",
-        A.Clause("Even", (A.Var("x"),), A.ModuleImplication("Od", A.Call("Odd", (A.Var("x"),)))),
+        A.Clause("Even", (A.Var("x"),), A.Implication(A.MacroRef("Od"), A.Call("Odd", (A.Var("x"),)))),
     )
     env = MacroEnv.seeded([macro("Ev", ev_body)])
     assert conj_expand(env, A.MacroRef("Ev")) == ev_body
 
 
 def test_rename_recursive_call():
-    decl = A.Clause("f", (A.Var("x"),), A.Call("f", (A.BinOp("-", A.Var("x"), A.IntLit(1)),)))
+    decl = A.Clause("f", (A.Var("x"),), A.Call("f", (A.BinOp("-", A.Var("x"), A.Int(1)),)))
     renamed = rename(decl, "f", "g")
-    assert renamed == A.Clause("g", (A.Var("x"),), A.Call("g", (A.BinOp("-", A.Var("x"), A.IntLit(1)),)))
+    assert renamed == A.Clause("g", (A.Var("x"),), A.Call("g", (A.BinOp("-", A.Var("x"), A.Int(1)),)))
 
 
 def test_rename_identity():

@@ -64,9 +64,9 @@ _names = st.sampled_from(["x", "y", "emp", "total_9"])
 
 _expr = st.recursive(
     st.one_of(
-        st.integers(min_value=0, max_value=999).map(A.IntLit),
-        st.booleans().map(A.BoolLit),
-        st.text(alphabet="ab c\n\t\"\\", max_size=6).map(A.StrLit),
+        st.integers(min_value=0, max_value=999).map(A.Int),
+        st.booleans().map(A.Bool),
+        st.text(alphabet="ab c\n\t\"\\", max_size=6).map(A.Str),
         _names.map(A.Var),
     ),
     lambda inner: st.one_of(
@@ -92,10 +92,10 @@ def test_expression_print_parse_round_trip(expr):
 # -- property: statement printing re-parses to the same tree -------------
 
 _small_expr = st.one_of(
-    st.integers(min_value=0, max_value=99).map(A.IntLit),
-    st.booleans().map(A.BoolLit),
+    st.integers(min_value=0, max_value=99).map(A.Int),
+    st.booleans().map(A.Bool),
     _names.map(A.Var),
-    st.builds(A.BinOp, st.sampled_from(["+", "=="]), _names.map(A.Var), st.integers(0, 9).map(A.IntLit)),
+    st.builds(A.BinOp, st.sampled_from(["+", "=="]), _names.map(A.Var), st.integers(0, 9).map(A.Int)),
 )
 
 _proc_names = st.sampled_from(["p", "q", "tick"])
@@ -148,7 +148,7 @@ _stmt = st.recursive(
             _decl_strategy(inner).filter(lambda d: not isinstance(d, A.MacroRef)),
             inner,
         ),
-        st.builds(A.ModuleImplication, _macro_names, inner),
+        st.builds(A.Implication, _macro_names.map(A.MacroRef), inner),
         st.builds(
             A.MacroScope,
             st.lists(st.builds(A.MacroDef, _macro_names, _decl_strategy(inner)), min_size=1, max_size=2).map(tuple),

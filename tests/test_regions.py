@@ -32,7 +32,7 @@ def test_store_assign_and_read():
 
 def test_store_disjoint_assign():
     machine = Machine(store={"y": A.Int(1)})
-    assert isinstance(execute(machine, A.Assign("x", A.IntLit(2))), Success)
+    assert isinstance(execute(machine, A.Assign("x", A.Int(2))), Success)
     assert machine.store == {"y": A.Int(1), "x": A.Int(2)}
 
 
@@ -49,7 +49,7 @@ def test_store_unbound_read():
 )
 def test_store_read_after_assign(bindings, name, value):
     machine = Machine(store=dict(bindings))
-    assert isinstance(execute(machine, A.Assign(name, A.literal_of(value))), Success)
+    assert isinstance(execute(machine, A.Assign(name, value)), Success)
     assert eval_expr(machine, A.Var(name)) == value
 
 
@@ -124,7 +124,7 @@ def test_handle_binding_removed_at_scope_exit():
 def test_scope_pops_even_when_the_body_fails():
     machine = Machine.initial()
     body = A.Call("nope", ())
-    outcome = execute(machine, A.AllocScope("p", "int", A.IntLit(2), body))
+    outcome = execute(machine, A.AllocScope("p", "int", A.Int(2), body))
     assert isinstance(outcome, Failure)
     assert outcome.reason == "no-matching-clause"
     assert machine.regions.live == []
@@ -204,9 +204,9 @@ def test_lifo_event_log():
 def test_assign_never_touches_regions_and_writes_never_touch_the_store():
     machine = Machine.initial()
     handle = machine.regions.allocate("int", 2)
-    execute(machine, A.Assign("x", A.IntLit(1)))
+    execute(machine, A.Assign("x", A.Int(1)))
     cells_before = list(machine.regions.regions[0].cells)
-    execute(machine, A.Assign("x", A.IntLit(2)))
+    execute(machine, A.Assign("x", A.Int(2)))
     assert machine.regions.regions[0].cells == cells_before
     store_before = dict(machine.store)
     region_write(machine, handle, 0, A.Int(7))
@@ -254,5 +254,5 @@ def test_handles_pass_through_procedure_parameters():
 def test_execute_store_index_through_non_handle_is_a_type_error():
     machine = Machine.initial()
     machine.store["x"] = A.Int(3)
-    outcome = execute(machine, A.StoreIndex(A.Var("x"), A.IntLit(0), A.IntLit(1)))
+    outcome = execute(machine, A.StoreIndex(A.Var("x"), A.Int(0), A.Int(1)))
     assert isinstance(outcome, Failure) and outcome.reason == TYPE_MISMATCH
