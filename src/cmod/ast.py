@@ -56,7 +56,11 @@ Value = Union[VALUE_TYPES]
 
 def render_value(value: Value) -> str:
     if isinstance(value, Int):
-        return str(value.value)
+        try:
+            return str(value.value)
+        except ValueError:  # more digits than str() converts
+            sign = "negative " if value.value < 0 else ""
+            return f"<{sign}int of {value.value.bit_length()} bits>"
     if isinstance(value, Bool):
         return "true" if value.value else "false"
     if isinstance(value, Str):

@@ -13,8 +13,9 @@ later conjunct.
 A body runs in an activation environment, the values its clause's
 quantifiers took from the call: variables are read there, then in the
 store, and assigned in the store. Only a declaration leaving the body is
-rebuilt, closed over the environment by substitution; a traced call
-substitutes into the whole clause instead, so the trace shows it.
+rebuilt, closed over the environment by substitution. Tracing does not
+change the run: each traced step is closed over its activation where it
+is emitted, in _emit, the one place events leave the engine.
 
 Shallow binding finds the deciding frame: an index from each procedure
 name to the live frames declaring it, kept on every push and pop, and
@@ -23,9 +24,11 @@ macro reference frame declares depends on it) or after frames were
 appended to the stack directly.
 
 Implication, macro and allocation scopes work alike: push, run the body,
-pop even when the body fails. A failure is an EngineFailure raised with
-its reason and detail only; the innermost call it leaves attaches the
-call chain, and execute returns the failure itself as the outcome.
+pop even when the body fails. A macro scope puts back the environment it
+replaced, so after a scope in which no call happened the index stands. A
+failure is an EngineFailure raised with its reason and detail only; the
+innermost call it leaves attaches the call chain, and execute returns
+the failure itself as the outcome.
 """
 
 from __future__ import annotations
@@ -112,28 +115,26 @@ def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
     return Success(machine)
 
 
-def _emit_ex(machine: Machine, depth: int, stmt: ast.Statement, rule_id: int) -> None:
+def _emit(machine: Machine, phase: str, depth: int, node, rule_id: int, values, renames=()) -> None:
+    """Trace one step: node closed over its activation, renamed, then substituted."""
     if machine.trace is not None:
-        machine.trace(TraceEvent("ex", depth, format_statement(stmt, compact=True), rule_id))
-
-
-def _emit_bc(machine: Machine, depth: int, decl: ast.Declaration, rule_id: int) -> None:
-    if machine.trace is not None:
-        machine.trace(TraceEvent("bc", depth, format_declaration(decl, compact=True), rule_id))
+        render = format_statement if phase == "ex" else format_declaration
+        text = render(_instantiate(node, renames, values), compact=True)
+        machine.trace(TraceEvent(phase, depth, text, rule_id))
 
 
 def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
     if isinstance(stmt, ast.TrueStmt):
-        _emit_ex(machine, depth, stmt, 8)
+        _emit(machine, "ex", depth, stmt, 8, env)
         return
 
     if isinstance(stmt, ast.Assign):
-        _emit_ex(machine, depth, stmt, 9)
+        _emit(machine, "ex", depth, stmt, 9, env)
         machine.store[stmt.name] = eval_expr(machine, stmt.expr, env)
         return
 
     if isinstance(stmt, ast.StoreIndex):
-        _emit_ex(machine, depth, stmt, 9)
+        _emit(machine, "ex", depth, stmt, 9, env)
         handle = eval_expr(machine, stmt.base, env)
         if not isinstance(handle, ast.Handle):
             raise EngineFailure(
@@ -147,13 +148,13 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         return
 
     if isinstance(stmt, ast.Seq):
-        _emit_ex(machine, depth, stmt, 10)
+        _emit(machine, "ex", depth, stmt, 10, env)
         _execute(machine, stmt.first, depth + 1, env)
         _execute(machine, stmt.second, depth + 1, env)
         return
 
     if isinstance(stmt, ast.Implication):
-        _emit_ex(machine, depth, stmt, 11)
+        _emit(machine, "ex", depth, stmt, 11, env)
         frame = stmt.decl
         if type(frame) is not ast.MacroRef:  # a macro reference has no variables
             frame = _instantiate(frame, (), env)
@@ -170,8 +171,9 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         return
 
     if isinstance(stmt, ast.MacroScope):
-        _emit_ex(machine, depth, stmt, 12)
-        machine.macro_env = machine.macro_env.define(_instantiate(d, (), env) for d in stmt.defs)
+        _emit(machine, "ex", depth, stmt, 12, env)
+        outer = machine.macro_env
+        machine.macro_env = outer.define(_instantiate(d, (), env) for d in stmt.defs)
         try:
             _push(machine, tuple(ast.MacroRef(d.name) for d in stmt.defs))
             try:
@@ -179,11 +181,11 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
             finally:
                 _pop(machine, len(stmt.defs))
         finally:
-            machine.macro_env = machine.macro_env.pop_frame()
+            machine.macro_env = outer  # an assignment, like _pop's deletions
         return
 
     if isinstance(stmt, ast.AllocScope):
-        _emit_ex(machine, depth, stmt, 11)
+        _emit(machine, "ex", depth, stmt, 11, env)
         length = eval_expr(machine, stmt.length, env)
         if not isinstance(length, ast.Int):
             raise EngineFailure(
@@ -191,11 +193,11 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
                 f"region length must be an integer, not {ast.render_value(length)}",
             )
         if length.value < 0:
-            raise EngineFailure(REGION_FAULT, f"negative region length {length.value}")
+            raise EngineFailure(REGION_FAULT, f"negative region length {ast.render_value(length)}")
         if length.value > MAX_REGION_LENGTH:
             raise EngineFailure(
                 REGION_FAULT,
-                f"region length {length.value} exceeds the limit of {MAX_REGION_LENGTH}",
+                f"region length {ast.render_value(length)} exceeds the limit of {MAX_REGION_LENGTH}",
             )
         handle = machine.regions.allocate(stmt.elem_type, length.value)
         machine.store[stmt.handle] = handle
@@ -225,12 +227,12 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         return
 
     if isinstance(stmt, ast.Print):
-        _emit_ex(machine, depth, stmt, 7)
+        _emit(machine, "ex", depth, stmt, 7, env)
         machine.output.append(ast.render_value(eval_expr(machine, stmt.expr, env)) + "\n")
         return
 
     if isinstance(stmt, ast.Call):
-        _emit_ex(machine, depth, stmt, 7)
+        _emit(machine, "ex", depth, stmt, 7, env)
         actuals = tuple(eval_expr(machine, arg, env) for arg in stmt.args)
         _resolve_call(machine, CallSite(stmt.name, actuals), depth + 1)
         return
@@ -275,7 +277,7 @@ def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
 
 def _select(machine: Machine, call: CallSite, depth: int):
     """The matched clause, renamed, the environment its body runs in, and
-    its trace depth; traced, the clause is instantiated, the env empty."""
+    its trace depth."""
     actuals = call.actuals
 
     def visit(clause, head, renames, binders, at):
@@ -288,15 +290,13 @@ def _select(machine: Machine, call: CallSite, depth: int):
     steps = None if machine.trace is None else []
     found = frame and ast.walk_heads(frame, machine.macro_env, call.name, visit, steps, depth)
     for at, rule_id, node, renames, binders in steps or ():
-        _emit_bc(machine, at, _instantiate(node, renames, _bindings(binders, actuals)), rule_id)
+        _emit(machine, "bc", at, node, rule_id, _bindings(binders, actuals), renames)
     if found is None:
         raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
     clause, renames, values, at = found
-    if steps is None:
-        return _instantiate(clause, renames, {}), values, at
-    clause = _instantiate(clause, renames, values)
-    _emit_bc(machine, at, clause, 1)
-    return clause, _NO_BINDINGS, at
+    clause = _instantiate(clause, renames, {})
+    _emit(machine, "bc", at, clause, 1, values)
+    return clause, values, at
 
 
 def _bindings(binders, actuals: tuple[ast.Value, ...]) -> dict[str, ast.Value | None]:
@@ -506,7 +506,7 @@ def _eval_binop(machine: Machine, expr: ast.BinOp, env) -> ast.Value:
         return ast.Int(a * b)
     if op == "/":
         if b == 0:
-            raise EngineFailure(DIVISION_BY_ZERO, f"{a} / 0")
+            raise EngineFailure(DIVISION_BY_ZERO, f"{ast.render_value(left)} / 0")
         quotient = a // b
         if quotient < 0 and quotient * b != a:
             quotient += 1  # truncate toward zero

@@ -1,8 +1,9 @@
 """The macro environment: named declarations with most-recent lookup,
 plus renaming over declaration trees.
 
-Environments are immutable snapshots; update operations return new
-values, so scoped definition groups are reverted by restoring or popping.
+Environments are immutable snapshots; define returns a new one, so a
+scoped definition group is reverted by restoring the environment it
+replaced.
 """
 
 from __future__ import annotations
@@ -15,26 +16,16 @@ from . import ast
 
 @dataclass(frozen=True)
 class MacroEnv:
-    # defs run most-recent-first; marks record how many defs each scoped
-    # definition group added, so popping a frame removes exactly its own.
-    defs: tuple[ast.MacroDef, ...] = ()
-    marks: tuple[int, ...] = ()
+    defs: tuple[ast.MacroDef, ...] = ()  # most recent first
 
     @classmethod
     def seeded(cls, seeds: Iterable[ast.MacroDef]) -> "MacroEnv":
         """An environment of permanent top-level definitions; later seeds
-        shadow earlier ones and there is no frame to pop."""
-        return cls(tuple(reversed(list(seeds))), ())
+        shadow earlier ones."""
+        return cls().define(seeds)
 
     def define(self, new_defs: Iterable[ast.MacroDef]) -> "MacroEnv":
-        group = tuple(reversed(list(new_defs)))
-        return MacroEnv(group + self.defs, (len(group),) + self.marks)
-
-    def pop_frame(self) -> "MacroEnv":
-        if not self.marks:
-            raise RuntimeError("no macro frame to pop")
-        count = self.marks[0]
-        return MacroEnv(self.defs[count:] if count else self.defs, self.marks[1:])
+        return MacroEnv(tuple(reversed(list(new_defs))) + self.defs)
 
     def find(self, name: str) -> ast.Declaration | None:
         for macro in self.defs:

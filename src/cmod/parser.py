@@ -19,6 +19,9 @@ Concrete syntax notes:
 * ``macro /n = { D } and /m = { D } in G`` scopes macro definitions to a
   statement; without ``in`` the definitions are top level.
 * ``module N. D end`` names a module at top level.
+* Binary operators climb one table, ``PRECEDENCE``, which the printer
+  reads too: left-associative, except that a comparison takes no
+  comparison operand (``a == b == c`` is a syntax error).
 """
 
 from __future__ import annotations
@@ -30,7 +33,14 @@ from .errors import ParseError
 from .lexer import Token, tokenize
 
 _STATEMENT_START_KEYWORDS = {"true", "if", "switch", "print", "macro", "forall", "ren"}
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+# Binary operator precedence, loosest first; the printer reads it too.
+PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5,
+}
 
 
 @dataclass(frozen=True)
@@ -111,24 +121,24 @@ class _Parser:
         assert main is not None
         if self._peek().kind != "eof":
             raise self._error("end of input after the main statement")
-        return SourceProgram(tuple(module_defs), tuple(macro_defs), main)
+        return SourceProgram(tuple(module_defs.items()), tuple(macro_defs), main)
 
     def parse_repl_input(self) -> tuple[list[ast.MacroDef], ast.Statement | None]:
         module_defs, macro_defs, main = self._parse_items(need_main=False)
         if self._peek().kind != "eof":
             raise self._error("end of input")
-        return SourceProgram(tuple(module_defs), tuple(macro_defs), main).seeds(), main
+        return SourceProgram(tuple(module_defs.items()), tuple(macro_defs), main).seeds(), main
 
     def _parse_items(self, need_main: bool):
-        module_defs: list[tuple[str, ast.Declaration]] = []
+        module_defs: dict[str, ast.Declaration] = {}  # in source order
         macro_defs: list[ast.MacroDef] = []
         main: ast.Statement | None = None
         while True:
             if self._check("module"):
                 name_tok, decl = self._parse_module_def()
-                if any(name == name_tok.lexeme for name, _ in module_defs):
+                if name_tok.lexeme in module_defs:
                     raise self._error(f"a module name other than '{name_tok.lexeme}' (already defined)", name_tok)
-                module_defs.append((name_tok.lexeme, decl))
+                module_defs[name_tok.lexeme] = decl
                 continue
             if self._check("macro"):
                 self._advance()
@@ -402,58 +412,27 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------
 
-    def parse_expression(self) -> ast.Expression:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expression:
-        left = self._parse_and_expr()
-        while self._check("||"):
-            self._advance()
-            left = ast.BinOp("||", left, self._parse_and_expr())
-        return left
-
-    def _parse_and_expr(self) -> ast.Expression:
-        left = self._parse_cmp()
-        while self._check("&&"):
-            self._advance()
-            left = ast.BinOp("&&", left, self._parse_cmp())
-        return left
-
-    def _parse_cmp(self) -> ast.Expression:
-        left = self._parse_add()
-        for op in _CMP_OPS:
-            if self._check(op):
-                self._advance()
-                return ast.BinOp(op, left, self._parse_add())
-        return left
-
-    def _parse_add(self) -> ast.Expression:
-        left = self._parse_mul()
-        while self._check("+") or self._check("-"):
-            op = self._advance().lexeme
-            left = ast.BinOp(op, left, self._parse_mul())
-        return left
-
-    def _parse_mul(self) -> ast.Expression:
+    def parse_expression(self, min_prec: int = 1) -> ast.Expression:
+        """An expression whose binary operators have precedence min_prec or more."""
         left = self._parse_unary()
-        while self._check("*") or self._check("/"):
-            op = self._advance().lexeme
-            left = ast.BinOp(op, left, self._parse_unary())
-        return left
+        limit = max(PRECEDENCE.values())
+        while True:
+            tok = self._peek()
+            prec = PRECEDENCE.get(tok.lexeme, 0) if tok.kind == "punct" else 0
+            if not min_prec <= prec <= limit:
+                return left
+            self._advance()
+            left = ast.BinOp(tok.lexeme, left, self.parse_expression(prec + 1))
+            limit = prec - 1 if prec == PRECEDENCE["=="] else prec  # comparisons do not chain
 
     def _parse_unary(self) -> ast.Expression:
         if self._check("!") or self._check("-"):
             op = self._advance().lexeme
             return ast.UnaryOp(op, self._parse_unary())
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> ast.Expression:
         expr = self._parse_primary()
-        while self._check("["):
-            self._advance()
-            index = self.parse_expression()
+        while self._accept("["):
+            expr = ast.Index(expr, self.parse_expression())
             self._expect("]")
-            expr = ast.Index(expr, index)
         return expr
 
     def _parse_primary(self) -> ast.Expression:

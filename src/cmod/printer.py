@@ -8,22 +8,7 @@ rendering.
 from __future__ import annotations
 
 from . import ast
-from .parser import SourceProgram
-
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 3,
-    "<=": 3,
-    ">": 3,
-    ">=": 3,
-    "+": 4,
-    "-": 4,
-    "*": 5,
-    "/": 5,
-}
+from .parser import PRECEDENCE, SourceProgram
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 
@@ -51,10 +36,10 @@ def format_expression(expr: ast.Expression, min_prec: int = 0) -> str:
         text = f"{expr.op}{format_expression(expr.operand, 6)}"
         return f"({text})" if min_prec > 6 else text
     if isinstance(expr, ast.BinOp):
-        prec = _PREC[expr.op]
+        prec = PRECEDENCE[expr.op]
         # comparisons are non-associative: parenthesize nested ones on
         # either side
-        left_prec = prec + 1 if prec == 3 else prec
+        left_prec = prec + 1 if prec == PRECEDENCE["=="] else prec
         left = format_expression(expr.left, left_prec)
         right = format_expression(expr.right, prec + 1)
         text = f"{left} {expr.op} {right}"

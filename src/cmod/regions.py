@@ -86,6 +86,6 @@ def _live_region(machine, handle: ast.Handle, index: int) -> Region:
     if not 0 <= index < len(region.cells):
         raise EngineFailure(
             REGION_FAULT,
-            f"bounds: index {index} outside region {region.id} of length {len(region.cells)}",
+            f"bounds: index {ast.render_value(ast.Int(index))} outside region {region.id} of length {len(region.cells)}",
         )
     return region

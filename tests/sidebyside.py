@@ -48,26 +48,10 @@ def decode(data):
     """The tree encode gave data for, built from this process's cmod.ast."""
     from cmod import ast
 
-    def build(data):
-        if not isinstance(data, list):
-            return data
-        items = [build(item) for item in data[1:]]
-        return tuple(items) if data[0] == "()" else getattr(ast, data[0])(*items)
-
-    tree = build(data)
-    return _to_literal_classes(ast, tree) if hasattr(ast, "literal_of") else tree
-
-
-def _to_literal_classes(ast, node):
-    """node for a cmod that predates values as their own literals: a value
-    in expression position becomes its literal node (map_children skips
-    Switch labels, which stay values), and an implication over a macro
-    reference becomes a ModuleImplication."""
-    if type(node) is ast.Implication and type(node.decl) is ast.MacroRef:
-        return ast.ModuleImplication(node.decl.name, _to_literal_classes(ast, node.body))
-    if isinstance(node, (ast.Int, ast.Bool, ast.Str, ast.Atom, ast.Handle)):
-        return ast.literal_of(node)
-    return ast.map_children(node, lambda child: _to_literal_classes(ast, child))
+    if not isinstance(data, list):
+        return data
+    items = [decode(item) for item in data[1:]]
+    return tuple(items) if data[0] == "()" else getattr(ast, data[0])(*items)
 
 
 def observe(program, max_depth: int, traced: bool) -> tuple[str, str, str, str]:

@@ -1,10 +1,10 @@
-"""Traced and untraced runs agree.
+"""Tracing does not change the run.
 
-An untraced call runs its clause body in an activation environment and
-substitutes only into the declarations that leave the body; a traced
-call substitutes into the whole clause, so the trace can show it. The
-two must give the same reason, detail, call chain, store and output on
-the corpus, the hand-built golden cases and every generator family.
+Traced or not, a call runs its clause body in an activation environment;
+the trace only closes each step over that environment where it is
+emitted. Both runs must give the same reason, detail, call chain, store
+and output on the corpus, the hand-built golden cases and every
+generator family.
 """
 
 import pytest

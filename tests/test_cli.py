@@ -180,6 +180,42 @@ def test_huge_region_length_is_a_region_fault_not_a_memory_error(tmp_path, capsy
     assert captured.err.startswith("cmod: region fault: region length 100000000000 exceeds")
 
 
+# x ends with more digits than str() converts: 10**9 squared nine times
+HUGE = "x = 1000000000; " + "x = x * x; " * 9
+BITS = ((10**9) ** 2**9).bit_length()
+
+
+@pytest.mark.parametrize(
+    "tail, code, out, err",
+    [
+        ("print(x)", 0, f"<int of {BITS} bits>\n", ""),
+        ("print(0 - x)", 0, f"<negative int of {BITS} bits>\n", ""),
+        ("(p(a) = q() => p(x))", 1, "", f"cmod: no matching clause: q/0 (call chain: q() <- p(<int of {BITS} bits>))\n"),
+        ("y = x / 0", 3, "", f"cmod: division by zero: <int of {BITS} bits> / 0\n"),
+        ("(r = new int[0 - x] => true)", 3, "", f"cmod: region fault: negative region length <negative int of {BITS} bits>\n"),
+        (
+            "(r = new int[x] => true)", 3, "",
+            f"cmod: region fault: region length <int of {BITS} bits> exceeds the limit of 16777216\n",
+        ),
+        (
+            "(r = new int[1] => r[x] = 1)", 3, "",
+            f"cmod: region fault: bounds: index <int of {BITS} bits> outside region 0 of length 1\n",
+        ),
+    ],
+    ids=["print", "print-negative", "call-chain", "division", "negative-length", "long-length", "bounds"],
+)
+def test_a_huge_integer_is_rendered_by_its_size(tmp_path, capsys, tail, code, out, err):
+    assert main(["run", write(tmp_path, HUGE + tail)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_huge_integer_in_the_dump_and_the_trace(tmp_path, capsys):
+    assert main(["run", write(tmp_path, HUGE + "(p(a) = true => p(x))"), "--dump-state", "--trace"]) == 0
+    captured = capsys.readouterr()
+    assert f"x = <int of {BITS} bits>\n" in captured.out
+    assert f"bc:1 p(<int of {BITS} bits>) = (true)\n" in captured.err
+
+
 def test_unexpected_exception_is_an_internal_error_exit_3(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("boom")
@@ -245,6 +281,12 @@ def test_repl_parses_a_long_statement_chain(monkeypatch, capsys):
     assert code == 0
     assert captured.out.splitlines()[1:] == ["cmod> ok", "cmod> "]
     assert captured.err == ""
+
+
+def test_repl_store_shows_a_huge_integer_by_its_size(monkeypatch, capsys):
+    code, captured = repl(monkeypatch, capsys, [HUGE + "true", ":store", ":quit"])
+    assert code == 0
+    assert f"x = <int of {BITS} bits>" in captured.out
 
 
 def test_repl_reset_clears_the_store(monkeypatch, capsys):

@@ -12,6 +12,7 @@ from cmod.engine import (
     call_with_deep_stack,
     eval_expr,
     execute,
+    machine_for,
     run_source,
     substitute,
 )
@@ -396,6 +397,17 @@ def test_a_live_frame_declares_what_its_macro_holds_now():
     outcome, machine = run(source)
     assert isinstance(outcome, Success)
     assert (machine.store["y"], machine.store["x"]) == (A.Int(2), A.Int(1))
+
+
+@pytest.mark.parametrize("call", ["f()", "g()"])
+def test_a_macro_scope_puts_back_the_environment_it_replaced(call):
+    # whether the body succeeds (f) or fails (g), the very same object
+    program = parse_source(f"macro /m = {{ f() = (x = 1) }}\n(macro /m = {{ f() = (x = 2) }} in (/m => {call}))")
+    machine = machine_for(program)
+    before = machine.macro_env
+    outcome = execute(machine, A.desugar(program.main))
+    assert isinstance(outcome, Success) == (call == "f()")
+    assert machine.macro_env is before
 
 
 def test_selection_walks_only_the_deciding_frame(monkeypatch):

@@ -26,18 +26,19 @@ def test_most_recent_definition_wins():
 
 
 def test_shadow_then_pop_restores():
+    # defining returns a new environment; restoring is keeping the old one
     base = MacroEnv().define([macro("p", clause("old"))])
     shadowed = base.define([macro("p", clause("new"))])
     assert lookup(shadowed, "p") == clause("new")
-    assert shadowed.pop_frame() == base
-    assert lookup(shadowed.pop_frame(), "p") == clause("old")
+    assert lookup(base, "p") == clause("old")
+    assert shadowed.defs[1:] == base.defs
 
 
 def test_empty_frame_define_keeps_defs():
     env = MacroEnv().define([macro("p", clause("f"))])
     framed = env.define([])
     assert framed.defs == env.defs
-    assert framed.pop_frame() == env
+    assert framed == env
 
 
 def test_lookup_missing_raises():
@@ -52,18 +53,20 @@ def test_within_one_group_later_definitions_shadow():
 
 
 def test_seeded_environment_has_no_frames():
-    env = MacroEnv.seeded([macro("p", clause("a")), macro("p", clause("b"))])
+    seeds = [macro("p", clause("a")), macro("p", clause("b"))]
+    env = MacroEnv.seeded(seeds)
     assert lookup(env, "p") == clause("b")
-    with pytest.raises(RuntimeError):
-        env.pop_frame()
+    assert env == MacroEnv().define(seeds)
 
 
 def test_pop_restores_across_multiple_frames():
     env0 = MacroEnv.seeded([macro("base", clause("f"))])
     env1 = env0.define([macro("p", clause("x"))])
     env2 = env1.define([macro("q", clause("y")), macro("p", clause("z"))])
-    assert env2.pop_frame() == env1
-    assert env2.pop_frame().pop_frame() == env0
+    assert lookup(env2, "p") == clause("z")
+    assert env2.defs[2:] == env1.defs and lookup(env1, "p") == clause("x")
+    assert env1.defs[1:] == env0.defs and env0.find("p") is None
+    assert lookup(env0, "base") == clause("f")
 
 
 def test_conj_expand_pair():

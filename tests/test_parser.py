@@ -170,6 +170,32 @@ def test_expression_precedence():
 
 
 @pytest.mark.parametrize(
+    "source, expr",
+    [
+        ("a + b == c", A.BinOp("==", A.BinOp("+", A.Var("a"), A.Var("b")), A.Var("c"))),
+        ("a - b - c", A.BinOp("-", A.BinOp("-", A.Var("a"), A.Var("b")), A.Var("c"))),
+        ("a || b && c", A.BinOp("||", A.Var("a"), A.BinOp("&&", A.Var("b"), A.Var("c")))),
+    ],
+)
+def test_binary_operator_trees(source, expr):
+    assert parse_source(f"x = {source}").main == A.Assign("x", expr)
+
+
+@pytest.mark.parametrize(
+    "source, column",
+    [
+        ("x = a == b == c", 12),
+        ("x = a && b == c == d", 17),
+        ("x = a && b == c || d == e == f", 27),
+    ],
+)
+def test_a_comparison_takes_no_comparison_operand(source, column):
+    with pytest.raises(ParseError) as info:
+        parse_source(source)
+    assert str(info.value) == f"1:{column}: expected end of input after the main statement, found '=='"
+
+
+@pytest.mark.parametrize(
     "source",
     [
         "p(x, x) = true => p(1, 1)",
@@ -186,6 +212,12 @@ def test_expression_precedence():
 def test_parse_errors(source):
     with pytest.raises(ParseError):
         parse_source(source)
+
+
+def test_a_duplicate_module_is_named_where_it_is_redefined():
+    with pytest.raises(ParseError) as info:
+        parse_source("module M. f() = true end module N. g() = true end module M. g() = true end true")
+    assert str(info.value) == "1:58: expected a module name other than 'M' (already defined), found 'M'"
 
 
 def test_parse_error_positions_are_in_bounds():
