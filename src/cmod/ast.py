@@ -6,14 +6,15 @@ A runtime value is also an expression leaf, its own literal: the parser
 builds ``Int(5)`` for ``5``, and instantiation puts the value itself in
 place of a variable. ``/m => G`` is an Implication whose declaration is
 ``MacroRef("m")``. Every node is a frozen dataclass holding tuples, so
-trees are immutable and freely shareable after construction.
+trees are immutable and freely shareable after construction. ``Value``,
+``Expression``, ``Statement`` and ``Declaration`` are tuples of their
+classes, for ``isinstance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
-from typing import Union
 
 # ---------------------------------------------------------------------------
 # Runtime values, each also an expression: its own literal
@@ -50,8 +51,7 @@ class Handle:
     generation: int
 
 
-VALUE_TYPES = (Int, Bool, Str, Atom, Handle)
-Value = Union[VALUE_TYPES]
+Value = (Int, Bool, Str, Atom, Handle)
 
 
 def render_value(value: Value) -> str:
@@ -104,7 +104,7 @@ class Index:
     index: "Expression"
 
 
-Expression = Union[Value, Var, BinOp, UnaryOp, Index]
+Expression = Value + (Var, BinOp, UnaryOp, Index)
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +194,7 @@ class Print:
     expr: Expression
 
 
-Statement = Union[
-    TrueStmt,
-    Call,
-    Assign,
-    StoreIndex,
-    Seq,
-    Implication,
-    MacroScope,
-    AllocScope,
-    If,
-    Switch,
-    Print,
-]
+Statement = (TrueStmt, Call, Assign, StoreIndex, Seq, Implication, MacroScope, AllocScope, If, Switch, Print)
 
 
 @dataclass(frozen=True)
@@ -249,7 +237,7 @@ class Rename:
     decl: "Declaration"
 
 
-Declaration = Union[Clause, And, Forall, MacroRef, Rename]
+Declaration = (Clause, And, Forall, MacroRef, Rename)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Command-line front end: run programs, the interactive REPL, and the
 formatter.
 
-Exit codes: 0 success, 1 no matching clause, 2 lex/parse error or a
-file that cannot be read or decoded, 3 other runtime faults (unbound
-variable, region fault, depth exceeded, type mismatch, division by zero)
-and internal errors. Program output goes to stdout; diagnostics and the
+Exit codes: 0 success, 1 no matching clause, 2 lex/parse error, a
+program nested too deeply to process, or a file that cannot be read or
+decoded, 3 other runtime faults (unbound variable, region fault, depth
+exceeded, type mismatch, division by zero) and internal errors. Program output goes to stdout; diagnostics and the
 derivation trace go to stderr.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import ast
 from .engine import call_with_deep_stack, execute, run_source
@@ -25,6 +24,9 @@ EXIT_OK = 0
 EXIT_NO_CLAUSE = 1
 EXIT_SYNTAX = 2
 EXIT_RUNTIME = 3
+# execute turns running out of Python stack into a depth-exceeded failure;
+# anywhere else (parsing, seeding, formatting) the program is too deep.
+_TOO_DEEP = "the program is nested too deeply to process"
 
 
 def _positive_int(text: str) -> int:
@@ -131,6 +133,8 @@ def _cmd_repl(args) -> int:
             print(f"syntax error: {exc}")
         except LexError as exc:
             print(f"syntax error: {exc}")
+        except RecursionError:
+            print(f"syntax error: {_TOO_DEEP}")
         buffer = ""
 
 
@@ -179,7 +183,8 @@ def main(argv=None) -> int:
         if args.command == "repl":
             return _cmd_repl(args)
         try:
-            source = Path(args.file).read_text(encoding="utf-8")
+            with open(args.file, encoding="utf-8") as file:
+                source = file.read()
         except (OSError, UnicodeDecodeError) as exc:
             print(f"cmod: cannot read {args.file}: {exc}", file=sys.stderr)
             return EXIT_SYNTAX
@@ -188,6 +193,9 @@ def main(argv=None) -> int:
         return _cmd_fmt(source)
     except (LexError, ParseError) as exc:
         print(f"cmod: syntax error: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
+    except RecursionError:
+        print(f"cmod: syntax error: {_TOO_DEEP}", file=sys.stderr)
         return EXIT_SYNTAX
     except CmodError as exc:  # pragma: no cover - safety net
         print(f"cmod: {exc}", file=sys.stderr)

@@ -37,7 +37,6 @@ import sys
 import threading
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Union
 
 from . import ast
 from .errors import (
@@ -87,7 +86,7 @@ class Success:
 # A failed outcome is the raised failure itself.
 Failure = EngineFailure
 
-ExecOutcome = Union[Success, EngineFailure]
+ExecOutcome = (Success, EngineFailure)
 
 _NO_BINDINGS = MappingProxyType({})  # the environment outside every call
 
@@ -430,7 +429,7 @@ def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declara
 def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.Value:
     """The value of expr; a variable is looked up in env (the activation
     environment), then in the store. A value is its own literal."""
-    if isinstance(expr, ast.VALUE_TYPES):
+    if isinstance(expr, ast.Value):
         return expr
 
     if isinstance(expr, ast.Var):

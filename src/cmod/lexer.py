@@ -1,10 +1,17 @@
 """Tokenizer for cmod source text.
 
-Source files are UTF-8; ``%`` starts a comment running to end of line.
+Source files are UTF-8. One pattern, ``_TOKEN``, reads a token at a time:
+first any spaces, tabs, carriage returns and ``%`` comments (a comment
+runs to end of line), then one alternative per token class. A column
+counts characters from the last newline, so a tab or a carriage return
+is one column. An identifier starts with a letter of any script or
+``_``, an integer is ASCII digits, and a string literal ends on its own
+line with ``ESCAPES`` as its escapes.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 
@@ -33,11 +40,21 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest match first.
-_TWO_CHAR = ("=>", "==", "!=", "<=", ">=", "&&", "||")
-_ONE_CHAR = "()[]{};,.=<>+-*/!:"
+# The character after a backslash in a string literal, and what it stands for.
+ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
-_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+_TOKEN = re.compile(
+    r"""(?:[ \t\r]+|%[^\n]*)*
+    (?: (?P<newline>\n)
+      | (?P<int>[0-9]+)
+      | (?P<word>\w+)
+      | (?P<string>"(?P<body>(?:[^"\\\n]|\\[\s\S]?)*)(?P<close>"?))
+      | (?P<punct>=>|==|!=|<=|>=|&&|\|\||[()\[\]{};,.=<>+\-*/!:])
+      |  # an unexpected character, or the end of input
+    )""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
 @dataclass(frozen=True)
@@ -56,88 +73,37 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """The full token stream for source, ending with an eof marker."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
+    line, line_start = 1, 0
     # the longest literal int() converts; 0 when there is no such limit
     max_digits = getattr(sys, "get_int_max_str_digits", int)()
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    pos = 0
+    while True:
+        match = _TOKEN.match(source, pos)
+        kind, pos = match.lastgroup, match.end()
+        lexeme = match[kind] if kind else ""
+        column = pos - len(lexeme) - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, pos
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-
-        start_line, start_col = line, col
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            lexeme = source[i:j]
+        if kind is None:
+            if pos < len(source):
+                raise LexError(line, column, source[pos])
+            tokens.append(Token("eof", "", line, column))
+            return tokens
+        if kind == "int" and max_digits and len(lexeme) > max_digits:
+            raise LexError(line, column, lexeme[0], f"integer literal longer than {max_digits} digits")
+        if kind == "word":
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):  # \w also takes digits such as ² or ½
+                raise LexError(line, column, lexeme[0])
             kind = "keyword" if lexeme in KEYWORDS else "ident"
-            tokens.append(Token(kind, lexeme, start_line, start_col))
-            col += j - i
-            i = j
-            continue
+        elif kind == "string":
+            lexeme = _ESCAPE.sub(lambda esc: _unescape(esc, line, column + 1), match["body"])
+            if not match["close"]:
+                raise LexError(line, column, '"', "unterminated string literal")
+        tokens.append(Token(kind, lexeme, line, column))
 
-        if "0" <= ch <= "9":  # ASCII only: int() would read other scripts' digits
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            if max_digits and j - i > max_digits:
-                raise LexError(start_line, start_col, ch, f"integer literal longer than {max_digits} digits")
-            tokens.append(Token("int", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
 
-        if ch == '"':
-            j = i + 1
-            chars: list[str] = []
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    break
-                if source[j] == "\\":
-                    if j + 1 < n and source[j + 1] in _ESCAPES:
-                        chars.append(_ESCAPES[source[j + 1]])
-                        j += 2
-                        continue
-                    raise LexError(line, col + (j - i), source[j], "bad escape sequence")
-                chars.append(source[j])
-                j += 1
-            if j >= n or source[j] != '"':
-                raise LexError(start_line, start_col, '"', "unterminated string literal")
-            tokens.append(Token("string", "".join(chars), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-
-        two = source[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("punct", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-
-        if ch in _ONE_CHAR:
-            tokens.append(Token("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        raise LexError(line, col, ch)
-
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _unescape(escape: re.Match, line: int, body_column: int) -> str:
+    if escape[1] in ESCAPES:
+        return ESCAPES[escape[1]]
+    raise LexError(line, body_column + escape.start(), "\\", "bad escape sequence")

@@ -4,7 +4,6 @@ stack, and output accumulator."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
 
 from . import ast
 from .macros import MacroEnv
@@ -23,20 +22,15 @@ class Machine:
     regions: RegionStack = field(default_factory=RegionStack)
     output: list[str] = field(default_factory=list)
     max_depth: int = DEFAULT_MAX_DEPTH
-    trace: Optional[Callable] = None
+    trace: object = None  # called with each TraceEvent when set
     call_stack: list = field(default_factory=list)
     # Shallow binding: frame positions per declared name, each frame's names, their macro env.
     frame_index: dict[str, list[int]] = field(default_factory=dict)
     frame_names: list[tuple[str, ...]] = field(default_factory=list)
-    indexed_env: Optional[MacroEnv] = None
+    indexed_env: MacroEnv | None = None
 
     @classmethod
-    def initial(
-        cls,
-        seeds: Iterable[ast.MacroDef] = (),
-        max_depth: int = DEFAULT_MAX_DEPTH,
-        trace: Optional[Callable] = None,
-    ) -> "Machine":
+    def initial(cls, seeds=(), max_depth: int = DEFAULT_MAX_DEPTH, trace=None) -> Machine:
         """An empty machine whose macro environment holds the given
         top-level module/macro definitions."""
         return cls(macro_env=MacroEnv.seeded(seeds), max_depth=max_depth, trace=trace)

@@ -9,7 +9,6 @@ replaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import ast
 
@@ -19,12 +18,12 @@ class MacroEnv:
     defs: tuple[ast.MacroDef, ...] = ()  # most recent first
 
     @classmethod
-    def seeded(cls, seeds: Iterable[ast.MacroDef]) -> "MacroEnv":
+    def seeded(cls, seeds) -> MacroEnv:
         """An environment of permanent top-level definitions; later seeds
         shadow earlier ones."""
         return cls().define(seeds)
 
-    def define(self, new_defs: Iterable[ast.MacroDef]) -> "MacroEnv":
+    def define(self, new_defs) -> MacroEnv:
         return MacroEnv(tuple(reversed(list(new_defs))) + self.defs)
 
     def find(self, name: str) -> ast.Declaration | None:

@@ -22,6 +22,8 @@ Concrete syntax notes:
 * Binary operators climb one table, ``PRECEDENCE``, which the printer
   reads too: left-associative, except that a comparison takes no
   comparison operand (``a == b == c`` is a syntax error).
+* Input nested deeper than the Python stack reaches is a ParseError at
+  the token where the stack ran out.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ PRECEDENCE = {
     "+": 4, "-": 4,
     "*": 5, "/": 5,
 }
+_TIGHTEST = max(PRECEDENCE.values())
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,13 @@ def parse_source(source: str) -> SourceProgram:
 
 
 def parse_program(tokens: list[Token]) -> SourceProgram:
-    return _Parser(tokens).parse_program()
+    return _Parser(tokens).run(_Parser.parse_program)
 
 
 def parse_repl_input(source: str) -> tuple[list[ast.MacroDef], ast.Statement | None]:
     """Parse one REPL entry: any number of module/macro definitions,
     optionally followed by a statement."""
-    return _Parser(tokenize(source)).parse_repl_input()
+    return _Parser(tokenize(source)).run(_Parser.parse_repl_input)
 
 
 class _Parser:
@@ -77,11 +80,19 @@ class _Parser:
         self.pos = 0
         self._handles: list[str] = []
 
+    def run(self, parse):
+        """parse(self); input nested deeper than the Python stack reaches
+        is a ParseError at the token where the stack ran out."""
+        try:
+            return parse(self)
+        except RecursionError:
+            tok = self._peek()
+            raise ParseError(tok.line, tok.column, "less deeply nested input", str(tok)) from None
+
     # -- token helpers ------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + offset]  # offset 1 only after a token that is not eof
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -415,7 +426,7 @@ class _Parser:
     def parse_expression(self, min_prec: int = 1) -> ast.Expression:
         """An expression whose binary operators have precedence min_prec or more."""
         left = self._parse_unary()
-        limit = max(PRECEDENCE.values())
+        limit = _TIGHTEST
         while True:
             tok = self._peek()
             prec = PRECEDENCE.get(tok.lexeme, 0) if tok.kind == "punct" else 0

@@ -8,9 +8,10 @@ rendering.
 from __future__ import annotations
 
 from . import ast
+from .lexer import ESCAPES
 from .parser import PRECEDENCE, SourceProgram
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+_ESCAPES = {char: "\\" + name for name, char in ESCAPES.items()}  # the lexer's, reversed
 
 
 def pretty_print(program: SourceProgram) -> str:
@@ -28,7 +29,7 @@ def format_expression(expr: ast.Expression, min_prec: int = 0) -> str:
         return expr.name
     if isinstance(expr, ast.Str):
         return '"' + "".join(_ESCAPES.get(c, c) for c in expr.value) + '"'
-    if isinstance(expr, ast.VALUE_TYPES):
+    if isinstance(expr, ast.Value):
         return ast.render_value(expr)
     if isinstance(expr, ast.Index):
         return f"{format_expression(expr.base, 7)}[{format_expression(expr.index)}]"

@@ -7,12 +7,15 @@ The base's ``src/`` is exported with ``git archive`` into a temporary
 directory outside the repository. The inputs are the corpus programs,
 the hand-built cases of tests/test_golden.py, and ``--rounds`` programs
 of every family in tests/proggen.py (``family_programs``, each family
-drawn from random.Random(7)). Each tree runs every input twice, untraced
-and traced, in its own subprocess importing its own ``cmod``. A run is
+drawn from random.Random(7)), plus ``--rounds`` x 10 source soups, also
+drawn from random.Random(7). Each tree, in its own subprocess importing
+its own ``cmod``, runs every program twice, untraced and traced: a run is
 reduced to a hash of its outcome (reason, detail and call chain), final
-store and output, plus the trace text when traced. The script prints the
-counts and the first input that differs, and exits 1 when any input
-differs. It writes nothing inside the repository.
+store and output, plus the trace text when traced. A soup is only lexed
+and parsed: its hash covers the token list or the LexError, then the
+parse tree or the ParseError. The script prints the counts and the first
+input that differs, and exits 1 when any input differs. It writes
+nothing inside the repository.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tarfile
@@ -31,6 +35,27 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 GENERATED_MAX_DEPTH = 64  # generated programs may recurse without end
+
+# Soups mix every lexical class, its edges and its errors, with token
+# and statement fragments that sometimes join into a program.
+SOUP_CHARS = [
+    *"azAZ_\u00e9\u00df\u0436", *"09\u0663\u00b2\u00bd", " ", "\t", "\r", "\n", "\r\n", "% note", "%",
+    '"', "\\", "\\n", "\\t", '\\"', "\\\\", "\\q", "$", "#", *"()[]{};,.=<>+-*/!:",
+    "=>", "==", "!=", "<=", ">=", "&&", "||", "&", "|",
+]
+SOUP_FRAGMENTS = [
+    "x", "y", "p", "M", "m", "12", "007", "12ab", "x\u00b2", "\u00b2x", "forall_x", '"ok"', '""', '"a\\nb"', '"a\\q"',
+    "true", "false", "p(x) =", ";", "(", ")", "=>", "and", "forall y", "ren(p, q)", "/m", "module M.", "end",
+    "macro /m = {", "}", "in", "if (x < 1)", "else", "switch (x) {", "case a:", "case -1:", "default:", "break;",
+    "z = new int[3] =>", "!x", "-x", "x == y", "x && y || !x", "== 1", "< y", "+ 2", "* -3",
+]
+SOUP_STATEMENTS = [
+    "x = 1", "y = x + 2 * 3", "print(x)", "p(1, y)", "(p(x) = print(x) => p(2))", "M => p()",
+    "if (x < 1) y = 2 else y = 3", "z = new int[3] => (z[0] = 1; x = z[0])",
+    "switch (x) { case a: y = 1; break; case -1: true; break; default: y = 2; break; }",
+    "macro /m = { p() = true } in /m => p()", 'module M. p() = print("a\\tb") end',
+    "(forall y p(y) = true and ren(p, q) /m) => q(1)", "x = !x || -x == y", "macro /m = { p() = true }",
+]
 
 
 def encode(node):
@@ -92,7 +117,35 @@ def inputs(rounds: int) -> list[dict]:
     for name, seeds, main in cases + list(proggen.family_programs(rounds)):
         depth = 10000 if name.startswith("golden/") else GENERATED_MAX_DEPTH
         items.append({"name": name, "seeds": [encode(s) for s in seeds], "main": encode(main), "max_depth": depth})
+    items.extend({"name": name, "soup": source} for name, source in soups(rounds * 10))
     return items
+
+
+def soups(count: int):
+    """(name, source) pairs of count seeded source soups."""
+    rng = random.Random(7)
+    for i in range(count):
+        pieces = rng.choice([SOUP_CHARS, SOUP_FRAGMENTS + SOUP_STATEMENTS, SOUP_CHARS + SOUP_FRAGMENTS, SOUP_STATEMENTS])
+        sep = rng.choice(["", " ", "\n", "; "])
+        yield f"soup/{i}", sep.join(rng.choice(pieces) for _ in range(rng.randint(0, 16)))
+
+
+def soup_digest(source: str) -> str:
+    """The token list or the LexError of source, then its encoded parse
+    tree or its ParseError, with the cmod on sys.path."""
+    from cmod.errors import LexError, ParseError
+    from cmod.lexer import tokenize
+    from cmod.parser import parse_program
+
+    try:
+        tokens = tokenize(source)
+    except LexError as exc:
+        return f"LexError {exc.char!r} {exc}"
+    lexed = repr([(t.kind, t.lexeme, t.line, t.column) for t in tokens])
+    try:
+        return f"{lexed}\n{json.dumps(encode(parse_program(tokens)))}"
+    except ParseError as exc:
+        return f"{lexed}\nParseError {exc} at_eof={exc.at_eof}"
 
 
 def _digest(parts) -> str:
@@ -100,11 +153,15 @@ def _digest(parts) -> str:
 
 
 def work(path: str) -> None:
-    """Worker: one line per input, [untraced hash, traced hash]."""
+    """Worker: one line per input, [untraced hash, traced hash] for a
+    program and [hash] for a soup."""
     from cmod.engine import call_with_deep_stack
 
     def run_all():
         for item in json.loads(Path(path).read_text(encoding="utf-8")):
+            if "soup" in item:
+                print(json.dumps([_digest([soup_digest(item["soup"])])]))
+                continue
             if "source" in item:
                 program = item["source"]
             else:
@@ -152,14 +209,14 @@ def main(argv=None) -> int:
         head = run_tree(ROOT / "src", inputs_path)
 
     first = None
-    differ = [0, 0]
+    differ = dict.fromkeys(["untraced", "traced", "soups"], 0)
     for item, old, new in zip(items, base, head):
-        for mode in (0, 1):
-            if old[mode] != new[mode]:
+        for mode, old_hash, new_hash in zip(["soups"] if "soup" in item else ["untraced", "traced"], old, new):
+            if old_hash != new_hash:
                 differ[mode] += 1
-                first = first or f"{item['name']} ({'traced' if mode else 'untraced'})"
+                first = first or f"{item['name']} ({mode})"
     print(f"inputs: {len(items)} (base ran {len(base)}, working tree ran {len(head)})")
-    print(f"differ untraced: {differ[0]}, traced: {differ[1]}")
+    print("differ " + ", ".join(f"{mode}: {count}" for mode, count in differ.items()))
     if first:
         print(f"first difference: {first}")
     return 1 if first or not len(base) == len(head) == len(items) else 0

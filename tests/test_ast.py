@@ -64,7 +64,7 @@ def test_desugar_idempotent_on_corpus(corpus_files):
             assert A.desugar(declared) == declared
 
 
-NODE_TYPES = A.Expression.__args__ + A.Statement.__args__ + A.Declaration.__args__ + (A.MacroDef,)
+NODE_TYPES = A.Expression + A.Statement + A.Declaration + (A.MacroDef,)
 
 
 def test_child_fields_name_exactly_the_fields_that_hold_nodes():

@@ -328,6 +328,37 @@ def test_repl_trace_flag_streams_to_stderr(monkeypatch, capsys):
     assert "bc:1" in captured.err
 
 
+DEEP_PARENS = "x = " + "(" * 2000 + "1" + ")" * 2000
+DEEP_NEGATION = "x = " + "-" * 500 + "1; print(x)"  # parses; desugaring it overflows
+
+
+@pytest.mark.parametrize(
+    "command, source, message",
+    [
+        ("run", DEEP_PARENS, "expected less deeply nested input, found '('"),
+        ("fmt", DEEP_PARENS, "expected less deeply nested input, found '('"),
+        ("run", DEEP_NEGATION, "the program is nested too deeply to process"),
+    ],
+    ids=["run-parens", "fmt-parens", "run-negation"],
+)
+def test_nesting_deeper_than_the_stack_is_a_syntax_error_exit_2(tmp_path, capsys, monkeypatch, command, source, message):
+    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    code = main([command, write(tmp_path, source)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("cmod: syntax error: ") and captured.err.endswith(message + "\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("source", [DEEP_PARENS, DEEP_NEGATION], ids=["parens", "negation"])
+def test_repl_nesting_deeper_than_the_stack_is_a_syntax_error_not_the_end(monkeypatch, capsys, source):
+    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    code, captured = repl(monkeypatch, capsys, [source, "print(7)", ":quit"])
+    assert code == 0
+    assert "syntax error: " in captured.out
+    assert captured.out.endswith("7\nok\ncmod> ")
+
+
 def test_python_stack_overflow_is_a_depth_diagnostic(tmp_path, capsys, monkeypatch):
     # Run on the main thread's small stack so the overflow comes quickly.
     monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))

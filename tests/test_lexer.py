@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from cmod.errors import LexError
-from cmod.lexer import tokenize
+from cmod.lexer import Token, tokenize
 
 
 def kinds_and_lexemes(tokens):
@@ -111,3 +111,73 @@ def test_integer_literal_past_the_conversion_limit_is_a_lex_error():
         tokenize("x = " + "0" * (limit + 1))
     assert (info.value.line, info.value.column) == (1, 5)
     assert str(info.value) == f"1:5: integer literal longer than {limit} digits"
+
+
+def test_a_bad_escape_is_reported_before_a_missing_close():
+    with pytest.raises(LexError) as info:
+        tokenize('x = "a\\q')
+    assert str(info.value) == "1:7: bad escape sequence"
+    assert info.value.char == "\\"
+
+
+def test_a_backslash_before_a_newline_is_a_bad_escape():
+    with pytest.raises(LexError) as info:
+        tokenize('"ab\\\ncd"')
+    assert (info.value.line, info.value.column, str(info.value)) == (1, 4, "1:4: bad escape sequence")
+
+
+def test_a_string_ends_on_its_own_line():
+    with pytest.raises(LexError) as info:
+        tokenize('x = 1;\n  "ab\ncd"')
+    assert str(info.value) == "2:3: unterminated string literal"
+
+
+def test_carriage_return_and_tab_are_one_column_each():
+    tokens = tokenize("\tx\r\r=\t\t1\r\n y")
+    assert [(t.lexeme, t.line, t.column) for t in tokens] == [
+        ("x", 1, 2),
+        ("=", 1, 5),
+        ("1", 1, 8),
+        ("y", 2, 2),
+        ("", 2, 3),
+    ]
+
+
+def test_end_of_input_after_a_trailing_comment():
+    assert tokenize("x % note")[-1] == Token("eof", "", 1, 9)
+    assert tokenize("x\n% note")[-1] == Token("eof", "", 2, 7)
+
+
+def test_digits_then_letters_are_an_int_then_an_identifier():
+    assert kinds_and_lexemes(tokenize("12ab")) == [("int", "12"), ("ident", "ab"), ("eof", "")]
+
+
+def test_an_identifier_goes_on_with_digits_of_any_script():
+    assert kinds_and_lexemes(tokenize("x\u00b2 \u00e9\u00bd \u00df_1")) == [
+        ("ident", "x\u00b2"),
+        ("ident", "\u00e9\u00bd"),
+        ("ident", "\u00df_1"),
+        ("eof", ""),
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, column, char", [("\u00b2x", 1, "\u00b2"), ("\u00bd", 1, "\u00bd"), ("y = \u0663x", 5, "\u0663")]
+)
+def test_an_identifier_cannot_start_with_a_digit_of_another_script(source, column, char):
+    with pytest.raises(LexError) as info:
+        tokenize(source)
+    assert (info.value.column, info.value.char) == (column, char)
+    assert str(info.value) == f"1:{column}: unexpected character {char!r}"
+
+
+def test_the_empty_string():
+    assert kinds_and_lexemes(tokenize('""')) == [("string", ""), ("eof", "")]
+
+
+def test_a_keyword_prefix_is_part_of_an_identifier():
+    assert kinds_and_lexemes(tokenize("forall_x forall")) == [
+        ("ident", "forall_x"),
+        ("keyword", "forall"),
+        ("eof", ""),
+    ]

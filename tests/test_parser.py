@@ -270,6 +270,34 @@ def test_repl_incomplete_input_is_flagged():
     assert not info.value.at_eof
 
 
+def test_an_entry_ending_in_and_before_end_of_input():
+    # a conjunction goes on past the end of input
+    for source in ("f() = true and", "(f() = true and"):
+        with pytest.raises(ParseError) as info:
+            parse_repl_input(source)
+        assert info.value.at_eof
+    # a macro group looks one token past "and", here the end marker
+    with pytest.raises(ParseError) as info:
+        parse_repl_input("macro /m = { f() = true } and")
+    assert (info.value.column, info.value.found, info.value.at_eof) == (27, "'and'", False)
+
+
+@pytest.mark.parametrize(
+    "parse, source",
+    [
+        (parse_source, "x = " + "(" * 2000 + "1" + ")" * 2000),
+        (parse_source, "(" * 2000 + "x = 1" + ")" * 2000),
+        (parse_repl_input, "x = " + "(" * 2000 + "1"),  # unfinished, but no continuation can help
+    ],
+    ids=["expression", "statement", "repl-unfinished"],
+)
+def test_nesting_deeper_than_the_stack_is_a_parse_error(parse, source):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.line, info.value.expected, info.value.found) == (1, "less deeply nested input", "'('")
+    assert 1 < info.value.column < len(source) and not info.value.at_eof
+
+
 # -- one pass over the tokens ---------------------------------------------
 
 

@@ -1,8 +1,11 @@
-"""The side-by-side harness's tree encoding round-trips, so a harness
-that no longer carries trees across shows here, not only when it runs
+"""The side-by-side harness's tree encoding round-trips and its soup
+digests tell lex errors, parse errors and trees apart, so a harness that
+no longer carries inputs across shows here, not only when it runs
 against a base commit."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -25,3 +28,25 @@ def test_golden_case_trees_round_trip(name):
 def test_generated_trees_round_trip(family):
     for _, seeds, main in proggen.family_programs(5, [family]):
         _round_trips(seeds, main)
+
+
+def test_a_soup_that_does_not_lex_is_its_lex_error():
+    assert sidebyside.soup_digest('x = "a\\q"') == "LexError '\\\\' 1:7: bad escape sequence"
+
+
+def test_a_soup_that_does_not_parse_is_its_tokens_and_parse_error():
+    assert sidebyside.soup_digest("x =") == (
+        "[('ident', 'x', 1, 1), ('punct', '=', 1, 3), ('eof', '', 1, 4)]\n"
+        "ParseError 1:4: expected expression, found end of input at_eof=True"
+    )
+
+
+def test_a_soup_that_parses_is_its_tokens_and_tree():
+    lexed, tree = sidebyside.soup_digest("print(7)").split("\n")
+    assert lexed.startswith("[('keyword', 'print', 1, 1), ('punct', '(', 1, 6)")
+    assert json.loads(tree) == ["SourceProgram", ["()"], ["()"], ["Print", ["Int", 7]]]
+
+
+def test_soups_are_seeded():
+    assert list(sidebyside.soups(50)) == list(sidebyside.soups(50))
+    assert len({source for _, source in sidebyside.soups(50)}) > 40
