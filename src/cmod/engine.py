@@ -15,7 +15,10 @@ quantifiers took from the call: variables are read there, then in the
 store, and assigned in the store. Only a declaration leaving the body is
 rebuilt, closed over the environment by substitution. Tracing does not
 change the run: each traced step is closed over its activation where it
-is emitted, in _emit, the one place events leave the engine.
+is emitted, in _emit, the one place events leave the engine; a statement
+emits at the top of _execute, under the rule _EX_RULES gives its class.
+Operators apply from one table each; only && and || (short-circuit) and
+== and != (any class) are special forms.
 
 Shallow binding finds the deciding frame: an index from each procedure
 name to the live frames declaring it, kept on every push and pop, and
@@ -24,15 +27,17 @@ macro reference frame declares depends on it) or after frames were
 appended to the stack directly.
 
 Implication, macro and allocation scopes work alike: push, run the body,
-pop even when the body fails. A macro scope puts back the environment it
-replaced, so after a scope in which no call happened the index stands. A
-failure is an EngineFailure raised with its reason and detail only; the
-innermost call it leaves attaches the call chain, and execute returns
-the failure itself as the outcome.
+pop even when the body fails, and put back what the scope replaced: the
+macro environment (so after a scope in which no call happened the index
+stands) or the store value the handle hid. A failure is an EngineFailure
+raised with its reason and detail only; the innermost call it leaves
+attaches the call chain, and execute returns the failure itself as the
+outcome.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
 from dataclasses import dataclass
@@ -116,24 +121,31 @@ def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
 
 def _emit(machine: Machine, phase: str, depth: int, node, rule_id: int, values, renames=()) -> None:
     """Trace one step: node closed over its activation, renamed, then substituted."""
-    if machine.trace is not None:
-        render = format_statement if phase == "ex" else format_declaration
-        text = render(_instantiate(node, renames, values), compact=True)
-        machine.trace(TraceEvent(phase, depth, text, rule_id))
+    render = format_statement if phase == "ex" else format_declaration
+    text = render(_instantiate(node, renames, values), compact=True)
+    machine.trace(TraceEvent(phase, depth, text, rule_id))
+
+
+# The rule each statement's step is traced under. If and Switch are not
+# traced: the statement they choose is traced in their place.
+_EX_RULES = {
+    ast.Call: 7, ast.Print: 7, ast.TrueStmt: 8, ast.Assign: 9, ast.StoreIndex: 9,
+    ast.Seq: 10, ast.Implication: 11, ast.AllocScope: 11, ast.MacroScope: 12,
+}
 
 
 def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
+    if machine.trace is not None and type(stmt) in _EX_RULES:
+        _emit(machine, "ex", depth, stmt, _EX_RULES[type(stmt)], env)
+
     if isinstance(stmt, ast.TrueStmt):
-        _emit(machine, "ex", depth, stmt, 8, env)
         return
 
     if isinstance(stmt, ast.Assign):
-        _emit(machine, "ex", depth, stmt, 9, env)
         machine.store[stmt.name] = eval_expr(machine, stmt.expr, env)
         return
 
     if isinstance(stmt, ast.StoreIndex):
-        _emit(machine, "ex", depth, stmt, 9, env)
         handle = eval_expr(machine, stmt.base, env)
         if not isinstance(handle, ast.Handle):
             raise EngineFailure(
@@ -147,13 +159,11 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         return
 
     if isinstance(stmt, ast.Seq):
-        _emit(machine, "ex", depth, stmt, 10, env)
         _execute(machine, stmt.first, depth + 1, env)
         _execute(machine, stmt.second, depth + 1, env)
         return
 
     if isinstance(stmt, ast.Implication):
-        _emit(machine, "ex", depth, stmt, 11, env)
         frame = stmt.decl
         if type(frame) is not ast.MacroRef:  # a macro reference has no variables
             frame = _instantiate(frame, (), env)
@@ -170,7 +180,6 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         return
 
     if isinstance(stmt, ast.MacroScope):
-        _emit(machine, "ex", depth, stmt, 12, env)
         outer = machine.macro_env
         machine.macro_env = outer.define(_instantiate(d, (), env) for d in stmt.defs)
         try:
@@ -184,7 +193,6 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         return
 
     if isinstance(stmt, ast.AllocScope):
-        _emit(machine, "ex", depth, stmt, 11, env)
         length = eval_expr(machine, stmt.length, env)
         if not isinstance(length, ast.Int):
             raise EngineFailure(
@@ -199,6 +207,7 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
                 f"region length {ast.render_value(length)} exceeds the limit of {MAX_REGION_LENGTH}",
             )
         handle = machine.regions.allocate(stmt.elem_type, length.value)
+        shadowed = machine.store.get(stmt.handle)
         machine.store[stmt.handle] = handle
         if stmt.handle in env:  # the handle hides a formal of its name
             env = {var: value for var, value in env.items() if var != stmt.handle}
@@ -207,11 +216,11 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         finally:
             machine.regions.free(handle)
             machine.store.pop(stmt.handle, None)
+            if shadowed is not None:  # put back the variable the handle hid
+                machine.store[stmt.handle] = shadowed
         return
 
     if isinstance(stmt, ast.If):
-        # Surface form: transparent in the trace, the chosen branch runs
-        # in its place.
         cond = eval_expr(machine, stmt.cond, env)
         if not isinstance(cond, ast.Bool):
             raise EngineFailure(
@@ -226,12 +235,10 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         return
 
     if isinstance(stmt, ast.Print):
-        _emit(machine, "ex", depth, stmt, 7, env)
         machine.output.append(ast.render_value(eval_expr(machine, stmt.expr, env)) + "\n")
         return
 
     if isinstance(stmt, ast.Call):
-        _emit(machine, "ex", depth, stmt, 7, env)
         actuals = tuple(eval_expr(machine, arg, env) for arg in stmt.args)
         _resolve_call(machine, CallSite(stmt.name, actuals), depth + 1)
         return
@@ -294,7 +301,8 @@ def _select(machine: Machine, call: CallSite, depth: int):
         raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
     clause, renames, values, at = found
     clause = _instantiate(clause, renames, {})
-    _emit(machine, "bc", at, clause, 1, values)
+    if machine.trace is not None:
+        _emit(machine, "bc", at, clause, 1, values)
     return clause, values, at
 
 
@@ -446,17 +454,36 @@ def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.V
         )
 
     if isinstance(expr, ast.UnaryOp):
+        name, operand_class, apply = _UNARY_OPERATORS[expr.op]
         operand = eval_expr(machine, expr.operand, env)
-        if expr.op == "!":
-            if not isinstance(operand, ast.Bool):
-                raise _type_error("!", operand)
-            return ast.Bool(not operand.value)
-        if not isinstance(operand, ast.Int):
-            raise _type_error("unary -", operand)
-        return ast.Int(-operand.value)
+        if not isinstance(operand, operand_class):
+            raise _type_error(name, operand)
+        return operand_class(apply(operand.value))
 
     if isinstance(expr, ast.BinOp):
-        return _eval_binop(machine, expr, env)
+        op = expr.op
+        if op in ("&&", "||"):  # operands left to right, until one decides
+            for operand in (expr.left, expr.right):
+                value = eval_expr(machine, operand, env)
+                if not isinstance(value, ast.Bool):
+                    raise _type_error(op, value)
+                if value.value == (op == "||"):
+                    break
+            return value
+        left = eval_expr(machine, expr.left, env)
+        right = eval_expr(machine, expr.right, env)
+        if op in ("==", "!="):
+            equal = type(left) is type(right) and left == right
+            return ast.Bool(equal if op == "==" else not equal)
+        if not isinstance(left, ast.Int) or not isinstance(right, ast.Int):
+            raise _type_error(op, left if not isinstance(left, ast.Int) else right)
+        apply = _INTEGER_OPERATORS.get(op)
+        if apply is None:
+            raise TypeError(f"unknown operator {op!r}")
+        if op == "/" and right.value == 0:
+            raise EngineFailure(DIVISION_BY_ZERO, f"{ast.render_value(left)} / 0")
+        result = apply(left.value, right.value)
+        return ast.Bool(result) if isinstance(result, bool) else ast.Int(result)
 
     if isinstance(expr, ast.Index):
         base = eval_expr(machine, expr.base, env)
@@ -470,55 +497,19 @@ def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.V
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _eval_binop(machine: Machine, expr: ast.BinOp, env) -> ast.Value:
-    op = expr.op
+def _truncating_quotient(a: int, b: int) -> int:
+    """a / b rounded toward zero, as in C."""
+    return a // b if (a < 0) == (b < 0) else -(-a // b)
 
-    if op in ("&&", "||"):
-        left = eval_expr(machine, expr.left, env)
-        if not isinstance(left, ast.Bool):
-            raise _type_error(op, left)
-        if op == "&&" and not left.value:
-            return ast.Bool(False)
-        if op == "||" and left.value:
-            return ast.Bool(True)
-        right = eval_expr(machine, expr.right, env)
-        if not isinstance(right, ast.Bool):
-            raise _type_error(op, right)
-        return right
 
-    left = eval_expr(machine, expr.left, env)
-    right = eval_expr(machine, expr.right, env)
-
-    if op in ("==", "!="):
-        equal = type(left) is type(right) and left == right
-        return ast.Bool(equal if op == "==" else not equal)
-
-    if not isinstance(left, ast.Int) or not isinstance(right, ast.Int):
-        raise _type_error(op, left if not isinstance(left, ast.Int) else right)
-
-    a, b = left.value, right.value
-    if op == "+":
-        return ast.Int(a + b)
-    if op == "-":
-        return ast.Int(a - b)
-    if op == "*":
-        return ast.Int(a * b)
-    if op == "/":
-        if b == 0:
-            raise EngineFailure(DIVISION_BY_ZERO, f"{ast.render_value(left)} / 0")
-        quotient = a // b
-        if quotient < 0 and quotient * b != a:
-            quotient += 1  # truncate toward zero
-        return ast.Int(quotient)
-    if op == "<":
-        return ast.Bool(a < b)
-    if op == "<=":
-        return ast.Bool(a <= b)
-    if op == ">":
-        return ast.Bool(a > b)
-    if op == ">=":
-        return ast.Bool(a >= b)
-    raise TypeError(f"unknown operator {op!r}")
+# The operators on two integers, each mapped to the function of the
+# operands' values; a comparison gives a Bool.
+_INTEGER_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _truncating_quotient,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+# Each unary operator's name in diagnostics, operand class and function.
+_UNARY_OPERATORS = {"!": ("!", ast.Bool, operator.not_), "-": ("unary -", ast.Int, operator.neg)}
 
 
 def _type_error(op: str, value: ast.Value) -> EngineFailure:

@@ -182,7 +182,8 @@ class _Parser:
             body = self.parse_declaration()
             self._expect("}")
             defs.append(ast.MacroDef(name, body))
-            if self._check("and") and self._check("/", offset=1):
+            # an "and" before the end of input is a group not finished yet
+            if self._check("and") and (self._check("/", offset=1) or self._peek(1).kind == "eof"):
                 self._advance()
                 continue
             break

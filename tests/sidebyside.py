@@ -13,14 +13,16 @@ its own ``cmod``, runs every program twice, untraced and traced: a run is
 reduced to a hash of its outcome (reason, detail and call chain), final
 store and output, plus the trace text when traced. A soup is only lexed
 and parsed: its hash covers the token list or the LexError, then the
-parse tree or the ParseError. The script prints the counts and the first
-input that differs, and exits 1 when any input differs. It writes
-nothing inside the repository.
+parse tree or the ParseError. The script prints the counts of differing
+inputs by mode and by family (corpus, golden, each proggen family, soup),
+with the first five names in each family, and exits 1 when any input
+differs. It writes nothing inside the repository.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import io
 import json
@@ -183,6 +185,36 @@ def run_tree(src: Path, inputs_path: Path) -> list[list[str]]:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
+def family(name: str) -> str:
+    """The family of an input: corpus, golden, soup or a tests/proggen.py family."""
+    return name.split("/")[0] if "/" in name else name.rsplit("-", 1)[0]
+
+
+def summary(items: list[dict], base: list[list[str]], head: list[list[str]]) -> tuple[list[str], bool]:
+    """The report's lines, and whether any input differs: the counts by
+    mode, then each family's count of differing inputs and the first five
+    of their names."""
+    differ = dict.fromkeys(["untraced", "traced", "soups"], 0)
+    totals = collections.Counter(family(item["name"]) for item in items)
+    differing: dict[str, list[str]] = {name: [] for name in totals}
+    for item, old, new in zip(items, base, head):
+        modes = ["soups"] if "soup" in item else ["untraced", "traced"]
+        changed = [mode for mode, old_hash, new_hash in zip(modes, old, new) if old_hash != new_hash]
+        for mode in changed:
+            differ[mode] += 1
+        if changed:
+            differing[family(item["name"])].append(item["name"])
+    lines = [
+        f"inputs: {len(items)} (base ran {len(base)}, working tree ran {len(head)})",
+        "differ " + ", ".join(f"{mode}: {count}" for mode, count in differ.items()),
+    ]
+    for name, total in totals.items():
+        names = differing[name]
+        first = f" ({', '.join(names[:5])})" if names else ""
+        lines.append(f"  {name}: {len(names)} of {total} differ{first}")
+    return lines, any(differ.values())
+
+
 def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -208,18 +240,9 @@ def main(argv=None) -> int:
         base = run_tree(tmp_path / "base" / "src", inputs_path)
         head = run_tree(ROOT / "src", inputs_path)
 
-    first = None
-    differ = dict.fromkeys(["untraced", "traced", "soups"], 0)
-    for item, old, new in zip(items, base, head):
-        for mode, old_hash, new_hash in zip(["soups"] if "soup" in item else ["untraced", "traced"], old, new):
-            if old_hash != new_hash:
-                differ[mode] += 1
-                first = first or f"{item['name']} ({mode})"
-    print(f"inputs: {len(items)} (base ran {len(base)}, working tree ran {len(head)})")
-    print("differ " + ", ".join(f"{mode}: {count}" for mode, count in differ.items()))
-    if first:
-        print(f"first difference: {first}")
-    return 1 if first or not len(base) == len(head) == len(items) else 0
+    lines, differs = summary(items, base, head)
+    print("\n".join(lines))
+    return 1 if differs or not len(base) == len(head) == len(items) else 0
 
 
 if __name__ == "__main__":

@@ -319,6 +319,13 @@ def test_repl_macros_listing(monkeypatch, capsys):
     assert "/m" in captured.out
 
 
+def test_repl_continues_a_macro_group_after_and(monkeypatch, capsys):
+    lines = ["macro /m = { f() = true } and", "/n = { g() = true } in (m => f())", ":quit"]
+    code, captured = repl(monkeypatch, capsys, lines)
+    assert code == 0
+    assert captured.out.splitlines()[1:] == ["cmod> ....> ok", "cmod> "]
+
+
 def test_repl_trace_flag_streams_to_stderr(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("(p() = true => p())\n:quit\n"))
     code = main(["repl", "--trace"])

@@ -2,7 +2,9 @@ import random
 import sys
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import proggen
 from cmod import ast as A
@@ -25,7 +27,7 @@ from cmod.errors import (
     EngineFailure,
 )
 from cmod.machine import Machine
-from cmod.parser import parse_source
+from cmod.parser import PRECEDENCE, parse_source
 
 
 def run(source, **kwargs):
@@ -527,6 +529,86 @@ def test_unbound_capitalized_identifier_is_an_error():
 
 def test_bound_identifier_beats_the_atom_reading():
     assert eval_in({"tom": A.Int(3)}, A.Var("tom")) == A.Int(3)
+
+
+# -- operators against a Python reference -------------------------------------
+
+VALUES = st.one_of(
+    st.sampled_from([0, 1, -1]).map(A.Int),
+    st.integers().map(A.Int),
+    st.booleans().map(A.Bool),
+    st.text(max_size=3).map(A.Str),
+)
+INTEGER_RESULTS = {
+    "+": lambda a, b: A.Int(a + b),
+    "-": lambda a, b: A.Int(a - b),
+    "*": lambda a, b: A.Int(a * b),
+    "/": lambda a, b: A.Int(abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)),
+    "<": lambda a, b: A.Bool(a < b),
+    "<=": lambda a, b: A.Bool(a <= b),
+    ">": lambda a, b: A.Bool(a > b),
+    ">=": lambda a, b: A.Bool(a >= b),
+}
+
+
+def reference(op, left, right):
+    """The value of left op right, or the (reason, detail) it fails with."""
+    if op in ("&&", "||"):
+        if not isinstance(left, A.Bool):
+            return TYPE_MISMATCH, f"{op} is not applicable to {A.render_value(left)}"
+        if left.value == (op == "||"):
+            return left
+        if not isinstance(right, A.Bool):
+            return TYPE_MISMATCH, f"{op} is not applicable to {A.render_value(right)}"
+        return right
+    if op in ("==", "!="):
+        return A.Bool((type(left) is type(right) and left.value == right.value) == (op == "=="))
+    for operand in (left, right):
+        if not isinstance(operand, A.Int):
+            return TYPE_MISMATCH, f"{op} is not applicable to {A.render_value(operand)}"
+    if op == "/" and right.value == 0:
+        return DIVISION_BY_ZERO, f"{left.value} / 0"
+    return INTEGER_RESULTS[op](left.value, right.value)
+
+
+def outcome_of(expr):
+    try:
+        return eval_in({}, expr)
+    except EngineFailure as failure:
+        return failure.reason, failure.detail
+
+
+@given(st.sampled_from(sorted(PRECEDENCE)), VALUES, VALUES)
+def test_binary_operators_agree_with_the_reference(op, left, right):
+    assert outcome_of(A.BinOp(op, left, right)) == reference(op, left, right)
+
+
+@given(VALUES)
+def test_unary_operators_agree_with_the_reference(operand):
+    expected = {
+        "!": A.Bool(not operand.value) if isinstance(operand, A.Bool)
+        else (TYPE_MISMATCH, f"! is not applicable to {A.render_value(operand)}"),
+        "-": A.Int(-operand.value) if isinstance(operand, A.Int)
+        else (TYPE_MISMATCH, f"unary - is not applicable to {A.render_value(operand)}"),
+    }
+    for op, result in expected.items():
+        assert outcome_of(A.UnaryOp(op, operand)) == result
+
+
+def test_operator_details_are_exact():
+    assert outcome_of(A.UnaryOp("!", A.Int(3))) == (TYPE_MISMATCH, "! is not applicable to 3")
+    assert outcome_of(A.UnaryOp("-", A.Bool(True))) == (TYPE_MISMATCH, "unary - is not applicable to true")
+    assert outcome_of(A.BinOp("+", A.Bool(True), A.Int(1))) == (TYPE_MISMATCH, "+ is not applicable to true")
+    assert outcome_of(A.BinOp("+", A.Int(1), A.Str("a"))) == (TYPE_MISMATCH, "+ is not applicable to a")
+    assert outcome_of(A.BinOp("/", A.Int(7), A.Int(0))) == (DIVISION_BY_ZERO, "7 / 0")
+    with pytest.raises(TypeError, match="unknown operator '%'"):
+        eval_in({}, A.BinOp("%", A.Int(7), A.Int(2)))
+
+
+@pytest.mark.parametrize("op", sorted(PRECEDENCE))
+def test_every_parsed_operator_evaluates(op):
+    operand = A.Bool(True) if op in ("&&", "||") else A.Int(2)
+    assert isinstance(eval_in({}, A.BinOp(op, operand, operand)), (A.Int, A.Bool))
 
 
 # -- substitution -------------------------------------------------------------

@@ -276,9 +276,13 @@ def test_an_entry_ending_in_and_before_end_of_input():
         with pytest.raises(ParseError) as info:
             parse_repl_input(source)
         assert info.value.at_eof
-    # a macro group looks one token past "and", here the end marker
+    # so does a macro group: the next definition is still to come
     with pytest.raises(ParseError) as info:
         parse_repl_input("macro /m = { f() = true } and")
+    assert (str(info.value), info.value.at_eof) == ("1:30: expected '/', found end of input", True)
+    # an "and" followed by anything but "/" still ends the group
+    with pytest.raises(ParseError) as info:
+        parse_repl_input("macro /m = { f() = true } and x = 1")
     assert (info.value.column, info.value.found, info.value.at_eof) == (27, "'and'", False)
 
 

@@ -121,6 +121,21 @@ def test_handle_binding_removed_at_scope_exit():
     assert "p" not in machine.store
 
 
+@pytest.mark.parametrize("name", ["P", "p"])
+def test_scope_exit_puts_back_the_variable_the_handle_shadowed(name):
+    outcome, machine = run_source(f"{name} = 5; ({name} = new int[3] => print({name}[0])); print({name})")
+    assert isinstance(outcome, Success)
+    assert machine.output_text() == "0\n5\n"
+    assert machine.store == {name: A.Int(5)}
+
+
+def test_a_failing_body_still_puts_back_the_shadowed_variable():
+    outcome, machine = run_source("p = 5; (p = new int[3] => nope()); print(p)")
+    assert isinstance(outcome, Failure) and outcome.detail == "nope/0"
+    assert machine.regions.live == []
+    assert machine.store == {"p": A.Int(5)}
+
+
 def test_scope_pops_even_when_the_body_fails():
     machine = Machine.initial()
     body = A.Call("nope", ())

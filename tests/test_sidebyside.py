@@ -50,3 +50,31 @@ def test_a_soup_that_parses_is_its_tokens_and_tree():
 def test_soups_are_seeded():
     assert list(sidebyside.soups(50)) == list(sidebyside.soups(50))
     assert len({source for _, source in sidebyside.soups(50)}) > 40
+
+
+def test_the_summary_counts_differing_inputs_by_family():
+    names = ["corpus/a.cmod", "golden/b", *(f"closure-{i}" for i in range(7)), "soup/0", "soup/1"]
+    items = [{"name": name, **({"soup": ""} if name.startswith("soup/") else {})} for name in names]
+    base = [["s"] if "soup" in item else ["u", "t"] for item in items]
+    head = [list(hashes) for hashes in base]
+    assert sidebyside.summary(items, base, head) == ([
+        "inputs: 11 (base ran 11, working tree ran 11)",
+        "differ untraced: 0, traced: 0, soups: 0",
+        "  corpus: 0 of 1 differ",
+        "  golden: 0 of 1 differ",
+        "  closure: 0 of 7 differ",
+        "  soup: 0 of 2 differ",
+    ], False)
+    for i in (1, 2, 3, 4, 5, 6):
+        head[2 + i][i % 2] = "changed"  # closure-1..6, untraced or traced
+    head[-1] = ["changed"]
+    lines, differs = sidebyside.summary(items, base, head)
+    assert differs
+    assert lines[1:] == [
+        "differ untraced: 3, traced: 3, soups: 1",
+        "  corpus: 0 of 1 differ",
+        "  golden: 0 of 1 differ",
+        "  closure: 6 of 7 differ (closure-1, closure-2, closure-3, closure-4, closure-5)",
+        "  soup: 1 of 2 differ (soup/1)",
+    ]
+    assert sidebyside.family("macro_equivalence-12") == "macro_equivalence"
