@@ -2,10 +2,7 @@
 modules, a constructive macro language, and region-scoped allocation."""
 
 from .engine import (
-    CallSite,
-    ExecOutcome,
     Success,
-    TraceEvent,
     call_with_deep_stack,
     eval_expr,
     execute,
@@ -17,6 +14,7 @@ from .errors import (
     CmodError,
     EngineFailure,
     LexError,
+    NestingError,
     ParseError,
 )
 from .ast import desugar, free_procedure_names
@@ -30,19 +28,17 @@ from .regions import RegionStack, region_read, region_write
 __version__ = "0.1.0"
 
 __all__ = [
-    "CallSite",
     "CmodError",
     "EngineFailure",
-    "ExecOutcome",
     "LexError",
     "Machine",
     "MacroEnv",
+    "NestingError",
     "ParseError",
     "RegionStack",
     "SourceProgram",
     "Success",
     "Token",
-    "TraceEvent",
     "call_with_deep_stack",
     "desugar",
     "eval_expr",

@@ -5,46 +5,79 @@ trees (module bodies), and macro definitions bind names to declarations.
 A runtime value is also an expression leaf, its own literal: the parser
 builds ``Int(5)`` for ``5``, and instantiation puts the value itself in
 place of a variable. ``/m => G`` is an Implication whose declaration is
-``MacroRef("m")``. Every node is a frozen dataclass holding tuples, so
-trees are immutable and freely shareable after construction. ``Value``,
-``Expression``, ``Statement`` and ``Declaration`` are tuples of their
-classes, for ``isinstance``.
+``MacroRef("m")``. Every node is a slotted dataclass that takes its
+equality (same class, equal fields), hashing and repr from ``Node``.
+Nodes are immutable by convention, not checked: no code assigns a field
+(slots reject only new attributes), and trees of tuples share freely.
+``Value``, ``Expression``, ``Statement`` and ``Declaration`` are class
+tuples for ``isinstance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
+from operator import attrgetter, is_
+
+
+class Node:
+    """Equality, hashing and repr from the fields, for every node and record."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the key: a lone field's value, a tuple of several, or the class
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._key = attrgetter(*names) if names else type
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __ne__(self, other):  # head matching tests !=; spare it a second dispatch
+        if other.__class__ is self.__class__:
+            return self._key(self) != self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
+
+
+# Every Node class's decorator: it records the fields and generates only __init__.
+record = dataclass(eq=False, repr=False, slots=True)
 
 # ---------------------------------------------------------------------------
 # Runtime values, each also an expression: its own literal
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Int:
+@record
+class Int(Node):
     value: int
 
 
-@dataclass(frozen=True)
-class Bool:
+@record
+class Bool(Node):
     value: bool
 
 
-@dataclass(frozen=True)
-class Str:
+@record
+class Str(Node):
     value: str
 
 
-@dataclass(frozen=True)
-class Atom:
+@record
+class Atom(Node):
     """A self-evaluating symbolic constant, e.g. ``tom``."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Handle:
+@record
+class Handle(Node):
     """Reference to a region; the generation pair detects dangling use."""
 
     region_id: int
@@ -75,29 +108,29 @@ def render_value(value: Value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+@record
+class Var(Node):
     """An identifier; whether it is a bound variable or an atom is decided
     by the store at evaluation time."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+@record
+class BinOp(Node):
     op: str
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class UnaryOp:
+@record
+class UnaryOp(Node):
     op: str
     operand: "Expression"
 
 
-@dataclass(frozen=True)
-class Index:
+@record
+class Index(Node):
     """Element read through a region handle: ``base[index]``."""
 
     base: "Expression"
@@ -112,25 +145,25 @@ Expression = Value + (Var, BinOp, UnaryOp, Index)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrueStmt:
+@record
+class TrueStmt(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Call:
+@record
+class Call(Node):
     name: str
     args: tuple[Expression, ...]
 
 
-@dataclass(frozen=True)
-class Assign:
+@record
+class Assign(Node):
     name: str
     expr: Expression
 
 
-@dataclass(frozen=True)
-class StoreIndex:
+@record
+class StoreIndex(Node):
     """Element write through a region handle: ``base[index] = value``.
 
     The base is an expression so that instantiated clause parameters can
@@ -142,14 +175,14 @@ class StoreIndex:
     value: Expression
 
 
-@dataclass(frozen=True)
-class Seq:
+@record
+class Seq(Node):
     first: "Statement"
     second: "Statement"
 
 
-@dataclass(frozen=True)
-class Implication:
+@record
+class Implication(Node):
     """``D => G``: run body with decl pushed as the most recent module;
     ``/n => G`` is the one whose decl is ``MacroRef(n)``."""
 
@@ -157,16 +190,16 @@ class Implication:
     body: "Statement"
 
 
-@dataclass(frozen=True)
-class MacroScope:
+@record
+class MacroScope(Node):
     """``macro /n = { D } ... in G``: define macros for the body only."""
 
     defs: tuple["MacroDef", ...]
     body: "Statement"
 
 
-@dataclass(frozen=True)
-class AllocScope:
+@record
+class AllocScope(Node):
     """``p = new int[E] => G``: region alive exactly for the body."""
 
     handle: str
@@ -175,30 +208,30 @@ class AllocScope:
     body: "Statement"
 
 
-@dataclass(frozen=True)
-class If:
+@record
+class If(Node):
     cond: Expression
     then: "Statement"
     orelse: "Statement"
 
 
-@dataclass(frozen=True)
-class Switch:
+@record
+class Switch(Node):
     scrutinee: Expression
     cases: tuple[tuple[Value, "Statement"], ...]
     default: "Statement"
 
 
-@dataclass(frozen=True)
-class Print:
+@record
+class Print(Node):
     expr: Expression
 
 
 Statement = (TrueStmt, Call, Assign, StoreIndex, Seq, Implication, MacroScope, AllocScope, If, Switch, Print)
 
 
-@dataclass(frozen=True)
-class Clause:
+@record
+class Clause(Node):
     """One procedure declaration ``name(params) = body``.
 
     Parser output has distinct variable names as params; instantiation
@@ -211,25 +244,25 @@ class Clause:
     body: Statement
 
 
-@dataclass(frozen=True)
-class And:
+@record
+class And(Node):
     left: "Declaration"
     right: "Declaration"
 
 
-@dataclass(frozen=True)
-class Forall:
+@record
+class Forall(Node):
     var: str
     decl: "Declaration"
 
 
-@dataclass(frozen=True)
-class MacroRef:
+@record
+class MacroRef(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Rename:
+@record
+class Rename(Node):
     """``ren(old, new) D``: D with procedure name old replaced by new."""
 
     old: str
@@ -240,8 +273,8 @@ class Rename:
 Declaration = (Clause, And, Forall, MacroRef, Rename)
 
 
-@dataclass(frozen=True)
-class MacroDef:
+@record
+class MacroDef(Node):
     name: str
     body: Declaration
 
@@ -288,8 +321,7 @@ def map_children(node, fn):
     children = CHILD_FIELDS.get(type(node))
     if children is None:
         return node
-    # __match_args__ names a dataclass's fields in order; vars() would give
-    # the node a real __dict__, which slows every later attribute read
+    # __match_args__ names the class's fields in order
     values = list(map(node.__getattribute__, node.__match_args__))
     changed = False
     for i, kind in children:

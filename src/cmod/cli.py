@@ -15,7 +15,7 @@ import sys
 
 from . import ast
 from .engine import call_with_deep_stack, execute, run_source
-from .errors import NO_MATCHING_CLAUSE, CmodError, EngineFailure, LexError, ParseError
+from .errors import NO_MATCHING_CLAUSE, TOO_DEEP, CmodError, EngineFailure, LexError, NestingError, ParseError
 from .machine import DEFAULT_MAX_DEPTH, Machine
 from .parser import parse_repl_input, parse_source
 from .printer import format_declaration, pretty_print
@@ -24,9 +24,6 @@ EXIT_OK = 0
 EXIT_NO_CLAUSE = 1
 EXIT_SYNTAX = 2
 EXIT_RUNTIME = 3
-# execute turns running out of Python stack into a depth-exceeded failure;
-# anywhere else (parsing, seeding, formatting) the program is too deep.
-_TOO_DEEP = "the program is nested too deeply to process"
 
 
 def _positive_int(text: str) -> int:
@@ -134,7 +131,7 @@ def _cmd_repl(args) -> int:
         except LexError as exc:
             print(f"syntax error: {exc}")
         except RecursionError:
-            print(f"syntax error: {_TOO_DEEP}")
+            print(f"syntax error: {TOO_DEEP}")
         buffer = ""
 
 
@@ -191,11 +188,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args, source)
         return _cmd_fmt(source)
-    except (LexError, ParseError) as exc:
+    except (LexError, ParseError, NestingError) as exc:
         print(f"cmod: syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except RecursionError:
-        print(f"cmod: syntax error: {_TOO_DEEP}", file=sys.stderr)
+    except RecursionError:  # only formatting still runs out of Python stack here
+        print(f"cmod: syntax error: {TOO_DEEP}", file=sys.stderr)
         return EXIT_SYNTAX
     except CmodError as exc:  # pragma: no cover - safety net
         print(f"cmod: {exc}", file=sys.stderr)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import operator
 import sys
 import threading
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import ast
@@ -49,9 +48,11 @@ from .errors import (
     DIVISION_BY_ZERO,
     NO_MATCHING_CLAUSE,
     REGION_FAULT,
+    TOO_DEEP,
     TYPE_MISMATCH,
     UNBOUND_VARIABLE,
     EngineFailure,
+    NestingError,
 )
 from .machine import DEFAULT_MAX_DEPTH, Machine
 from .macros import rename
@@ -60,8 +61,8 @@ from .printer import format_declaration, format_statement
 from .regions import MAX_REGION_LENGTH, region_read, region_write
 
 
-@dataclass(frozen=True)
-class CallSite:
+@ast.record
+class CallSite(ast.Node):
     name: str
     actuals: tuple[ast.Value, ...]
 
@@ -72,8 +73,8 @@ class CallSite:
         return f"{self.name}/{len(self.actuals)}"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+@ast.record
+class TraceEvent(ast.Node):
     phase: str  # "ex" or "bc"
     depth: int
     subject: str
@@ -83,7 +84,7 @@ class TraceEvent:
         return f"{'  ' * self.depth}{self.phase}:{self.rule_id} {self.subject}"
 
 
-@dataclass
+@ast.record
 class Success:
     machine: Machine
 
@@ -531,7 +532,7 @@ def machine_for(
 ) -> Machine:
     """An empty machine seeded with the program's module and macro
     definitions (desugared)."""
-    seeds = [ast.desugar(d) for d in program.seeds()]
+    seeds = [_desugar(d) for d in program.seeds()]
     return Machine.initial(seeds=seeds, max_depth=max_depth, trace=trace)
 
 
@@ -543,7 +544,15 @@ def run_source(
     """Parse, seed, and execute a whole program from the empty machine."""
     program = parse_source(source)
     machine = machine_for(program, max_depth=max_depth, trace=trace)
-    return execute(machine, ast.desugar(program.main)), machine
+    return execute(machine, _desugar(program.main)), machine
+
+
+def _desugar(node):
+    """ast.desugar(node); a NestingError when it is too deep for the Python stack."""
+    try:
+        return ast.desugar(node)
+    except RecursionError:
+        raise NestingError(TOO_DEEP) from None
 
 
 # sys.setrecursionlimit and threading.stack_size are process-wide: the

@@ -13,6 +13,7 @@ DEPTH_EXCEEDED = "depth-exceeded"
 REGION_FAULT = "region-fault"
 TYPE_MISMATCH = "type-mismatch"
 DIVISION_BY_ZERO = "division-by-zero"
+TOO_DEEP = "the program is nested too deeply to process"
 
 
 class CmodError(Exception):
@@ -39,6 +40,10 @@ class ParseError(CmodError):
         # request a continuation line instead of reporting the error.
         self.at_eof = at_eof
         super().__init__(f"{line}:{column}: expected {expected}, found {found}")
+
+
+class NestingError(CmodError):
+    """A parsed program too deeply nested to desugar or seed."""
 
 
 class EngineFailure(CmodError):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
+from .ast import Node, record
 from .errors import LexError
 
 KEYWORDS = frozenset(
@@ -57,8 +57,8 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
-@dataclass(frozen=True)
-class Token:
+@record
+class Token(Node):
     kind: str  # ident | int | string | keyword | punct | eof
     lexeme: str
     line: int

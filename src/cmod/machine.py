@@ -3,8 +3,6 @@ stack, and output accumulator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast
 from .macros import MacroEnv
 from .regions import RegionStack
@@ -12,22 +10,20 @@ from .regions import RegionStack
 DEFAULT_MAX_DEPTH = 10000
 
 
-@dataclass
 class Machine:
-    # The program triple: module stack (last element = most recent),
-    # macro environment, and variable store.
-    module_stack: list[ast.Declaration] = field(default_factory=list)
-    macro_env: MacroEnv = field(default_factory=MacroEnv)
-    store: dict[str, ast.Value] = field(default_factory=dict)
-    regions: RegionStack = field(default_factory=RegionStack)
-    output: list[str] = field(default_factory=list)
-    max_depth: int = DEFAULT_MAX_DEPTH
-    trace: object = None  # called with each TraceEvent when set
-    call_stack: list = field(default_factory=list)
-    # Shallow binding: frame positions per declared name, each frame's names, their macro env.
-    frame_index: dict[str, list[int]] = field(default_factory=dict)
-    frame_names: list[tuple[str, ...]] = field(default_factory=list)
-    indexed_env: MacroEnv | None = None
+    def __init__(self, macro_env=None, store=None, max_depth=DEFAULT_MAX_DEPTH, trace=None):
+        # The program triple: module stack (last element = most recent),
+        # macro environment, and variable store.
+        self.module_stack: list[ast.Declaration] = []
+        self.macro_env: MacroEnv = MacroEnv() if macro_env is None else macro_env
+        self.store: dict[str, ast.Value] = {} if store is None else store
+        self.regions = RegionStack()
+        self.output: list[str] = []
+        self.max_depth = max_depth
+        self.trace = trace  # called with each TraceEvent when set
+        self.call_stack: list = []
+        # Shallow binding: frame positions per declared name, each frame's names, their macro env.
+        self.frame_index, self.frame_names, self.indexed_env = {}, [], None
 
     @classmethod
     def initial(cls, seeds=(), max_depth: int = DEFAULT_MAX_DEPTH, trace=None) -> Machine:

@@ -8,13 +8,11 @@ replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ast
 
 
-@dataclass(frozen=True)
-class MacroEnv:
+@ast.record
+class MacroEnv(ast.Node):
     defs: tuple[ast.MacroDef, ...] = ()  # most recent first
 
     @classmethod

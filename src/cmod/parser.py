@@ -28,8 +28,6 @@ Concrete syntax notes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ast
 from .errors import ParseError
 from .lexer import Token, tokenize
@@ -46,8 +44,8 @@ PRECEDENCE = {
 _TIGHTEST = max(PRECEDENCE.values())
 
 
-@dataclass(frozen=True)
-class SourceProgram:
+@ast.record
+class SourceProgram(ast.Node):
     module_defs: tuple[tuple[str, ast.Declaration], ...]
     macro_defs: tuple[ast.MacroDef, ...]
     main: ast.Statement

@@ -9,8 +9,6 @@ the regions and the checked access to their cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast
 from .errors import REGION_FAULT, TYPE_MISMATCH, EngineFailure
 
@@ -19,26 +17,22 @@ from .errors import REGION_FAULT, TYPE_MISMATCH, EngineFailure
 MAX_REGION_LENGTH = 2**24
 
 
-@dataclass
 class Region:
-    id: int
-    generation: int
-    elem_type: str
-    cells: list[ast.Value]
-    live: bool = True
+    def __init__(self, id: int, elem_type: str, cells: list[ast.Value]):
+        self.id, self.generation, self.elem_type, self.cells, self.live = id, 0, elem_type, cells, True
 
 
-@dataclass
 class RegionStack:
-    # All regions ever allocated, in allocation order, so a region's id is
-    # its position; dead ones are kept for fault diagnostics. (id,
-    # generation) pairs are never reused. live holds the live regions,
-    # oldest first: only its last one may be freed.
-    regions: list[Region] = field(default_factory=list)
-    live: list[Region] = field(default_factory=list)
+    def __init__(self):
+        # All regions ever allocated, in allocation order, so a region's id
+        # is its position; dead ones are kept for fault diagnostics. (id,
+        # generation) pairs are never reused. live holds the live regions,
+        # oldest first: only its last one may be freed.
+        self.regions: list[Region] = []
+        self.live: list[Region] = []
 
     def allocate(self, elem_type: str, length: int) -> ast.Handle:
-        region = Region(len(self.regions), 0, elem_type, [ast.Int(0)] * length)
+        region = Region(len(self.regions), elem_type, [ast.Int(0)] * length)
         self.regions.append(region)
         self.live.append(region)
         return ast.Handle(region.id, region.generation)

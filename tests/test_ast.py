@@ -2,11 +2,14 @@ import dataclasses
 import re
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from cmod import ast as A
+from cmod.engine import CallSite, TraceEvent
+from cmod.lexer import Token
 from cmod.macros import MacroEnv
-from cmod.parser import parse_source
+from cmod.parser import SourceProgram, parse_source
 
 
 def emp_switch():
@@ -74,6 +77,64 @@ def test_child_fields_name_exactly_the_fields_that_hold_nodes():
         fields = dataclasses.fields(cls)
         expected = [i for i, f in enumerate(fields) if holds_nodes.search(str(f.type))]
         assert [i for i, _ in A.CHILD_FIELDS.get(cls, ())] == expected, cls.__name__
+
+
+# -- the Node base ----------------------------------------------------------
+
+RECORD_TYPES = (Token, CallSite, TraceEvent, MacroEnv, SourceProgram)
+
+
+def test_equal_nodes_have_the_same_class_and_equal_fields():
+    # each pair checked with both == and !=, which the base defines apart
+    for a, b, equal in [
+        (A.Int(1), A.Int(1), True), (A.Int(1), A.Int(2), False), (A.Int(1), A.Bool(True), False),
+        (A.Atom("a"), A.Var("a"), False), (A.TrueStmt(), A.TrueStmt(), True),
+        (A.TrueStmt(), A.Print(A.Int(1)), False), (A.Handle(1, 2), A.Handle(1, 2), True),
+        (A.Handle(1, 2), A.Handle(1, 3), False), (A.Int(1), 1, False), (A.Int(1), (1,), False),
+    ]:
+        assert (a == b, a != b, b == a, b != a) == (equal, not equal, equal, not equal), (a, b)
+
+
+def test_equal_nodes_hash_equal():
+    pairs = [(A.Int(7), A.Int(7)), (A.TrueStmt(), A.TrueStmt()), (emp_switch(), emp_switch()),
+             (Token("ident", "x", 1, 1), Token("ident", "x", 1, 1)), (MacroEnv(), MacroEnv())]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert len({A.Int(1), A.Int(1), A.Bool(True), A.Atom("a"), A.Var("a")}) == 4
+
+
+def test_repr_names_each_field():
+    assert repr(A.Int(1)) == "Int(value=1)"
+    assert repr(A.TrueStmt()) == "TrueStmt()"
+    assert repr(A.Call("p", (A.Var("x"),))) == "Call(name='p', args=(Var(name='x'),))"
+    assert repr(Token("eof", "", 2, 7)) == "Token(kind='eof', lexeme='', line=2, column=7)"
+    assert repr(MacroEnv()) == "MacroEnv(defs=())"
+
+
+def test_a_wrong_argument_count_is_a_type_error():
+    for build in (lambda: A.Int(), lambda: A.Int(1, 2), lambda: A.TrueStmt(1), lambda: A.BinOp("+", A.Int(1))):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_a_new_attribute_is_rejected():
+    for node in (A.Int(1), A.TrueStmt(), A.Seq(A.TrueStmt(), A.TrueStmt()), Token("eof", "", 1, 1)):
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+
+def test_fields_are_the_match_args():
+    for cls in NODE_TYPES + RECORD_TYPES:
+        assert dataclasses.is_dataclass(cls), cls.__name__
+        assert [f.name for f in dataclasses.fields(cls)] == list(cls.__match_args__), cls.__name__
+
+
+def test_node_classes_generate_no_comparison_or_repr_of_their_own():
+    # Each such method generated at import would cost start-up time.
+    for cls in NODE_TYPES + RECORD_TYPES:
+        assert issubclass(cls, A.Node), cls.__name__
+        own = {"__eq__", "__ne__", "__hash__", "__repr__", "__setattr__", "__delattr__"} & set(vars(cls))
+        assert own == set(), cls.__name__
 
 
 def test_map_children_shares_a_node_whose_children_are_unchanged():

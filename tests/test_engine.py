@@ -25,6 +25,7 @@ from cmod.errors import (
     TYPE_MISMATCH,
     UNBOUND_VARIABLE,
     EngineFailure,
+    NestingError,
 )
 from cmod.machine import Machine
 from cmod.parser import PRECEDENCE, parse_source
@@ -691,6 +692,14 @@ def test_python_stack_overflow_is_depth_exceeded():
     assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
     assert "Python stack" in outcome.detail and outcome.__traceback__ is None
     assert machine.module_stack == [] and machine.call_stack == []
+
+
+def test_a_program_too_deep_to_desugar_is_a_nesting_error():
+    # It parses at the default recursion limit, but desugaring it does not.
+    with pytest.raises(NestingError, match="^the program is nested too deeply to process$"):
+        run_source("x = " + "-" * 700 + "1; print(x)")
+    with pytest.raises(NestingError):
+        machine_for(parse_source("module M. p() = x = " + "-" * 700 + "1 end\ntrue"))
 
 
 def test_concurrent_deep_runs_keep_the_deep_stack():
