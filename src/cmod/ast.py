@@ -364,62 +364,64 @@ def desugar(stmt: Statement) -> Statement:
 
 
 # ---------------------------------------------------------------------------
-# Clause heads in search order
+# Clause tables: a declaration's search steps and clause entries, walked once
 # ---------------------------------------------------------------------------
 
 
-def walk_heads(
-    decl: Declaration, env, name, visit, steps=None, depth=0, path=(), renames=(), binders=None
-):
-    """Return the first truthy visit(clause, head, renames, binders, depth)
-    over the clause heads of decl named name (all heads when name is None),
-    in backchaining order: conjunctions left first, macro references
-    followed through env unless undefined, already on path, or env is None.
+def clause_table(decl: Declaration, env):
+    """(steps, entries) of decl, walked once in search order: conjunctions
+    left first, macro references followed through env unless undefined,
+    already on the path, or env is None.
 
-    Nothing is rebuilt on the way. head is the clause's name after renames,
-    the enclosing ``ren`` pairs, outermost first, each chased through the
-    ones outside it. binders links the enclosing quantifiers innermost
-    first as (var, scope, outer) triples; a macro reference starts a new
-    scope. When steps is a list, each node passed is appended to it as
-    (depth, bc rule id, node, renames, binders).
+    steps: every node passed, as (depth, bc rule id, node, renames,
+    binders); an And's bc:3 step comes before its left operand, its bc:4
+    step after it. entries: each head name, after renames, to its clauses
+    in search order, as (clause, renames, binders, steps before it, depth).
+    Depths are relative to decl. renames are the enclosing ``ren`` pairs,
+    outermost first, each chased through the ones outside it. binders are
+    the enclosing quantifiers, innermost first, one per variable, as (var,
+    positions); a macro reference starts a new scope. positions lists each
+    head's parameter positions of var in the scope, in search order.
     """
-    # Only a left operand costs a recursive call; everything else loops.
-    while True:
-        if isinstance(decl, Clause):
-            head = _chase(decl.name, renames) if renames else decl.name
-            if name is None or head == name:
-                return visit(decl, head, renames, binders, depth)
-            return None
-        if isinstance(decl, And):
-            if steps is not None:
+    steps, entries = [], {}
+    work = [(decl, 0, (), (), ())]  # chains to walk, and bc:4 steps due after a left operand
+    while work:
+        item = work.pop()
+        if type(item[0]) is int:  # a step starts with its depth, a chain with its node
+            steps.append(item)
+            continue
+        decl, depth, path, renames, binders = item
+        while True:
+            if isinstance(decl, Clause):
+                for var, positions in binders:
+                    positions += [i for i, param in enumerate(decl.params) if type(param) is Var and param.name == var]
+                head = _chase(decl.name, renames) if renames else decl.name
+                entries.setdefault(head, []).append((decl, renames, binders, len(steps), depth))
+                break
+            if isinstance(decl, And):
                 steps.append((depth, 3, decl, renames, binders))
-            found = walk_heads(decl.left, env, name, visit, steps, depth + 1, path, renames, binders)
-            if found:
-                return found
-            if steps is not None:
-                steps.append((depth, 4, decl, renames, binders))
-            decl = decl.right
-        elif isinstance(decl, Forall):
-            if steps is not None:
+                work.append((decl.right, depth + 1, path, renames, binders))
+                work.append((depth, 4, decl, renames, binders))
+                decl = decl.left
+            elif isinstance(decl, Forall):
                 steps.append((depth, 2, decl, renames, binders))
-            binders = (decl.var, decl.decl, binders)
-            decl = decl.decl
-        elif isinstance(decl, Rename):
-            if steps is not None:
+                binders = ((decl.var, []),) + tuple(b for b in binders if b[0] != decl.var)
+                decl = decl.decl
+            elif isinstance(decl, Rename):
                 steps.append((depth, 5, decl, renames, binders))
-            renames += ((_chase(decl.old, renames), _chase(decl.new, renames)),)
-            decl = decl.decl
-        elif isinstance(decl, MacroRef):
-            body = None if env is None or decl.name in path else env.find(decl.name)
-            if body is None:
-                return None
-            if steps is not None:
+                renames += ((_chase(decl.old, renames), _chase(decl.new, renames)),)
+                decl = decl.decl
+            elif isinstance(decl, MacroRef):
+                body = None if env is None or decl.name in path else env.find(decl.name)
+                if body is None:
+                    break
                 steps.append((depth, 6, decl, renames, binders))
-            path += (decl.name,)
-            binders, decl = None, body
-        else:
-            raise TypeError(f"not a declaration: {decl!r}")
-        depth += 1
+                path += (decl.name,)
+                binders, decl = (), body
+            else:
+                raise TypeError(f"not a declaration: {decl!r}")
+            depth += 1
+    return steps, entries
 
 
 def _chase(name: str, renames: tuple[tuple[str, str], ...]) -> str:
@@ -431,7 +433,5 @@ def _chase(name: str, renames: tuple[tuple[str, str], ...]) -> str:
 
 def free_procedure_names(decl: Declaration, env=None) -> frozenset[str]:
     """The procedure names declared by clause heads in decl, after renaming:
-    the names clause search can match, as both come from walk_heads."""
-    names: set[str] = set()
-    walk_heads(decl, env, None, lambda clause, head, *_: names.add(head))
-    return frozenset(names)
+    the names clause search can match, the keys of decl's clause table."""
+    return frozenset(clause_table(decl, env)[1])

@@ -3,12 +3,13 @@
 Execution reduces a statement against the machine, mutating store,
 regions and output; module frames pushed by implication statements are
 popped on scope exit no matter how the body ends, so effects persist
-while declarations stay local. Backchaining first selects a clause: one
-walk over the newest frame that declares the called name, conjunctions
-left to right, yields the first clause whose head matches, renamed for
-the call. Only then does the clause body run, outside the search, so a
-failure inside a body fails the call and never sends the search on to a
-later conjunct.
+while declarations stay local. Backchaining first selects a clause: of
+the called name's entries in the clause table of the newest frame that
+declares it, in search order (conjunctions left to right), the first
+whose head matches, renamed for the call. Only then does the clause
+body run, outside the search, so a failure inside a body fails the call
+and never sends the search on to a later conjunct. A traced call runs
+the same search and emits the table's steps before the matched entry.
 
 A body runs in an activation environment, the values its clause's
 quantifiers took from the call: variables are read there, then in the
@@ -21,10 +22,12 @@ Operators apply from one table each; only && and || (short-circuit) and
 == and != (any class) are special forms.
 
 Shallow binding finds the deciding frame: an index from each procedure
-name to the live frames declaring it, kept on every push and pop, and
-rebuilt at the first call after the macro environment changed (what a
-macro reference frame declares depends on it) or after frames were
-appended to the stack directly.
+name to the live frames declaring it, kept on every push and pop. Each
+frame's clause table is built when it is pushed, and a macro reference's
+table, which depends only on its name and the macro environment, is
+shared by every frame of that name. At the first call after the macro
+environment changed, or after frames were appended to the stack
+directly, the live frames are pushed again under a fresh index.
 
 Implication, macro and allocation scopes work alike: push, run the body,
 pop even when the body fails, and put back what the scope replaced: the
@@ -103,11 +106,13 @@ _NO_BINDINGS = MappingProxyType({})  # the environment outside every call
 
 
 def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
-    """Run stmt; store, region and output effects persist either way.
+    """Run stmt, desugared; store, region and output effects persist
+    either way. A statement too deep to desugar raises NestingError.
 
     Running out of Python stack before the call-depth limit is a
     depth-exceeded failure too; the scopes it left are unwound by then.
     """
+    stmt = _desugar(stmt)
     try:
         _execute(machine, stmt, 0, _NO_BINDINGS)
     except EngineFailure as failure:
@@ -143,6 +148,11 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         return
 
     if isinstance(stmt, ast.Assign):
+        if machine.handles.get(stmt.name):
+            raise EngineFailure(
+                REGION_FAULT,
+                f"no assignment to '{stmt.name}' (region handles are read-only in their scope)",
+            )
         machine.store[stmt.name] = eval_expr(machine, stmt.expr, env)
         return
 
@@ -210,11 +220,13 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
         handle = machine.regions.allocate(stmt.elem_type, length.value)
         shadowed = machine.store.get(stmt.handle)
         machine.store[stmt.handle] = handle
+        machine.handles[stmt.handle] = machine.handles.get(stmt.handle, 0) + 1
         if stmt.handle in env:  # the handle hides a formal of its name
             env = {var: value for var, value in env.items() if var != stmt.handle}
         try:
             _execute(machine, stmt.body, depth + 1, env)
         finally:
+            machine.handles[stmt.handle] -= 1
             machine.regions.free(handle)
             machine.store.pop(stmt.handle, None)
             if shadowed is not None:  # put back the variable the handle hid
@@ -229,10 +241,6 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
                 f"if condition must be boolean, got {ast.render_value(cond)}",
             )
         _execute(machine, stmt.then if cond.value else stmt.orelse, depth, env)
-        return
-
-    if isinstance(stmt, ast.Switch):
-        _execute(machine, ast.desugar(stmt), depth, env)
         return
 
     if isinstance(stmt, ast.Print):
@@ -284,57 +292,34 @@ def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
 
 def _select(machine: Machine, call: CallSite, depth: int):
     """The matched clause, renamed, the environment its body runs in, and
-    its trace depth."""
+    its trace depth: the first of the call's name's entries in the
+    deciding frame's table whose head matches."""
     actuals = call.actuals
-
-    def visit(clause, head, renames, binders, at):
+    steps, entries = _deciding_table(machine, call.name)
+    for clause, renames, binders, before, at in entries.get(call.name, ()):
         values = _bindings(binders, actuals)
         if _head_matches(clause, values, actuals):
-            return clause, renames, values, at
-        return None
-
-    frame = _deciding_frame(machine, call.name)
-    steps = None if machine.trace is None else []
-    found = frame and ast.walk_heads(frame, machine.macro_env, call.name, visit, steps, depth)
-    for at, rule_id, node, renames, binders in steps or ():
-        _emit(machine, "bc", at, node, rule_id, _bindings(binders, actuals), renames)
-    if found is None:
+            break
+    else:
+        clause, before = None, len(steps)
+    if machine.trace is not None:
+        for step_at, rule_id, node, step_renames, step_binders in steps[:before]:
+            _emit(machine, "bc", depth + step_at, node, rule_id, _bindings(step_binders, actuals), step_renames)
+    if clause is None:
         raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
-    clause, renames, values, at = found
     clause = _instantiate(clause, renames, {})
     if machine.trace is not None:
-        _emit(machine, "bc", at, clause, 1, values)
-    return clause, values, at
+        _emit(machine, "bc", depth + at, clause, 1, values)
+    return clause, values, depth + at
 
 
 def _bindings(binders, actuals: tuple[ast.Value, ...]) -> dict[str, ast.Value | None]:
-    """The value each enclosing quantifier takes from the call (None when
-    its variable is in no head), innermost first; an outer quantifier of
-    a name already seen is shadowed and left out."""
-    values: dict[str, ast.Value | None] = {}
-    while binders is not None:
-        var, scope, binders = binders
-        if var not in values:
-            values[var] = ast.walk_heads(scope, None, None, _head_actual(var, actuals))
-    return values
-
-
-def _head_actual(var: str, actuals: tuple[ast.Value, ...]):
-    """A walk_heads visit giving the actual at var's first position in a
-    head no inner quantifier of var shadows, or None when var is in no
-    such head (then stripping the quantifier is harmless: an
-    uninstantiated head never matches)."""
-
-    def visit(clause, head, renames, binders, depth):
-        while binders is not None and binders[0] != var:
-            binders = binders[2]
-        if binders is None:
-            for param, actual in zip(clause.params, actuals):
-                if isinstance(param, ast.Var) and param.name == var:
-                    return actual
-        return None
-
-    return visit
+    """The value each enclosing quantifier takes from the call, innermost
+    first: the actual at the first of its positions below the call's
+    arity, or None when there is none (then stripping the quantifier is
+    harmless: an uninstantiated head never matches)."""
+    arity = len(actuals)
+    return {var: next((actuals[i] for i in positions if i < arity), None) for var, positions in binders}
 
 
 def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) -> bool:
@@ -365,13 +350,22 @@ def _instantiate(decl: ast.Declaration, renames, values) -> ast.Declaration:
 
 
 def _push(machine: Machine, frames) -> None:
-    """Push frames on the module stack and index the names they declare.
-    Every push goes through here, and every pop through _pop."""
-    declared = [tuple(ast.free_procedure_names(frame, machine.macro_env)) for frame in frames]
-    for frame, names in zip(frames, declared):
-        for name in names:
+    """Push frames with their clause tables and index the names they
+    declare; every push goes through here, and every pop through _pop.
+    While the index holds for the macro environment, frames of one macro
+    reference share its table."""
+    env = machine.macro_env
+    shared = machine.ref_tables if machine.indexed_env is env else {}
+    tables = []
+    for frame in frames:
+        if type(frame) is ast.MacroRef:
+            tables.append(shared.get(frame.name) or shared.setdefault(frame.name, ast.clause_table(frame, env)))
+        else:
+            tables.append(ast.clause_table(frame, env))
+    for frame, table in zip(frames, tables):
+        for name in table[1]:
             machine.frame_index.setdefault(name, []).append(len(machine.module_stack))
-        machine.frame_names.append(names)
+        machine.frame_tables.append(table)
         machine.module_stack.append(frame)
 
 
@@ -380,28 +374,28 @@ def _pop(machine: Machine, count: int) -> None:
     of them can hit the recursion limit, so pops survive a stack overflow."""
     while count:
         del machine.module_stack[-1]
-        for name in machine.frame_names[-1]:
+        for name in machine.frame_tables[-1][1]:
             positions = machine.frame_index[name]
             del positions[-1]
             if not positions:
                 del machine.frame_index[name]
-        del machine.frame_names[-1]
+        del machine.frame_tables[-1]
         count -= 1
 
 
-def _deciding_frame(machine: Machine, name: str) -> ast.Declaration | None:
-    """The newest live frame declaring name, or None; a rebuilt index replaces the old whole."""
+def _deciding_table(machine: Machine, name: str):
+    """The clause table of the newest live frame declaring name. After the
+    macro environment changed, or frames were appended to the stack
+    directly, the live frames are pushed again under a fresh index."""
     stack = machine.module_stack
-    env = machine.macro_env
-    if machine.indexed_env is not env or len(machine.frame_names) != len(stack):
-        frame_names = [tuple(ast.free_procedure_names(frame, env)) for frame in stack]
-        index: dict[str, list[int]] = {}
-        for position, names in enumerate(frame_names):
-            for declared in names:
-                index.setdefault(declared, []).append(position)
-        machine.frame_index, machine.frame_names, machine.indexed_env = index, frame_names, env
+    if machine.indexed_env is not machine.macro_env or len(machine.frame_tables) != len(stack):
+        frames = stack[:]
+        stack.clear()
+        machine.frame_index, machine.frame_tables, machine.ref_tables = {}, [], {}
+        machine.indexed_env = machine.macro_env
+        _push(machine, frames)
     positions = machine.frame_index.get(name)
-    return stack[positions[-1]] if positions else None
+    return machine.frame_tables[positions[-1]] if positions else ((), {})
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +538,7 @@ def run_source(
     """Parse, seed, and execute a whole program from the empty machine."""
     program = parse_source(source)
     machine = machine_for(program, max_depth=max_depth, trace=trace)
-    return execute(machine, _desugar(program.main)), machine
+    return execute(machine, program.main), machine
 
 
 def _desugar(node):

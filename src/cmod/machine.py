@@ -22,8 +22,10 @@ class Machine:
         self.max_depth = max_depth
         self.trace = trace  # called with each TraceEvent when set
         self.call_stack: list = []
-        # Shallow binding: frame positions per declared name, each frame's names, their macro env.
-        self.frame_index, self.frame_names, self.indexed_env = {}, [], None
+        self.handles: dict[str, int] = {}  # live allocation scopes per handle name
+        # Shallow binding: frame positions per declared name, each frame's clause table, the
+        # macro environment the index holds for, and the macro references' tables shared there.
+        self.frame_index, self.frame_tables, self.indexed_env, self.ref_tables = {}, [], self.macro_env, {}
 
     @classmethod
     def initial(cls, seeds=(), max_depth: int = DEFAULT_MAX_DEPTH, trace=None) -> Machine:

@@ -493,6 +493,95 @@ def branch_order_success(frame: A.Declaration, target: str, limit: int = 16) -> 
 
 
 # ---------------------------------------------------------------------------
+# Clause search: which clause of the deciding frame a call selects
+# ---------------------------------------------------------------------------
+
+SEARCH_SEEDS = [
+    A.MacroDef("sm", A.And(closed_clause("p", ("x",), A.Print(A.Atom("sm"))), closed_clause("q", (), A.TrueStmt()))),
+    A.MacroDef("sc", A.And(closed_clause("q", ("x",), A.Print(A.Atom("sc"))), A.MacroRef("sc"))),  # cyclic
+]
+
+
+def search_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
+    """One or two frames of clauses named p, q or r at arities 0-3, under
+    conjunctions, explicit foralls shared across conjuncts (an inner one
+    may hide an outer one of its name), ren chains whose names may
+    collide, and references to /sm (defined), /sc (cyclic) and /sg
+    (undefined). A head parameter is a variable of an enclosing forall,
+    one of the clause's own, one no forall binds, or a literal; some
+    clause bodies push a declaration closed over the call's activation,
+    so its head holds the call's value as a literal. The calls that
+    follow have random names, arities and arguments; some run under a
+    redefinition of /sm, which changes what a frame referring to it
+    declares. Returns the seeds (SEARCH_SEEDS) and the statement."""
+    names = ["p", "q", "r"]
+    heads: list[tuple[str, int]] = []
+
+    def clause(bound: list[str]) -> A.Declaration:
+        name, tag = rng.choice(names), A.Print(A.Atom(f"c{len(heads)}"))
+        if rng.random() < 0.2:  # its body pushes a declaration closed over the call
+            pushed = A.Forall("y", A.Clause("s", (A.Var("w"), A.Var("y")), A.Print(A.Var("y"))))
+            call = A.Call("s", (A.Int(rng.randint(0, 1)), A.Int(rng.randint(0, 1))))
+            heads.append((name, 1))
+            return closed_clause(name, ("w",), A.Seq(tag, A.Implication(pushed, call)))
+        params: list[A.Expression] = []
+        own: list[str] = []
+        for i in range(rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.2:
+                params.append(A.Int(rng.randint(0, 1)))
+            elif roll < 0.25:
+                params.append(A.Var("z"))  # no forall binds it: the head never matches
+            elif bound and roll < 0.8:
+                params.append(A.Var(rng.choice(bound)))
+            else:
+                own.append(f"f{i}")
+                params.append(A.Var(f"f{i}"))
+        heads.append((name, len(params)))
+        shown = [A.Print(A.Var(v)) for v in dict.fromkeys(p.name for p in params if isinstance(p, A.Var))]
+        decl: A.Declaration = A.Clause(name, tuple(params), fold_seq([tag, *shown]))
+        for var in reversed(own):
+            decl = A.Forall(var, decl)
+        return decl
+
+    def build(budget: int, bound: list[str]) -> A.Declaration:
+        roll = rng.random()
+        if budget <= 0 or roll < 0.15:
+            if rng.random() < 0.2:
+                return A.MacroRef(rng.choice(["sm", "sm", "sc", "sg"]))
+            return clause(bound)
+        if roll < 0.55:
+            return A.And(build(budget - 1, bound), build(budget - 1, bound))
+        if roll < 0.85:
+            var = rng.choice(["x", "y"])
+            inner = build(budget - 1, bound + [var])
+            if roll < 0.75:  # a forall shared across conjuncts, hidden in the second by one of its name
+                inner = A.And(inner, A.Forall(var, build(budget - 1, bound + [var])))
+            return A.Forall(var, inner)
+        old, new = rng.sample(names, 2)
+        return A.Rename(old, new, build(budget - 1, bound))
+
+    def calls() -> A.Statement:
+        stmts = []
+        for _ in range(rng.randint(1, 3)):
+            if heads and rng.random() < 0.8:
+                name, arity = rng.choice(heads)
+            else:
+                name, arity = rng.choice(names), rng.randint(0, 3)
+            stmts.append(A.Call(name, tuple(A.Int(rng.randint(0, 1)) for _ in range(arity))))
+        return fold_seq(stmts)
+
+    frames = [build(rng.randint(1, 4), []) for _ in range(rng.randint(1, 2))]
+    body = calls()
+    if rng.random() < 0.3:  # redefine /sm under the frames, then call again
+        redefined = A.MacroScope((A.MacroDef("sm", build(1, [])),), calls())
+        body = A.Seq(body, redefined) if rng.random() < 0.5 else A.Seq(redefined, body)
+    for frame in frames:
+        body = A.Implication(frame, body)
+    return SEARCH_SEEDS, body
+
+
+# ---------------------------------------------------------------------------
 # Every family above, as (seeds, statement) programs
 # ---------------------------------------------------------------------------
 
@@ -527,6 +616,7 @@ FAMILIES = {
     "macro_equivalence": _macro_program,
     "conj_frame": _conj_frame_program,
     "closure": closure_case,
+    "search": search_case,
 }
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 
 from cmod import ast as A
-from cmod.engine import CallSite, TraceEvent
+from cmod.engine import CallSite, Success, TraceEvent, execute
 from cmod.lexer import Token
+from cmod.machine import Machine
 from cmod.macros import MacroEnv
 from cmod.parser import SourceProgram, parse_source
 
@@ -207,6 +208,78 @@ def test_macro_ref_cycles_are_cut():
         ]
     )
     assert A.free_procedure_names(A.MacroRef("a"), env) == {"pa", "pb"}
+
+
+# -- clause tables ----------------------------------------------------------
+
+
+def _clause(name, *params):
+    return A.Clause(name, tuple(A.Var(p) if isinstance(p, str) else p for p in params), A.TrueStmt())
+
+
+def _summary(table):
+    """(depth, rule id) per step, and (name, steps before, depth) per entry."""
+    steps, entries = table
+    return (
+        [(depth, rule_id) for depth, rule_id, *_ in steps],
+        [(name, before, depth) for name, items in entries.items() for _, _, _, before, depth in items],
+    )
+
+
+def test_the_table_lists_steps_in_search_order_at_relative_depths():
+    env = MacroEnv.seeded([A.MacroDef("m", _clause("s"))])
+    decl = A.Rename("p", "q", A.Forall("x", A.And(A.And(_clause("p", "x"), _clause("r")), A.MacroRef("m"))))
+    table = A.clause_table(decl, env)
+    steps, entries = table
+    assert _summary(table) == (
+        [(0, 5), (1, 2), (2, 3), (3, 3), (3, 4), (2, 4), (3, 6)],
+        [("q", 4, 4), ("r", 5, 4), ("s", 7, 4)],
+    )
+    assert [node for _, _, node, _, _ in steps[2:4]] == [decl.decl.decl, decl.decl.decl.left]
+    clause, renames, _, _, _ = entries["q"][0]
+    assert clause == _clause("p", "x") and renames == (("p", "q"),)
+
+
+def test_the_table_keeps_same_name_clauses_in_search_order():
+    decl = A.And(A.And(_clause("p"), _clause("q")), A.And(_clause("p", "x"), _clause("p", "x", "y")))
+    _, entries = A.clause_table(decl, None)
+    assert [len(clause.params) for clause, *_ in entries["p"]] == [0, 1, 2]
+    assert [before for *_, before, _ in entries["p"]] == [2, 5, 6]
+
+
+def test_a_quantifier_shared_by_two_heads_lists_both_positions():
+    # forall x (p(0, x) = print(x) and q(x) = print(x)): the call's arity
+    # picks the position x takes its value from
+    show = A.Print(A.Var("x"))
+    decl = A.Forall("x", A.And(A.Clause("p", (A.Int(0), A.Var("x")), show), A.Clause("q", (A.Var("x"),), show)))
+    _, entries = A.clause_table(decl, None)
+    (_, _, binders, _, _), = entries["q"]
+    assert binders == (("x", [1, 0]),) and entries["p"][0][2] is binders
+    machine = Machine.initial()
+    assert isinstance(execute(machine, A.Implication(decl, parse_source("q(5); p(0, 7)").main)), Success)
+    assert machine.output_text() == "5\n7\n"
+
+
+def test_an_inner_quantifier_hides_an_outer_one_of_its_name():
+    decl = A.Forall("x", A.And(_clause("p", "x"), A.Forall("x", _clause("q", "y", "x"))))
+    _, entries = A.clause_table(decl, None)
+    assert entries["p"][0][2] == (("x", [0]),)
+    assert entries["q"][0][2] == (("x", [1]),)
+
+
+def test_a_macro_reference_starts_a_new_quantifier_scope():
+    env = MacroEnv.seeded([A.MacroDef("m", _clause("q", "x"))])
+    decl = A.Forall("x", A.And(_clause("p", "x"), A.MacroRef("m")))
+    _, entries = A.clause_table(decl, env)
+    assert entries["p"][0][2] == (("x", [0]),)
+    assert entries["q"][0][2] == ()
+
+
+def test_cyclic_and_undefined_references_add_nothing():
+    env = MacroEnv.seeded([A.MacroDef("a", A.And(_clause("pa"), A.MacroRef("a")))])
+    table = A.clause_table(A.And(A.MacroRef("ghost"), A.MacroRef("a")), env)
+    assert _summary(table) == ([(0, 3), (0, 4), (1, 6), (2, 3), (2, 4)], [("pa", 4, 3)])
+    assert A.clause_table(A.MacroRef("a"), None) == ([], {})
 
 
 # -- properties -----------------------------------------------------------

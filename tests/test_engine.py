@@ -413,33 +413,60 @@ def test_a_macro_scope_puts_back_the_environment_it_replaced(call):
     assert machine.macro_env is before
 
 
+def record_tables(monkeypatch):
+    """Make every clause table record the names a call looks up in it;
+    returns the (declaration, entries) pairs built and the (entries,
+    name) pairs read, in order."""
+    built, read = [], []
+    clause_table = A.clause_table
+
+    class Entries(dict):
+        def get(self, name, default=None):
+            read.append((self, name))
+            return super().get(name, default)
+
+    def recording(decl, env):
+        steps, entries = clause_table(decl, env)
+        built.append((decl, Entries(entries)))
+        return steps, built[-1][1]
+
+    monkeypatch.setattr(A, "clause_table", recording)
+    return built, read
+
+
 def test_selection_walks_only_the_deciding_frame(monkeypatch):
-    # shallow binding: base() is declared at the bottom of 200 frames,
-    # and only its frame is walked
+    # shallow binding: base() is declared at the bottom of 200 frames; each
+    # frame's table is built once, when it is pushed, and the call builds
+    # none and reads the entries of base's frame only
     stmt = A.Call("base", ())
     for i in range(200):
         stmt = A.Implication(A.Clause(f"p{i}", (), A.TrueStmt()), stmt)
     stmt = A.Implication(A.Clause("base", (), A.Assign("x", A.Int(1))), stmt)
-    walked = []
-    walk_heads = A.walk_heads
-
-    def counting(decl, env, name, *args):
-        if name == "base":
-            walked.append(decl)
-        return walk_heads(decl, env, name, *args)
-
-    monkeypatch.setattr(A, "walk_heads", counting)
+    built, read = record_tables(monkeypatch)
     machine = Machine.initial()
     assert isinstance(execute(machine, stmt), Success)
     assert machine.store["x"] == A.Int(1)
-    assert len(walked) == 1
+    assert len(built) == 201
+    assert len(read) == 1 and read[0][0] is built[0][1] and read[0][1] == "base"
+
+
+def test_macro_reference_frames_share_one_table_per_environment(monkeypatch):
+    # Even and Odd load each other on every level: seven frames, two tables
+    built, _ = record_tables(monkeypatch)
+    outcome, machine = run(
+        "module Ev. Even(x) = if (x == 0) (r = even) else (Od => Odd(x - 1)) end\n"
+        "module Od. Odd(x) = if (x == 0) (r = odd) else (Ev => Even(x - 1)) end\n"
+        "Ev => Even(6)"
+    )
+    assert isinstance(outcome, Success) and machine.store["r"] == A.Atom("even")
+    assert [decl for decl, _ in built] == [A.MacroRef("Ev"), A.MacroRef("Od")]
 
 
 def test_the_frame_index_holds_live_frames_only():
     machine = Machine.initial()
     outcome = execute(machine, main_of("(p() = q() => (r() = true => p()))"))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
-    assert machine.module_stack == [] and machine.frame_names == [] and machine.frame_index == {}
+    assert machine.module_stack == [] and machine.frame_tables == [] and machine.frame_index == {}
 
 
 def test_cyclic_macro_reference_terminates():
@@ -700,6 +727,8 @@ def test_a_program_too_deep_to_desugar_is_a_nesting_error():
         run_source("x = " + "-" * 700 + "1; print(x)")
     with pytest.raises(NestingError):
         machine_for(parse_source("module M. p() = x = " + "-" * 700 + "1 end\ntrue"))
+    with pytest.raises(NestingError):  # execute desugars what it is given
+        execute(Machine.initial(), parse_source("x = " + "-" * 700 + "1").main)
 
 
 def test_concurrent_deep_runs_keep_the_deep_stack():

@@ -136,6 +136,31 @@ def test_a_failing_body_still_puts_back_the_shadowed_variable():
     assert machine.store == {"p": A.Int(5)}
 
 
+def test_a_called_procedure_cannot_assign_a_live_handle():
+    outcome, machine = run_source(
+        "p = 5; (q() = (p = 7) => (p = new int[3] => (q(); print(p); print(p[0])))); print(p)"
+    )
+    assert isinstance(outcome, Failure) and outcome.reason == REGION_FAULT
+    assert outcome.detail == "no assignment to 'p' (region handles are read-only in their scope)"
+    assert [site.render() for site in outcome.call_chain] == ["q()"]
+    assert machine.output_text() == "" and machine.store == {"p": A.Int(5)}
+
+
+@pytest.mark.parametrize("source, output", [
+    # after the scope the name is assignable again
+    ("(q() = (p = 7) => ((p = new int[3] => true); q(); print(p)))", "7\n"),
+    # an inner scope of the same name ends, the outer one still holds it
+    ("(r() = (p = new int[1] => true) and q() = (p = 7) => (p = new int[3] => (r(); q())))", None),
+])
+def test_a_handle_is_read_only_exactly_while_a_scope_of_its_name_is_live(source, output):
+    outcome, machine = run_source(source)
+    if output is None:
+        assert isinstance(outcome, Failure) and outcome.reason == REGION_FAULT
+    else:
+        assert isinstance(outcome, Success) and machine.output_text() == output
+    assert machine.handles.get("p", 0) == 0
+
+
 def test_scope_pops_even_when_the_body_fails():
     machine = Machine.initial()
     body = A.Call("nope", ())
