@@ -128,7 +128,7 @@ def _cmd_repl(args) -> int:
             if exc.at_eof and line.strip():
                 continue  # statement not finished; keep reading
             print(f"syntax error: {exc}")
-        except (LexError, NestingError) as exc:
+        except LexError as exc:
             print(f"syntax error: {exc}")
         except RecursionError:
             print(f"syntax error: {TOO_DEEP}")
@@ -144,7 +144,7 @@ def _repl_entry(machine: Machine, source: str) -> None:
         print("defined " + ", ".join(f"/{d.name}" for d in seeds))
     if stmt is not None:
         emitted = len(machine.output)
-        outcome = execute(machine, stmt)
+        outcome = execute(machine, ast.desugar(stmt))
         sys.stdout.write("".join(machine.output[emitted:]))
         if isinstance(outcome, EngineFailure):
             print(_diagnostic(outcome))

@@ -106,13 +106,11 @@ _NO_BINDINGS = MappingProxyType({})  # the environment outside every call
 
 
 def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
-    """Run stmt, desugared; store, region and output effects persist
-    either way. A statement too deep to desugar raises NestingError.
+    """Run stmt; store, region and output effects persist either way.
 
     Running out of Python stack before the call-depth limit is a
     depth-exceeded failure too; the scopes it left are unwound by then.
     """
-    stmt = _desugar(stmt)
     try:
         _execute(machine, stmt, 0, _NO_BINDINGS)
     except EngineFailure as failure:
@@ -241,6 +239,10 @@ def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
                 f"if condition must be boolean, got {ast.render_value(cond)}",
             )
         _execute(machine, stmt.then if cond.value else stmt.orelse, depth, env)
+        return
+
+    if isinstance(stmt, ast.Switch):
+        _execute(machine, ast.desugar(stmt), depth, env)
         return
 
     if isinstance(stmt, ast.Print):
@@ -386,14 +388,14 @@ def _pop(machine: Machine, count: int) -> None:
 def _deciding_table(machine: Machine, name: str):
     """The clause table of the newest live frame declaring name. After the
     macro environment changed, or frames were appended to the stack
-    directly, the live frames are pushed again under a fresh index."""
-    stack = machine.module_stack
-    if machine.indexed_env is not machine.macro_env or len(machine.frame_tables) != len(stack):
-        frames = stack[:]
-        stack.clear()
-        machine.frame_index, machine.frame_tables, machine.ref_tables = {}, [], {}
-        machine.indexed_env = machine.macro_env
-        _push(machine, frames)
+    directly, the live frames are pushed again onto a fresh machine, whose
+    index then replaces the old one whole: a rebuild that runs out of
+    Python stack leaves the old index for the scopes that pop their frames."""
+    if machine.indexed_env is not machine.macro_env or len(machine.frame_tables) != len(machine.module_stack):
+        fresh = Machine(machine.macro_env)
+        _push(fresh, machine.module_stack)
+        machine.frame_index, machine.frame_tables = fresh.frame_index, fresh.frame_tables
+        machine.ref_tables, machine.indexed_env = fresh.ref_tables, fresh.indexed_env
     positions = machine.frame_index.get(name)
     return machine.frame_tables[positions[-1]] if positions else ((), {})
 
@@ -538,7 +540,7 @@ def run_source(
     """Parse, seed, and execute a whole program from the empty machine."""
     program = parse_source(source)
     machine = machine_for(program, max_depth=max_depth, trace=trace)
-    return execute(machine, program.main), machine
+    return execute(machine, _desugar(program.main)), machine
 
 
 def _desugar(node):

@@ -721,14 +721,36 @@ def test_python_stack_overflow_is_depth_exceeded():
     assert machine.module_stack == [] and machine.call_stack == []
 
 
+def test_a_stack_overflow_while_the_index_is_rebuilt_is_depth_exceeded():
+    # Every level enters a macro scope and calls q(), so the index is rebuilt
+    # at the deepest point of the level; over a range of limits the Python
+    # stack runs out inside a rebuild too, which must leave the old index
+    # whole for the scopes that pop their frames on the way out.
+    main = main_of(
+        "n = 3000; (Rec() = if (n == 0) true else (n = n - 1; "
+        "(macro /m = { q() = true } in (/m => (q(); Rec())))) => Rec())"
+    )
+    here, frame = 0, sys._getframe()
+    while frame:
+        here, frame = here + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    for extra in range(100, 200):
+        machine = Machine.initial()
+        sys.setrecursionlimit(here + extra)
+        try:
+            outcome = execute(machine, main)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
+        assert machine.module_stack == [] and machine.frame_tables == [] and machine.frame_index == {}
+
+
 def test_a_program_too_deep_to_desugar_is_a_nesting_error():
     # It parses at the default recursion limit, but desugaring it does not.
     with pytest.raises(NestingError, match="^the program is nested too deeply to process$"):
         run_source("x = " + "-" * 700 + "1; print(x)")
     with pytest.raises(NestingError):
         machine_for(parse_source("module M. p() = x = " + "-" * 700 + "1 end\ntrue"))
-    with pytest.raises(NestingError):  # execute desugars what it is given
-        execute(Machine.initial(), parse_source("x = " + "-" * 700 + "1").main)
 
 
 def test_concurrent_deep_runs_keep_the_deep_stack():

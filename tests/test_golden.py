@@ -154,9 +154,7 @@ def _alloc_handle_hides_formal() -> tuple[list[A.MacroDef], A.Statement]:
 
 def _switch_over_formal() -> tuple[list[A.MacroDef], A.Statement]:
     # p(x) = switch (x) { case 1: print(one) case two: print(x) default:
-    # print(x) }, handed to execute undesugared: execute desugars it, so the
-    # trace shows the if chain, as cmod run --trace does, and each call
-    # substitutes into every branch
+    # print(x) }, left undesugared so the call substitutes into the switch
     cases = ((A.Int(1), A.Print(A.Atom("one"))), (A.Atom("two"), A.Print(_x())))
     body = A.Switch(_x(), cases, A.Seq(A.Print(_x()), A.Assign("seen", _x())))
     frame = proggen.closed_clause("p", ("x",), body)
