@@ -4,7 +4,8 @@ formatter.
 Exit codes: 0 success, 1 no matching clause, 2 lex/parse error, a
 program nested too deeply to process, or a file that cannot be read or
 decoded, 3 other runtime faults (unbound variable, region fault, depth
-exceeded, type mismatch, division by zero) and internal errors. Program output goes to stdout; diagnostics and the
+exceeded, type mismatch, division by zero) and internal errors, 130 an
+interrupt (Ctrl-C). Program output goes to stdout; diagnostics and the
 derivation trace go to stderr.
 """
 
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_NO_CLAUSE = 1
 EXIT_SYNTAX = 2
 EXIT_RUNTIME = 3
+EXIT_INTERRUPTED = 130
 
 
 def _positive_int(text: str) -> int:
@@ -194,6 +196,9 @@ def main(argv=None) -> int:
     except RecursionError:  # only formatting still runs out of Python stack here
         print(f"cmod: syntax error: {TOO_DEEP}", file=sys.stderr)
         return EXIT_SYNTAX
+    except KeyboardInterrupt:
+        print("cmod: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except CmodError as exc:  # pragma: no cover - safety net
         print(f"cmod: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

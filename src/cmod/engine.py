@@ -17,7 +17,7 @@ store, and assigned in the store. Only a declaration leaving the body is
 rebuilt, closed over the environment by substitution. Tracing does not
 change the run: each traced step is closed over its activation where it
 is emitted, in _emit, the one place events leave the engine; a statement
-emits at the top of _execute, under the rule _EX_RULES gives its class.
+emits as it is taken to run, under the rule _STEPS gives its class.
 Operators apply from one table each; only && and || (short-circuit) and
 == and != (any class) are special forms.
 
@@ -29,13 +29,13 @@ shared by every frame of that name. At the first call after the macro
 environment changed, or after frames were appended to the stack
 directly, the live frames are pushed again under a fresh index.
 
-Implication, macro and allocation scopes work alike: push, run the body,
-pop even when the body fails, and put back what the scope replaced: the
-macro environment (so after a scope in which no call happened the index
-stands) or the store value the handle hid. A failure is an EngineFailure
-raised with its reason and detail only; the innermost call it leaves
-attaches the call chain, and execute returns the failure itself as the
-outcome.
+Statements run from one work stack, so a call costs no Python stack.
+Implication, macro and allocation scopes and calls push an exit below
+their body that pops what they pushed and puts back what they replaced:
+the macro environment (so after a scope in which no call happened the
+index stands) or the store value the handle hid. A failure is an
+EngineFailure raised with its reason and detail only; execute attaches
+the call chain, runs the exits left and returns the failure as the outcome.
 """
 
 from __future__ import annotations
@@ -108,18 +108,38 @@ _NO_BINDINGS = MappingProxyType({})  # the environment outside every call
 def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
     """Run stmt; store, region and output effects persist either way.
 
-    Running out of Python stack before the call-depth limit is a
-    depth-exceeded failure too; the scopes it left are unwound by then.
+    The work stack holds (statement, trace depth, environment) items and
+    the exits scopes and calls push below their bodies; whatever ends the
+    run, the exits left run here, innermost first. Running out of Python
+    stack, on a deeply nested expression or declaration, is a
+    depth-exceeded failure too.
     """
+    work = [(stmt, 0, _NO_BINDINGS)]
     try:
-        _execute(machine, stmt, 0, _NO_BINDINGS)
+        while work:
+            stmt, depth, env = work.pop()
+            if env is _EXIT:
+                stmt(machine, depth)  # function(machine, argument)
+                continue
+            try:
+                rule, step = _STEPS[type(stmt)]
+            except KeyError:
+                raise TypeError(f"not a statement: {stmt!r}") from None
+            if rule and machine.trace is not None:
+                _emit(machine, "ex", depth, stmt, rule, env)
+            step(machine, work, stmt, depth, env)
     except EngineFailure as failure:
+        failure.call_chain = tuple(machine.call_stack)
         return failure.with_traceback(None)  # an outcome holds no frames
     except RecursionError:
         return EngineFailure(
             DEPTH_EXCEEDED,
             f"the Python stack ran out before the call-depth limit of {machine.max_depth}",
         )
+    finally:
+        for function, argument, env in reversed(work):
+            if env is _EXIT:
+                function(machine, argument)
     return Success(machine)
 
 
@@ -130,166 +150,145 @@ def _emit(machine: Machine, phase: str, depth: int, node, rule_id: int, values, 
     machine.trace(TraceEvent(phase, depth, text, rule_id))
 
 
-# The rule each statement's step is traced under. If and Switch are not
-# traced: the statement they choose is traced in their place.
-_EX_RULES = {
-    ast.Call: 7, ast.Print: 7, ast.TrueStmt: 8, ast.Assign: 9, ast.StoreIndex: 9,
-    ast.Seq: 10, ast.Implication: 11, ast.AllocScope: 11, ast.MacroScope: 12,
+_EXIT = object()  # the environment slot of an exit (function, argument, _EXIT)
+
+
+def _assign(machine, work, stmt, depth, env) -> None:
+    if machine.handles.get(stmt.name):
+        raise EngineFailure(
+            REGION_FAULT,
+            f"no assignment to '{stmt.name}' (region handles are read-only in their scope)",
+        )
+    machine.store[stmt.name] = eval_expr(machine, stmt.expr, env)
+
+
+def _store_index(machine, work, stmt, depth, env) -> None:
+    handle = eval_expr(machine, stmt.base, env)
+    if not isinstance(handle, ast.Handle):
+        raise EngineFailure(
+            TYPE_MISMATCH,
+            f"{ast.render_value(handle)} is not a region handle",
+        )
+    index = eval_expr(machine, stmt.index, env)
+    if not isinstance(index, ast.Int):
+        raise EngineFailure(TYPE_MISMATCH, "region index must be an integer")
+    region_write(machine, handle, index.value, eval_expr(machine, stmt.value, env))
+
+
+def _seq(machine, work, stmt, depth, env) -> None:
+    work.append((stmt.second, depth + 1, env))
+    work.append((stmt.first, depth + 1, env))
+
+
+def _implication(machine, work, stmt, depth, env) -> None:
+    frame = stmt.decl
+    if type(frame) is not ast.MacroRef:  # a macro reference has no variables
+        frame = _instantiate(frame, (), env)
+    elif machine.macro_env.find(frame.name) is None:
+        raise EngineFailure(
+            NO_MATCHING_CLAUSE,
+            f"module or macro '/{frame.name}' is not defined",
+        )
+    _push(machine, (frame,))
+    work.append((_pop, 1, _EXIT))
+    work.append((stmt.body, depth + 1, env))
+
+
+def _macro_scope(machine, work, stmt, depth, env) -> None:
+    outer = machine.macro_env
+    machine.macro_env = outer.define(_instantiate(d, (), env) for d in stmt.defs)
+    work.append((_set_macro_env, outer, _EXIT))
+    _push(machine, tuple(ast.MacroRef(d.name) for d in stmt.defs))
+    work.append((_pop, len(stmt.defs), _EXIT))
+    work.append((stmt.body, depth + 1, env))
+
+
+def _set_macro_env(machine, env) -> None:
+    machine.macro_env = env
+
+
+def _alloc_scope(machine, work, stmt, depth, env) -> None:
+    length = eval_expr(machine, stmt.length, env)
+    if not isinstance(length, ast.Int):
+        raise EngineFailure(
+            REGION_FAULT,
+            f"region length must be an integer, not {ast.render_value(length)}",
+        )
+    if length.value < 0:
+        raise EngineFailure(REGION_FAULT, f"negative region length {ast.render_value(length)}")
+    if length.value > MAX_REGION_LENGTH:
+        raise EngineFailure(
+            REGION_FAULT,
+            f"region length {ast.render_value(length)} exceeds the limit of {MAX_REGION_LENGTH}",
+        )
+    handle = machine.regions.allocate(stmt.elem_type, length.value)
+    work.append((_free, (stmt.handle, handle, machine.store.get(stmt.handle)), _EXIT))
+    machine.store[stmt.handle] = handle
+    machine.handles[stmt.handle] = machine.handles.get(stmt.handle, 0) + 1
+    if stmt.handle in env:  # the handle hides a formal of its name
+        env = {var: value for var, value in env.items() if var != stmt.handle}
+    work.append((stmt.body, depth + 1, env))
+
+
+def _free(machine, scope) -> None:
+    """End an allocation scope: free its region, put back what the handle hid."""
+    name, handle, shadowed = scope
+    machine.handles[name] -= 1
+    machine.regions.free(handle)
+    machine.store.pop(name, None)
+    if shadowed is not None:
+        machine.store[name] = shadowed
+
+
+def _if(machine, work, stmt, depth, env) -> None:
+    cond = eval_expr(machine, stmt.cond, env)
+    if not isinstance(cond, ast.Bool):
+        raise EngineFailure(
+            TYPE_MISMATCH,
+            f"if condition must be boolean, got {ast.render_value(cond)}",
+        )
+    work.append((stmt.then if cond.value else stmt.orelse, depth, env))
+
+
+def _switch(machine, work, stmt, depth, env) -> None:
+    work.append((ast.desugar(stmt), depth, env))
+
+
+def _print(machine, work, stmt, depth, env) -> None:
+    machine.output.append(ast.render_value(eval_expr(machine, stmt.expr, env)) + "\n")
+
+
+def _call(machine, work, stmt, depth, env) -> None:
+    """Push the body of the clause _select chooses, in its activation."""
+    call = CallSite(stmt.name, tuple(eval_expr(machine, arg, env) for arg in stmt.args))
+    machine.call_stack.append(call)
+    work.append((_return, None, _EXIT))
+    if len(machine.call_stack) > machine.max_depth:
+        raise EngineFailure(
+            DEPTH_EXCEEDED,
+            f"call depth exceeded the limit of {machine.max_depth}",
+        )
+    clause, env, at = _select(machine, call, depth + 1)
+    work.append((clause.body, at + 1, env))
+
+
+def _return(machine, _) -> None:
+    machine.call_stack.pop()
+
+
+# Each statement class's trace rule and step. If and Switch are not traced
+# (rule 0): the statement they choose is traced in their place.
+_STEPS = {
+    ast.TrueStmt: (8, lambda *_: None), ast.Assign: (9, _assign), ast.StoreIndex: (9, _store_index),
+    ast.Seq: (10, _seq), ast.Implication: (11, _implication), ast.MacroScope: (12, _macro_scope),
+    ast.AllocScope: (11, _alloc_scope), ast.If: (0, _if), ast.Switch: (0, _switch),
+    ast.Print: (7, _print), ast.Call: (7, _call),
 }
-
-
-def _execute(machine: Machine, stmt: ast.Statement, depth: int, env) -> None:
-    if machine.trace is not None and type(stmt) in _EX_RULES:
-        _emit(machine, "ex", depth, stmt, _EX_RULES[type(stmt)], env)
-
-    if isinstance(stmt, ast.TrueStmt):
-        return
-
-    if isinstance(stmt, ast.Assign):
-        if machine.handles.get(stmt.name):
-            raise EngineFailure(
-                REGION_FAULT,
-                f"no assignment to '{stmt.name}' (region handles are read-only in their scope)",
-            )
-        machine.store[stmt.name] = eval_expr(machine, stmt.expr, env)
-        return
-
-    if isinstance(stmt, ast.StoreIndex):
-        handle = eval_expr(machine, stmt.base, env)
-        if not isinstance(handle, ast.Handle):
-            raise EngineFailure(
-                TYPE_MISMATCH,
-                f"{ast.render_value(handle)} is not a region handle",
-            )
-        index = eval_expr(machine, stmt.index, env)
-        if not isinstance(index, ast.Int):
-            raise EngineFailure(TYPE_MISMATCH, "region index must be an integer")
-        region_write(machine, handle, index.value, eval_expr(machine, stmt.value, env))
-        return
-
-    if isinstance(stmt, ast.Seq):
-        _execute(machine, stmt.first, depth + 1, env)
-        _execute(machine, stmt.second, depth + 1, env)
-        return
-
-    if isinstance(stmt, ast.Implication):
-        frame = stmt.decl
-        if type(frame) is not ast.MacroRef:  # a macro reference has no variables
-            frame = _instantiate(frame, (), env)
-        elif machine.macro_env.find(frame.name) is None:
-            raise EngineFailure(
-                NO_MATCHING_CLAUSE,
-                f"module or macro '/{frame.name}' is not defined",
-            )
-        _push(machine, (frame,))
-        try:
-            _execute(machine, stmt.body, depth + 1, env)
-        finally:
-            _pop(machine, 1)
-        return
-
-    if isinstance(stmt, ast.MacroScope):
-        outer = machine.macro_env
-        machine.macro_env = outer.define(_instantiate(d, (), env) for d in stmt.defs)
-        try:
-            _push(machine, tuple(ast.MacroRef(d.name) for d in stmt.defs))
-            try:
-                _execute(machine, stmt.body, depth + 1, env)
-            finally:
-                _pop(machine, len(stmt.defs))
-        finally:
-            machine.macro_env = outer  # an assignment, like _pop's deletions
-        return
-
-    if isinstance(stmt, ast.AllocScope):
-        length = eval_expr(machine, stmt.length, env)
-        if not isinstance(length, ast.Int):
-            raise EngineFailure(
-                REGION_FAULT,
-                f"region length must be an integer, not {ast.render_value(length)}",
-            )
-        if length.value < 0:
-            raise EngineFailure(REGION_FAULT, f"negative region length {ast.render_value(length)}")
-        if length.value > MAX_REGION_LENGTH:
-            raise EngineFailure(
-                REGION_FAULT,
-                f"region length {ast.render_value(length)} exceeds the limit of {MAX_REGION_LENGTH}",
-            )
-        handle = machine.regions.allocate(stmt.elem_type, length.value)
-        shadowed = machine.store.get(stmt.handle)
-        machine.store[stmt.handle] = handle
-        machine.handles[stmt.handle] = machine.handles.get(stmt.handle, 0) + 1
-        if stmt.handle in env:  # the handle hides a formal of its name
-            env = {var: value for var, value in env.items() if var != stmt.handle}
-        try:
-            _execute(machine, stmt.body, depth + 1, env)
-        finally:
-            machine.handles[stmt.handle] -= 1
-            machine.regions.free(handle)
-            machine.store.pop(stmt.handle, None)
-            if shadowed is not None:  # put back the variable the handle hid
-                machine.store[stmt.handle] = shadowed
-        return
-
-    if isinstance(stmt, ast.If):
-        cond = eval_expr(machine, stmt.cond, env)
-        if not isinstance(cond, ast.Bool):
-            raise EngineFailure(
-                TYPE_MISMATCH,
-                f"if condition must be boolean, got {ast.render_value(cond)}",
-            )
-        _execute(machine, stmt.then if cond.value else stmt.orelse, depth, env)
-        return
-
-    if isinstance(stmt, ast.Switch):
-        _execute(machine, ast.desugar(stmt), depth, env)
-        return
-
-    if isinstance(stmt, ast.Print):
-        machine.output.append(ast.render_value(eval_expr(machine, stmt.expr, env)) + "\n")
-        return
-
-    if isinstance(stmt, ast.Call):
-        actuals = tuple(eval_expr(machine, arg, env) for arg in stmt.args)
-        _resolve_call(machine, CallSite(stmt.name, actuals), depth + 1)
-        return
-
-    raise TypeError(f"not a statement: {stmt!r}")
 
 
 # ---------------------------------------------------------------------------
 # Call resolution and backchaining
 # ---------------------------------------------------------------------------
-
-
-def _resolve_call(machine: Machine, call: CallSite, depth: int) -> None:
-    """Select the clause call runs, then run its body outside the search.
-
-    Dynamic scoping: the newest (last) module frame with a head of the
-    call's name decides, by name only; if none of its heads matches, the
-    call fails with no-matching-clause. When tracing, the deciding
-    frame's search steps are emitted before the body runs; nothing else
-    the search builds outlives it.
-
-    A failure leaving the call gets the active call chain if it has
-    none yet: the innermost call sees it first, so the chain is the one
-    active where it was raised.
-    """
-    machine.call_stack.append(call)
-    try:
-        if len(machine.call_stack) > machine.max_depth:
-            raise EngineFailure(
-                DEPTH_EXCEEDED,
-                f"call depth exceeded the limit of {machine.max_depth}",
-            )
-        clause, env, at = _select(machine, call, depth)
-        _execute(machine, clause.body, at + 1, env)
-    except EngineFailure as failure:
-        if not failure.call_chain:
-            failure.call_chain = tuple(machine.call_stack)
-        raise
-    finally:
-        machine.call_stack.pop()
 
 
 def _select(machine: Machine, call: CallSite, depth: int):
@@ -372,8 +371,7 @@ def _push(machine: Machine, frames) -> None:
 
 
 def _pop(machine: Machine, count: int) -> None:
-    """Pop count frames and their index entries, by deletions only: none
-    of them can hit the recursion limit, so pops survive a stack overflow."""
+    """Pop count frames and their index entries."""
     while count:
         del machine.module_stack[-1]
         for name in machine.frame_tables[-1][1]:
@@ -389,8 +387,8 @@ def _deciding_table(machine: Machine, name: str):
     """The clause table of the newest live frame declaring name. After the
     macro environment changed, or frames were appended to the stack
     directly, the live frames are pushed again onto a fresh machine, whose
-    index then replaces the old one whole: a rebuild that runs out of
-    Python stack leaves the old index for the scopes that pop their frames."""
+    index then replaces the old one whole: a rebuild that fails leaves the
+    old index for the exits that pop their frames."""
     if machine.indexed_env is not machine.macro_env or len(machine.frame_tables) != len(machine.module_stack):
         fresh = Machine(machine.macro_env)
         _push(fresh, machine.module_stack)
@@ -561,9 +559,11 @@ _saved_limits = (0, 0)
 def call_with_deep_stack(fn, *args, **kwargs):
     """Run fn in a worker thread with a large stack; thread-safe.
 
-    Deeply recursive programs are legal up to the machine's call-depth
-    limit, which outruns the main thread's stack; the worker makes the
-    limit, not the platform stack, the binding constraint.
+    Parsing, desugaring and formatting recurse on the nesting of the
+    source, and evaluation on the nesting of an expression; the worker
+    lets deeply nested source outrun the main thread's stack. The worker
+    is a daemon and restores the limits itself, so an interrupt of the
+    wait neither lowers them under a deep worker nor holds up the exit.
     """
     global _deep_stack_callers, _saved_limits
     result: dict = {}
@@ -573,6 +573,8 @@ def call_with_deep_stack(fn, *args, **kwargs):
             result["value"] = fn(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - re-raised in caller
             result["error"] = exc
+        finally:
+            _leave_deep_stack()
 
     with _deep_stack_lock:
         if not _deep_stack_callers:
@@ -580,16 +582,22 @@ def call_with_deep_stack(fn, *args, **kwargs):
             sys.setrecursionlimit(1_000_000)
         _deep_stack_callers += 1
     try:
-        thread = threading.Thread(target=worker)
+        thread = threading.Thread(target=worker, daemon=True)
         thread.start()
-        thread.join()
-    finally:
-        with _deep_stack_lock:
-            _deep_stack_callers -= 1
-            if not _deep_stack_callers:
-                sys.setrecursionlimit(_saved_limits[0])
-                threading.stack_size(_saved_limits[1])
+    except RuntimeError:  # no worker started, so none leaves
+        _leave_deep_stack()
+        raise
+    thread.join()
 
     if "error" in result:
         raise result["error"]
     return result["value"]
+
+
+def _leave_deep_stack() -> None:
+    global _deep_stack_callers
+    with _deep_stack_lock:
+        _deep_stack_callers -= 1
+        if not _deep_stack_callers:
+            sys.setrecursionlimit(_saved_limits[0])
+            threading.stack_size(_saved_limits[1])

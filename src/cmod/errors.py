@@ -2,9 +2,9 @@
 
 A runtime failure is raised once, as an EngineFailure, and ends the run
 it happens in; clause search never raises to say that a head did not
-match, it returns. The raise site gives only the reason and detail: the
-engine attaches the call chain as the failure leaves the innermost call,
-and hands the failure itself back as the outcome of the run.
+match, it returns. The raise site gives only the reason and detail:
+execute attaches the chain of calls active where it was raised and
+hands the failure itself back as the outcome of the run.
 """
 
 NO_MATCHING_CLAUSE = "no-matching-clause"

@@ -1,11 +1,17 @@
 import io
+import os
 import re
+import signal
+import subprocess
+import sys
 
 import pytest
 
 from cmod.cli import main
 from cmod.parser import parse_source
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
+
+SRC = ROOT / "src"
 
 TRACE_LINE = re.compile(r"^(?P<indent>(?:  )*)(?P<phase>ex|bc):(?P<rule>\d+) \S")
 
@@ -366,12 +372,41 @@ def test_repl_nesting_deeper_than_the_stack_is_a_syntax_error_not_the_end(monkey
     assert captured.out.endswith("7\nok\ncmod> ")
 
 
-def test_python_stack_overflow_is_a_depth_diagnostic(tmp_path, capsys, monkeypatch):
-    # Run on the main thread's small stack so the overflow comes quickly.
+def test_deep_recursion_runs_on_the_main_thread(tmp_path, capsys, monkeypatch):
+    # On the main thread's small stack this once ran out of Python stack.
     monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
     path = write(tmp_path, "(Loop(n) = if (n == 0) (done = 1) else (Loop(n - 1)) => Loop(600))")
-    code = main(["run", path])
+    code = main(["run", path, "--dump-state"])
     captured = capsys.readouterr()
-    assert code == 3
-    assert captured.err.startswith("cmod: depth exceeded: ")
-    assert "internal error" not in captured.err
+    assert code == 0
+    assert "done = 1" in captured.out and captured.err == ""
+
+
+def test_ctrl_c_during_a_traced_run_exits_130(tmp_path):
+    calls = "; ".join(["Loop(100)"] * 3000)
+    path = write(tmp_path, f"(Loop(k) = if (k == 0) true else Loop(k - 1) => ({calls}))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cmod", "run", "--trace", path],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert TRACE_LINE.match(child.stderr.readline().decode())
+        child.send_signal(signal.SIGINT)
+        err = child.communicate(timeout=10)[1].decode()
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 130
+    assert "cmod: interrupted\n" in err
+    assert "Traceback" not in err and "Fatal" not in err
+
+
+def test_ctrl_c_at_the_repl_prompt_exits_130(monkeypatch, capsys):
+    def interrupt(prompt):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("builtins.input", interrupt)
+    code = main(["repl"])
+    assert code == 130
+    assert capsys.readouterr().err == "cmod: interrupted\n"

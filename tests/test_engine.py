@@ -712,20 +712,22 @@ def test_left_first_search_matches_the_branch_order_oracle_quick():
         assert isinstance(outcome, Success) == proggen.branch_order_success(frame, target)
 
 
-def test_python_stack_overflow_is_depth_exceeded():
-    # On the main thread the Python stack runs out long before the
-    # default call-depth limit.
-    outcome, machine = run("(Loop(n) = if (n == 0) (done = 1) else (Loop(n - 1)) => Loop(600))")
-    assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
-    assert "Python stack" in outcome.detail and outcome.__traceback__ is None
+def assert_unwound(machine):
     assert machine.module_stack == [] and machine.call_stack == []
+    assert machine.frame_tables == [] and machine.frame_index == {}
 
 
-def test_a_stack_overflow_while_the_index_is_rebuilt_is_depth_exceeded():
+def test_call_depth_uses_no_python_stack():
+    # On the main thread this recursion once ran out of Python stack
+    # long before the default call-depth limit.
+    outcome, machine = run("(Loop(n) = if (n == 0) (done = 1) else (Loop(n - 1)) => Loop(600))")
+    assert isinstance(outcome, Success) and machine.store["done"] == A.Int(1)
+    assert_unwound(machine)
+
+
+def test_rebuilding_the_index_at_every_level_uses_no_python_stack():
     # Every level enters a macro scope and calls q(), so the index is rebuilt
-    # at the deepest point of the level; over a range of limits the Python
-    # stack runs out inside a rebuild too, which must leave the old index
-    # whole for the scopes that pop their frames on the way out.
+    # at the deepest point of the level; a few frames of Python stack suffice.
     main = main_of(
         "n = 3000; (Rec() = if (n == 0) true else (n = n - 1; "
         "(macro /m = { q() = true } in (/m => (q(); Rec())))) => Rec())"
@@ -734,15 +736,77 @@ def test_a_stack_overflow_while_the_index_is_rebuilt_is_depth_exceeded():
     while frame:
         here, frame = here + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    for extra in range(100, 200):
-        machine = Machine.initial()
-        sys.setrecursionlimit(here + extra)
-        try:
-            outcome = execute(machine, main)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
-        assert machine.module_stack == [] and machine.frame_tables == [] and machine.frame_index == {}
+    machine = Machine.initial()
+    sys.setrecursionlimit(here + 100)
+    try:
+        outcome = execute(machine, main)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(outcome, Success) and machine.store["n"] == A.Int(0)
+    assert_unwound(machine)
+
+
+def test_a_count_loop_of_20000_levels_runs_on_the_main_thread():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        outcome, machine = run(
+            "(Loop(n) = if (n == 0) true else (s = s + 1; Loop(n - 1)) => (s = 0; Loop(20000)))",
+            max_depth=20001,
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(outcome, Success) and machine.store["s"] == A.Int(20000)
+    assert_unwound(machine)
+
+
+def nested_scopes(body):
+    """body inside two allocation scopes of h, in the clause of P, called
+    inside an implication, inside two macro scopes, so that exits run in
+    the wrong order would show: macro /m = {..} in macro /n = {..} in
+    (/m => ((forall x P(x) = new int[2] h => new int[3] h => body) => P(1)))."""
+    allocs = A.AllocScope("h", "int", A.Int(2), A.AllocScope("h", "int", A.Int(3), body))
+    inner = A.Implication(A.Forall("x", A.Clause("P", (A.Var("x"),), allocs)), A.Call("P", (A.Int(1),)))
+    scope = A.Implication(A.MacroRef("m"), inner)
+    for name in "nm":
+        scope = A.MacroScope((A.MacroDef(name, A.Clause("q", (), A.TrueStmt())),), scope)
+    return scope
+
+
+def assert_scopes_undone(machine, macro_env):
+    assert_unwound(machine)
+    assert machine.macro_env is macro_env
+    assert machine.regions.live == [] and all(count == 0 for count in machine.handles.values())
+    assert machine.store["h"] == A.Int(7)  # the value the handle hid
+
+
+def test_an_expression_too_deep_to_evaluate_unwinds_every_scope():
+    # Expressions still evaluate by Python recursion.
+    deep = A.Int(1)
+    for _ in range(5000):
+        deep = A.UnaryOp("-", deep)
+    machine = Machine.initial()
+    machine.store["h"] = A.Int(7)
+    macro_env = machine.macro_env
+    outcome = execute(machine, nested_scopes(A.Assign("y", deep)))
+    assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
+    assert "Python stack" in outcome.detail and outcome.__traceback__ is None
+    assert "y" not in machine.store
+    assert_scopes_undone(machine, macro_env)
+
+
+def test_an_exception_from_the_trace_hook_propagates_and_unwinds_every_scope():
+    def hook(event):
+        if event.phase == "ex" and event.subject.startswith("y ="):
+            raise ValueError("hook")
+
+    machine = Machine.initial(trace=hook)
+    machine.store["h"] = A.Int(7)
+    macro_env = machine.macro_env
+    with pytest.raises(ValueError, match="hook"):
+        execute(machine, nested_scopes(A.Assign("y", A.Int(2))))
+    assert "y" not in machine.store
+    assert_scopes_undone(machine, macro_env)
 
 
 def test_a_program_too_deep_to_desugar_is_a_nesting_error():
@@ -790,6 +854,46 @@ def test_concurrent_deep_runs_keep_the_deep_stack():
     outcome, done = results["deep"]
     assert isinstance(outcome, Success) and done == A.Int(1)
     assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
+
+
+def test_an_interrupted_wait_leaves_the_deep_stack_to_the_worker(monkeypatch):
+    # Ctrl-C reaches the caller in its wait; the limits must stay raised
+    # while the worker runs, and the worker restores them when it ends.
+    limit, size = sys.getrecursionlimit(), threading.stack_size()
+    entered, release, workers = threading.Event(), threading.Event(), []
+
+    def fn():
+        workers.append(threading.current_thread())
+        entered.set()
+        assert release.wait(timeout=30)
+
+    def interrupted_join(self, timeout=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+    with pytest.raises(KeyboardInterrupt):
+        call_with_deep_stack(fn)
+    monkeypatch.undo()
+    assert sys.getrecursionlimit() == 1_000_000
+    assert entered.wait(timeout=30)
+    release.set()
+    workers[0].join(timeout=30)
+    assert not workers[0].is_alive() and workers[0].daemon
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
+
+
+def test_a_worker_that_cannot_start_restores_the_limits(monkeypatch):
+    limit, size = sys.getrecursionlimit(), threading.stack_size()
+
+    def cannot_start(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", cannot_start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        call_with_deep_stack(lambda: None)
+    monkeypatch.undo()
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
+    assert call_with_deep_stack(lambda: 5) == 5
 
 
 def test_many_concurrent_deep_runs():
