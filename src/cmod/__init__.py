@@ -14,7 +14,6 @@ from .errors import (
     CmodError,
     EngineFailure,
     LexError,
-    NestingError,
     ParseError,
 )
 from .ast import desugar, free_procedure_names
@@ -33,7 +32,6 @@ __all__ = [
     "LexError",
     "Machine",
     "MacroEnv",
-    "NestingError",
     "ParseError",
     "RegionStack",
     "SourceProgram",

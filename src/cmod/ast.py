@@ -352,7 +352,8 @@ def desugar(stmt: Statement) -> Statement:
     Each case becomes an equality test of the scrutinee against the case
     label, a value and so its own literal, ending in the default branch;
     all other nodes are preserved structurally (including inside
-    declarations), so any node may be passed. Idempotent.
+    declarations), so any node may be passed. Idempotent. The engine
+    runs a Switch itself and never needs this.
     """
     if isinstance(stmt, Switch):
         result = desugar(stmt.default)

@@ -16,7 +16,7 @@ import sys
 
 from . import ast
 from .engine import call_with_deep_stack, execute, run_source
-from .errors import NO_MATCHING_CLAUSE, TOO_DEEP, CmodError, EngineFailure, LexError, NestingError, ParseError
+from .errors import NO_MATCHING_CLAUSE, TOO_DEEP, CmodError, EngineFailure, LexError, ParseError
 from .machine import DEFAULT_MAX_DEPTH, Machine
 from .parser import parse_repl_input, parse_source
 from .printer import format_declaration, pretty_print
@@ -44,7 +44,7 @@ def _diagnostic(failure: EngineFailure) -> str:
 
 
 def _stderr_trace(event) -> None:
-    print(event.format(), file=sys.stderr)
+    sys.stderr.write(event.format() + "\n")  # one write: an interrupt cannot split the line
 
 
 def _store_lines(machine: Machine) -> list[str]:
@@ -132,8 +132,6 @@ def _cmd_repl(args) -> int:
             print(f"syntax error: {exc}")
         except LexError as exc:
             print(f"syntax error: {exc}")
-        except RecursionError:
-            print(f"syntax error: {TOO_DEEP}")
         buffer = ""
 
 
@@ -142,11 +140,11 @@ def _repl_entry(machine: Machine, source: str) -> None:
     statement, reporting each step."""
     seeds, stmt = parse_repl_input(source)
     if seeds:
-        machine.macro_env = machine.macro_env.define(ast.desugar(d) for d in seeds)
+        machine.macro_env = machine.macro_env.define(seeds)
         print("defined " + ", ".join(f"/{d.name}" for d in seeds))
     if stmt is not None:
         emitted = len(machine.output)
-        outcome = execute(machine, ast.desugar(stmt))
+        outcome = execute(machine, stmt)
         sys.stdout.write("".join(machine.output[emitted:]))
         if isinstance(outcome, EngineFailure):
             print(_diagnostic(outcome))
@@ -190,7 +188,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args, source)
         return _cmd_fmt(source)
-    except (LexError, ParseError, NestingError) as exc:
+    except (LexError, ParseError) as exc:
         print(f"cmod: syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
     except RecursionError:  # only formatting still runs out of Python stack here

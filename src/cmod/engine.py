@@ -51,11 +51,9 @@ from .errors import (
     DIVISION_BY_ZERO,
     NO_MATCHING_CLAUSE,
     REGION_FAULT,
-    TOO_DEEP,
     TYPE_MISMATCH,
     UNBOUND_VARIABLE,
     EngineFailure,
-    NestingError,
 )
 from .machine import DEFAULT_MAX_DEPTH, Machine
 from .macros import rename
@@ -251,7 +249,14 @@ def _if(machine, work, stmt, depth, env) -> None:
 
 
 def _switch(machine, work, stmt, depth, env) -> None:
-    work.append((ast.desugar(stmt), depth, env))
+    """Push the body of the first case whose label equals the scrutinee's
+    value (same class, as == tests), else the default; a switch with no
+    case never evaluates its scrutinee."""
+    chosen = stmt.default
+    if stmt.cases:
+        value = eval_expr(machine, stmt.scrutinee, env)
+        chosen = next((body for label, body in stmt.cases if label == value), chosen)
+    work.append((chosen, depth, env))
 
 
 def _print(machine, work, stmt, depth, env) -> None:
@@ -525,9 +530,8 @@ def machine_for(
     trace=None,
 ) -> Machine:
     """An empty machine seeded with the program's module and macro
-    definitions (desugared)."""
-    seeds = [_desugar(d) for d in program.seeds()]
-    return Machine.initial(seeds=seeds, max_depth=max_depth, trace=trace)
+    definitions, the very trees the parser built."""
+    return Machine.initial(seeds=program.seeds(), max_depth=max_depth, trace=trace)
 
 
 def run_source(
@@ -538,15 +542,7 @@ def run_source(
     """Parse, seed, and execute a whole program from the empty machine."""
     program = parse_source(source)
     machine = machine_for(program, max_depth=max_depth, trace=trace)
-    return execute(machine, _desugar(program.main)), machine
-
-
-def _desugar(node):
-    """ast.desugar(node); a NestingError when it is too deep for the Python stack."""
-    try:
-        return ast.desugar(node)
-    except RecursionError:
-        raise NestingError(TOO_DEEP) from None
+    return execute(machine, program.main), machine
 
 
 # sys.setrecursionlimit and threading.stack_size are process-wide: the
@@ -559,11 +555,12 @@ _saved_limits = (0, 0)
 def call_with_deep_stack(fn, *args, **kwargs):
     """Run fn in a worker thread with a large stack; thread-safe.
 
-    Parsing, desugaring and formatting recurse on the nesting of the
-    source, and evaluation on the nesting of an expression; the worker
-    lets deeply nested source outrun the main thread's stack. The worker
-    is a daemon and restores the limits itself, so an interrupt of the
-    wait neither lowers them under a deep worker nor holds up the exit.
+    Parsing and formatting recurse on the nesting of the source, and
+    evaluation on the nesting of an expression; the worker lets deeply
+    nested source outrun the main thread's stack. An interrupt of the
+    wait (Ctrl-C) is raised in the worker as well and handed on once the
+    worker has stopped, so no run goes on behind it; the limits come back
+    when the last caller's worker has stopped.
     """
     global _deep_stack_callers, _saved_limits
     result: dict = {}
@@ -573,8 +570,6 @@ def call_with_deep_stack(fn, *args, **kwargs):
             result["value"] = fn(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - re-raised in caller
             result["error"] = exc
-        finally:
-            _leave_deep_stack()
 
     with _deep_stack_lock:
         if not _deep_stack_callers:
@@ -584,20 +579,21 @@ def call_with_deep_stack(fn, *args, **kwargs):
     try:
         thread = threading.Thread(target=worker, daemon=True)
         thread.start()
-    except RuntimeError:  # no worker started, so none leaves
-        _leave_deep_stack()
-        raise
-    thread.join()
+        try:
+            thread.join()
+        except KeyboardInterrupt:
+            import ctypes  # only here: importing it would slow every start-up
+
+            ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(thread.ident), ctypes.py_object(KeyboardInterrupt))
+            thread.join()
+            raise
+    finally:
+        with _deep_stack_lock:
+            _deep_stack_callers -= 1
+            if not _deep_stack_callers:
+                sys.setrecursionlimit(_saved_limits[0])
+                threading.stack_size(_saved_limits[1])
 
     if "error" in result:
         raise result["error"]
     return result["value"]
-
-
-def _leave_deep_stack() -> None:
-    global _deep_stack_callers
-    with _deep_stack_lock:
-        _deep_stack_callers -= 1
-        if not _deep_stack_callers:
-            sys.setrecursionlimit(_saved_limits[0])
-            threading.stack_size(_saved_limits[1])

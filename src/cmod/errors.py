@@ -42,10 +42,6 @@ class ParseError(CmodError):
         super().__init__(f"{line}:{column}: expected {expected}, found {found}")
 
 
-class NestingError(CmodError):
-    """A parsed program too deeply nested to desugar or seed."""
-
-
 class EngineFailure(CmodError):
     """A runtime failure of the interpreter, and the outcome of a failed run.
 

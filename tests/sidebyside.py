@@ -15,8 +15,16 @@ store and output, plus the trace text when traced. A soup is only lexed
 and parsed: its hash covers the token list or the LexError, then the
 parse tree or the ParseError. The script prints the counts of differing
 inputs by mode and by family (corpus, golden, each proggen family, soup),
-with the first five names in each family, and exits 1 when any input
-differs. It writes nothing inside the repository.
+with the first five names in each family.
+
+A change may mean some inputs to differ. It lists each such (mode,
+input) pair in tests/sidebyside_intended.txt, one a line as
+``<mode> <input name>: <reason>``, the mode being untraced, traced or
+soups; ``#`` comment lines and blank lines are skipped. A listed pair
+that differs is reported as intended. The script exits 1 when a pair
+that is not listed differs, or when a listed pair does not differ or
+names no input, so the list is emptied by the change after the one it
+was written for. It writes nothing inside the repository.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
+INTENDED = TESTS / "sidebyside_intended.txt"
+MODES = ("untraced", "traced", "soups")
 GENERATED_MAX_DEPTH = 64  # generated programs may recurse without end
 
 # Soups mix every lexical class, its edges and its errors, with token
@@ -190,29 +200,60 @@ def family(name: str) -> str:
     return name.split("/")[0] if "/" in name else name.rsplit("-", 1)[0]
 
 
-def summary(items: list[dict], base: list[list[str]], head: list[list[str]]) -> tuple[list[str], bool]:
-    """The report's lines, and whether any input differs: the counts by
-    mode, then each family's count of differing inputs and the first five
-    of their names."""
-    differ = dict.fromkeys(["untraced", "traced", "soups"], 0)
+def read_intended(path: Path) -> dict[tuple[str, str], str]:
+    """The intended differences listed in path: (mode, input name) -> reason."""
+    intended = {}
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        mode, _, rest = line.strip().partition(" ")
+        name, _, reason = rest.partition(": ")
+        if mode not in MODES or not name or not reason.strip():
+            raise ValueError(f"{path}:{number}: expected '<mode> <input name>: <reason>', the mode one of {', '.join(MODES)}")
+        intended[mode, name] = reason.strip()
+    return intended
+
+
+def summary(items: list[dict], base: list[list[str]], head: list[list[str]], intended=None) -> tuple[list[str], bool]:
+    """The report's lines, and whether the run fails: the counts by mode,
+    then each family's count of differing inputs, how many of them differ
+    only as intended, and the first five of their names; then the intended
+    differences, and the listed ones that do not differ. The run fails on
+    a difference that is not intended and on a listed one that does not
+    differ."""
+    intended = intended or {}
+    differ = dict.fromkeys(MODES, 0)
     totals = collections.Counter(family(item["name"]) for item in items)
     differing: dict[str, list[str]] = {name: [] for name in totals}
+    as_intended = collections.Counter()
+    seen, unintended = set(), 0
     for item, old, new in zip(items, base, head):
         modes = ["soups"] if "soup" in item else ["untraced", "traced"]
-        changed = [mode for mode, old_hash, new_hash in zip(modes, old, new) if old_hash != new_hash]
-        for mode in changed:
+        changed = [(mode, item["name"]) for mode, old_hash, new_hash in zip(modes, old, new) if old_hash != new_hash]
+        for mode, _ in changed:
             differ[mode] += 1
+        listed = [pair for pair in changed if pair in intended]
+        seen.update(listed)
+        unintended += len(changed) - len(listed)
         if changed:
             differing[family(item["name"])].append(item["name"])
+            as_intended[family(item["name"])] += len(listed) == len(changed)
     lines = [
         f"inputs: {len(items)} (base ran {len(base)}, working tree ran {len(head)})",
         "differ " + ", ".join(f"{mode}: {count}" for mode, count in differ.items()),
     ]
     for name, total in totals.items():
         names = differing[name]
+        listed = f", {as_intended[name]} as intended" if as_intended[name] else ""
         first = f" ({', '.join(names[:5])})" if names else ""
-        lines.append(f"  {name}: {len(names)} of {total} differ{first}")
-    return lines, any(differ.values())
+        lines.append(f"  {name}: {len(names)} of {total} differ{listed}{first}")
+    known = {item["name"] for item in items}
+    for (mode, name), reason in intended.items():
+        if (mode, name) in seen:
+            lines.append(f"intended {mode} {name}: {reason}")
+        else:
+            lines.append(f"listed as intended, but {'does not differ' if name in known else 'names no input'}: {mode} {name}")
+    return lines, bool(unintended or len(seen) < len(intended))
 
 
 def main(argv=None) -> int:
@@ -228,6 +269,10 @@ def main(argv=None) -> int:
     if not args.base:
         parser.error("--base is required")
 
+    try:
+        intended = read_intended(INTENDED)
+    except ValueError as exc:
+        parser.error(str(exc))
     items = inputs(args.rounds)
     with tempfile.TemporaryDirectory(prefix="cmod-sidebyside-") as tmp:
         tmp_path = Path(tmp)
@@ -240,9 +285,9 @@ def main(argv=None) -> int:
         base = run_tree(tmp_path / "base" / "src", inputs_path)
         head = run_tree(ROOT / "src", inputs_path)
 
-    lines, differs = summary(items, base, head)
+    lines, failed = summary(items, base, head, intended)
     print("\n".join(lines))
-    return 1 if differs or not len(base) == len(head) == len(items) else 0
+    return 1 if failed or not len(base) == len(head) == len(items) else 0
 
 
 if __name__ == "__main__":

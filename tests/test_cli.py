@@ -30,6 +30,20 @@ def test_run_emp_bank_golden(capsys):
     assert captured.err == ""
 
 
+def test_run_trace_shows_the_switch_as_written(capsys):
+    code = main(["run", "--trace", str(CORPUS / "emp_bank.cmod")])
+    selected = [line.strip() for line in capsys.readouterr().err.splitlines() if line.strip().startswith("bc:1 Age(")]
+    assert code == 0
+    assert [line[: line.index(" = ")] for line in selected] == ["bc:1 Age(tom)", "bc:1 Age(kim)", "bc:1 Age(sue)"]
+    assert all(" = (switch (" in line for line in selected)
+
+
+def test_repl_a_switch_with_no_case_never_evaluates_its_scrutinee(monkeypatch, capsys):
+    code, captured = repl(monkeypatch, capsys, ["switch (X) { default: print(3); break; }", ":quit"])
+    assert code == 0
+    assert "3\nok\n" in captured.out
+
+
 def test_run_is_deterministic(capsys):
     main(["run", str(CORPUS / "emp_bank.cmod")])
     first = capsys.readouterr().out
@@ -342,7 +356,7 @@ def test_repl_trace_flag_streams_to_stderr(monkeypatch, capsys):
 
 
 DEEP_PARENS = "x = " + "(" * 2000 + "1" + ")" * 2000
-DEEP_NEGATION = "x = " + "-" * 500 + "1; print(x)"  # parses; desugaring it overflows
+DEEP_NEGATION = "x = " + "-" * 500 + "1; print(x)"  # parses, and nothing walks it again before it runs
 
 
 @pytest.mark.parametrize(
@@ -350,9 +364,8 @@ DEEP_NEGATION = "x = " + "-" * 500 + "1; print(x)"  # parses; desugaring it over
     [
         ("run", DEEP_PARENS, "expected less deeply nested input, found '('"),
         ("fmt", DEEP_PARENS, "expected less deeply nested input, found '('"),
-        ("run", DEEP_NEGATION, "the program is nested too deeply to process"),
     ],
-    ids=["run-parens", "fmt-parens", "run-negation"],
+    ids=["run-parens", "fmt-parens"],
 )
 def test_nesting_deeper_than_the_stack_is_a_syntax_error_exit_2(tmp_path, capsys, monkeypatch, command, source, message):
     monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
@@ -363,13 +376,28 @@ def test_nesting_deeper_than_the_stack_is_a_syntax_error_exit_2(tmp_path, capsys
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("source", [DEEP_PARENS, DEEP_NEGATION], ids=["parens", "negation"])
+def test_a_deep_negation_runs_on_the_main_thread(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    code = main(["run", write(tmp_path, DEEP_NEGATION)])
+    assert code == 0
+    assert capsys.readouterr() == ("1\n", "")
+
+
+@pytest.mark.parametrize("source", [DEEP_PARENS], ids=["parens"])
 def test_repl_nesting_deeper_than_the_stack_is_a_syntax_error_not_the_end(monkeypatch, capsys, source):
     monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
     code, captured = repl(monkeypatch, capsys, [source, "print(7)", ":quit"])
     assert code == 0
     assert "syntax error: " in captured.out
     assert captured.out.endswith("7\nok\ncmod> ")
+
+
+def test_repl_runs_a_deep_negation_on_the_main_thread(monkeypatch, capsys):
+    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    code, captured = repl(monkeypatch, capsys, [DEEP_NEGATION, ":quit"])
+    assert code == 0
+    assert "syntax error" not in captured.out
+    assert "1\nok\n" in captured.out
 
 
 def test_deep_recursion_runs_on_the_main_thread(tmp_path, capsys, monkeypatch):
@@ -398,7 +426,7 @@ def test_ctrl_c_during_a_traced_run_exits_130(tmp_path):
         child.kill()
         child.wait()
     assert child.returncode == 130
-    assert "cmod: interrupted\n" in err
+    assert err.endswith("\ncmod: interrupted\n")  # the run stopped before the message
     assert "Traceback" not in err and "Fatal" not in err
 
 

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -25,7 +26,6 @@ from cmod.errors import (
     TYPE_MISMATCH,
     UNBOUND_VARIABLE,
     EngineFailure,
-    NestingError,
 )
 from cmod.machine import Machine
 from cmod.parser import PRECEDENCE, parse_source
@@ -156,6 +156,36 @@ def test_execute_accepts_an_undesugared_switch():
     outcome = execute(machine, raw)
     assert isinstance(outcome, Success)
     assert machine.store["r"] == A.Int(1)
+
+
+def test_machine_for_seeds_the_switch_the_parser_built():
+    program = parse_source("module Emp. Age(e) = switch (e) { case tom: age = 31; break; } end\ntrue")
+    machine = machine_for(program)
+    assert machine.macro_env.find("Emp") is program.module_defs[0][1]
+    assert isinstance(machine.macro_env.find("Emp").decl.body, A.Switch)
+
+
+def test_a_switch_with_no_case_never_evaluates_its_scrutinee():
+    outcome, machine = run("switch (X) { default: print(3); break; }")
+    assert isinstance(outcome, Success)
+    assert machine.output_text() == "3\n"
+
+
+def test_switch_labels_match_by_class():
+    outcome, machine = run("x = 1; switch (x) { case one: r = 1; break; default: r = 3; break; }")
+    assert isinstance(outcome, Success)
+    assert machine.store["r"] == A.Int(3)
+    machine = Machine.initial()  # True == 1 in Python, not in cmod
+    stmt = A.Switch(A.Int(1), ((A.Bool(True), A.Assign("r", A.Int(1))),), A.Assign("r", A.Int(3)))
+    assert isinstance(execute(machine, stmt), Success)
+    assert machine.store["r"] == A.Int(3)
+
+
+def test_a_switch_takes_the_first_equal_label_and_fails_on_an_unbound_scrutinee():
+    outcome, machine = run("x = kim; switch (x) { case tom: r = 1; break; case kim: r = 2; break; }")
+    assert isinstance(outcome, Success) and machine.store["r"] == A.Int(2)
+    outcome, _ = run("switch (X) { case tom: true; break; }")
+    assert isinstance(outcome, Failure) and outcome.reason == UNBOUND_VARIABLE
 
 
 # -- call resolution --------------------------------------------------------
@@ -809,12 +839,14 @@ def test_an_exception_from_the_trace_hook_propagates_and_unwinds_every_scope():
     assert_scopes_undone(machine, macro_env)
 
 
-def test_a_program_too_deep_to_desugar_is_a_nesting_error():
-    # It parses at the default recursion limit, but desugaring it does not.
-    with pytest.raises(NestingError, match="^the program is nested too deeply to process$"):
-        run_source("x = " + "-" * 700 + "1; print(x)")
-    with pytest.raises(NestingError):
-        machine_for(parse_source("module M. p() = x = " + "-" * 700 + "1 end\ntrue"))
+def test_a_program_once_too_deep_to_desugar_runs():
+    # It parses at the default recursion limit, and nothing walks it
+    # again before it runs.
+    outcome, machine = run_source("x = " + "-" * 700 + "1; print(x)")
+    assert isinstance(outcome, Success) and machine.output_text() == "1\n"
+    program = parse_source("module M. p() = x = " + "-" * 700 + "1 end\n(M => p()); print(x)")
+    machine = machine_for(program)
+    assert isinstance(execute(machine, program.main), Success) and machine.output_text() == "1\n"
 
 
 def test_concurrent_deep_runs_keep_the_deep_stack():
@@ -856,29 +888,35 @@ def test_concurrent_deep_runs_keep_the_deep_stack():
     assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
 
 
-def test_an_interrupted_wait_leaves_the_deep_stack_to_the_worker(monkeypatch):
-    # Ctrl-C reaches the caller in its wait; the limits must stay raised
-    # while the worker runs, and the worker restores them when it ends.
+def test_an_interrupted_wait_stops_the_worker(monkeypatch):
+    # Ctrl-C reaches the caller in its wait: the caller stops the worker,
+    # and the interrupt reaches the caller only once the worker has
+    # stopped and the limits are back.
     limit, size = sys.getrecursionlimit(), threading.stack_size()
-    entered, release, workers = threading.Event(), threading.Event(), []
+    entered, workers, outcomes = threading.Event(), [], []
+    join = threading.Thread.join
 
     def fn():
         workers.append(threading.current_thread())
         entered.set()
-        assert release.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        try:
+            while time.monotonic() < deadline:  # busy until stopped
+                pass
+        except KeyboardInterrupt:
+            outcomes.append("stopped")
+            raise
 
     def interrupted_join(self, timeout=None):
+        monkeypatch.setattr(threading.Thread, "join", join)
+        assert entered.wait(timeout=30)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(threading.Thread, "join", interrupted_join)
     with pytest.raises(KeyboardInterrupt):
         call_with_deep_stack(fn)
-    monkeypatch.undo()
-    assert sys.getrecursionlimit() == 1_000_000
-    assert entered.wait(timeout=30)
-    release.set()
-    workers[0].join(timeout=30)
-    assert not workers[0].is_alive() and workers[0].daemon
+    assert outcomes == ["stopped"]
+    assert not workers[0].is_alive()
     assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
 
 

@@ -78,3 +78,68 @@ def test_the_summary_counts_differing_inputs_by_family():
         "  soup: 1 of 2 differ (soup/1)",
     ]
     assert sidebyside.family("macro_equivalence-12") == "macro_equivalence"
+
+
+def _one_change():
+    """Two corpus inputs and a soup, the first input's traced run changed."""
+    items = [{"name": "corpus/a.cmod"}, {"name": "corpus/b.cmod"}, {"name": "soup/0", "soup": ""}]
+    base = [["u", "t"], ["u", "t"], ["s"]]
+    head = [["u", "changed"], ["u", "t"], ["s"]]
+    return items, base, head
+
+
+def test_a_listed_difference_is_intended():
+    intended = {("traced", "corpus/a.cmod"): "the trace shows the switch"}
+    lines, failed = sidebyside.summary(*_one_change(), intended)
+    assert not failed
+    assert lines[1:] == [
+        "differ untraced: 0, traced: 1, soups: 0",
+        "  corpus: 1 of 2 differ, 1 as intended (corpus/a.cmod)",
+        "  soup: 0 of 1 differ",
+        "intended traced corpus/a.cmod: the trace shows the switch",
+    ]
+
+
+def test_a_difference_listed_for_another_mode_still_fails():
+    lines, failed = sidebyside.summary(*_one_change(), {("untraced", "corpus/a.cmod"): "no"})
+    assert failed
+    assert "  corpus: 1 of 2 differ (corpus/a.cmod)" in lines
+    assert lines[-1] == "listed as intended, but does not differ: untraced corpus/a.cmod"
+
+
+@pytest.mark.parametrize(
+    "pair, line",
+    [
+        (("traced", "corpus/b.cmod"), "listed as intended, but does not differ: traced corpus/b.cmod"),
+        (("soups", "soup/0"), "listed as intended, but does not differ: soups soup/0"),
+        (("traced", "corpus/c.cmod"), "listed as intended, but names no input: traced corpus/c.cmod"),
+    ],
+    ids=["no-difference", "no-soup-difference", "no-input"],
+)
+def test_a_stale_listing_fails(pair, line):
+    intended = {("traced", "corpus/a.cmod"): "meant", pair: "stale"}
+    lines, failed = sidebyside.summary(*_one_change(), intended)
+    assert failed
+    assert lines[-2:] == ["intended traced corpus/a.cmod: meant", line]
+
+
+def test_the_intended_list_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "intended.txt"
+    path.write_text("# why\n\n  # indented\ntraced corpus/a.cmod: shows the switch: as written\nsoups soup/3: a b\n")
+    assert sidebyside.read_intended(path) == {
+        ("traced", "corpus/a.cmod"): "shows the switch: as written",
+        ("soups", "soup/3"): "a b",
+    }
+
+
+@pytest.mark.parametrize("line", ["traced corpus/a.cmod", "trace corpus/a.cmod: why", "traced : why", "traced x:  "])
+def test_a_malformed_intended_line_is_an_error(tmp_path, line):
+    path = tmp_path / "intended.txt"
+    path.write_text(f"# ok\n{line}\n")
+    with pytest.raises(ValueError, match="intended.txt:2: expected '<mode> <input name>: <reason>'"):
+        sidebyside.read_intended(path)
+
+
+def test_the_checked_in_intended_list_reads():
+    intended = sidebyside.read_intended(sidebyside.INTENDED)
+    assert all(mode in sidebyside.MODES for mode, _ in intended)
