@@ -143,9 +143,9 @@ def _repl_entry(machine: Machine, source: str) -> None:
         machine.macro_env = machine.macro_env.define(seeds)
         print("defined " + ", ".join(f"/{d.name}" for d in seeds))
     if stmt is not None:
-        emitted = len(machine.output)
         outcome = execute(machine, stmt)
-        sys.stdout.write("".join(machine.output[emitted:]))
+        sys.stdout.write(machine.output_text())
+        machine.output.clear()  # a session keeps no line it has printed
         if isinstance(outcome, EngineFailure):
             print(_diagnostic(outcome))
         else:

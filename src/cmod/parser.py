@@ -22,15 +22,18 @@ Concrete syntax notes:
 * Binary operators climb one table, ``PRECEDENCE``, which the printer
   reads too: left-associative, except that a comparison takes no
   comparison operand (``a == b == c`` is a syntax error).
+* Tokens come one at a time from any iterable and are dropped once read.
 * Input nested deeper than the Python stack reaches is a ParseError at
-  the token where the stack ran out.
+  the token where the stack ran out. A LexError anywhere wins over it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from . import ast
 from .errors import ParseError
-from .lexer import Token, tokenize
+from .lexer import Lexer, Token
 
 _STATEMENT_START_KEYWORDS = {"true", "if", "switch", "print", "macro", "forall", "ren"}
 # Binary operator precedence, loosest first; the printer reads it too.
@@ -59,48 +62,55 @@ class SourceProgram(ast.Node):
 
 
 def parse_source(source: str) -> SourceProgram:
-    return parse_program(tokenize(source))
+    return parse_program(Lexer(source))
 
 
-def parse_program(tokens: list[Token]) -> SourceProgram:
+def parse_program(tokens: Iterable[Token]) -> SourceProgram:
     return _Parser(tokens).run(_Parser.parse_program)
 
 
 def parse_repl_input(source: str) -> tuple[list[ast.MacroDef], ast.Statement | None]:
     """Parse one REPL entry: any number of module/macro definitions,
     optionally followed by a statement."""
-    return _Parser(tokenize(source)).run(_Parser.parse_repl_input)
+    return _Parser(Lexer(source)).run(_Parser.parse_repl_input)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, tokens: Iterable[Token]):
+        self._token_source, self._tokens = tokens, iter(tokens)
+        self.tok = next(self._tokens)  # the current token
+        self.ahead = next(self._tokens, self.tok)  # the one after it; eof repeats
         self._handles: list[str] = []
 
     def run(self, parse):
         """parse(self); input nested deeper than the Python stack reaches
-        is a ParseError at the token where the stack ran out."""
+        is a ParseError at the token where the stack ran out. A ParseError
+        first iterates the token source anew to its end (the stack running
+        out may have ended the last iteration), so a LexError anywhere wins."""
         try:
             return parse(self)
         except RecursionError:
-            tok = self._peek()
-            raise ParseError(tok.line, tok.column, "less deeply nested input", str(tok)) from None
+            error = ParseError(self.tok.line, self.tok.column, "less deeply nested input", str(self.tok))
+        except ParseError as exc:
+            error = exc
+        for _ in self._token_source:
+            pass
+        raise error
 
     # -- token helpers ------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]  # offset 1 only after a token that is not eof
+        return self.ahead if offset else self.tok
 
     def _advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok.kind != "eof":
-            self.pos += 1
+            self.ahead, self.tok = next(self._tokens, self.ahead), self.ahead  # if the stack runs out, tok stays
         return tok
 
     def _check(self, lexeme: str, offset: int = 0) -> bool:
-        tok = self._peek(offset)
-        return tok.kind in ("punct", "keyword") and tok.lexeme == lexeme
+        tok = self.ahead if offset else self.tok
+        return tok.lexeme == lexeme and tok.kind in ("punct", "keyword")
 
     def _accept(self, lexeme: str) -> bool:
         if self._check(lexeme):
@@ -118,8 +128,7 @@ class _Parser:
         return self._advance()
 
     def _expect_ident(self, what: str = "identifier") -> Token:
-        tok = self._peek()
-        if tok.kind != "ident":
+        if self.tok.kind != "ident":
             raise self._error(what)
         return self._advance()
 
@@ -218,12 +227,12 @@ class _Parser:
     def _parse_unit(self) -> ast.Statement | ast.Declaration:
         """A statement, or the first unit of an implication's declaration,
         decided by the first tokens."""
+        if self.tok.kind == "ident":
+            return self._parse_ident_statement()
         if self._check("("):
             return self._parse_group()
         if self._check("forall") or self._check("ren") or self._check("/"):
             return self._parse_decl_unit()
-        if self._peek().kind == "ident":
-            return self._parse_ident_statement()
         if self._accept("true"):
             return ast.TrueStmt()
         if self._check("if"):
@@ -283,10 +292,10 @@ class _Parser:
             not_formal = None  # the first argument that is not a lone identifier
             if not self._check(")"):
                 while True:
-                    start = self.pos
+                    first = self.tok
                     args.append(self.parse_expression())
-                    if not_formal is None and (self.pos != start + 1 or self.tokens[start].kind != "ident"):
-                        not_formal = self.tokens[start]
+                    if not_formal is None and (first.kind != "ident" or not isinstance(args[-1], ast.Var)):
+                        not_formal = first
                     if not self._accept(","):
                         break
             self._expect(")")
@@ -427,7 +436,7 @@ class _Parser:
         left = self._parse_unary()
         limit = _TIGHTEST
         while True:
-            tok = self._peek()
+            tok = self.tok
             prec = PRECEDENCE.get(tok.lexeme, 0) if tok.kind == "punct" else 0
             if not min_prec <= prec <= limit:
                 return left
@@ -446,22 +455,20 @@ class _Parser:
         return expr
 
     def _parse_primary(self) -> ast.Expression:
-        tok = self._peek()
+        tok = self.tok
+        if tok.kind == "ident":
+            self._advance()
+            return ast.Var(tok.lexeme)
         if tok.kind == "int":
             self._advance()
             return ast.Int(int(tok.lexeme))
         if tok.kind == "string":
             self._advance()
             return ast.Str(tok.lexeme)
-        if self._check("true"):
-            self._advance()
+        if self._accept("true"):
             return ast.Bool(True)
-        if self._check("false"):
-            self._advance()
+        if self._accept("false"):
             return ast.Bool(False)
-        if tok.kind == "ident":
-            self._advance()
-            return ast.Var(tok.lexeme)
         if self._accept("("):
             expr = self.parse_expression()
             self._expect(")")

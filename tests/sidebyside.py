@@ -13,7 +13,8 @@ its own ``cmod``, runs every program twice, untraced and traced: a run is
 reduced to a hash of its outcome (reason, detail and call chain), final
 store and output, plus the trace text when traced. A soup is only lexed
 and parsed: its hash covers the token list or the LexError, then the
-parse tree or the ParseError. The script prints the counts of differing
+parse tree or the ParseError, and then what ``parse_source``, which
+parses as it lexes, makes of it. The script prints the counts of differing
 inputs by mode and by family (corpus, golden, each proggen family, soup),
 with the first five names in each family.
 
@@ -160,6 +161,18 @@ def soup_digest(source: str) -> str:
         return f"{lexed}\nParseError {exc} at_eof={exc.at_eof}"
 
 
+def streamed_digest(source: str) -> str:
+    """The encoded parse tree of parse_source(source), the path that cmod
+    run and fmt take, or its error's class, message and at_eof."""
+    from cmod.errors import LexError, ParseError
+    from cmod.parser import parse_source
+
+    try:
+        return json.dumps(encode(parse_source(source)))
+    except (LexError, ParseError) as exc:
+        return f"{type(exc).__name__} {exc} at_eof={getattr(exc, 'at_eof', None)}"
+
+
 def _digest(parts) -> str:
     return hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
 
@@ -172,7 +185,7 @@ def work(path: str) -> None:
     def run_all():
         for item in json.loads(Path(path).read_text(encoding="utf-8")):
             if "soup" in item:
-                print(json.dumps([_digest([soup_digest(item["soup"])])]))
+                print(json.dumps([_digest([soup_digest(item["soup"]), streamed_digest(item["soup"])])]))
                 continue
             if "source" in item:
                 program = item["source"]

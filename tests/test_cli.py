@@ -263,6 +263,17 @@ def test_repl_store_inspection(monkeypatch, capsys):
     assert "ok" in captured.out
 
 
+def test_a_repl_entry_keeps_no_line_it_printed(capsys):
+    from cmod.cli import _repl_entry
+    from cmod.machine import Machine
+
+    machine = Machine.initial()
+    for source in ("print(1)", "print(2)"):
+        _repl_entry(machine, source)
+        assert machine.output == []
+    assert capsys.readouterr().out == "1\nok\n2\nok\n"
+
+
 def test_repl_error_does_not_kill_the_session(monkeypatch, capsys):
     code, captured = repl(monkeypatch, capsys, ["p()", "x = 2", ":store", ":quit"])
     assert code == 0
@@ -374,6 +385,27 @@ def test_nesting_deeper_than_the_stack_is_a_syntax_error_exit_2(tmp_path, capsys
     assert code == 2
     assert captured.err.startswith("cmod: syntax error: ") and captured.err.endswith(message + "\n")
     assert captured.out == ""
+
+
+LEX_AFTER_SYNTAX = ["x = ; y = 1 $", "(" * 100000 + "x = 1" + "$"]
+
+
+@pytest.mark.parametrize("source", LEX_AFTER_SYNTAX, ids=["syntax", "nesting"])
+@pytest.mark.parametrize("command", ["run", "fmt"])
+def test_a_lex_error_after_a_syntax_error_is_the_one_reported(tmp_path, capsys, monkeypatch, command, source):
+    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    code = main([command, write(tmp_path, source)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured == ("", f"cmod: syntax error: 1:{len(source)}: unexpected character '$'\n")
+
+
+@pytest.mark.parametrize("source", LEX_AFTER_SYNTAX, ids=["syntax", "nesting"])
+def test_repl_reports_a_lex_error_after_a_syntax_error(monkeypatch, capsys, source):
+    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    code, captured = repl(monkeypatch, capsys, [source, ":quit"])
+    assert code == 0
+    assert f"syntax error: 1:{len(source)}: unexpected character '$'\n" in captured.out
 
 
 def test_a_deep_negation_runs_on_the_main_thread(tmp_path, capsys, monkeypatch):

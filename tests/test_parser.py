@@ -342,6 +342,99 @@ def test_deeply_nested_groups_run():
     assert machine.store == {"x": A.Int(1), "y": A.Int(2)}
 
 
+# -- parsing from a token stream -------------------------------------------
+
+
+def test_the_parser_holds_at_most_two_tokens_it_has_not_passed(monkeypatch):
+    from cmod.lexer import tokenize
+    from cmod.parser import _Parser, parse_program
+
+    tokens = tokenize(nested_groups(4) + "; switch (x) { case -1: y = a[0]; break; }")
+    pulled = passed = held = 0
+
+    def stream():
+        nonlocal pulled
+        for tok in tokens:
+            pulled += 1
+            yield tok
+
+    advance = _Parser._advance
+
+    def counting_advance(self):
+        nonlocal passed, held
+        tok = advance(self)
+        passed += tok.kind != "eof"
+        held = max(held, pulled - passed)
+        return tok
+
+    monkeypatch.setattr(_Parser, "_advance", counting_advance)
+    assert parse_program(stream()) == parse_program(tokens)
+    assert (pulled, held) == (len(tokens), 2)
+
+
+def test_parsing_holds_the_tree_not_the_tokens():
+    import tracemalloc
+
+    # 2,000 modules of two statements each; items do not nest, so the
+    # stack stays shallow (tracemalloc slows with its depth)
+    source = "".join(f"module M{i}. P{i}(a) = (x{i} = a + {i} * 7 - 1; print(x{i})) end\n" for i in range(2000))
+    tracemalloc.start()
+    try:
+        tree = parse_source(source + "true")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.module_defs) == 2000
+    assert peak <= 1.25 * retained  # the token list made it about three times the tree
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["x = ; y = 1 $", "(" * 100000 + "x = 1" + "$", "x = " + '("a\\n" + ' * 100000 + "1$"],
+    ids=["syntax", "nesting", "nesting-strings"],
+)
+@pytest.mark.parametrize("parse", [parse_source, parse_repl_input], ids=["source", "repl"])
+def test_a_lex_error_after_a_syntax_error_wins(parse, source):
+    from cmod.errors import LexError
+
+    with pytest.raises(LexError) as info:
+        parse(source)
+    assert (info.value.line, info.value.column, info.value.char) == (1, len(source), "$")
+
+
+def test_wherever_the_stack_runs_out_a_lex_error_later_still_wins():
+    # Each limit runs the stack out at another point: in the parser, in
+    # the lexer between tokens, or inside it while a token is being built.
+    import inspect
+    import sys
+
+    from cmod.errors import LexError
+    from cmod.lexer import tokenize
+
+    nested = "x = " + '("a\\n" + ' * 40 + "1" + ")" * 40
+    outcomes = []
+    depth, old = len(inspect.stack(0)), sys.getrecursionlimit()
+    try:
+        for limit in range(depth + 20, depth + 260):
+            sys.setrecursionlimit(limit)
+            for source in (nested, nested + " $"):
+                try:
+                    outcomes.append((source, parse_source(source)))
+                except (LexError, ParseError) as exc:
+                    outcomes.append((source, exc))
+    finally:
+        sys.setrecursionlimit(old)
+    tokens = {(t.line, t.column, str(t)) for t in tokenize(nested)}
+    for source, outcome in outcomes:
+        if source.endswith("$"):
+            assert isinstance(outcome, LexError) and outcome.column == len(source)
+        elif isinstance(outcome, ParseError):
+            assert outcome.expected == "less deeply nested input"
+            assert (outcome.line, outcome.column, outcome.found) in tokens
+    # the limits reach from too shallow for the nesting to deep enough
+    assert isinstance(outcomes[0][1], ParseError) and outcomes[-2][1] == parse_source(nested)
+
+
 # -- a group is what it holds -----------------------------------------------
 
 

@@ -85,7 +85,7 @@ def test_expression_print_parse_round_trip(expr):
     text = format_expression(expr)
     parser = _Parser(tokenize(text))
     reparsed = parser.parse_expression()
-    assert parser.tokens[parser.pos].kind == "eof"
+    assert parser._peek().kind == "eof"
     assert reparsed == expr
 
 
@@ -176,5 +176,5 @@ def test_statement_print_parse_round_trip(stmt):
         text = format_statement(stmt, compact=compact)
         parser = _Parser(tokenize(text))
         reparsed = parser.parse_statement()
-        assert parser.tokens[parser.pos].kind == "eof"
+        assert parser._peek().kind == "eof"
         assert reparsed == stmt

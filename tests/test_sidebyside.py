@@ -47,6 +47,19 @@ def test_a_soup_that_parses_is_its_tokens_and_tree():
     assert json.loads(tree) == ["SourceProgram", ["()"], ["()"], ["Print", ["Int", 7]]]
 
 
+@pytest.mark.parametrize(
+    "source, digest",
+    [
+        ("x = ; $", "LexError 1:7: unexpected character '$' at_eof=None"),
+        ("x =", "ParseError 1:4: expected expression, found end of input at_eof=True"),
+        ("print(7)", '["SourceProgram", ["()"], ["()"], ["Print", ["Int", 7]]]'),
+    ],
+    ids=["lex-error-after-parse-error", "parse-error", "tree"],
+)
+def test_a_streamed_soup_is_its_tree_or_first_error(source, digest):
+    assert sidebyside.streamed_digest(source) == digest
+
+
 def test_soups_are_seeded():
     assert list(sidebyside.soups(50)) == list(sidebyside.soups(50))
     assert len({source for _, source in sidebyside.soups(50)}) > 40
