@@ -78,7 +78,7 @@ class Atom(Node):
 
 @record
 class Handle(Node):
-    """Reference to a region; the generation pair detects dangling use."""
+    """Reference to a region by its serial; generation is always 0."""
 
     region_id: int
     generation: int

@@ -55,13 +55,10 @@ def _dump_state(machine: Machine) -> None:
     print("-- store --")
     for line in _store_lines(machine):
         print(line)
-    print("-- regions --")
-    print("id gen type length live")
-    for region in machine.regions.regions:
-        print(
-            f"{region.id} {region.generation} {region.elem_type}"
-            f" {len(region.cells)} {'true' if region.live else 'false'}"
-        )
+    stack = machine.regions
+    print(f"-- regions: {stack.allocated} allocated, {len(stack.regions)} live --")
+    for region in stack.regions:
+        print(f"{region.id} {region.elem_type} {len(region.cells)}")
 
 
 def _cmd_run(args, source: str) -> int:

@@ -1,13 +1,16 @@
 """The region stack for scoped allocation.
 
 Regions live exactly as long as the allocation scope that created them;
-they are freed strictly LIFO, and every access through a handle checks
-liveness and generation so dangling use is a detected fault rather than
-undefined behaviour. The engine runs the scopes; this module holds only
-the regions and the checked access to their cells.
+they are freed strictly LIFO and give their cells back, and every access
+through a handle looks for its region among the live ones, so dangling
+use is a detected fault rather than undefined behaviour. The engine runs
+the scopes; this module holds only the live regions and their cells.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from operator import attrgetter
 
 from . import ast
 from .errors import REGION_FAULT, TYPE_MISMATCH, EngineFailure
@@ -19,44 +22,39 @@ MAX_REGION_LENGTH = 2**24
 
 class Region:
     def __init__(self, id: int, elem_type: str, cells: list[ast.Value]):
-        self.id, self.generation, self.elem_type, self.cells, self.live = id, 0, elem_type, cells, True
+        self.id, self.elem_type, self.cells = id, elem_type, cells
 
 
 class RegionStack:
     def __init__(self):
-        # All regions ever allocated, in allocation order, so a region's id
-        # is its position; dead ones are kept for fault diagnostics. (id,
-        # generation) pairs are never reused. live holds the live regions,
-        # oldest first: only its last one may be freed.
+        # The live regions, oldest first: only the last one may be freed. A
+        # region's id is its serial, the count allocated before it; serials
+        # rise along the stack and are never reused, so the count tells a
+        # dangling handle from an unknown one with no dead region kept.
         self.regions: list[Region] = []
-        self.live: list[Region] = []
+        self.allocated = 0
 
     def allocate(self, elem_type: str, length: int) -> ast.Handle:
-        region = Region(len(self.regions), elem_type, [ast.Int(0)] * length)
+        region = Region(self.allocated, elem_type, [ast.Int(0)] * length)
+        self.allocated += 1
         self.regions.append(region)
-        self.live.append(region)
-        return ast.Handle(region.id, region.generation)
+        return ast.Handle(region.id, 0)
 
     def free(self, handle: ast.Handle) -> None:
-        region = self._region(handle)
-        if not self.live or self.live[-1] is not region:
-            raise RuntimeError(f"region {region.id} freed out of stack order")
-        self.live.pop()
-        region.live = False
-        region.generation += 1  # retire the handle generation
+        if not self.regions or self.regions[-1].id != handle.region_id:
+            raise RuntimeError(f"region {handle.region_id} freed out of stack order")
+        self.regions.pop()
 
     def checked(self, handle: ast.Handle) -> Region:
-        region = self._region(handle)
-        if not region.live or region.generation != handle.generation:
-            raise EngineFailure(
-                REGION_FAULT, f"dangling handle to region {region.id}"
-            )
-        return region
-
-    def _region(self, handle: ast.Handle) -> Region:
-        if 0 <= handle.region_id < len(self.regions):
-            return self.regions[handle.region_id]
-        raise EngineFailure(REGION_FAULT, f"unknown region {handle.region_id}")
+        regions, serial = self.regions, handle.region_id
+        if regions and regions[-1].id == serial:  # the top, as a fill loop uses
+            return regions[-1]
+        at = bisect_left(regions, serial, key=attrgetter("id"))
+        if at < len(regions) and regions[at].id == serial:
+            return regions[at]
+        if 0 <= serial < self.allocated:
+            raise EngineFailure(REGION_FAULT, f"dangling handle to region {serial}")
+        raise EngineFailure(REGION_FAULT, f"unknown region {serial}")
 
 
 def region_read(machine, handle: ast.Handle, index: int) -> ast.Value:

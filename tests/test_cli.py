@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from cmod.cli import main
+from cmod.cli import _dump_state, main
+from cmod.machine import Machine
 from cmod.parser import parse_source
 from conftest import CORPUS, ROOT
 
@@ -158,14 +159,23 @@ def test_trace_goes_to_stderr_and_is_well_formed(capsys):
 
 
 def test_dump_state_table(tmp_path, capsys):
-    path = write(tmp_path, "(a = new int[3] => a[0] = 5); x = 42")
-    code = main(["run", path, "--dump-state"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "-- store --" in captured.out
-    assert "x = 42" in captured.out
-    assert "id gen type length live" in captured.out
-    assert "0 1 int 3 false" in captured.out
+    # a failing body frees its region too
+    for source, exit_code in [("(a = new int[3] => a[0] = 5); x = 42", 0),
+                              ("x = 42; (a = new int[3] => (a[0] = 5; nope()))", 1)]:
+        code = main(["run", write(tmp_path, source), "--dump-state"])
+        captured = capsys.readouterr()
+        assert code == exit_code
+        assert "-- store --" in captured.out
+        assert "x = 42" in captured.out
+        assert captured.out.endswith("-- regions: 1 allocated, 0 live --\n")
+
+
+def test_dump_state_lists_the_live_regions(capsys):
+    machine = Machine.initial()
+    machine.regions.free(machine.regions.allocate("int", 2))
+    machine.regions.allocate("int", 3)
+    _dump_state(machine)
+    assert capsys.readouterr().out == "-- store --\n-- regions: 2 allocated, 1 live --\n1 int 3\n"
 
 
 def test_fmt_emits_canonical_reparseable_text(capsys):

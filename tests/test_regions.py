@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 
 import proggen
 from cmod import ast as A
+from cmod.cli import _repl_entry
 from cmod.engine import Failure, Success, eval_expr, execute, run_source
 from cmod.errors import (
     REGION_FAULT,
@@ -96,14 +98,15 @@ def test_nested_scopes_see_both_regions(corpus_files):
     outcome, machine = run_source(path.read_text(encoding="utf-8"))
     assert isinstance(outcome, Success)
     assert machine.output_text() == "33\n12\n"
-    assert machine.regions.live == []
+    assert machine.regions.regions == []
     assert machine.store["sum"] == A.Int(33)
 
 
 def test_empty_region_allocates():
-    outcome, machine = run_source("(p = new int[0] => true)")
-    assert isinstance(outcome, Success)
-    assert machine.regions.regions[0].cells == []
+    outcome, machine = run_source("(p = new int[0] => x = p[0])")
+    assert isinstance(outcome, Failure) and outcome.reason == REGION_FAULT
+    assert outcome.detail == "bounds: index 0 outside region 0 of length 0"
+    assert machine.regions.allocated == 1 and machine.regions.regions == []
 
 
 def test_escaped_handle_faults_after_scope_exit():
@@ -132,7 +135,7 @@ def test_scope_exit_puts_back_the_variable_the_handle_shadowed(name):
 def test_a_failing_body_still_puts_back_the_shadowed_variable():
     outcome, machine = run_source("p = 5; (p = new int[3] => nope()); print(p)")
     assert isinstance(outcome, Failure) and outcome.detail == "nope/0"
-    assert machine.regions.live == []
+    assert machine.regions.regions == []
     assert machine.store == {"p": A.Int(5)}
 
 
@@ -167,7 +170,7 @@ def test_scope_pops_even_when_the_body_fails():
     outcome = execute(machine, A.AllocScope("p", "int", A.Int(2), body))
     assert isinstance(outcome, Failure)
     assert outcome.reason == "no-matching-clause"
-    assert machine.regions.live == []
+    assert machine.regions.regions == []
     assert "p" not in machine.store
 
 
@@ -185,7 +188,7 @@ def test_length_above_the_cap_is_a_region_fault_and_allocates_nothing():
     outcome, machine = run_source(f"(p = new int[{MAX_REGION_LENGTH + 1}] => print(1))")
     assert isinstance(outcome, Failure) and outcome.reason == REGION_FAULT
     assert str(MAX_REGION_LENGTH) in outcome.detail
-    assert machine.regions.regions == [] and machine.output_text() == ""
+    assert machine.regions.allocated == 0 and machine.output_text() == ""
 
 
 def test_unknown_region_id_is_a_region_fault():
@@ -206,12 +209,10 @@ def test_free_follows_the_live_stack_across_reuse_of_the_top():
     b = stack.allocate("int", 2)
     stack.free(b)
     c = stack.allocate("int", 3)
-    assert stack.live == [stack.regions[0], stack.regions[2]]
+    assert [(r.id, len(r.cells)) for r in stack.regions] == [(0, 1), (2, 3)]
     stack.free(c)
     stack.free(a)
-    assert stack.live == []
-    assert [r.id for r in stack.regions] == [0, 1, 2]
-    assert [len(r.cells) for r in stack.regions] == [1, 2, 3]
+    assert stack.regions == [] and stack.allocated == 3
     assert events == [
         ("alloc", 0), ("alloc", 1), ("free", 1), ("alloc", 2), ("free", 2), ("free", 0),
     ]
@@ -272,11 +273,18 @@ def test_interleaved_writes_against_flat_map_oracle():
 
 def test_scope_exit_restores_region_count_at_every_level():
     source = "(a = new int[1] => ((b = new int[2] => b[0] = 1); a[0] = 2))"
-    outcome, machine = run_source(source)
-    assert isinstance(outcome, Success)
-    assert machine.regions.live == []
-    assert [r.live for r in machine.regions.regions] == [False, False]
-    assert [r.generation for r in machine.regions.regions] == [1, 1]
+    machine = Machine.initial()
+    stack, free, counts = machine.regions, machine.regions.free, []
+
+    def counting_free(handle):
+        counts.append(len(stack.regions))
+        free(handle)
+        counts.append(len(stack.regions))
+
+    stack.free = counting_free
+    assert isinstance(execute(machine, parse_source(source).main), Success)
+    assert counts == [2, 1, 1, 0]
+    assert stack.regions == [] and stack.allocated == 2
 
 
 def test_handles_pass_through_procedure_parameters():
@@ -288,7 +296,7 @@ def test_handles_pass_through_procedure_parameters():
     outcome, machine = run_source(source)
     assert isinstance(outcome, Success)
     assert machine.store["seen"] == A.Int(9)
-    assert machine.regions.live == []
+    assert machine.regions.regions == []
 
 
 def test_execute_store_index_through_non_handle_is_a_type_error():
@@ -296,3 +304,60 @@ def test_execute_store_index_through_non_handle_is_a_type_error():
     machine.store["x"] = A.Int(3)
     outcome = execute(machine, A.StoreIndex(A.Var("x"), A.Int(0), A.Int(1)))
     assert isinstance(outcome, Failure) and outcome.reason == TYPE_MISMATCH
+
+
+def test_a_handle_is_live_dangling_or_unknown_by_its_serial():
+    # live serials 0, 2, 4: 1 and 3 were freed before later allocations
+    stack = RegionStack()
+    handles = [stack.allocate("int", 1)]
+    for length in (2, 3, 4, 5):
+        handles.append(stack.allocate("int", length))
+        if length % 2 == 0:
+            stack.free(handles[-1])
+    for serial in (0, 2, 4):
+        assert stack.checked(handles[serial]) is stack.regions[serial // 2]
+    assert stack.allocated == 5
+    for serial, detail in [(1, "dangling handle to region 1"), (3, "dangling handle to region 3"),
+                           (-1, "unknown region -1"), (5, "unknown region 5")]:
+        with pytest.raises(EngineFailure) as info:
+            stack.checked(A.Handle(serial, 0))
+        assert (info.value.reason, info.value.detail) == (REGION_FAULT, detail)
+
+
+@given(st.lists(st.booleans(), max_size=40), st.integers(-2, 42))
+def test_handle_lookup_against_a_set_of_live_serials(steps, serial):
+    # True allocates, False frees the top (when there is one)
+    stack, live = RegionStack(), []
+    for allocate in steps:
+        if allocate:
+            live.append(stack.allocate("int", 1).region_id)
+        elif live:
+            stack.free(A.Handle(live.pop(), 0))
+    handle = A.Handle(serial, 0)
+    if serial in live:
+        assert stack.checked(handle).id == serial
+    else:
+        with pytest.raises(EngineFailure) as info:
+            stack.checked(handle)
+        known = 0 <= serial < steps.count(True)
+        assert info.value.detail == (f"dangling handle to region {serial}" if known else f"unknown region {serial}")
+
+
+def test_sequential_big_scopes_give_their_cells_back():
+    source = "(Big(k) = if (k == 0) true else ((q = new int[100000] => q[99999] = k); Big(k - 1)) => Big(50))"
+    tracemalloc.start()
+    try:
+        outcome, machine = run_source(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert isinstance(outcome, Success) and machine.regions.allocated == 50
+
+
+def test_a_repl_session_holds_no_region_it_has_freed(capsys):
+    machine = Machine.initial()
+    for k in range(1000):
+        _repl_entry(machine, f"(p = new int[100] => p[99] = {k})")
+    assert capsys.readouterr().out == "ok\n" * 1000
+    assert machine.regions.regions == [] and machine.regions.allocated == 1000
