@@ -5,29 +5,45 @@ trees (module bodies), and macro definitions bind names to declarations.
 A runtime value is also an expression leaf, its own literal: the parser
 builds ``Int(5)`` for ``5``, and instantiation puts the value itself in
 place of a variable. ``/m => G`` is an Implication whose declaration is
-``MacroRef("m")``. Every node is a slotted dataclass that takes its
-equality (same class, equal fields), hashing and repr from ``Node``.
-Nodes are immutable by convention, not checked: no code assigns a field
-(slots reject only new attributes), and trees of tuples share freely.
-``Value``, ``Expression``, ``Statement`` and ``Declaration`` are class
-tuples for ``isinstance``.
+``MacroRef("m")``. Every node class subclasses ``Node``, which builds it
+from its annotated fields (slots, ``__match_args__`` and a positional
+``__init__``) and gives it equality (same class, equal fields), hashing
+and repr. Nodes are immutable by convention, not checked: no code
+assigns a field (slots reject only new attributes), and trees of tuples
+share freely. Node classes are never subclassed, and code tests a node's
+class exactly (``type(node) is Int``, ``type(node) in Value``): faster
+than ``isinstance``, which takes a slow path for a class with a metaclass.
+``Value``, ``Expression``, ``Statement`` and ``Declaration`` are such tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter, is_
 
 
-class Node:
-    """Equality, hashing and repr from the fields, for every node and record."""
+class _NodeClass(type):
+    """Builds each Node class from the fields its body annotates, in order: the slots, __match_args__,
+    the key equality and hashing read, and a positional __init__ defaulting to class attributes."""
 
-    __slots__ = ()
-
-    def __init_subclass__(cls):
+    def __new__(meta, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaulted = tuple(f for f in fields if f in namespace)
+        if defaulted != fields[len(fields) - len(defaulted):]:
+            raise TypeError(f"{name}: a field without a default follows one with a default")
+        code = {}
+        exec(f"def __init__(self{''.join(', ' + f for f in fields)}):"
+             + ("".join(f"\n self.{f} = {f}" for f in fields) or " pass"), {}, code)
+        init = namespace["__init__"] = code["__init__"]
+        init.__defaults__ = tuple(namespace.pop(f) for f in defaulted) or None
+        init.__qualname__ = f"{name}.__init__"
+        namespace["__slots__"] = namespace["__match_args__"] = fields
         # the key: a lone field's value, a tuple of several, or the class
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._key = attrgetter(*names) if names else type
+        namespace["_key"] = attrgetter(*fields) if fields else type
+        return super().__new__(meta, name, bases, namespace)
+
+
+class Node(metaclass=_NodeClass):
+    """Equality, hashing and repr from the fields, for every node and record."""
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -46,37 +62,29 @@ class Node:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__match_args__)})"
 
 
-# Every Node class's decorator: it records the fields and generates only __init__.
-record = dataclass(eq=False, repr=False, slots=True)
-
 # ---------------------------------------------------------------------------
 # Runtime values, each also an expression: its own literal
 # ---------------------------------------------------------------------------
 
 
-@record
 class Int(Node):
     value: int
 
 
-@record
 class Bool(Node):
     value: bool
 
 
-@record
 class Str(Node):
     value: str
 
 
-@record
 class Atom(Node):
     """A self-evaluating symbolic constant, e.g. ``tom``."""
 
     name: str
 
 
-@record
 class Handle(Node):
     """Reference to a region by its serial; generation is always 0."""
 
@@ -88,17 +96,17 @@ Value = (Int, Bool, Str, Atom, Handle)
 
 
 def render_value(value: Value) -> str:
-    if isinstance(value, Int):
+    if type(value) is Int:
         try:
             return str(value.value)
         except ValueError:  # more digits than str() converts
             sign = "negative " if value.value < 0 else ""
             return f"<{sign}int of {value.value.bit_length()} bits>"
-    if isinstance(value, Bool):
+    if type(value) is Bool:
         return "true" if value.value else "false"
-    if isinstance(value, Str):
+    if type(value) is Str:
         return value.value
-    if isinstance(value, Atom):
+    if type(value) is Atom:
         return value.name
     return f"<region {value.region_id}:{value.generation}>"
 
@@ -108,7 +116,6 @@ def render_value(value: Value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@record
 class Var(Node):
     """An identifier; whether it is a bound variable or an atom is decided
     by the store at evaluation time."""
@@ -116,20 +123,17 @@ class Var(Node):
     name: str
 
 
-@record
 class BinOp(Node):
     op: str
     left: "Expression"
     right: "Expression"
 
 
-@record
 class UnaryOp(Node):
     op: str
     operand: "Expression"
 
 
-@record
 class Index(Node):
     """Element read through a region handle: ``base[index]``."""
 
@@ -145,24 +149,20 @@ Expression = Value + (Var, BinOp, UnaryOp, Index)
 # ---------------------------------------------------------------------------
 
 
-@record
 class TrueStmt(Node):
     pass
 
 
-@record
 class Call(Node):
     name: str
     args: tuple[Expression, ...]
 
 
-@record
 class Assign(Node):
     name: str
     expr: Expression
 
 
-@record
 class StoreIndex(Node):
     """Element write through a region handle: ``base[index] = value``.
 
@@ -175,13 +175,11 @@ class StoreIndex(Node):
     value: Expression
 
 
-@record
 class Seq(Node):
     first: "Statement"
     second: "Statement"
 
 
-@record
 class Implication(Node):
     """``D => G``: run body with decl pushed as the most recent module;
     ``/n => G`` is the one whose decl is ``MacroRef(n)``."""
@@ -190,7 +188,6 @@ class Implication(Node):
     body: "Statement"
 
 
-@record
 class MacroScope(Node):
     """``macro /n = { D } ... in G``: define macros for the body only."""
 
@@ -198,7 +195,6 @@ class MacroScope(Node):
     body: "Statement"
 
 
-@record
 class AllocScope(Node):
     """``p = new int[E] => G``: region alive exactly for the body."""
 
@@ -208,21 +204,18 @@ class AllocScope(Node):
     body: "Statement"
 
 
-@record
 class If(Node):
     cond: Expression
     then: "Statement"
     orelse: "Statement"
 
 
-@record
 class Switch(Node):
     scrutinee: Expression
     cases: tuple[tuple[Value, "Statement"], ...]
     default: "Statement"
 
 
-@record
 class Print(Node):
     expr: Expression
 
@@ -230,7 +223,6 @@ class Print(Node):
 Statement = (TrueStmt, Call, Assign, StoreIndex, Seq, Implication, MacroScope, AllocScope, If, Switch, Print)
 
 
-@record
 class Clause(Node):
     """One procedure declaration ``name(params) = body``.
 
@@ -244,24 +236,20 @@ class Clause(Node):
     body: Statement
 
 
-@record
 class And(Node):
     left: "Declaration"
     right: "Declaration"
 
 
-@record
 class Forall(Node):
     var: str
     decl: "Declaration"
 
 
-@record
 class MacroRef(Node):
     name: str
 
 
-@record
 class Rename(Node):
     """``ren(old, new) D``: D with procedure name old replaced by new."""
 
@@ -273,7 +261,6 @@ class Rename(Node):
 Declaration = (Clause, And, Forall, MacroRef, Rename)
 
 
-@record
 class MacroDef(Node):
     name: str
     body: Declaration
@@ -355,7 +342,7 @@ def desugar(stmt: Statement) -> Statement:
     declarations), so any node may be passed. Idempotent. The engine
     runs a Switch itself and never needs this.
     """
-    if isinstance(stmt, Switch):
+    if type(stmt) is Switch:
         result = desugar(stmt.default)
         for label, body in reversed(stmt.cases):
             test = BinOp("==", stmt.scrutinee, label)
@@ -393,26 +380,26 @@ def clause_table(decl: Declaration, env):
             continue
         decl, depth, path, renames, binders = item
         while True:
-            if isinstance(decl, Clause):
+            if type(decl) is Clause:
                 for var, positions in binders:
                     positions += [i for i, param in enumerate(decl.params) if type(param) is Var and param.name == var]
                 head = _chase(decl.name, renames) if renames else decl.name
                 entries.setdefault(head, []).append((decl, renames, binders, len(steps), depth))
                 break
-            if isinstance(decl, And):
+            if type(decl) is And:
                 steps.append((depth, 3, decl, renames, binders))
                 work.append((decl.right, depth + 1, path, renames, binders))
                 work.append((depth, 4, decl, renames, binders))
                 decl = decl.left
-            elif isinstance(decl, Forall):
+            elif type(decl) is Forall:
                 steps.append((depth, 2, decl, renames, binders))
                 binders = ((decl.var, []),) + tuple(b for b in binders if b[0] != decl.var)
                 decl = decl.decl
-            elif isinstance(decl, Rename):
+            elif type(decl) is Rename:
                 steps.append((depth, 5, decl, renames, binders))
                 renames += ((_chase(decl.old, renames), _chase(decl.new, renames)),)
                 decl = decl.decl
-            elif isinstance(decl, MacroRef):
+            elif type(decl) is MacroRef:
                 body = None if env is None or decl.name in path else env.find(decl.name)
                 if body is None:
                     break

@@ -11,7 +11,6 @@ derivation trace go to stderr.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import ast
@@ -28,11 +27,60 @@ EXIT_RUNTIME = 3
 EXIT_INTERRUPTED = 130
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+USAGE = """usage: cmod run <file> [--trace] [--max-depth N] [--dump-state]
+       cmod repl [--trace] [--max-depth N]
+       cmod fmt <file>
+"""
+# Each command's options; run and fmt also take one file.
+COMMANDS = {"run": ("--help", "--trace", "--max-depth", "--dump-state"),
+            "repl": ("--help", "--trace", "--max-depth"), "fmt": ("--help",)}
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{USAGE}cmod: error: {message}\n")
+    raise SystemExit(EXIT_SYNTAX)
+
+
+def _parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
+    """(command, file, options) from argv as README's grammar gives them, options
+    before or after the file; options maps every option name to its value."""
+    command = argv[0] if argv else ""
+    names = COMMANDS.get(command, ("--help",))
+    files, options = [], {"--trace": False, "--max-depth": DEFAULT_MAX_DEPTH, "--dump-state": False}
+    words = iter(argv[command in COMMANDS:])
+    for word in words:
+        if word[:1] != "-" or word == "-":
+            files.append(word)
+            continue
+        name, given, value = word.partition("=")
+        matches = [n for n in names if n == name] or [n for n in names if n.startswith(name) and len(name) > 2]
+        if name == "-h" or matches == ["--help"]:
+            sys.stdout.write(USAGE)
+            raise SystemExit(EXIT_OK)
+        if len(matches) != 1:
+            _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}" if matches
+                         else f"unrecognized arguments: {word}")
+        name = matches[0]
+        if name != "--max-depth":
+            if given:
+                _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+            options[name] = True
+            continue
+        value = value if given else next(words, "")
+        try:
+            options[name] = int(value)
+        except ValueError:
+            _usage_error(f"argument {name}: {f'invalid int value: {value!r}' if value else 'expected one argument'}")
+        if options[name] < 1:
+            _usage_error(f"argument {name}: must be at least 1")
+    if command not in COMMANDS:
+        _usage_error(f"argument command: invalid choice: {command!r} (choose from 'run', 'repl', 'fmt')"
+                     if command else "the following arguments are required: command")
+    wanted = command != "repl"  # the number of files
+    if len(files) != wanted:
+        _usage_error(f"unrecognized arguments: {' '.join(files[wanted:])}" if files
+                     else "the following arguments are required: file")
+    return command, files[0] if files else None, options
 
 
 def _diagnostic(failure: EngineFailure) -> str:
@@ -61,13 +109,10 @@ def _dump_state(machine: Machine) -> None:
         print(f"{region.id} {region.elem_type} {len(region.cells)}")
 
 
-def _cmd_run(args, source: str) -> int:
-    trace = _stderr_trace if args.trace else None
-    outcome, machine = call_with_deep_stack(
-        run_source, source, max_depth=args.max_depth, trace=trace
-    )
-    sys.stdout.write(machine.output_text())
-    if args.dump_state:
+def _cmd_run(source: str, options: dict) -> int:
+    trace = _stderr_trace if options["--trace"] else None
+    outcome, machine = call_with_deep_stack(run_source, source, options["--max-depth"], trace, sys.stdout.write)
+    if options["--dump-state"]:
         _dump_state(machine)
     if isinstance(outcome, EngineFailure):
         print(f"cmod: {_diagnostic(outcome)}", file=sys.stderr)
@@ -80,9 +125,9 @@ def _cmd_fmt(source: str) -> int:
     return EXIT_OK
 
 
-def _cmd_repl(args) -> int:
-    trace = _stderr_trace if args.trace else None
-    machine = Machine.initial(max_depth=args.max_depth, trace=trace)
+def _cmd_repl(options: dict) -> int:
+    trace = _stderr_trace if options["--trace"] else None
+    machine = Machine.initial(max_depth=options["--max-depth"], trace=trace, write=sys.stdout.write)
     print("cmod repl; :quit to leave, :store :stack :macros :reset to inspect")
     buffer = ""
     while True:
@@ -98,7 +143,7 @@ def _cmd_repl(args) -> int:
             if command in (":quit", ":q"):
                 return EXIT_OK
             if command == ":reset":
-                machine = Machine.initial(max_depth=args.max_depth, trace=trace)
+                machine = Machine.initial(max_depth=machine.max_depth, trace=trace, write=machine.write)
                 print("machine reset")
             elif command == ":store":
                 for line in _store_lines(machine) or ["(empty)"]:
@@ -141,8 +186,6 @@ def _repl_entry(machine: Machine, source: str) -> None:
         print("defined " + ", ".join(f"/{d.name}" for d in seeds))
     if stmt is not None:
         outcome = execute(machine, stmt)
-        sys.stdout.write(machine.output_text())
-        machine.output.clear()  # a session keeps no line it has printed
         if isinstance(outcome, EngineFailure):
             print(_diagnostic(outcome))
         else:
@@ -150,40 +193,18 @@ def _repl_entry(machine: Machine, source: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="cmod",
-        description="Interpreter for the cmod language (statement-local modules, "
-        "macros, and region-scoped allocation).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a .cmod program file")
-    run_p.add_argument("file", help="program file")
-    run_p.add_argument("--trace", action="store_true", help="write the derivation trace to stderr")
-    run_p.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH,
-                       help="call-depth limit (default %(default)s)")
-    run_p.add_argument("--dump-state", action="store_true",
-                       help="dump the final store and region table to stdout")
-
-    repl_p = sub.add_parser("repl", help="interactive session")
-    repl_p.add_argument("--trace", action="store_true", help="write the derivation trace to stderr")
-    repl_p.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH)
-
-    fmt_p = sub.add_parser("fmt", help="reprint a program in canonical form")
-    fmt_p.add_argument("file", help="program file")
-
-    args = parser.parse_args(argv)
+    command, path, options = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.command == "repl":
-            return _cmd_repl(args)
+        if command == "repl":
+            return _cmd_repl(options)
         try:
-            with open(args.file, encoding="utf-8") as file:
+            with open(path, encoding="utf-8") as file:
                 source = file.read()
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"cmod: cannot read {args.file}: {exc}", file=sys.stderr)
+            print(f"cmod: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_SYNTAX
-        if args.command == "run":
-            return _cmd_run(args, source)
+        if command == "run":
+            return _cmd_run(source, options)
         return _cmd_fmt(source)
     except (LexError, ParseError) as exc:
         print(f"cmod: syntax error: {exc}", file=sys.stderr)

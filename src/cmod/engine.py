@@ -62,7 +62,6 @@ from .printer import format_declaration, format_statement
 from .regions import MAX_REGION_LENGTH, region_read, region_write
 
 
-@ast.record
 class CallSite(ast.Node):
     name: str
     actuals: tuple[ast.Value, ...]
@@ -74,7 +73,6 @@ class CallSite(ast.Node):
         return f"{self.name}/{len(self.actuals)}"
 
 
-@ast.record
 class TraceEvent(ast.Node):
     phase: str  # "ex" or "bc"
     depth: int
@@ -85,8 +83,7 @@ class TraceEvent(ast.Node):
         return f"{'  ' * self.depth}{self.phase}:{self.rule_id} {self.subject}"
 
 
-@ast.record
-class Success:
+class Success(ast.Node):
     machine: Machine
 
 
@@ -162,13 +159,13 @@ def _assign(machine, work, stmt, depth, env) -> None:
 
 def _store_index(machine, work, stmt, depth, env) -> None:
     handle = eval_expr(machine, stmt.base, env)
-    if not isinstance(handle, ast.Handle):
+    if type(handle) is not ast.Handle:
         raise EngineFailure(
             TYPE_MISMATCH,
             f"{ast.render_value(handle)} is not a region handle",
         )
     index = eval_expr(machine, stmt.index, env)
-    if not isinstance(index, ast.Int):
+    if type(index) is not ast.Int:
         raise EngineFailure(TYPE_MISMATCH, "region index must be an integer")
     region_write(machine, handle, index.value, eval_expr(machine, stmt.value, env))
 
@@ -207,7 +204,7 @@ def _set_macro_env(machine, env) -> None:
 
 def _alloc_scope(machine, work, stmt, depth, env) -> None:
     length = eval_expr(machine, stmt.length, env)
-    if not isinstance(length, ast.Int):
+    if type(length) is not ast.Int:
         raise EngineFailure(
             REGION_FAULT,
             f"region length must be an integer, not {ast.render_value(length)}",
@@ -240,7 +237,7 @@ def _free(machine, scope) -> None:
 
 def _if(machine, work, stmt, depth, env) -> None:
     cond = eval_expr(machine, stmt.cond, env)
-    if not isinstance(cond, ast.Bool):
+    if type(cond) is not ast.Bool:
         raise EngineFailure(
             TYPE_MISMATCH,
             f"if condition must be boolean, got {ast.render_value(cond)}",
@@ -260,7 +257,7 @@ def _switch(machine, work, stmt, depth, env) -> None:
 
 
 def _print(machine, work, stmt, depth, env) -> None:
-    machine.output.append(ast.render_value(eval_expr(machine, stmt.expr, env)) + "\n")
+    machine.write(ast.render_value(eval_expr(machine, stmt.expr, env)) + "\n")
 
 
 def _call(machine, work, stmt, depth, env) -> None:
@@ -333,7 +330,7 @@ def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) ->
     if len(clause.params) != len(actuals):
         return False
     for param, actual in zip(clause.params, actuals):
-        value = values.get(param.name) if isinstance(param, ast.Var) else param
+        value = values.get(param.name) if type(param) is ast.Var else param
         if value is None or value != actual:
             return False
     return True
@@ -437,10 +434,10 @@ def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declara
 def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.Value:
     """The value of expr; a variable is looked up in env (the activation
     environment), then in the store. A value is its own literal."""
-    if isinstance(expr, ast.Value):
+    if type(expr) in ast.Value:
         return expr
 
-    if isinstance(expr, ast.Var):
+    if type(expr) is ast.Var:
         value = env.get(expr.name)
         if value is not None:
             return value
@@ -453,19 +450,19 @@ def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.V
             UNBOUND_VARIABLE, f"variable '{expr.name}' is not bound"
         )
 
-    if isinstance(expr, ast.UnaryOp):
+    if type(expr) is ast.UnaryOp:
         name, operand_class, apply = _UNARY_OPERATORS[expr.op]
         operand = eval_expr(machine, expr.operand, env)
-        if not isinstance(operand, operand_class):
+        if type(operand) is not operand_class:
             raise _type_error(name, operand)
         return operand_class(apply(operand.value))
 
-    if isinstance(expr, ast.BinOp):
+    if type(expr) is ast.BinOp:
         op = expr.op
         if op in ("&&", "||"):  # operands left to right, until one decides
             for operand in (expr.left, expr.right):
                 value = eval_expr(machine, operand, env)
-                if not isinstance(value, ast.Bool):
+                if type(value) is not ast.Bool:
                     raise _type_error(op, value)
                 if value.value == (op == "||"):
                     break
@@ -475,8 +472,8 @@ def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.V
         if op in ("==", "!="):
             equal = type(left) is type(right) and left == right
             return ast.Bool(equal if op == "==" else not equal)
-        if not isinstance(left, ast.Int) or not isinstance(right, ast.Int):
-            raise _type_error(op, left if not isinstance(left, ast.Int) else right)
+        if type(left) is not ast.Int or type(right) is not ast.Int:
+            raise _type_error(op, left if type(left) is not ast.Int else right)
         apply = _INTEGER_OPERATORS.get(op)
         if apply is None:
             raise TypeError(f"unknown operator {op!r}")
@@ -485,12 +482,12 @@ def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.V
         result = apply(left.value, right.value)
         return ast.Bool(result) if isinstance(result, bool) else ast.Int(result)
 
-    if isinstance(expr, ast.Index):
+    if type(expr) is ast.Index:
         base = eval_expr(machine, expr.base, env)
-        if not isinstance(base, ast.Handle):
+        if type(base) is not ast.Handle:
             raise _type_error("indexing", base)
         index = eval_expr(machine, expr.index, env)
-        if not isinstance(index, ast.Int):
+        if type(index) is not ast.Int:
             raise _type_error("region index", index)
         return region_read(machine, base, index.value)
 
@@ -524,24 +521,16 @@ def _type_error(op: str, value: ast.Value) -> EngineFailure:
 # ---------------------------------------------------------------------------
 
 
-def machine_for(
-    program: SourceProgram,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    trace=None,
-) -> Machine:
+def machine_for(program: SourceProgram, max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> Machine:
     """An empty machine seeded with the program's module and macro
     definitions, the very trees the parser built."""
-    return Machine.initial(seeds=program.seeds(), max_depth=max_depth, trace=trace)
+    return Machine.initial(seeds=program.seeds(), max_depth=max_depth, trace=trace, write=write)
 
 
-def run_source(
-    source: str,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    trace=None,
-) -> tuple[ExecOutcome, Machine]:
+def run_source(source: str, max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> tuple[ExecOutcome, Machine]:
     """Parse, seed, and execute a whole program from the empty machine."""
     program = parse_source(source)
-    machine = machine_for(program, max_depth=max_depth, trace=trace)
+    machine = machine_for(program, max_depth=max_depth, trace=trace, write=write)
     return execute(machine, program.main), machine
 
 
@@ -564,12 +553,15 @@ def call_with_deep_stack(fn, *args, **kwargs):
     """
     global _deep_stack_callers, _saved_limits
     result: dict = {}
+    stopped = threading.Event()
 
     def worker():
         try:
             result["value"] = fn(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - re-raised in caller
             result["error"] = exc
+        finally:
+            stopped.set()
 
     with _deep_stack_lock:
         if not _deep_stack_callers:
@@ -585,6 +577,7 @@ def call_with_deep_stack(fn, *args, **kwargs):
             import ctypes  # only here: importing it would slow every start-up
 
             ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(thread.ident), ctypes.py_object(KeyboardInterrupt))
+            stopped.wait()  # on CPython 3.11 an interrupted join can take a running thread for stopped
             thread.join()
             raise
     finally:

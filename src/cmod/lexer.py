@@ -16,7 +16,7 @@ import re
 import sys
 from collections.abc import Iterator
 
-from .ast import Node, record
+from .ast import Node
 from .errors import LexError
 
 KEYWORDS = frozenset(
@@ -59,7 +59,6 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
-@record
 class Token(Node):
     kind: str  # ident | int | string | keyword | punct | eof
     lexeme: str

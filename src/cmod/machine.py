@@ -1,5 +1,5 @@
 """The interpreter state: module stack, macro environment, store, region
-stack, and output accumulator."""
+stack, and the function program output is written through."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ DEFAULT_MAX_DEPTH = 10000
 
 
 class Machine:
-    def __init__(self, macro_env=None, store=None, max_depth=DEFAULT_MAX_DEPTH, trace=None):
+    def __init__(self, macro_env=None, store=None, max_depth=DEFAULT_MAX_DEPTH, trace=None, write=None):
         # The program triple: module stack (last element = most recent),
         # macro environment, and variable store.
         self.module_stack: list[ast.Declaration] = []
@@ -19,6 +19,7 @@ class Machine:
         self.store: dict[str, ast.Value] = {} if store is None else store
         self.regions = RegionStack()
         self.output: list[str] = []
+        self.write = self.output.append if write is None else write  # called with each printed line
         self.max_depth = max_depth
         self.trace = trace  # called with each TraceEvent when set
         self.call_stack: list = []
@@ -28,10 +29,11 @@ class Machine:
         self.frame_index, self.frame_tables, self.indexed_env, self.ref_tables = {}, [], self.macro_env, {}
 
     @classmethod
-    def initial(cls, seeds=(), max_depth: int = DEFAULT_MAX_DEPTH, trace=None) -> Machine:
+    def initial(cls, seeds=(), max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> Machine:
         """An empty machine whose macro environment holds the given
         top-level module/macro definitions."""
-        return cls(macro_env=MacroEnv.seeded(seeds), max_depth=max_depth, trace=trace)
+        return cls(macro_env=MacroEnv.seeded(seeds), max_depth=max_depth, trace=trace, write=write)
 
     def output_text(self) -> str:
+        """What the program printed, when written to the default list."""
         return "".join(self.output)

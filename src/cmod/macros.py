@@ -11,7 +11,6 @@ from __future__ import annotations
 from . import ast
 
 
-@ast.record
 class MacroEnv(ast.Node):
     defs: tuple[ast.MacroDef, ...] = ()  # most recent first
 
@@ -45,11 +44,11 @@ def rename(decl: ast.Declaration, old: str, new: str) -> ast.Declaration:
 
     def ren(node):
         node = ast.map_children(node, ren)
-        if isinstance(node, ast.Clause) and node.name == old:
+        if type(node) is ast.Clause and node.name == old:
             return ast.Clause(new, node.params, node.body)
-        if isinstance(node, ast.Call) and node.name == old:
+        if type(node) is ast.Call and node.name == old:
             return ast.Call(new, node.args)
-        if isinstance(node, ast.Rename) and old in (node.old, node.new):
+        if type(node) is ast.Rename and old in (node.old, node.new):
             a = new if node.old == old else node.old
             b = new if node.new == old else node.new
             return ast.Rename(a, b, node.decl)

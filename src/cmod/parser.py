@@ -47,7 +47,6 @@ PRECEDENCE = {
 _TIGHTEST = max(PRECEDENCE.values())
 
 
-@ast.record
 class SourceProgram(ast.Node):
     module_defs: tuple[tuple[str, ast.Declaration], ...]
     macro_defs: tuple[ast.MacroDef, ...]
@@ -216,7 +215,7 @@ class _Parser:
 
     def _parse_arrow(self) -> ast.Statement:
         unit = self._parse_unit()
-        if isinstance(unit, ast.Declaration):
+        if type(unit) in ast.Declaration:
             return self._parse_implication(self._parse_conjuncts(unit))
         return unit
 
@@ -256,7 +255,7 @@ class _Parser:
         which may be ``(D => G)``."""
         self._expect("(")
         unit = self._parse_unit()
-        if isinstance(unit, ast.Declaration):
+        if type(unit) in ast.Declaration:
             decl = self._parse_conjuncts(unit)
             if self._accept(")"):
                 return decl
@@ -294,7 +293,7 @@ class _Parser:
                 while True:
                     first = self.tok
                     args.append(self.parse_expression())
-                    if not_formal is None and (first.kind != "ident" or not isinstance(args[-1], ast.Var)):
+                    if not_formal is None and (first.kind != "ident" or type(args[-1]) is not ast.Var):
                         not_formal = first
                     if not self._accept(","):
                         break

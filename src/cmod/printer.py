@@ -25,18 +25,18 @@ def pretty_print(program: SourceProgram) -> str:
 
 
 def format_expression(expr: ast.Expression, min_prec: int = 0) -> str:
-    if isinstance(expr, ast.Var):
+    if type(expr) is ast.Var:
         return expr.name
-    if isinstance(expr, ast.Str):
+    if type(expr) is ast.Str:
         return '"' + "".join(_ESCAPES.get(c, c) for c in expr.value) + '"'
-    if isinstance(expr, ast.Value):
+    if type(expr) in ast.Value:
         return ast.render_value(expr)
-    if isinstance(expr, ast.Index):
+    if type(expr) is ast.Index:
         return f"{format_expression(expr.base, 7)}[{format_expression(expr.index)}]"
-    if isinstance(expr, ast.UnaryOp):
+    if type(expr) is ast.UnaryOp:
         text = f"{expr.op}{format_expression(expr.operand, 6)}"
         return f"({text})" if min_prec > 6 else text
-    if isinstance(expr, ast.BinOp):
+    if type(expr) is ast.BinOp:
         prec = PRECEDENCE[expr.op]
         # comparisons are non-associative: parenthesize nested ones on
         # either side
@@ -52,42 +52,42 @@ def format_statement(stmt: ast.Statement, indent: int = 0, compact: bool = False
     nl = " " if compact else "\n" + " " * indent
     nl2 = " " if compact else "\n" + " " * (indent + 2)
 
-    if isinstance(stmt, ast.TrueStmt):
+    if type(stmt) is ast.TrueStmt:
         return "true"
-    if isinstance(stmt, ast.Call):
+    if type(stmt) is ast.Call:
         args = ", ".join(format_expression(a) for a in stmt.args)
         return f"{stmt.name}({args})"
-    if isinstance(stmt, ast.Assign):
+    if type(stmt) is ast.Assign:
         return f"{stmt.name} = {format_expression(stmt.expr)}"
-    if isinstance(stmt, ast.StoreIndex):
+    if type(stmt) is ast.StoreIndex:
         base = format_expression(stmt.base, 7)
         return f"{base}[{format_expression(stmt.index)}] = {format_expression(stmt.value)}"
-    if isinstance(stmt, ast.Print):
+    if type(stmt) is ast.Print:
         return f"print({format_expression(stmt.expr)})"
-    if isinstance(stmt, ast.Seq):
+    if type(stmt) is ast.Seq:
         first = format_statement(stmt.first, indent, compact)
-        if isinstance(stmt.first, ast.Seq):
+        if type(stmt.first) is ast.Seq:
             first = f"({first})"
         return f"{first};{nl}{format_statement(stmt.second, indent, compact)}"
-    if isinstance(stmt, ast.Implication):
+    if type(stmt) is ast.Implication:
         decl = format_declaration(stmt.decl, indent + 1, compact)
         body = format_statement(stmt.body, indent + 2, compact)
         return f"({decl} =>{nl2}{body})"
-    if isinstance(stmt, ast.MacroScope):
+    if type(stmt) is ast.MacroScope:
         defs = " and ".join(
             f"/{d.name} = {{{nl2}{format_declaration(d.body, indent + 2, compact)}{nl}}}"
             for d in stmt.defs
         )
         return f"(macro {defs} in{nl2}{format_statement(stmt.body, indent + 2, compact)})"
-    if isinstance(stmt, ast.AllocScope):
+    if type(stmt) is ast.AllocScope:
         head = f"{stmt.handle} = new {stmt.elem_type}[{format_expression(stmt.length)}]"
         return f"({head} =>{nl2}{format_statement(stmt.body, indent + 2, compact)})"
-    if isinstance(stmt, ast.If):
+    if type(stmt) is ast.If:
         cond = format_expression(stmt.cond)
         then = format_statement(stmt.then, indent + 2, compact)
         orelse = format_statement(stmt.orelse, indent + 2, compact)
         return f"if ({cond}) ({then}) else ({orelse})"
-    if isinstance(stmt, ast.Switch):
+    if type(stmt) is ast.Switch:
         lines = [f"switch ({format_expression(stmt.scrutinee)}) {{"]
         for label, body in stmt.cases:
             body_text = format_statement(body, indent + 4, compact)
@@ -101,37 +101,37 @@ def format_statement(stmt: ast.Statement, indent: int = 0, compact: bool = False
 def format_declaration(decl: ast.Declaration, indent: int = 0, compact: bool = False) -> str:
     nl = " " if compact else "\n" + " " * indent
 
-    if isinstance(decl, ast.Forall):
+    if type(decl) is ast.Forall:
         chain: list[str] = []
         inner: ast.Declaration = decl
-        while isinstance(inner, ast.Forall):
+        while type(inner) is ast.Forall:
             chain.append(inner.var)
             inner = inner.decl
-        if isinstance(inner, ast.Clause):
-            formals = [p.name for p in inner.params if isinstance(p, ast.Var)]
+        if type(inner) is ast.Clause:
+            formals = [p.name for p in inner.params if type(p) is ast.Var]
             if len(formals) == len(inner.params) and chain[len(chain) - len(formals):] == formals:
                 explicit = chain[: len(chain) - len(formals)]
                 prefix = "".join(f"forall {v} " for v in explicit)
                 return prefix + format_declaration(inner, indent, compact)
         prefix = "".join(f"forall {v} " for v in chain)
         return prefix + _format_decl_unit(inner, indent, compact)
-    if isinstance(decl, ast.Clause):
+    if type(decl) is ast.Clause:
         params = ", ".join(format_expression(p) for p in decl.params)
         body = format_statement(decl.body, indent + 2, compact)
         return f"{decl.name}({params}) = ({body})"
-    if isinstance(decl, ast.And):
+    if type(decl) is ast.And:
         left = format_declaration(decl.left, indent, compact)
         right = _format_decl_unit(decl.right, indent, compact)
         return f"{left}{nl}and {right}"
-    if isinstance(decl, ast.Rename):
+    if type(decl) is ast.Rename:
         return f"ren({decl.old}, {decl.new}) {_format_decl_unit(decl.decl, indent, compact)}"
-    if isinstance(decl, ast.MacroRef):
+    if type(decl) is ast.MacroRef:
         return f"/{decl.name}"
     raise TypeError(f"not a declaration: {decl!r}")
 
 
 def _format_decl_unit(decl: ast.Declaration, indent: int, compact: bool) -> str:
     text = format_declaration(decl, indent, compact)
-    if isinstance(decl, ast.And):
+    if type(decl) is ast.And:
         return f"({text})"
     return text

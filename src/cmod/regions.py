@@ -64,7 +64,7 @@ def region_read(machine, handle: ast.Handle, index: int) -> ast.Value:
 
 def region_write(machine, handle: ast.Handle, index: int, value: ast.Value) -> None:
     region = _live_region(machine, handle, index)
-    if region.elem_type == "int" and not isinstance(value, ast.Int):
+    if region.elem_type == "int" and type(value) is not ast.Int:
         raise EngineFailure(
             TYPE_MISMATCH,
             f"region {region.id} holds int elements, not {ast.render_value(value)}",

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import hypothesis.strategies as st
@@ -75,14 +74,14 @@ def test_child_fields_name_exactly_the_fields_that_hold_nodes():
     # a field holds nodes when its annotation mentions a node union or class
     holds_nodes = re.compile(r"\b(Expression|Statement|Declaration|MacroDef)\b")
     for cls in NODE_TYPES:
-        fields = dataclasses.fields(cls)
-        expected = [i for i, f in enumerate(fields) if holds_nodes.search(str(f.type))]
+        annotations = cls.__annotations__.values()  # the annotations as written, strings
+        expected = [i for i, annotation in enumerate(annotations) if holds_nodes.search(annotation)]
         assert [i for i, _ in A.CHILD_FIELDS.get(cls, ())] == expected, cls.__name__
 
 
 # -- the Node base ----------------------------------------------------------
 
-RECORD_TYPES = (Token, CallSite, TraceEvent, MacroEnv, SourceProgram)
+RECORD_TYPES = (Token, CallSite, TraceEvent, MacroEnv, SourceProgram, Success)
 
 
 def test_equal_nodes_have_the_same_class_and_equal_fields():
@@ -125,9 +124,18 @@ def test_a_new_attribute_is_rejected():
 
 
 def test_fields_are_the_match_args():
+    # the annotated fields, in order, are the match args and the slots
     for cls in NODE_TYPES + RECORD_TYPES:
-        assert dataclasses.is_dataclass(cls), cls.__name__
-        assert [f.name for f in dataclasses.fields(cls)] == list(cls.__match_args__), cls.__name__
+        fields = tuple(cls.__annotations__)
+        assert fields == cls.__match_args__ == cls.__slots__, cls.__name__
+
+
+def test_a_field_default_becomes_an_init_default():
+    assert MacroEnv().defs == () and MacroEnv.__init__.__defaults__ == ((),)
+    with pytest.raises(TypeError, match="follows one with a default"):
+        class Bad(A.Node):
+            first: int = 0
+            second: int
 
 
 def test_node_classes_generate_no_comparison_or_repr_of_their_own():

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -136,6 +137,65 @@ def test_max_depth_must_be_positive(tmp_path):
     path = write(tmp_path, "true")
     with pytest.raises(SystemExit):
         main(["run", path, "--max-depth", "0"])
+
+
+def test_a_run_imports_no_unused_standard_library():
+    # -S keeps the site module's own imports out of the check
+    script = (
+        "import sys\n"
+        "from cmod.cli import main\n"
+        f"assert main(['run', {str(CORPUS / 'ev_od.cmod')!r}]) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Usage errors exit 2 with the usage on stderr; only the exit code and the start of
+# each stream are pinned, not the wording of the message.
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 2),
+        (["go", "x.cmod"], 2),
+        (["run"], 2),
+        (["run", "{prog}", "{prog}"], 2),
+        (["run", "{prog}", "--fast"], 2),
+        (["run", "{prog}", "--max-depth"], 2),
+        (["run", "{prog}", "--max-depth", "x"], 2),
+        (["run", "{prog}", "--max-depth", "0"], 2),
+        (["run", "{prog}", "--max-depth=50"], 0),
+        (["run", "--trace", "--max-depth", "50", "--dump-state", "{prog}"], 0),
+        (["run", "--tr", "{prog}"], 0),
+        (["repl", "{prog}"], 2),
+        (["fmt", "{prog}", "--trace"], 2),
+        (["-h"], 0),
+        (["run", "{prog}", "--help"], 0),
+    ],
+)
+def test_argv_exit_codes(tmp_path, capsys, argv, code):
+    prog = write(tmp_path, "x = 1")
+    assert exit_code([word.format(prog=prog) for word in argv]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("usage:") and out == ""
+    elif "-h" in argv or "--help" in argv:
+        assert out.startswith("usage:") and err == ""
+
+
+def test_a_usage_error_ends_with_its_message(tmp_path, capsys):
+    assert exit_code(["run", "--max-depth", "0", write(tmp_path, "x = 1")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[-1]) == ("", "cmod: error: argument --max-depth: must be at least 1")
 
 
 def test_trace_goes_to_stderr_and_is_well_formed(capsys):
@@ -277,7 +337,7 @@ def test_a_repl_entry_keeps_no_line_it_printed(capsys):
     from cmod.cli import _repl_entry
     from cmod.machine import Machine
 
-    machine = Machine.initial()
+    machine = Machine.initial(write=sys.stdout.write)  # as the REPL builds it
     for source in ("print(1)", "print(2)"):
         _repl_entry(machine, source)
         assert machine.output == []
@@ -461,15 +521,40 @@ def test_ctrl_c_during_a_traced_run_exits_130(tmp_path):
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
     )
     try:
-        assert TRACE_LINE.match(child.stderr.readline().decode())
+        first = child.stderr.readline().decode()
+        assert TRACE_LINE.match(first)
         child.send_signal(signal.SIGINT)
-        err = child.communicate(timeout=10)[1].decode()
+        err = first + child.communicate(timeout=10)[1].decode()  # the interrupt may come right after it
     finally:
         child.kill()
         child.wait()
     assert child.returncode == 130
     assert err.endswith("\ncmod: interrupted\n")  # the run stopped before the message
     assert "Traceback" not in err and "Fatal" not in err
+
+
+def test_ctrl_c_keeps_the_lines_printed_before_it(tmp_path):
+    # Output is written as it is printed, so an interrupt loses none of it. The
+    # recursion would take about a million levels to end: a run that holds its output
+    # back shows none within the wait.
+    path = write(tmp_path, "(P(n) = (print(n); P(n + 1)) => P(0))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # a pipe, as usual, buffers
+    env["PYTHONPATH"] = str(SRC)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cmod", "run", "--max-depth", "1000000", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,  # readline takes only its line
+    )
+    try:
+        assert select.select([child.stdout], [], [], 5)[0], "no output within 5 s"
+        first = child.stdout.readline()
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=10)
+    finally:
+        child.kill()
+        child.wait()
+    lines = (first + out).decode().splitlines()
+    assert child.returncode == 130 and err.decode().endswith("cmod: interrupted\n")
+    assert first == b"0\n" and lines == [str(i) for i in range(len(lines))]
 
 
 def test_ctrl_c_at_the_repl_prompt_exits_130(monkeypatch, capsys):

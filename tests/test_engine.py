@@ -1,4 +1,5 @@
 import random
+import signal
 import sys
 import threading
 import time
@@ -918,6 +919,28 @@ def test_an_interrupted_wait_stops_the_worker(monkeypatch):
     assert outcomes == ["stopped"]
     assert not workers[0].is_alive()
     assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
+
+
+def test_a_real_interrupt_of_the_wait_waits_for_the_worker():
+    # A SIGINT that interrupts Thread.join leaves CPython 3.11 taking the still
+    # running worker for stopped; the caller must wait for it all the same.
+    outcomes = []
+
+    def fn():
+        time.sleep(0.2)  # the caller is in its wait by now
+        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        deadline = time.monotonic() + 30
+        try:
+            while time.monotonic() < deadline:  # busy until stopped
+                pass
+        except KeyboardInterrupt:
+            time.sleep(0.2)  # the worker takes a while to stop
+            outcomes.append("stopped")
+            raise
+
+    with pytest.raises(KeyboardInterrupt):
+        call_with_deep_stack(fn)
+    assert outcomes == ["stopped"]
 
 
 def test_a_worker_that_cannot_start_restores_the_limits(monkeypatch):
