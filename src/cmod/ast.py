@@ -356,56 +356,57 @@ def desugar(stmt: Statement) -> Statement:
 # ---------------------------------------------------------------------------
 
 
-def clause_table(decl: Declaration, env):
+def clause_table(decl: Declaration, env, scope=None):
     """(steps, entries) of decl, walked once in search order: conjunctions
     left first, macro references followed through env unless undefined,
     already on the path, or env is None.
 
     steps: every node passed, as (depth, bc rule id, node, renames,
-    binders); an And's bc:3 step comes before its left operand, its bc:4
-    step after it. entries: each head name, after renames, to its clauses
-    in search order, as (clause, renames, binders, steps before it, depth).
-    Depths are relative to decl. renames are the enclosing ``ren`` pairs,
-    outermost first, each chased through the ones outside it. binders are
-    the enclosing quantifiers, innermost first, one per variable, as (var,
-    positions); a macro reference starts a new scope. positions lists each
-    head's parameter positions of var in the scope, in search order.
+    binders, scope); an And's bc:3 step comes before its left operand, its
+    bc:4 step after it. entries: each head name, after renames, to its
+    clauses in search order, as (clause, renames, binders, steps before
+    it, depth, scope). Depths are relative to decl. renames are the
+    enclosing ``ren`` pairs, outermost first, each chased through the ones
+    outside it. binders are the enclosing quantifiers, innermost first, one
+    per variable, as (var, positions): each head's parameter positions of
+    var, in search order. scope is the activation decl was pushed from; a
+    macro body has neither (no binders, scope None) and reads the store.
     """
     steps, entries = [], {}
-    work = [(decl, 0, (), (), ())]  # chains to walk, and bc:4 steps due after a left operand
+    work = [(decl, 0, (), (), (), scope)]  # chains to walk, and bc:4 steps due after a left operand
     while work:
         item = work.pop()
         if type(item[0]) is int:  # a step starts with its depth, a chain with its node
             steps.append(item)
             continue
-        decl, depth, path, renames, binders = item
+        decl, depth, path, renames, binders, scope = item
         while True:
             if type(decl) is Clause:
                 for var, positions in binders:
                     positions += [i for i, param in enumerate(decl.params) if type(param) is Var and param.name == var]
                 head = _chase(decl.name, renames) if renames else decl.name
-                entries.setdefault(head, []).append((decl, renames, binders, len(steps), depth))
+                entries.setdefault(head, []).append((decl, renames, binders, len(steps), depth, scope))
                 break
             if type(decl) is And:
-                steps.append((depth, 3, decl, renames, binders))
-                work.append((decl.right, depth + 1, path, renames, binders))
-                work.append((depth, 4, decl, renames, binders))
+                steps.append((depth, 3, decl, renames, binders, scope))
+                work.append((decl.right, depth + 1, path, renames, binders, scope))
+                work.append((depth, 4, decl, renames, binders, scope))
                 decl = decl.left
             elif type(decl) is Forall:
-                steps.append((depth, 2, decl, renames, binders))
+                steps.append((depth, 2, decl, renames, binders, scope))
                 binders = ((decl.var, []),) + tuple(b for b in binders if b[0] != decl.var)
                 decl = decl.decl
             elif type(decl) is Rename:
-                steps.append((depth, 5, decl, renames, binders))
+                steps.append((depth, 5, decl, renames, binders, scope))
                 renames += ((_chase(decl.old, renames), _chase(decl.new, renames)),)
                 decl = decl.decl
             elif type(decl) is MacroRef:
                 body = None if env is None or decl.name in path else env.find(decl.name)
                 if body is None:
                     break
-                steps.append((depth, 6, decl, renames, binders))
+                steps.append((depth, 6, decl, renames, binders, scope))
                 path += (decl.name,)
-                binders, decl = (), body
+                binders, scope, decl = (), None, body
             else:
                 raise TypeError(f"not a declaration: {decl!r}")
             depth += 1

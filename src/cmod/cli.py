@@ -150,8 +150,8 @@ def _cmd_repl(options: dict) -> int:
                     print(line)
             elif command == ":stack":
                 if machine.module_stack:
-                    for frame in reversed(machine.module_stack):
-                        print(format_declaration(frame, compact=True))
+                    for decl, _ in reversed(machine.module_stack):
+                        print(format_declaration(decl, compact=True))
                 else:
                     print("(empty)")
             elif command == ":macros":
@@ -194,6 +194,8 @@ def _repl_entry(machine: Machine, source: str) -> None:
 
 def main(argv=None) -> int:
     command, path, options = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    if options["--trace"]:  # each printed line then keeps its place among the trace lines
+        sys.stdout.reconfigure(line_buffering=True)
     try:
         if command == "repl":
             return _cmd_repl(options)

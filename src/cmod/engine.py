@@ -11,12 +11,13 @@ body run, outside the search, so a failure inside a body fails the call
 and never sends the search on to a later conjunct. A traced call runs
 the same search and emits the table's steps before the matched entry.
 
-A body runs in an activation environment, the values its clause's
-quantifiers took from the call: variables are read there, then in the
-store, and assigned in the store. Only a declaration leaving the body is
-rebuilt, closed over the environment by substitution. Tracing does not
-change the run: each traced step is closed over its activation where it
-is emitted, in _emit, the one place events leave the engine; a statement
+A frame is a closure: the declaration as parsed and the activation it
+was pushed from. A body runs in that scope (a macro body has none)
+extended by the values its clause's quantifiers took from the call:
+variables are read there, then in the store, and assigned in the store.
+Substitution closes only macro scope definitions and trace text, so
+tracing does not change the run: a traced step is closed where it is
+emitted, in _emit, the one place events leave the engine; a statement
 emits as it is taken to run, under the rule _STEPS gives its class.
 Operators apply from one table each; only && and || (short-circuit) and
 == and != (any class) are special forms.
@@ -25,9 +26,8 @@ Shallow binding finds the deciding frame: an index from each procedure
 name to the live frames declaring it, kept on every push and pop. Each
 frame's clause table is built when it is pushed, and a macro reference's
 table, which depends only on its name and the macro environment, is
-shared by every frame of that name. At the first call after the macro
-environment changed, or after frames were appended to the stack
-directly, the live frames are pushed again under a fresh index.
+shared by every frame of that name. After the macro environment
+changed, the first call pushes the live frames again under a fresh index.
 
 Statements run from one work stack, so a call costs no Python stack.
 Implication, macro and allocation scopes and calls push an exit below
@@ -176,15 +176,12 @@ def _seq(machine, work, stmt, depth, env) -> None:
 
 
 def _implication(machine, work, stmt, depth, env) -> None:
-    frame = stmt.decl
-    if type(frame) is not ast.MacroRef:  # a macro reference has no variables
-        frame = _instantiate(frame, (), env)
-    elif machine.macro_env.find(frame.name) is None:
+    if type(stmt.decl) is ast.MacroRef and machine.macro_env.find(stmt.decl.name) is None:
         raise EngineFailure(
             NO_MATCHING_CLAUSE,
-            f"module or macro '/{frame.name}' is not defined",
+            f"module or macro '/{stmt.decl.name}' is not defined",
         )
-    _push(machine, (frame,))
+    _push(machine, ((stmt.decl, env or None),))
     work.append((_pop, 1, _EXIT))
     work.append((stmt.body, depth + 1, env))
 
@@ -193,7 +190,7 @@ def _macro_scope(machine, work, stmt, depth, env) -> None:
     outer = machine.macro_env
     machine.macro_env = outer.define(_instantiate(d, (), env) for d in stmt.defs)
     work.append((_set_macro_env, outer, _EXIT))
-    _push(machine, tuple(ast.MacroRef(d.name) for d in stmt.defs))
+    _push(machine, tuple((ast.MacroRef(d.name), None) for d in stmt.defs))
     work.append((_pop, len(stmt.defs), _EXIT))
     work.append((stmt.body, depth + 1, env))
 
@@ -299,15 +296,15 @@ def _select(machine: Machine, call: CallSite, depth: int):
     deciding frame's table whose head matches."""
     actuals = call.actuals
     steps, entries = _deciding_table(machine, call.name)
-    for clause, renames, binders, before, at in entries.get(call.name, ()):
-        values = _bindings(binders, actuals)
+    for clause, renames, binders, before, at, scope in entries.get(call.name, ()):
+        values = _bindings(binders, actuals, scope)
         if _head_matches(clause, values, actuals):
             break
     else:
         clause, before = None, len(steps)
     if machine.trace is not None:
-        for step_at, rule_id, node, step_renames, step_binders in steps[:before]:
-            _emit(machine, "bc", depth + step_at, node, rule_id, _bindings(step_binders, actuals), step_renames)
+        for step_at, rule_id, node, step_renames, step_binders, step_scope in steps[:before]:
+            _emit(machine, "bc", depth + step_at, node, rule_id, _bindings(step_binders, actuals, step_scope), step_renames)
     if clause is None:
         raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
     clause = _instantiate(clause, renames, {})
@@ -316,13 +313,14 @@ def _select(machine: Machine, call: CallSite, depth: int):
     return clause, values, depth + at
 
 
-def _bindings(binders, actuals: tuple[ast.Value, ...]) -> dict[str, ast.Value | None]:
-    """The value each enclosing quantifier takes from the call, innermost
-    first: the actual at the first of its positions below the call's
-    arity, or None when there is none (then stripping the quantifier is
-    harmless: an uninstantiated head never matches)."""
+def _bindings(binders, actuals: tuple[ast.Value, ...], scope) -> dict[str, ast.Value | None]:
+    """scope extended by the value each enclosing quantifier takes from the
+    call: the actual at the first of its positions below the call's arity,
+    or else None, which still hides the scope's value (an uninstantiated
+    head never matches, so stripping the quantifier is harmless)."""
     arity = len(actuals)
-    return {var: next((actuals[i] for i in positions if i < arity), None) for var, positions in binders}
+    values = {var: next((actuals[i] for i in positions if i < arity), None) for var, positions in binders}
+    return {**scope, **values} if scope else values
 
 
 def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) -> bool:
@@ -353,18 +351,18 @@ def _instantiate(decl: ast.Declaration, renames, values) -> ast.Declaration:
 
 
 def _push(machine: Machine, frames) -> None:
-    """Push frames with their clause tables and index the names they
-    declare; every push goes through here, and every pop through _pop.
-    While the index holds for the macro environment, frames of one macro
-    reference share its table."""
+    """Push (declaration, scope) frames with their clause tables and index
+    the names they declare; every push goes through here, and every pop
+    through _pop. While the index holds for the macro environment, frames
+    of one macro reference share its table, which has no scope."""
     env = machine.macro_env
     shared = machine.ref_tables if machine.indexed_env is env else {}
     tables = []
-    for frame in frames:
-        if type(frame) is ast.MacroRef:
-            tables.append(shared.get(frame.name) or shared.setdefault(frame.name, ast.clause_table(frame, env)))
+    for decl, scope in frames:
+        if type(decl) is ast.MacroRef:
+            tables.append(shared.get(decl.name) or shared.setdefault(decl.name, ast.clause_table(decl, env)))
         else:
-            tables.append(ast.clause_table(frame, env))
+            tables.append(ast.clause_table(decl, env, scope))
     for frame, table in zip(frames, tables):
         for name in table[1]:
             machine.frame_index.setdefault(name, []).append(len(machine.module_stack))
@@ -387,11 +385,10 @@ def _pop(machine: Machine, count: int) -> None:
 
 def _deciding_table(machine: Machine, name: str):
     """The clause table of the newest live frame declaring name. After the
-    macro environment changed, or frames were appended to the stack
-    directly, the live frames are pushed again onto a fresh machine, whose
-    index then replaces the old one whole: a rebuild that fails leaves the
-    old index for the exits that pop their frames."""
-    if machine.indexed_env is not machine.macro_env or len(machine.frame_tables) != len(machine.module_stack):
+    macro environment changed, the live frames are pushed again onto a
+    fresh machine, whose index then replaces the old one whole: a rebuild
+    that fails leaves the old index for the exits that pop their frames."""
+    if machine.indexed_env is not machine.macro_env:
         fresh = Machine(machine.macro_env)
         _push(fresh, machine.module_stack)
         machine.frame_index, machine.frame_tables = fresh.frame_index, fresh.frame_tables

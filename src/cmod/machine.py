@@ -12,9 +12,9 @@ DEFAULT_MAX_DEPTH = 10000
 
 class Machine:
     def __init__(self, macro_env=None, store=None, max_depth=DEFAULT_MAX_DEPTH, trace=None, write=None):
-        # The program triple: module stack (last element = most recent),
-        # macro environment, and variable store.
-        self.module_stack: list[ast.Declaration] = []
+        # The program triple: module stack of (declaration, activation pushed
+        # from) closures, last = most recent; macro environment; variable store.
+        self.module_stack: list[tuple[ast.Declaration, dict | None]] = []
         self.macro_env: MacroEnv = MacroEnv() if macro_env is None else macro_env
         self.store: dict[str, ast.Value] = {} if store is None else store
         self.regions = RegionStack()

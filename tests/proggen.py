@@ -152,7 +152,9 @@ CLOSURE_SEEDS = [
     A.MacroDef(
         "gm",
         A.And(A.Clause("gq", (), A.Print(A.Int(0))), A.Clause("gk", (), A.Assign("gk_ran", A.Int(1)))),
-    )
+    ),
+    # reads the formals' names from the store, whichever activation pushes it
+    A.MacroDef("gv", A.Clause("gvq", (), fold_seq([A.Print(A.Var(v)) for v in ("x", "y", "z")]))),
 ]
 
 
@@ -164,12 +166,14 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
     then read, a switch over a formal, and a recursive call. Some bodies
     also redefine the seeded macro /gm under a frame that refers to it,
     which changes the names that frame declares: without gk, a call to
-    gk falls to the outer frame. Returns the seeds (CLOSURE_SEEDS) and a
+    gk falls to the outer frame. Others push the seeded /gv conjoined
+    with a clause that reads a formal: that clause sees the call's value,
+    /gv's body the store's. Returns the seeds (CLOSURE_SEEDS) and a
     statement that calls p, perhaps renamed."""
     formals = tuple(rng.sample(["x", "y", "z"], rng.randint(1, 2)))
 
     def fragment(i: int, v: str) -> A.Statement:
-        kind = rng.randrange(7)
+        kind = rng.randrange(8)
         if kind == 0:  # a pushed declaration captures v; r calls it from outside
             pushed = closed_clause("rq", ("w",), A.Print(A.BinOp("+", A.Var(v), A.Var("w"))))
             return A.Implication(pushed, A.Seq(A.Call("rq", (A.Int(i),)), A.Call("r", ())))
@@ -198,6 +202,9 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
                 new = A.Clause("gz", (), A.TrueStmt())
             inner = A.MacroScope((A.MacroDef("gm", new),), A.Call(rng.choice(["gq", "gk"]), ()))
             return A.Implication(A.MacroRef("gm"), A.Seq(inner, A.Call(rng.choice(["gq", "gk"]), ())))
+        if kind == 7:  # /gv conjoined into a declaration pushed from the body
+            pushed = A.And(A.MacroRef("gv"), A.Clause(f"gr{i}", (), A.Print(A.Var(v))))
+            return A.Implication(pushed, A.Seq(A.Call("gvq", ()), A.Call(f"gr{i}", ())))
 
     parts = [fragment(i, rng.choice(formals)) for i in range(rng.randint(1, 4))]
     if rng.random() < 0.5:  # one recursive call, so activations nest

@@ -230,7 +230,7 @@ def _summary(table):
     steps, entries = table
     return (
         [(depth, rule_id) for depth, rule_id, *_ in steps],
-        [(name, before, depth) for name, items in entries.items() for _, _, _, before, depth in items],
+        [(name, before, depth) for name, items in entries.items() for _, _, _, before, depth, _ in items],
     )
 
 
@@ -243,8 +243,8 @@ def test_the_table_lists_steps_in_search_order_at_relative_depths():
         [(0, 5), (1, 2), (2, 3), (3, 3), (3, 4), (2, 4), (3, 6)],
         [("q", 4, 4), ("r", 5, 4), ("s", 7, 4)],
     )
-    assert [node for _, _, node, _, _ in steps[2:4]] == [decl.decl.decl, decl.decl.decl.left]
-    clause, renames, _, _, _ = entries["q"][0]
+    assert [node for _, _, node, *_ in steps[2:4]] == [decl.decl.decl, decl.decl.decl.left]
+    clause, renames, *_ = entries["q"][0]
     assert clause == _clause("p", "x") and renames == (("p", "q"),)
 
 
@@ -252,7 +252,7 @@ def test_the_table_keeps_same_name_clauses_in_search_order():
     decl = A.And(A.And(_clause("p"), _clause("q")), A.And(_clause("p", "x"), _clause("p", "x", "y")))
     _, entries = A.clause_table(decl, None)
     assert [len(clause.params) for clause, *_ in entries["p"]] == [0, 1, 2]
-    assert [before for *_, before, _ in entries["p"]] == [2, 5, 6]
+    assert [before for *_, before, _, _ in entries["p"]] == [2, 5, 6]
 
 
 def test_a_quantifier_shared_by_two_heads_lists_both_positions():
@@ -261,7 +261,7 @@ def test_a_quantifier_shared_by_two_heads_lists_both_positions():
     show = A.Print(A.Var("x"))
     decl = A.Forall("x", A.And(A.Clause("p", (A.Int(0), A.Var("x")), show), A.Clause("q", (A.Var("x"),), show)))
     _, entries = A.clause_table(decl, None)
-    (_, _, binders, _, _), = entries["q"]
+    (_, _, binders, *_), = entries["q"]
     assert binders == (("x", [1, 0]),) and entries["p"][0][2] is binders
     machine = Machine.initial()
     assert isinstance(execute(machine, A.Implication(decl, parse_source("q(5); p(0, 7)").main)), Success)
@@ -281,6 +281,16 @@ def test_a_macro_reference_starts_a_new_quantifier_scope():
     _, entries = A.clause_table(decl, env)
     assert entries["p"][0][2] == (("x", [0]),)
     assert entries["q"][0][2] == ()
+
+
+def test_a_macro_reference_leaves_the_pushing_activation_behind():
+    # the frame's own steps and clauses keep the scope it was pushed from;
+    # those of a macro body it refers to have none: they read the store
+    env = MacroEnv.seeded([A.MacroDef("m", A.And(_clause("q"), _clause("s")))])
+    scope = {"k": A.Int(1)}
+    steps, entries = A.clause_table(A.And(_clause("p"), A.MacroRef("m")), env, scope)
+    assert entries["p"][0][5] is scope and entries["q"][0][5] is None and entries["s"][0][5] is None
+    assert [(rule_id, at) for _, rule_id, _, _, _, at in steps] == [(3, scope), (4, scope), (6, scope), (3, None), (4, None)]
 
 
 def test_cyclic_and_undefined_references_add_nothing():

@@ -218,6 +218,21 @@ def test_trace_goes_to_stderr_and_is_well_formed(capsys):
         depths.append(depth)
 
 
+def test_a_traced_run_into_one_pipe_prints_each_line_after_its_print_step():
+    # stdout to a pipe is block-buffered and stderr is not; a traced run
+    # flushes each printed line, so it follows its ex:7 line
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "cmod", "run", "--trace", str(CORPUS / "emp_bank.cmod")],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True, timeout=60,
+    )
+    lines = done.stdout.splitlines()
+    printed = [i for i, line in enumerate(lines) if not TRACE_LINE.match(line)]
+    assert done.returncode == 0 and [lines[i] for i in printed] == ["31", "40", "22"]
+    assert all(lines[i - 1].lstrip().startswith("ex:7 print(") for i in printed)
+
+
 def test_dump_state_table(tmp_path, capsys):
     # a failing body frees its region too
     for source, exit_code in [("(a = new int[3] => a[0] = 5); x = 42", 0),

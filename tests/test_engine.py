@@ -13,6 +13,7 @@ from cmod import ast as A
 from cmod.engine import (
     Failure,
     Success,
+    _push,
     call_with_deep_stack,
     eval_expr,
     execute,
@@ -38,6 +39,11 @@ def run(source, **kwargs):
 
 def main_of(source):
     return A.desugar(parse_source(source).main)
+
+
+def push(machine, *decls):
+    """Push each declaration as a frame with no scope, oldest first."""
+    _push(machine, [(decl, None) for decl in decls])
 
 
 # -- execution ------------------------------------------------------------
@@ -194,8 +200,7 @@ def test_a_switch_takes_the_first_equal_label_and_fails_on_an_unbound_scrutinee(
 
 def test_resolve_call_picks_the_top_declaring_frame():
     machine = Machine.initial()
-    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.Int(1))))
-    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.Int(2))))
+    push(machine, A.Clause("p", (), A.Assign("x", A.Int(1))), A.Clause("p", (), A.Assign("x", A.Int(2))))
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Success)
     assert machine.store["x"] == A.Int(2)
@@ -209,7 +214,7 @@ def test_resolve_call_empty_stack():
 
 def test_resolve_call_name_absent():
     machine = Machine.initial()
-    machine.module_stack.append(A.Clause("q", (), A.TrueStmt()))
+    push(machine, A.Clause("q", (), A.TrueStmt()))
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
 
@@ -218,8 +223,7 @@ def test_selection_is_by_name_only_no_fall_through():
     # the top frame declares p/1; a deeper frame declares p/0; calling p()
     # selects the top frame by name and then fails on arity
     machine = Machine.initial()
-    machine.module_stack.append(A.Clause("p", (), A.Assign("x", A.Int(1))))
-    machine.module_stack.append(proggen.closed_clause("p", ("a",), A.TrueStmt()))
+    push(machine, A.Clause("p", (), A.Assign("x", A.Int(1))), proggen.closed_clause("p", ("a",), A.TrueStmt()))
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
     assert "x" not in machine.store
@@ -290,7 +294,7 @@ def test_no_fallback_after_a_head_matches():
         A.Clause("p", (), A.Call("missing", ())),
         A.Clause("p", (), A.Assign("x", A.Int(1))),
     )
-    machine.module_stack.append(decl)
+    push(machine, decl)
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure)
     assert "x" not in machine.store
@@ -400,7 +404,7 @@ def test_colliding_renames_merge_names_textually():
     )
     frame = A.Rename("p", "q", A.Rename("q", "r", A.MacroRef("m")))
     assert A.free_procedure_names(frame, machine.macro_env) == {"r"}
-    machine.module_stack.append(frame)
+    push(machine, frame)
     assert isinstance(execute(machine, A.Call("r", ())), Success)
     assert machine.store["x"] == A.Int(1)
     assert "y" not in machine.store
@@ -456,8 +460,8 @@ def record_tables(monkeypatch):
             read.append((self, name))
             return super().get(name, default)
 
-    def recording(decl, env):
-        steps, entries = clause_table(decl, env)
+    def recording(decl, env, scope=None):
+        steps, entries = clause_table(decl, env, scope)
         built.append((decl, Entries(entries)))
         return steps, built[-1][1]
 
@@ -703,6 +707,65 @@ def test_substitute_skips_alloc_body_when_handle_shadows():
     result = substitute(decl, "p", A.Int(2))
     assert result.body.length == A.Int(2)  # the length sees the formal
     assert result.body.body == body  # the body sees the handle
+
+
+# -- frames as closures -------------------------------------------------------
+
+MACRO_IN_A_PUSHED_FRAME = "macro /m = { q() = print(k) } in ((P(k) = ((/m and r() = true) => q())) => (k = 5; P(1)))"
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_a_macro_body_in_a_pushed_declaration_reads_the_store(traced):
+    # the frame (/m and r() = true) is pushed from P's activation, k = 1;
+    # /m's body is conjoined into it but holds no variable of that
+    # activation, so its k is the store's
+    events = []
+    outcome, machine = run(MACRO_IN_A_PUSHED_FRAME, trace=events.append if traced else None)
+    assert isinstance(outcome, Success)
+    assert machine.output_text() == "5\n"
+    if traced:
+        assert "bc:1 q() = (print(k))" in [event.format().strip() for event in events]
+
+
+def count_substitutions(monkeypatch):
+    """Make cmod.engine.substitute record the (declaration, variable) of each call."""
+    import cmod.engine
+
+    calls, substitute_ = [], cmod.engine.substitute
+
+    def counting(decl, var, value):
+        calls.append((decl, var))
+        return substitute_(decl, var, value)
+
+    monkeypatch.setattr(cmod.engine, "substitute", counting)
+    return calls
+
+
+# perfbench's tall shape: each level pushes a ren declaration from Step's
+# activation, calls the renamed procedure and one declared at the bottom
+TALL = """
+(Base(k) = (s = s + k) =>
+ (Step(k) = if (k == 0) true else
+   (ren(h, g) (h(j) = (u = u + j)) =>
+     (g(k); Base(k); Step(k - 1))) =>
+  (s = 0; u = 0; Step(40); print(s); print(u))))
+"""
+
+
+def test_an_untraced_run_substitutes_nothing(monkeypatch):
+    calls = count_substitutions(monkeypatch)
+    outcome, machine = run(TALL)
+    assert isinstance(outcome, Success) and machine.output_text() == "820\n820\n"
+    assert calls == []
+
+
+def test_an_untraced_run_substitutes_only_macro_scope_definitions(monkeypatch):
+    # each of P's two activations closes /m's one definition over k
+    calls = count_substitutions(monkeypatch)
+    outcome, machine = run("(P(k) = (macro /m = { q() = print(k) } in (/m => q())) => (P(1); P(2)))")
+    assert isinstance(outcome, Success) and machine.output_text() == "1\n2\n"
+    definition = parse_source("macro /m = { q() = print(k) } in true").main.defs[0]
+    assert calls == [(definition, "k")] * 2
 
 
 # -- mutual recursion ---------------------------------------------------------
