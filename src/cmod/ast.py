@@ -3,9 +3,8 @@
 Statements are the executable trees, declarations are procedure-clause
 trees (module bodies), and macro definitions bind names to declarations.
 A runtime value is also an expression leaf, its own literal: the parser
-builds ``Int(5)`` for ``5``, and instantiation puts the value itself in
-place of a variable. ``/m => G`` is an Implication whose declaration is
-``MacroRef("m")``. Every node class subclasses ``Node``, which builds it
+builds ``Int(5)`` for ``5``. ``/m => G`` is an Implication whose declaration
+is ``MacroRef("m")``. Every node class subclasses ``Node``, which builds it
 from its annotated fields (slots, ``__match_args__`` and a positional
 ``__init__``) and gives it equality (same class, equal fields), hashing
 and repr. Nodes are immutable by convention, not checked: no code
@@ -166,8 +165,8 @@ class Assign(Node):
 class StoreIndex(Node):
     """Element write through a region handle: ``base[index] = value``.
 
-    The base is an expression so that instantiated clause parameters can
-    be written through, exactly as they can be read through.
+    The base is an expression so that a handle a clause parameter holds
+    can be written through, exactly as it can be read through.
     """
 
     base: Expression
@@ -224,12 +223,8 @@ Statement = (TrueStmt, Call, Assign, StoreIndex, Seq, Implication, MacroScope, A
 
 
 class Clause(Node):
-    """One procedure declaration ``name(params) = body``.
-
-    Parser output has distinct variable names as params; instantiation
-    replaces them with values, so a fully instantiated head is matchable
-    against evaluated call arguments.
-    """
+    """One procedure declaration ``name(params) = body``: parser output has
+    distinct variable names as params, matched in the call's activation."""
 
     name: str
     params: tuple[Expression, ...]
@@ -370,7 +365,8 @@ def clause_table(decl: Declaration, env, scope=None):
     outside it. binders are the enclosing quantifiers, innermost first, one
     per variable, as (var, positions): each head's parameter positions of
     var, in search order. scope is the activation decl was pushed from; a
-    macro body has neither (no binders, scope None) and reads the store.
+    macro body has no binders and the scope its definition closed over
+    (None at top level: it reads the store).
     """
     steps, entries = [], {}
     work = [(decl, 0, (), (), (), scope)]  # chains to walk, and bc:4 steps due after a left operand
@@ -401,12 +397,12 @@ def clause_table(decl: Declaration, env, scope=None):
                 renames += ((_chase(decl.old, renames), _chase(decl.new, renames)),)
                 decl = decl.decl
             elif type(decl) is MacroRef:
-                body = None if env is None or decl.name in path else env.find(decl.name)
-                if body is None:
+                found = None if env is None or decl.name in path else env.closure(decl.name)
+                if found is None:
                     break
                 steps.append((depth, 6, decl, renames, binders, scope))
                 path += (decl.name,)
-                binders, scope, decl = (), None, body
+                binders, (decl, scope) = (), found
             else:
                 raise TypeError(f"not a declaration: {decl!r}")
             depth += 1

@@ -18,7 +18,7 @@ from .engine import call_with_deep_stack, execute, run_source
 from .errors import NO_MATCHING_CLAUSE, TOO_DEEP, CmodError, EngineFailure, LexError, ParseError
 from .machine import DEFAULT_MAX_DEPTH, Machine
 from .parser import parse_repl_input, parse_source
-from .printer import format_declaration, pretty_print
+from .printer import pretty_print
 
 EXIT_OK = 0
 EXIT_NO_CLAUSE = 1
@@ -128,7 +128,7 @@ def _cmd_fmt(source: str) -> int:
 def _cmd_repl(options: dict) -> int:
     trace = _stderr_trace if options["--trace"] else None
     machine = Machine.initial(max_depth=options["--max-depth"], trace=trace, write=sys.stdout.write)
-    print("cmod repl; :quit to leave, :store :stack :macros :reset to inspect")
+    print("cmod repl; :quit to leave, :store :macros :reset to inspect")
     buffer = ""
     while True:
         prompt = "....> " if buffer else "cmod> "
@@ -148,12 +148,6 @@ def _cmd_repl(options: dict) -> int:
             elif command == ":store":
                 for line in _store_lines(machine) or ["(empty)"]:
                     print(line)
-            elif command == ":stack":
-                if machine.module_stack:
-                    for decl, _ in reversed(machine.module_stack):
-                        print(format_declaration(decl, compact=True))
-                else:
-                    print("(empty)")
             elif command == ":macros":
                 names = machine.macro_env.names()
                 print(" ".join(f"/{n}" for n in names) if names else "(empty)")

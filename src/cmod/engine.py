@@ -12,13 +12,13 @@ and never sends the search on to a later conjunct. A traced call runs
 the same search and emits the table's steps before the matched entry.
 
 A frame is a closure: the declaration as parsed and the activation it
-was pushed from. A body runs in that scope (a macro body has none)
+was pushed from; so is a macro definition, with the activation that
+entered its scope (none at top level). A body runs in that scope
 extended by the values its clause's quantifiers took from the call:
 variables are read there, then in the store, and assigned in the store.
-Substitution closes only macro scope definitions and trace text, so
-tracing does not change the run: a traced step is closed where it is
-emitted, in _emit, the one place events leave the engine; a statement
-emits as it is taken to run, under the rule _STEPS gives its class.
+Nothing is substituted, and tracing does not change the run: _emit, the
+one place events leave the engine, prints a step in its activation; a
+statement emits as it is taken to run, under the rule _STEPS gives its class.
 Operators apply from one table each; only && and || (short-circuit) and
 == and != (any class) are special forms.
 
@@ -138,11 +138,10 @@ def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
     return Success(machine)
 
 
-def _emit(machine: Machine, phase: str, depth: int, node, rule_id: int, values, renames=()) -> None:
-    """Trace one step: node closed over its activation, renamed, then substituted."""
+def _emit(machine: Machine, phase: str, depth: int, node, rule_id: int, values) -> None:
+    """Trace one step: node rendered with the values of its activation."""
     render = format_statement if phase == "ex" else format_declaration
-    text = render(_instantiate(node, renames, values), compact=True)
-    machine.trace(TraceEvent(phase, depth, text, rule_id))
+    machine.trace(TraceEvent(phase, depth, render(node, compact=True, env=values), rule_id))
 
 
 _EXIT = object()  # the environment slot of an exit (function, argument, _EXIT)
@@ -188,7 +187,7 @@ def _implication(machine, work, stmt, depth, env) -> None:
 
 def _macro_scope(machine, work, stmt, depth, env) -> None:
     outer = machine.macro_env
-    machine.macro_env = outer.define(_instantiate(d, (), env) for d in stmt.defs)
+    machine.macro_env = outer.define(stmt.defs, env or None)
     work.append((_set_macro_env, outer, _EXIT))
     _push(machine, tuple((ast.MacroRef(d.name), None) for d in stmt.defs))
     work.append((_pop, len(stmt.defs), _EXIT))
@@ -304,10 +303,10 @@ def _select(machine: Machine, call: CallSite, depth: int):
         clause, before = None, len(steps)
     if machine.trace is not None:
         for step_at, rule_id, node, step_renames, step_binders, step_scope in steps[:before]:
-            _emit(machine, "bc", depth + step_at, node, rule_id, _bindings(step_binders, actuals, step_scope), step_renames)
+            _emit(machine, "bc", depth + step_at, _instantiate(node, step_renames), rule_id, _bindings(step_binders, actuals, step_scope))
     if clause is None:
         raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
-    clause = _instantiate(clause, renames, {})
+    clause = _instantiate(clause, renames)
     if machine.trace is not None:
         _emit(machine, "bc", depth + at, clause, 1, values)
     return clause, values, depth + at
@@ -334,14 +333,10 @@ def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) ->
     return True
 
 
-def _instantiate(decl: ast.Declaration, renames, values) -> ast.Declaration:
-    """decl with the enclosing renames applied, outermost first, and the
-    instantiated quantifier variables substituted."""
+def _instantiate(decl: ast.Declaration, renames) -> ast.Declaration:
+    """decl with the enclosing renames applied, outermost first."""
     for old, new in renames:
         decl = rename(decl, old, new)
-    for var, value in values.items():
-        if value is not None:
-            decl = substitute(decl, var, value)
     return decl
 
 
@@ -404,7 +399,8 @@ def _deciding_table(machine: Machine, name: str):
 
 def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declaration:
     """decl with every free occurrence of var replaced by value, its own
-    literal, in clause heads and in expressions within bodies.
+    literal, in clause heads and in expressions within bodies. The engine
+    never calls it: a body runs, and a trace step prints, in its activation.
 
     Inner binders of the same name (a quantifier or an allocation handle)
     shadow the substitution; assignment targets are name bindings, not

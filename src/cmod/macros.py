@@ -3,7 +3,9 @@ plus renaming over declaration trees.
 
 Environments are immutable snapshots; define returns a new one, so a
 scoped definition group is reverted by restoring the environment it
-replaced.
+replaced. A definition is a closure, (MacroDef, scope): scope is the
+activation that entered its ``macro ... in`` scope, or None at top level.
+Environments compare with ==; one that holds a scope does not hash.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from . import ast
 
 
 class MacroEnv(ast.Node):
-    defs: tuple[ast.MacroDef, ...] = ()  # most recent first
+    defs: tuple[tuple[ast.MacroDef, dict | None], ...] = ()  # most recent first
 
     @classmethod
     def seeded(cls, seeds) -> MacroEnv:
@@ -20,17 +22,18 @@ class MacroEnv(ast.Node):
         shadow earlier ones."""
         return cls().define(seeds)
 
-    def define(self, new_defs) -> MacroEnv:
-        return MacroEnv(tuple(reversed(list(new_defs))) + self.defs)
+    def define(self, new_defs, scope=None) -> MacroEnv:
+        return MacroEnv(tuple((macro, scope) for macro in reversed(list(new_defs))) + self.defs)
 
     def find(self, name: str) -> ast.Declaration | None:
-        for macro in self.defs:
-            if macro.name == name:
-                return macro.body
-        return None
+        return next((macro.body for macro, _ in self.defs if macro.name == name), None)
+
+    def closure(self, name: str) -> tuple[ast.Declaration, dict | None] | None:
+        """(body, scope) of name's most recent definition, or None."""
+        return next(((macro.body, scope) for macro, scope in self.defs if macro.name == name), None)
 
     def names(self) -> list[str]:
-        return [macro.name for macro in self.defs]
+        return [macro.name for macro, _ in self.defs]
 
 
 def rename(decl: ast.Declaration, old: str, new: str) -> ast.Declaration:

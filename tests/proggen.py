@@ -161,7 +161,8 @@ CLOSURE_SEEDS = [
 def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
     """A procedure p whose body uses its formals where a call's values
     must reach or must not: a declaration pushed from the body and called
-    from an outer clause, a macro defined in the body, an allocation
+    from an outer clause, a macro defined in the body (whose clause may
+    quantify a formal's name, which hides the captured value), an allocation
     handle or an inner forall of a formal's name, a formal assigned and
     then read, a switch over a formal, and a recursive call. Some bodies
     also redefine the seeded macro /gm under a frame that refers to it,
@@ -177,9 +178,11 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
         if kind == 0:  # a pushed declaration captures v; r calls it from outside
             pushed = closed_clause("rq", ("w",), A.Print(A.BinOp("+", A.Var(v), A.Var("w"))))
             return A.Implication(pushed, A.Seq(A.Call("rq", (A.Int(i),)), A.Call("r", ())))
-        if kind == 1:  # a macro defined in the body captures v
-            defs = (A.MacroDef(f"m{i}", closed_clause(f"mq{i}", (), A.Print(A.Var(v)))),)
-            return A.MacroScope(defs, A.Implication(A.MacroRef(f"m{i}"), A.Call(f"mq{i}", ())))
+        if kind == 1:  # a macro defined in the body captures v, unless its clause quantifies v
+            params = (v,) if rng.random() < 0.5 else ()
+            defs = (A.MacroDef(f"m{i}", closed_clause(f"mq{i}", params, A.Print(A.Var(v)))),)
+            call = A.Call(f"mq{i}", tuple(A.Int(20 + i) for _ in params))
+            return A.MacroScope(defs, A.Implication(A.MacroRef(f"m{i}"), call))
         if kind == 2:  # the handle hides v in the body, not in the length
             body = fold_seq([
                 A.StoreIndex(A.Var(v), A.Int(0), A.Int(7)),

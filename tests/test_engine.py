@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 import proggen
+import test_golden
 from cmod import ast as A
 from cmod.engine import (
     Failure,
@@ -759,13 +760,19 @@ def test_an_untraced_run_substitutes_nothing(monkeypatch):
     assert calls == []
 
 
-def test_an_untraced_run_substitutes_only_macro_scope_definitions(monkeypatch):
-    # each of P's two activations closes /m's one definition over k
+def test_no_run_substitutes_traced_or_untraced(monkeypatch):
+    # /m's definition closes over each of P's two activations, and a trace
+    # step is rendered in its activation: neither rewrites a tree
     calls = count_substitutions(monkeypatch)
-    outcome, machine = run("(P(k) = (macro /m = { q() = print(k) } in (/m => q())) => (P(1); P(2)))")
-    assert isinstance(outcome, Success) and machine.output_text() == "1\n2\n"
-    definition = parse_source("macro /m = { q() = print(k) } in true").main.defs[0]
-    assert calls == [(definition, "k")] * 2
+    for trace in (None, lambda event: None):
+        outcome, machine = run("(P(k) = (macro /m = { q() = print(k) } in (/m => q())) => (P(1); P(2)))", trace=trace)
+        assert isinstance(outcome, Success) and machine.output_text() == "1\n2\n"
+        for path in sorted(test_golden.CORPUS.glob("*.cmod")):
+            run(path.read_text(encoding="utf-8"), trace=trace)
+        for case in test_golden.CASES.values():
+            seeds, stmt = case()
+            execute(Machine.initial(seeds=seeds, trace=trace), stmt)
+    assert calls == []
 
 
 # -- mutual recursion ---------------------------------------------------------

@@ -1,10 +1,14 @@
+import random
+
 import hypothesis.strategies as st
 from hypothesis import given
 
+import proggen
 from cmod import ast as A
+from cmod.engine import substitute
 from cmod.lexer import tokenize
 from cmod.parser import _Parser, parse_source
-from cmod.printer import format_expression, format_statement, pretty_print
+from cmod.printer import format_declaration, format_expression, format_statement, pretty_print
 
 
 def test_print_true():
@@ -178,3 +182,52 @@ def test_statement_print_parse_round_trip(stmt):
         reparsed = parser.parse_statement()
         assert parser._peek().kind == "eof"
         assert reparsed == stmt
+
+
+# -- property: rendering in an environment is rendering the substituted tree
+
+# Each construct where substitution stops or turns a value into text: a
+# quantifier and an allocation handle of a bound name, formals shown as
+# values, macro scope definitions, a string with escapes, a handle.
+ENV_CASES = """
+(forall j forall k p(j, k) = print(j + k) and forall k q(k, j) = (k = j) => p(j, k))
+(j = new int[j] => (j[k] = j; print(j[k])); print(j))
+(macro /m = { forall k r(k) = print(k + s) and t(s) = (s = new int[k] => print(s)) } in (/m => r(j)))
+switch (k) { case tom: print("a\\"b\\n"); break; default: s[j] = -k; break; }
+"""
+
+
+def _nodes(node, found):
+    """Collect node and every statement and declaration below it."""
+    if type(node) in A.Statement + A.Declaration:
+        found.append(node)
+    return A.map_children(node, lambda child: _nodes(child, found))
+
+
+def _names_in(node, found):
+    """Collect every variable, quantifier and handle name in node."""
+    found.update(getattr(node, attr) for attr in ("name", "var", "handle") if type(getattr(node, attr, None)) is str)
+    return A.map_children(node, lambda child: _names_in(child, found))
+
+
+def test_rendering_in_an_environment_renders_the_substituted_tree():
+    rng = random.Random(3)
+    values = [None, A.Int(-4), A.Int(12), A.Bool(False), A.Atom("tom"), A.Str('a"\\\n\tb'), A.Handle(2, 0)]
+    nodes = []
+    for line in ENV_CASES.strip().splitlines():
+        _nodes(parse_source(line).main, nodes)
+    for _, seeds, main in proggen.family_programs(15):
+        for root in [main, *(macro.body for macro in seeds)]:
+            _nodes(root, nodes)
+    for node in nodes:
+        names = set()
+        _names_in(node, names)
+        for _ in range(3):
+            env = {name: rng.choice(values) for name in names if rng.random() < 0.7}
+            closed = node
+            for var, value in env.items():
+                if value is not None:
+                    closed = substitute(closed, var, value)
+            render = format_statement if type(node) in A.Statement else format_declaration
+            for compact in (True, False):
+                assert render(node, compact=compact, env=env) == render(closed, compact=compact), (node, env)
