@@ -364,9 +364,9 @@ def clause_table(decl: Declaration, env, scope=None):
     enclosing ``ren`` pairs, outermost first, each chased through the ones
     outside it. binders are the enclosing quantifiers, innermost first, one
     per variable, as (var, positions): each head's parameter positions of
-    var, in search order. scope is the activation decl was pushed from; a
-    macro body has no binders and the scope its definition closed over
-    (None at top level: it reads the store).
+    var, in search order. scope is what decl's own steps and entries carry
+    (the engine's mark for its frame's scope); a macro body has no binders
+    and the scope its definition closed over (None at top level: the store).
     """
     steps, entries = [], {}
     work = [(decl, 0, (), (), (), scope)]  # chains to walk, and bc:4 steps due after a left operand
@@ -397,7 +397,7 @@ def clause_table(decl: Declaration, env, scope=None):
                 renames += ((_chase(decl.old, renames), _chase(decl.new, renames)),)
                 decl = decl.decl
             elif type(decl) is MacroRef:
-                found = None if env is None or decl.name in path else env.closure(decl.name)
+                found = None if env is None or decl.name in path else env.find(decl.name)
                 if found is None:
                     break
                 steps.append((depth, 6, decl, renames, binders, scope))

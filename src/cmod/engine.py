@@ -6,7 +6,7 @@ popped on scope exit no matter how the body ends, so effects persist
 while declarations stay local. Backchaining first selects a clause: of
 the called name's entries in the clause table of the newest frame that
 declares it, in search order (conjunctions left to right), the first
-whose head matches, renamed for the call. Only then does the clause
+whose head matches, renamed on its first match. Only then does the clause
 body run, outside the search, so a failure inside a body fails the call
 and never sends the search on to a later conjunct. A traced call runs
 the same search and emits the table's steps before the matched entry.
@@ -23,17 +23,16 @@ Operators apply from one table each; only && and || (short-circuit) and
 == and != (any class) are special forms.
 
 Shallow binding finds the deciding frame: an index from each procedure
-name to the live frames declaring it, kept on every push and pop. Each
-frame's clause table is built when it is pushed, and a macro reference's
-table, which depends only on its name and the macro environment, is
-shared by every frame of that name. After the macro environment
-changed, the first call pushes the live frames again under a fresh index.
+name to the live frames declaring it, kept on every push and pop. A
+declaration's clause table is built once and shared by its frames, which
+supply their scope. A table that refers to a macro follows the macro
+environment: it is rebuilt when first read under another one, and its
+frames are indexed under it, so no change of environment touches an index.
 
 Statements run from one work stack, so a call costs no Python stack.
 Implication, macro and allocation scopes and calls push an exit below
 their body that pops what they pushed and puts back what they replaced:
-the macro environment (so after a scope in which no call happened the
-index stands) or the store value the handle hid. A failure is an
+the macro environment or the store value the handle hid. A failure is an
 EngineFailure raised with its reason and detail only; execute attaches
 the call chain, runs the exits left and returns the failure as the outcome.
 """
@@ -93,6 +92,7 @@ Failure = EngineFailure
 ExecOutcome = (Success, EngineFailure)
 
 _NO_BINDINGS = MappingProxyType({})  # the environment outside every call
+_OWN = object()  # the scope of a table item from the frame's own declaration: the frame's
 
 
 # ---------------------------------------------------------------------------
@@ -290,33 +290,39 @@ _STEPS = {
 
 
 def _select(machine: Machine, call: CallSite, depth: int):
-    """The matched clause, renamed, the environment its body runs in, and
-    its trace depth: the first of the call's name's entries in the
-    deciding frame's table whose head matches."""
+    """The matched clause, renamed once for every frame of its table, the
+    environment its body runs in, and its trace depth: the first of the
+    call's name's entries in the deciding frame's table whose head matches."""
     actuals = call.actuals
-    steps, entries = _deciding_table(machine, call.name)
-    for clause, renames, binders, before, at, scope in entries.get(call.name, ()):
-        values = _bindings(binders, actuals, scope)
+    steps, entries, own = _deciding_table(machine, call.name)
+    clauses = entries.get(call.name, ())
+    for entry in clauses:
+        clause, renames, binders, before, at, scope = entry
+        values = _bindings(binders, actuals, scope, own)
         if _head_matches(clause, values, actuals):
+            if renames:
+                clause = _instantiate(clause, renames)
+                clauses[clauses.index(entry)] = (clause, (), binders, before, at, scope)
             break
     else:
         clause, before = None, len(steps)
     if machine.trace is not None:
-        for step_at, rule_id, node, step_renames, step_binders, step_scope in steps[:before]:
-            _emit(machine, "bc", depth + step_at, _instantiate(node, step_renames), rule_id, _bindings(step_binders, actuals, step_scope))
+        for step_at, rule_id, node, step_renames, step_binders, scope in steps[:before]:
+            _emit(machine, "bc", depth + step_at, _instantiate(node, step_renames), rule_id, _bindings(step_binders, actuals, scope, own))
     if clause is None:
         raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
-    clause = _instantiate(clause, renames)
     if machine.trace is not None:
         _emit(machine, "bc", depth + at, clause, 1, values)
     return clause, values, depth + at
 
 
-def _bindings(binders, actuals: tuple[ast.Value, ...], scope) -> dict[str, ast.Value | None]:
-    """scope extended by the value each enclosing quantifier takes from the
-    call: the actual at the first of its positions below the call's arity,
-    or else None, which still hides the scope's value (an uninstantiated
-    head never matches, so stripping the quantifier is harmless)."""
+def _bindings(binders, actuals: tuple[ast.Value, ...], scope, own) -> dict[str, ast.Value | None]:
+    """scope (own, the frame's, for its own items) extended by the value each
+    enclosing quantifier takes from the call: the actual at the first of its
+    positions below the call's arity, or else None, which still hides the
+    scope's value (an uninstantiated head never matches, so stripping the
+    quantifier is harmless)."""
+    scope = own if scope is _OWN else scope
     arity = len(actuals)
     values = {var: next((actuals[i] for i in positions if i < arity), None) for var, positions in binders}
     return {**scope, **values} if scope else values
@@ -346,50 +352,67 @@ def _instantiate(decl: ast.Declaration, renames) -> ast.Declaration:
 
 
 def _push(machine: Machine, frames) -> None:
-    """Push (declaration, scope) frames with their clause tables and index
-    the names they declare; every push goes through here, and every pop
-    through _pop. While the index holds for the macro environment, frames
-    of one macro reference share its table, which has no scope."""
-    env = machine.macro_env
-    shared = machine.ref_tables if machine.indexed_env is env else {}
-    tables = []
+    """Push (declaration, scope) frames and index them, a referring one under
+    its table's key, any other under the names it declares; every push goes
+    through here, and every pop through _pop. A macro reference's key is its
+    name: a macro scope builds a new reference node at every entry."""
     for decl, scope in frames:
-        if type(decl) is ast.MacroRef:
-            tables.append(shared.get(decl.name) or shared.setdefault(decl.name, ast.clause_table(decl, env)))
-        else:
-            tables.append(ast.clause_table(decl, env, scope))
-    for frame, table in zip(frames, tables):
-        for name in table[1]:
-            machine.frame_index.setdefault(name, []).append(len(machine.module_stack))
-        machine.frame_tables.append(table)
-        machine.module_stack.append(frame)
+        key = decl.name if type(decl) is ast.MacroRef else id(decl)
+        table = machine.tables.get(key)
+        if table is None:  # the node stays alive in its table, so its id is not reused
+            env = machine.macro_env if _refers(decl) else None
+            table = machine.tables[key] = [decl, env, *ast.clause_table(decl, machine.macro_env, _OWN)]
+        index, names = (machine.frame_index, table[3]) if table[1] is None else (machine.ref_index, (key,))
+        for name in names:
+            index.setdefault(name, []).append(len(machine.module_stack))
+        machine.frame_tables.append((index, names, table))
+        machine.module_stack.append((decl, scope))
 
 
 def _pop(machine: Machine, count: int) -> None:
     """Pop count frames and their index entries."""
     while count:
         del machine.module_stack[-1]
-        for name in machine.frame_tables[-1][1]:
-            positions = machine.frame_index[name]
+        index, names, _ = machine.frame_tables.pop()
+        for name in names:
+            positions = index[name]
             del positions[-1]
             if not positions:
-                del machine.frame_index[name]
-        del machine.frame_tables[-1]
+                del index[name]
         count -= 1
 
 
+def _refers(decl: ast.Declaration) -> bool:
+    """Whether decl holds a macro reference outside its clauses, defined or not."""
+    decls = [decl]
+    while decls:
+        decl = decls.pop()
+        if type(decl) is ast.And:
+            decls += decl.left, decl.right
+        elif type(decl) in (ast.Forall, ast.Rename):
+            decls.append(decl.decl)
+        elif type(decl) is ast.MacroRef:
+            return True
+    return False
+
+
 def _deciding_table(machine: Machine, name: str):
-    """The clause table of the newest live frame declaring name. After the
-    macro environment changed, the live frames are pushed again onto a
-    fresh machine, whose index then replaces the old one whole: a rebuild
-    that fails leaves the old index for the exits that pop their frames."""
-    if machine.indexed_env is not machine.macro_env:
-        fresh = Machine(machine.macro_env)
-        _push(fresh, machine.module_stack)
-        machine.frame_index, machine.frame_tables = fresh.frame_index, fresh.frame_tables
-        machine.ref_tables, machine.indexed_env = fresh.ref_tables, fresh.indexed_env
+    """The steps and entries of the newest live frame declaring name, and its
+    scope: the newer of the newest frame indexed by name and the newest frame
+    of a referring table that, as the macro environment now is, declares name."""
     positions = machine.frame_index.get(name)
-    return machine.frame_tables[positions[-1]] if positions else ((), {})
+    newest = positions[-1] if positions else -1
+    for positions in machine.ref_index.values():
+        if positions[-1] > newest:
+            table = machine.frame_tables[positions[-1]][2]
+            if table[1] is not machine.macro_env:  # first read under this environment
+                table[1:] = machine.macro_env, *ast.clause_table(table[0], machine.macro_env, _OWN)
+            if name in table[3]:
+                newest = positions[-1]
+    if newest < 0:
+        return (), {}, None
+    table = machine.frame_tables[newest][2]
+    return table[2], table[3], machine.module_stack[newest][1]
 
 
 # ---------------------------------------------------------------------------

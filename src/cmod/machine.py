@@ -24,9 +24,9 @@ class Machine:
         self.trace = trace  # called with each TraceEvent when set
         self.call_stack: list = []
         self.handles: dict[str, int] = {}  # live allocation scopes per handle name
-        # Shallow binding: frame positions per declared name, each frame's clause table, the
-        # macro environment the index holds for, and the macro references' tables shared there.
-        self.frame_index, self.frame_tables, self.indexed_env, self.ref_tables = {}, [], self.macro_env, {}
+        # Shallow binding: frame positions per declared name and per referring table's key; each frame's
+        # (index, keys, table); tables by key, [declaration, environment (None: never changes), steps, entries].
+        self.frame_index, self.ref_index, self.frame_tables, self.tables = {}, {}, [], {}
 
     @classmethod
     def initial(cls, seeds=(), max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> Machine:

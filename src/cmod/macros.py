@@ -25,10 +25,7 @@ class MacroEnv(ast.Node):
     def define(self, new_defs, scope=None) -> MacroEnv:
         return MacroEnv(tuple((macro, scope) for macro in reversed(list(new_defs))) + self.defs)
 
-    def find(self, name: str) -> ast.Declaration | None:
-        return next((macro.body for macro, _ in self.defs if macro.name == name), None)
-
-    def closure(self, name: str) -> tuple[ast.Declaration, dict | None] | None:
+    def find(self, name: str) -> tuple[ast.Declaration, dict | None] | None:
         """(body, scope) of name's most recent definition, or None."""
         return next(((macro.body, scope) for macro, scope in self.defs if macro.name == name), None)
 

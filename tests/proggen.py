@@ -166,11 +166,14 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
     handle or an inner forall of a formal's name, a formal assigned and
     then read, a switch over a formal, and a recursive call. Some bodies
     also redefine the seeded macro /gm under a frame that refers to it,
-    which changes the names that frame declares: without gk, a call to
-    gk falls to the outer frame. Others push the seeded /gv conjoined
-    with a clause that reads a formal: that clause sees the call's value,
-    /gv's body the store's. Returns the seeds (CLOSURE_SEEDS) and a
-    statement that calls p, perhaps renamed."""
+    perhaps renaming gq to gq2, which changes the names that frame
+    declares: without gk, a call to gk falls to the outer frame. Others
+    push the seeded /gv, or the undefined /gu, conjoined with a clause
+    that reads a formal: that clause sees the call's value, /gv's body
+    the store's. Under that frame a nested scope may redefine /gv, and
+    does define /gu, with a clause that reads the formal; calls there see
+    the frame follow the new definition. Returns the seeds (CLOSURE_SEEDS)
+    and a statement that calls p, perhaps renamed."""
     formals = tuple(rng.sample(["x", "y", "z"], rng.randint(1, 2)))
 
     def fragment(i: int, v: str) -> A.Statement:
@@ -203,11 +206,19 @@ def closure_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement]:
                 new = closed_clause("gq", (), A.Print(A.Var(v)))
             else:
                 new = A.Clause("gz", (), A.TrueStmt())
-            inner = A.MacroScope((A.MacroDef("gm", new),), A.Call(rng.choice(["gq", "gk"]), ()))
-            return A.Implication(A.MacroRef("gm"), A.Seq(inner, A.Call(rng.choice(["gq", "gk"]), ())))
-        if kind == 7:  # /gv conjoined into a declaration pushed from the body
-            pushed = A.And(A.MacroRef("gv"), A.Clause(f"gr{i}", (), A.Print(A.Var(v))))
-            return A.Implication(pushed, A.Seq(A.Call("gvq", ()), A.Call(f"gr{i}", ())))
+            frame, names = A.MacroRef("gm"), ["gq", "gk"]
+            if rng.random() < 0.3:  # the frame renames what /gm holds, then and now
+                frame, names = A.Rename("gq", "gq2", frame), ["gq2", "gk"]
+            inner = A.MacroScope((A.MacroDef("gm", new),), A.Call(rng.choice(names), ()))
+            return A.Implication(frame, A.Seq(inner, A.Call(rng.choice(names), ())))
+        if kind == 7:  # /gv, or /gu, conjoined into a declaration pushed from the body
+            macro = rng.choice(["gv", "gu"])
+            pushed = A.And(A.MacroRef(macro), A.Clause(f"gr{i}", (), A.Print(A.Var(v))))
+            body = A.Seq(A.Call("gvq", ()), A.Call(f"gr{i}", ()))
+            if macro == "gu" or rng.random() < 0.3:  # (re)defined in a nested scope, under the frame
+                redefined = A.MacroDef(macro, closed_clause("gvq", (), A.Print(A.BinOp("+", A.Var(v), A.Int(100)))))
+                body = A.Seq(A.MacroScope((redefined,), body), A.Call(f"gr{i}", ()))
+            return A.Implication(pushed, body)
 
     parts = [fragment(i, rng.choice(formals)) for i in range(rng.randint(1, 4))]
     if rng.random() < 0.5:  # one recursive call, so activations nest
@@ -315,10 +326,10 @@ class MacroNotDefined(CmodError):
 
 def lookup(env: MacroEnv, name: str) -> A.Declaration:
     """The body env binds name to; MacroNotDefined when it binds none."""
-    body = env.find(name)
-    if body is None:
+    found = env.find(name)
+    if found is None:
         raise MacroNotDefined(name)
-    return body
+    return found[0]
 
 
 def conj_expand(env: MacroEnv, decl: A.Declaration) -> A.Declaration:

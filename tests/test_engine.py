@@ -169,8 +169,9 @@ def test_execute_accepts_an_undesugared_switch():
 def test_machine_for_seeds_the_switch_the_parser_built():
     program = parse_source("module Emp. Age(e) = switch (e) { case tom: age = 31; break; } end\ntrue")
     machine = machine_for(program)
-    assert machine.macro_env.find("Emp") is program.module_defs[0][1]
-    assert isinstance(machine.macro_env.find("Emp").decl.body, A.Switch)
+    body, scope = machine.macro_env.find("Emp")
+    assert body is program.module_defs[0][1] and scope is None
+    assert isinstance(body.decl.body, A.Switch)
 
 
 def test_a_switch_with_no_case_never_evaluates_its_scrutinee():
@@ -438,6 +439,68 @@ def test_a_live_frame_declares_what_its_macro_holds_now():
     assert (machine.store["y"], machine.store["x"]) == (A.Int(2), A.Int(1))
 
 
+# A frame that refers to a macro, traced across a change of the macro
+# environment: /g is undefined when its frame is pushed, and /m is
+# redefined under a renaming frame. Each frame's steps follow what the
+# macro holds at the call.
+REFERRING_FRAME_TRACES = {
+    "((/g and p() = (x = 1)) => (macro /g = { q() = (y = 2) } in (p(); q())))": """\
+ex:11 (/g and p() = (x = 1) => (macro /g = { q() = (y = 2) } in p(); q()))
+  ex:12 (macro /g = { q() = (y = 2) } in p(); q())
+    ex:10 p(); q()
+      ex:7 p()
+        bc:3 /g and p() = (x = 1)
+          bc:6 /g
+        bc:4 /g and p() = (x = 1)
+          bc:1 p() = (x = 1)
+            ex:9 x = 1
+      ex:7 q()
+        bc:6 /g
+          bc:1 q() = (y = 2)
+            ex:9 y = 2
+""",
+    "macro /m = { q() = (x = 1) }\n"
+    "((ren(q, q2) /m) => (q2(); (macro /m = { q() = (y = 2) and r() = print(y) } in (q2(); r())); q2()))": """\
+ex:11 (ren(q, q2) /m => q2(); (macro /m = { q() = (y = 2) and r() = (print(y)) } in q2(); r()); q2())
+  ex:10 q2(); (macro /m = { q() = (y = 2) and r() = (print(y)) } in q2(); r()); q2()
+    ex:7 q2()
+      bc:5 ren(q, q2) /m
+        bc:6 /m
+          bc:1 q2() = (x = 1)
+            ex:9 x = 1
+    ex:10 (macro /m = { q() = (y = 2) and r() = (print(y)) } in q2(); r()); q2()
+      ex:12 (macro /m = { q() = (y = 2) and r() = (print(y)) } in q2(); r())
+        ex:10 q2(); r()
+          ex:7 q2()
+            bc:5 ren(q, q2) /m
+              bc:6 /m
+                bc:3 q2() = (y = 2) and r() = (print(y))
+                  bc:1 q2() = (y = 2)
+                    ex:9 y = 2
+          ex:7 r()
+            bc:6 /m
+              bc:3 q() = (y = 2) and r() = (print(y))
+              bc:4 q() = (y = 2) and r() = (print(y))
+                bc:1 r() = (print(y))
+                  ex:7 print(y)
+      ex:7 q2()
+        bc:5 ren(q, q2) /m
+          bc:6 /m
+            bc:1 q2() = (x = 1)
+              ex:9 x = 1
+""",
+}
+
+
+@pytest.mark.parametrize("source", list(REFERRING_FRAME_TRACES), ids=["undefined_at_push", "renamed_and_redefined"])
+def test_a_referring_frame_traces_what_its_macro_holds_at_the_call(source):
+    events = []
+    outcome, machine = run(source, trace=events.append)
+    assert isinstance(outcome, Success)
+    assert (machine.store["x"], machine.store["y"]) == (A.Int(1), A.Int(2))
+    assert "".join(event.format() + "\n" for event in events) == REFERRING_FRAME_TRACES[source]
+
+
 @pytest.mark.parametrize("call", ["f()", "g()"])
 def test_a_macro_scope_puts_back_the_environment_it_replaced(call):
     # whether the body succeeds (f) or fails (g), the very same object
@@ -503,6 +566,7 @@ def test_the_frame_index_holds_live_frames_only():
     outcome = execute(machine, main_of("(p() = q() => (r() = true => p()))"))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
     assert machine.module_stack == [] and machine.frame_tables == [] and machine.frame_index == {}
+    assert machine.ref_index == {}
 
 
 def test_cyclic_macro_reference_terminates():
@@ -815,7 +879,7 @@ def test_left_first_search_matches_the_branch_order_oracle_quick():
 
 def assert_unwound(machine):
     assert machine.module_stack == [] and machine.call_stack == []
-    assert machine.frame_tables == [] and machine.frame_index == {}
+    assert machine.frame_tables == [] and machine.frame_index == {} and machine.ref_index == {}
 
 
 def test_call_depth_uses_no_python_stack():
@@ -826,9 +890,9 @@ def test_call_depth_uses_no_python_stack():
     assert_unwound(machine)
 
 
-def test_rebuilding_the_index_at_every_level_uses_no_python_stack():
-    # Every level enters a macro scope and calls q(), so the index is rebuilt
-    # at the deepest point of the level; a few frames of Python stack suffice.
+def test_a_macro_scope_at_every_level_uses_no_python_stack():
+    # Every level enters a macro scope and calls q(), which reads /m's table
+    # as the new environment has it; a few frames of Python stack suffice.
     main = main_of(
         "n = 3000; (Rec() = if (n == 0) true else (n = n - 1; "
         "(macro /m = { q() = true } in (/m => (q(); Rec())))) => Rec())"
