@@ -16,10 +16,10 @@ from .errors import (
     LexError,
     ParseError,
 )
-from .ast import desugar, free_procedure_names
+from .ast import desugar, free_procedure_names, rename
 from .lexer import Token, tokenize
 from .machine import Machine
-from .macros import MacroEnv, rename
+from .macros import MacroEnv
 from .parser import SourceProgram, parse_program, parse_repl_input, parse_source
 from .printer import format_declaration, format_expression, format_statement, pretty_print
 from .regions import RegionStack, region_read, region_write

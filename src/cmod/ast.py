@@ -85,10 +85,9 @@ class Atom(Node):
 
 
 class Handle(Node):
-    """Reference to a region by its serial; generation is always 0."""
+    """Reference to a region by its serial, printed ``<region N:0>``."""
 
     region_id: int
-    generation: int
 
 
 Value = (Int, Bool, Str, Atom, Handle)
@@ -107,7 +106,7 @@ def render_value(value: Value) -> str:
         return value.value
     if type(value) is Atom:
         return value.name
-    return f"<region {value.region_id}:{value.generation}>"
+    return f"<region {value.region_id}:0>"
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,7 @@ def map_children(node, fn):
 
 
 # ---------------------------------------------------------------------------
-# Desugaring
+# Tree rewrites: desugaring and renaming
 # ---------------------------------------------------------------------------
 
 
@@ -346,27 +345,52 @@ def desugar(stmt: Statement) -> Statement:
     return map_children(stmt, desugar)
 
 
+def rename(decl: Declaration, old: str, new: str) -> Declaration:
+    """decl with procedure name old replaced by new, in clause heads and
+    call sites within bodies. Variable names and macro names are
+    untouched. Renaming into a name bound by an enclosing ren operand is
+    not resolved (names are treated as plain occurrences).
+    """
+    if old == new:
+        return decl
+
+    def ren(node):
+        node = map_children(node, ren)
+        if type(node) is Clause and node.name == old:
+            return Clause(new, node.params, node.body)
+        if type(node) is Call and node.name == old:
+            return Call(new, node.args)
+        if type(node) is Rename and old in (node.old, node.new):
+            a = new if node.old == old else node.old
+            b = new if node.new == old else node.new
+            return Rename(a, b, node.decl)
+        return node
+
+    return ren(decl)
+
+
 # ---------------------------------------------------------------------------
 # Clause tables: a declaration's search steps and clause entries, walked once
 # ---------------------------------------------------------------------------
 
 
-def clause_table(decl: Declaration, env, scope=None):
+def clause_table(decl: Declaration, env, scope=None, rename=rename):
     """(steps, entries) of decl, walked once in search order: conjunctions
     left first, macro references followed through env unless undefined,
-    already on the path, or env is None.
+    already on the path, or env is None. The walk goes on below a ``ren``
+    in its declaration renamed, and renames a macro body it follows by
+    every enclosing ``ren`` pair, outermost first, with rename (the engine
+    memoizes it), so every node listed is already renamed.
 
-    steps: every node passed, as (depth, bc rule id, node, renames,
-    binders, scope); an And's bc:3 step comes before its left operand, its
-    bc:4 step after it. entries: each head name, after renames, to its
-    clauses in search order, as (clause, renames, binders, steps before
-    it, depth, scope). Depths are relative to decl. renames are the
-    enclosing ``ren`` pairs, outermost first, each chased through the ones
-    outside it. binders are the enclosing quantifiers, innermost first, one
-    per variable, as (var, positions): each head's parameter positions of
-    var, in search order. scope is what decl's own steps and entries carry
-    (the engine's mark for its frame's scope); a macro body has no binders
-    and the scope its definition closed over (None at top level: the store).
+    steps: every node passed, as (depth, bc rule id, node, binders, scope);
+    an And's bc:3 step comes before its left operand, its bc:4 step after
+    it. entries: each head name to its clauses in search order, as (clause,
+    binders, steps before it, depth, scope). Depths are relative to decl.
+    binders are the enclosing quantifiers, innermost first, one per
+    variable, as (var, positions): each head's parameter positions of var,
+    in search order. scope is what decl's own steps and entries carry (the
+    engine's mark for its frame's scope); a macro body has no binders and
+    the scope its definition closed over (None at top level: the store).
     """
     steps, entries = [], {}
     work = [(decl, 0, (), (), (), scope)]  # chains to walk, and bc:4 steps due after a left operand
@@ -375,45 +399,39 @@ def clause_table(decl: Declaration, env, scope=None):
         if type(item[0]) is int:  # a step starts with its depth, a chain with its node
             steps.append(item)
             continue
-        decl, depth, path, renames, binders, scope = item
+        decl, depth, path, renames, binders, scope = item  # each ren pair renamed by those outside it
         while True:
             if type(decl) is Clause:
                 for var, positions in binders:
                     positions += [i for i, param in enumerate(decl.params) if type(param) is Var and param.name == var]
-                head = _chase(decl.name, renames) if renames else decl.name
-                entries.setdefault(head, []).append((decl, renames, binders, len(steps), depth, scope))
+                entries.setdefault(decl.name, []).append((decl, binders, len(steps), depth, scope))
                 break
             if type(decl) is And:
-                steps.append((depth, 3, decl, renames, binders, scope))
+                steps.append((depth, 3, decl, binders, scope))
                 work.append((decl.right, depth + 1, path, renames, binders, scope))
-                work.append((depth, 4, decl, renames, binders, scope))
+                work.append((depth, 4, decl, binders, scope))
                 decl = decl.left
             elif type(decl) is Forall:
-                steps.append((depth, 2, decl, renames, binders, scope))
+                steps.append((depth, 2, decl, binders, scope))
                 binders = ((decl.var, []),) + tuple(b for b in binders if b[0] != decl.var)
                 decl = decl.decl
             elif type(decl) is Rename:
-                steps.append((depth, 5, decl, renames, binders, scope))
-                renames += ((_chase(decl.old, renames), _chase(decl.new, renames)),)
-                decl = decl.decl
+                steps.append((depth, 5, decl, binders, scope))
+                renames += ((decl.old, decl.new),)
+                decl = rename(decl.decl, decl.old, decl.new)
             elif type(decl) is MacroRef:
                 found = None if env is None or decl.name in path else env.find(decl.name)
                 if found is None:
                     break
-                steps.append((depth, 6, decl, renames, binders, scope))
+                steps.append((depth, 6, decl, binders, scope))
                 path += (decl.name,)
                 binders, (decl, scope) = (), found
+                for old, new in renames:
+                    decl = rename(decl, old, new)
             else:
                 raise TypeError(f"not a declaration: {decl!r}")
             depth += 1
     return steps, entries
-
-
-def _chase(name: str, renames: tuple[tuple[str, str], ...]) -> str:
-    for old, new in renames:
-        if name == old:
-            name = new
-    return name
 
 
 def free_procedure_names(decl: Declaration, env=None) -> frozenset[str]:

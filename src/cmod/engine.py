@@ -6,10 +6,10 @@ popped on scope exit no matter how the body ends, so effects persist
 while declarations stay local. Backchaining first selects a clause: of
 the called name's entries in the clause table of the newest frame that
 declares it, in search order (conjunctions left to right), the first
-whose head matches, renamed on its first match. Only then does the clause
-body run, outside the search, so a failure inside a body fails the call
-and never sends the search on to a later conjunct. A traced call runs
-the same search and emits the table's steps before the matched entry.
+whose head matches. Only then does the clause body run, outside the
+search, so a failure inside a body fails the call and never sends the
+search on to a later conjunct. A traced call runs the same search and
+emits the table's steps before the matched entry.
 
 A frame is a closure: the declaration as parsed and the activation it
 was pushed from; so is a macro definition, with the activation that
@@ -25,9 +25,11 @@ Operators apply from one table each; only && and || (short-circuit) and
 Shallow binding finds the deciding frame: an index from each procedure
 name to the live frames declaring it, kept on every push and pop. A
 declaration's clause table is built once and shared by its frames, which
-supply their scope. A table that refers to a macro follows the macro
-environment: it is rebuilt when first read under another one, and its
-frames are indexed under it, so no change of environment touches an index.
+supply their scope; it lists nodes renamed as it was built, renaming each
+node once per machine, so no call renames. A table that refers to a macro
+follows the macro environment: it is rebuilt when first read under another
+one, with the same renamed nodes, and its frames are indexed under it, so
+no change of environment touches an index.
 
 Statements run from one work stack, so a call costs no Python stack.
 Implication, macro and allocation scopes and calls push an exit below
@@ -45,6 +47,7 @@ import threading
 from types import MappingProxyType
 
 from . import ast
+from .ast import rename
 from .errors import (
     DEPTH_EXCEEDED,
     DIVISION_BY_ZERO,
@@ -55,7 +58,6 @@ from .errors import (
     EngineFailure,
 )
 from .machine import DEFAULT_MAX_DEPTH, Machine
-from .macros import rename
 from .parser import SourceProgram, parse_source
 from .printer import format_declaration, format_statement
 from .regions import MAX_REGION_LENGTH, region_read, region_write
@@ -290,25 +292,20 @@ _STEPS = {
 
 
 def _select(machine: Machine, call: CallSite, depth: int):
-    """The matched clause, renamed once for every frame of its table, the
-    environment its body runs in, and its trace depth: the first of the
-    call's name's entries in the deciding frame's table whose head matches."""
+    """The matched clause, its body's environment and its trace depth: the
+    first of the call's name's entries in the deciding frame's table whose
+    head matches; entries and traced steps are renamed already."""
     actuals = call.actuals
     steps, entries, own = _deciding_table(machine, call.name)
-    clauses = entries.get(call.name, ())
-    for entry in clauses:
-        clause, renames, binders, before, at, scope = entry
+    for clause, binders, before, at, scope in entries.get(call.name, ()):
         values = _bindings(binders, actuals, scope, own)
         if _head_matches(clause, values, actuals):
-            if renames:
-                clause = _instantiate(clause, renames)
-                clauses[clauses.index(entry)] = (clause, (), binders, before, at, scope)
             break
     else:
         clause, before = None, len(steps)
     if machine.trace is not None:
-        for step_at, rule_id, node, step_renames, step_binders, scope in steps[:before]:
-            _emit(machine, "bc", depth + step_at, _instantiate(node, step_renames), rule_id, _bindings(step_binders, actuals, scope, own))
+        for step_at, rule_id, node, step_binders, scope in steps[:before]:
+            _emit(machine, "bc", depth + step_at, node, rule_id, _bindings(step_binders, actuals, scope, own))
     if clause is None:
         raise EngineFailure(NO_MATCHING_CLAUSE, call.signature())
     if machine.trace is not None:
@@ -339,13 +336,6 @@ def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) ->
     return True
 
 
-def _instantiate(decl: ast.Declaration, renames) -> ast.Declaration:
-    """decl with the enclosing renames applied, outermost first."""
-    for old, new in renames:
-        decl = rename(decl, old, new)
-    return decl
-
-
 # ---------------------------------------------------------------------------
 # The module stack, indexed by declared name (shallow binding)
 # ---------------------------------------------------------------------------
@@ -361,7 +351,7 @@ def _push(machine: Machine, frames) -> None:
         table = machine.tables.get(key)
         if table is None:  # the node stays alive in its table, so its id is not reused
             env = machine.macro_env if _refers(decl) else None
-            table = machine.tables[key] = [decl, env, *ast.clause_table(decl, machine.macro_env, _OWN)]
+            table = machine.tables[key] = [decl, env, *_table(machine, decl)]
         index, names = (machine.frame_index, table[3]) if table[1] is None else (machine.ref_index, (key,))
         for name in names:
             index.setdefault(name, []).append(len(machine.module_stack))
@@ -380,6 +370,20 @@ def _pop(machine: Machine, count: int) -> None:
             if not positions:
                 del index[name]
         count -= 1
+
+
+def _table(machine: Machine, decl: ast.Declaration):
+    """decl's steps and entries as the macro environment now is. Each
+    renaming is done once per machine: machine.renamed keeps it by (id of
+    the node renamed, old, new), with that node, so the id is not reused."""
+
+    def renamed(node, old, new):
+        key = id(node), old, new
+        if key not in machine.renamed:
+            machine.renamed[key] = node, rename(node, old, new)
+        return machine.renamed[key][1]
+
+    return ast.clause_table(decl, machine.macro_env, _OWN, renamed)
 
 
 def _refers(decl: ast.Declaration) -> bool:
@@ -406,7 +410,7 @@ def _deciding_table(machine: Machine, name: str):
         if positions[-1] > newest:
             table = machine.frame_tables[positions[-1]][2]
             if table[1] is not machine.macro_env:  # first read under this environment
-                table[1:] = machine.macro_env, *ast.clause_table(table[0], machine.macro_env, _OWN)
+                table[1:] = machine.macro_env, *_table(machine, table[0])
             if name in table[3]:
                 newest = positions[-1]
     if newest < 0:

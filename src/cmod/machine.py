@@ -25,8 +25,9 @@ class Machine:
         self.call_stack: list = []
         self.handles: dict[str, int] = {}  # live allocation scopes per handle name
         # Shallow binding: frame positions per declared name and per referring table's key; each frame's
-        # (index, keys, table); tables by key, [declaration, environment (None: never changes), steps, entries].
-        self.frame_index, self.ref_index, self.frame_tables, self.tables = {}, {}, [], {}
+        # (index, keys, table); tables by key, [declaration, environment (None: never changes), steps, entries];
+        # renamings by (id(node), old, new), (node, renamed node).
+        self.frame_index, self.ref_index, self.frame_tables, self.tables, self.renamed = {}, {}, [], {}, {}
 
     @classmethod
     def initial(cls, seeds=(), max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> Machine:

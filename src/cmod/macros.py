@@ -1,5 +1,4 @@
-"""The macro environment: named declarations with most-recent lookup,
-plus renaming over declaration trees.
+"""The macro environment: named declarations with most-recent lookup.
 
 Environments are immutable snapshots; define returns a new one, so a
 scoped definition group is reverted by restoring the environment it
@@ -11,6 +10,7 @@ Environments compare with ==; one that holds a scope does not hash.
 from __future__ import annotations
 
 from . import ast
+from .ast import rename  # noqa: F401 - exported here, defined beside map_children
 
 
 class MacroEnv(ast.Node):
@@ -31,27 +31,3 @@ class MacroEnv(ast.Node):
 
     def names(self) -> list[str]:
         return [macro.name for macro, _ in self.defs]
-
-
-def rename(decl: ast.Declaration, old: str, new: str) -> ast.Declaration:
-    """decl with procedure name old replaced by new, in clause heads and
-    call sites within bodies. Variable names and macro names are
-    untouched. Renaming into a name bound by an enclosing ren operand is
-    not resolved (names are treated as plain occurrences).
-    """
-    if old == new:
-        return decl
-
-    def ren(node):
-        node = ast.map_children(node, ren)
-        if type(node) is ast.Clause and node.name == old:
-            return ast.Clause(new, node.params, node.body)
-        if type(node) is ast.Call and node.name == old:
-            return ast.Call(new, node.args)
-        if type(node) is ast.Rename and old in (node.old, node.new):
-            a = new if node.old == old else node.old
-            b = new if node.new == old else node.new
-            return ast.Rename(a, b, node.decl)
-        return node
-
-    return ren(decl)

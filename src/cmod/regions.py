@@ -38,7 +38,7 @@ class RegionStack:
         region = Region(self.allocated, elem_type, [ast.Int(0)] * length)
         self.allocated += 1
         self.regions.append(region)
-        return ast.Handle(region.id, 0)
+        return ast.Handle(region.id)
 
     def free(self, handle: ast.Handle) -> None:
         if not self.regions or self.regions[-1].id != handle.region_id:

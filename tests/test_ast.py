@@ -89,8 +89,8 @@ def test_equal_nodes_have_the_same_class_and_equal_fields():
     for a, b, equal in [
         (A.Int(1), A.Int(1), True), (A.Int(1), A.Int(2), False), (A.Int(1), A.Bool(True), False),
         (A.Atom("a"), A.Var("a"), False), (A.TrueStmt(), A.TrueStmt(), True),
-        (A.TrueStmt(), A.Print(A.Int(1)), False), (A.Handle(1, 2), A.Handle(1, 2), True),
-        (A.Handle(1, 2), A.Handle(1, 3), False), (A.Int(1), 1, False), (A.Int(1), (1,), False),
+        (A.TrueStmt(), A.Print(A.Int(1)), False), (A.Handle(1), A.Handle(1), True),
+        (A.Handle(1), A.Handle(2), False), (A.Int(1), 1, False), (A.Int(1), (1,), False),
     ]:
         assert (a == b, a != b, b == a, b != a) == (equal, not equal, equal, not equal), (a, b)
 
@@ -230,7 +230,7 @@ def _summary(table):
     steps, entries = table
     return (
         [(depth, rule_id) for depth, rule_id, *_ in steps],
-        [(name, before, depth) for name, items in entries.items() for _, _, _, before, depth, _ in items],
+        [(name, before, depth) for name, items in entries.items() for _, _, before, depth, _ in items],
     )
 
 
@@ -243,9 +243,10 @@ def test_the_table_lists_steps_in_search_order_at_relative_depths():
         [(0, 5), (1, 2), (2, 3), (3, 3), (3, 4), (2, 4), (3, 6)],
         [("q", 4, 4), ("r", 5, 4), ("s", 7, 4)],
     )
-    assert [node for _, _, node, *_ in steps[2:4]] == [decl.decl.decl, decl.decl.decl.left]
-    clause, renames, *_ = entries["q"][0]
-    assert clause == _clause("p", "x") and renames == (("p", "q"),)
+    # the nodes below the ren are listed renamed
+    renamed = A.And(A.And(_clause("q", "x"), _clause("r")), A.MacroRef("m"))
+    assert [node for _, _, node, *_ in steps[2:4]] == [renamed, renamed.left]
+    assert entries["q"][0][0] == _clause("q", "x")
 
 
 def test_the_table_keeps_same_name_clauses_in_search_order():
@@ -261,8 +262,8 @@ def test_a_quantifier_shared_by_two_heads_lists_both_positions():
     show = A.Print(A.Var("x"))
     decl = A.Forall("x", A.And(A.Clause("p", (A.Int(0), A.Var("x")), show), A.Clause("q", (A.Var("x"),), show)))
     _, entries = A.clause_table(decl, None)
-    (_, _, binders, *_), = entries["q"]
-    assert binders == (("x", [1, 0]),) and entries["p"][0][2] is binders
+    (_, binders, *_), = entries["q"]
+    assert binders == (("x", [1, 0]),) and entries["p"][0][1] is binders
     machine = Machine.initial()
     assert isinstance(execute(machine, A.Implication(decl, parse_source("q(5); p(0, 7)").main)), Success)
     assert machine.output_text() == "5\n7\n"
@@ -271,16 +272,16 @@ def test_a_quantifier_shared_by_two_heads_lists_both_positions():
 def test_an_inner_quantifier_hides_an_outer_one_of_its_name():
     decl = A.Forall("x", A.And(_clause("p", "x"), A.Forall("x", _clause("q", "y", "x"))))
     _, entries = A.clause_table(decl, None)
-    assert entries["p"][0][2] == (("x", [0]),)
-    assert entries["q"][0][2] == (("x", [1]),)
+    assert entries["p"][0][1] == (("x", [0]),)
+    assert entries["q"][0][1] == (("x", [1]),)
 
 
 def test_a_macro_reference_starts_a_new_quantifier_scope():
     env = MacroEnv.seeded([A.MacroDef("m", _clause("q", "x"))])
     decl = A.Forall("x", A.And(_clause("p", "x"), A.MacroRef("m")))
     _, entries = A.clause_table(decl, env)
-    assert entries["p"][0][2] == (("x", [0]),)
-    assert entries["q"][0][2] == ()
+    assert entries["p"][0][1] == (("x", [0]),)
+    assert entries["q"][0][1] == ()
 
 
 def test_a_macro_reference_leaves_the_pushing_activation_behind():
@@ -289,8 +290,8 @@ def test_a_macro_reference_leaves_the_pushing_activation_behind():
     env = MacroEnv.seeded([A.MacroDef("m", A.And(_clause("q"), _clause("s")))])
     scope = {"k": A.Int(1)}
     steps, entries = A.clause_table(A.And(_clause("p"), A.MacroRef("m")), env, scope)
-    assert entries["p"][0][5] is scope and entries["q"][0][5] is None and entries["s"][0][5] is None
-    assert [(rule_id, at) for _, rule_id, _, _, _, at in steps] == [(3, scope), (4, scope), (6, scope), (3, None), (4, None)]
+    assert entries["p"][0][4] is scope and entries["q"][0][4] is None and entries["s"][0][4] is None
+    assert [(rule_id, at) for _, rule_id, _, _, at in steps] == [(3, scope), (4, scope), (6, scope), (3, None), (4, None)]
 
 
 def test_cyclic_and_undefined_references_add_nothing():

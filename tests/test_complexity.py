@@ -1,8 +1,10 @@
 """Work that grows with the program's shape, not with its run, counted at
-n and 2n: clause tables built (cmod.ast.clause_table), clauses renamed
-(cmod.engine.rename) and frames pushed (the frames handed to
-cmod.engine._push). A count that grows with the depth of the recursion
-where it should not fails here on any machine, unlike a timing."""
+n and 2n: clause tables built (cmod.ast.clause_table), declarations
+renamed while a table is built (cmod.engine.rename, the only way the
+engine renames, traced or not), frames pushed (the frames handed to
+cmod.engine._push) and tables cached on the machine at the end. A count
+that grows with the depth of the recursion where it should not fails
+here on any machine, unlike a timing."""
 
 import pytest
 
@@ -17,16 +19,20 @@ N = 300
 FAMILIES = {
     # a 40-clause module closed over the formal, one clause called
     "local": "(Rec(n) = if (n == 0) true else (({clauses}) => (c39(); Rec(n - 1))) => (s = 0; Rec({n}); print(s)))",
-    # a renamed clause, called by its new name
-    "ren": "(Rec(n) = if (n == 0) true else ((ren(h, g) (h() = (s = s + 1))) => (g(); Rec(n - 1))) => (s = 0; Rec({n}); print(s)))",
+    # a renamed clause, called by its new name; its quantifier is a traced step below the ren
+    "ren": "(Rec(n) = if (n == 0) true else ((ren(h, g) (h(j) = (s = s + j))) => (g(1); Rec(n - 1))) => (s = 0; Rec({n}); print(s)))",
     # a macro scope at every level, its macro pushed and called into
     "mscope": "(Rec(n) = if (n == 0) true else (macro /m = {{ q() = (s = s + 1) }} in (/m => (q(); Rec(n - 1)))) => (s = 0; Rec({n}); print(s)))",
+    # a new macro scope at every level, and a call through a ren of a macro
+    # whose clause pushes a declaration: its table is rebuilt at every level
+    "refer": "macro /m = {{ h(j) = ((h(k) = true) => h(j)) }}\n"
+    "(Rec(n) = if (n == 0) true else (macro /z = {{ z() = true }} in ((ren(h, g) /m) => (g(1); s = s + 1; Rec(n - 1)))) => (s = 0; Rec({n}); print(s)))",
 }
 CLAUSES = " and ".join(f"c{i}() = (s = s + {1 if i == 39 else 'n'})" for i in range(40))
 
 
-def counts(monkeypatch, family: str, n: int) -> dict[str, int]:
-    """The three counts of one run of family at size n."""
+def counts(monkeypatch, family: str, n: int, trace=None) -> dict[str, int]:
+    """The four counts of one run of family at size n."""
     counted = {"tables": 0, "renames": 0, "frames": 0}
 
     def count(owner, attr, key, amount=lambda *args: 1):
@@ -41,9 +47,10 @@ def counts(monkeypatch, family: str, n: int) -> dict[str, int]:
     count(cmod.ast, "clause_table", "tables")
     count(cmod.engine, "rename", "renames")
     count(cmod.engine, "_push", "frames", lambda machine, frames: len(frames))
-    outcome, machine = run_source(FAMILIES[family].format(clauses=CLAUSES, n=n))
+    outcome, machine = run_source(FAMILIES[family].format(clauses=CLAUSES, n=n), trace=trace)
     monkeypatch.undo()
     assert isinstance(outcome, Success) and machine.output_text() == f"{n}\n"
+    counted["cached"] = len(machine.tables)
     return counted
 
 
@@ -51,7 +58,19 @@ def counts(monkeypatch, family: str, n: int) -> dict[str, int]:
 def test_a_declaration_pushed_at_every_level_is_tabled_and_renamed_once(monkeypatch, family):
     small, large = counts(monkeypatch, family, N), counts(monkeypatch, family, 2 * N)
     assert (large["tables"], large["renames"]) == (small["tables"], small["renames"])
+    assert small["renames"] == (family == "ren")  # the counter sees the one renaming there is
     assert large["frames"] <= 2.2 * small["frames"]
+
+
+def test_a_traced_run_renames_once_as_an_untraced_one_does(monkeypatch):
+    small, large = (counts(monkeypatch, "ren", n, trace=lambda event: None) for n in (N, 2 * N))
+    assert small["renames"] == large["renames"] == 1
+
+
+def test_a_table_rebuilt_at_every_level_caches_tables_bounded_by_the_program(monkeypatch):
+    small, large = counts(monkeypatch, "refer", N), counts(monkeypatch, "refer", 2 * N)
+    assert large["cached"] == small["cached"]
+    assert large["renames"] == small["renames"]
 
 
 def test_a_macro_scope_at_every_level_costs_the_same_at_every_level(monkeypatch):

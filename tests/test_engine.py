@@ -524,8 +524,8 @@ def record_tables(monkeypatch):
             read.append((self, name))
             return super().get(name, default)
 
-    def recording(decl, env, scope=None):
-        steps, entries = clause_table(decl, env, scope)
+    def recording(decl, env, scope=None, rename=A.rename):
+        steps, entries = clause_table(decl, env, scope, rename)
         built.append((decl, Entries(entries)))
         return steps, built[-1][1]
 

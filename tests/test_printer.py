@@ -212,7 +212,7 @@ def _names_in(node, found):
 
 def test_rendering_in_an_environment_renders_the_substituted_tree():
     rng = random.Random(3)
-    values = [None, A.Int(-4), A.Int(12), A.Bool(False), A.Atom("tom"), A.Str('a"\\\n\tb'), A.Handle(2, 0)]
+    values = [None, A.Int(-4), A.Int(12), A.Bool(False), A.Atom("tom"), A.Str('a"\\\n\tb'), A.Handle(2)]
     nodes = []
     for line in ENV_CASES.strip().splitlines():
         _nodes(parse_source(line).main, nodes)

@@ -113,7 +113,7 @@ def test_escaped_handle_faults_after_scope_exit():
     outcome, machine = run_source("(p = new int[4] => q = p); x = q[0]")
     assert isinstance(outcome, Failure)
     assert outcome.reason == REGION_FAULT and "dangling" in outcome.detail
-    assert machine.store["q"] == A.Handle(0, 0)  # the dead handle value survives
+    assert machine.store["q"] == A.Handle(0)  # the dead handle value survives
 
 
 def test_handle_binding_removed_at_scope_exit():
@@ -196,7 +196,7 @@ def test_unknown_region_id_is_a_region_fault():
     stack.allocate("int", 1)
     for region_id in (1, 7, -1):
         with pytest.raises(EngineFailure) as info:
-            stack.checked(A.Handle(region_id, 0))
+            stack.checked(A.Handle(region_id))
         assert info.value.reason == REGION_FAULT
         assert info.value.detail == f"unknown region {region_id}"
 
@@ -320,7 +320,7 @@ def test_a_handle_is_live_dangling_or_unknown_by_its_serial():
     for serial, detail in [(1, "dangling handle to region 1"), (3, "dangling handle to region 3"),
                            (-1, "unknown region -1"), (5, "unknown region 5")]:
         with pytest.raises(EngineFailure) as info:
-            stack.checked(A.Handle(serial, 0))
+            stack.checked(A.Handle(serial))
         assert (info.value.reason, info.value.detail) == (REGION_FAULT, detail)
 
 
@@ -332,8 +332,8 @@ def test_handle_lookup_against_a_set_of_live_serials(steps, serial):
         if allocate:
             live.append(stack.allocate("int", 1).region_id)
         elif live:
-            stack.free(A.Handle(live.pop(), 0))
-    handle = A.Handle(serial, 0)
+            stack.free(A.Handle(live.pop()))
+    handle = A.Handle(serial)
     if serial in live:
         assert stack.checked(handle).id == serial
     else:
