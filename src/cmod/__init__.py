@@ -1,21 +1,8 @@
 """cmod: an interpreter for a small C-like language with statement-local
 modules, a constructive macro language, and region-scoped allocation."""
 
-from .engine import (
-    Success,
-    call_with_deep_stack,
-    eval_expr,
-    execute,
-    machine_for,
-    run_source,
-    substitute,
-)
-from .errors import (
-    CmodError,
-    EngineFailure,
-    LexError,
-    ParseError,
-)
+from .engine import Success, eval_expr, execute, machine_for, run_source, substitute
+from .errors import CmodError, EngineFailure, LexError, ParseError
 from .ast import desugar, free_procedure_names, rename
 from .lexer import Token, tokenize
 from .machine import Machine
@@ -37,7 +24,6 @@ __all__ = [
     "SourceProgram",
     "Success",
     "Token",
-    "call_with_deep_stack",
     "desugar",
     "eval_expr",
     "execute",

@@ -18,6 +18,7 @@ than ``isinstance``, which takes a slow path for a class with a metaclass.
 from __future__ import annotations
 
 from operator import attrgetter, is_
+from types import GeneratorType
 
 
 class _NodeClass(type):
@@ -292,13 +293,29 @@ CHILD_FIELDS: dict[type, tuple[tuple[int, int], ...]] = {
 }
 
 
-def map_children(node, fn):
-    """node with fn applied to each of its child nodes.
+def drive(walk):
+    """The value the generator walk returns, run from an explicit stack: a
+    generator it yields runs first and its value is sent back in; anything
+    else it yields is sent straight back. So recursion written as yields
+    nests as deep as memory allows."""
+    stack, value = [walk], None
+    while stack:
+        try:
+            value = stack[-1].send(value)
+            if type(value) is GeneratorType:
+                stack.append(value)
+                value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
 
-    The node is rebuilt, positionally, only when fn changed some child
-    (returned another object); otherwise node itself is returned, so
-    unchanged subtrees are shared between the old tree and the new one.
-    """
+
+def mapped(node, fn):
+    """node with each child replaced by what yielding fn(child) gives back, so
+    under drive fn may return a generator. node is rebuilt, positionally, only
+    when some child came back another object; otherwise node itself is
+    returned, so unchanged subtrees are shared by the old tree and the new."""
     children = CHILD_FIELDS.get(type(node))
     if children is None:
         return node
@@ -307,19 +324,20 @@ def map_children(node, fn):
     changed = False
     for i, kind in children:
         old = values[i]
-        if kind == NODE:
-            new = fn(old)
-            if new is old:
-                continue
-        else:
-            items = old if kind == NODES else [body for _, body in old]
-            mapped = list(map(fn, items))
-            if all(map(is_, mapped, items)):
-                continue
-            new = tuple(mapped) if kind == NODES else tuple(zip([label for label, _ in old], mapped))
-        values[i] = new
+        items = (old,) if kind == NODE else old if kind == NODES else [body for _, body in old]
+        news = []
+        for item in items:
+            news.append((yield fn(item)))
+        if all(map(is_, news, items)):
+            continue
+        values[i] = news[0] if kind == NODE else tuple(news) if kind == NODES else tuple(zip([label for label, _ in old], news))
         changed = True
     return type(node)(*values) if changed else node
+
+
+def map_children(node, fn):
+    """node with fn applied to each of its child nodes, as ``mapped`` gives it."""
+    return drive(mapped(node, fn))
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +354,16 @@ def desugar(stmt: Statement) -> Statement:
     declarations), so any node may be passed. Idempotent. The engine
     runs a Switch itself and never needs this.
     """
-    if type(stmt) is Switch:
-        result = desugar(stmt.default)
-        for label, body in reversed(stmt.cases):
-            test = BinOp("==", stmt.scrutinee, label)
-            result = If(test, desugar(body), result)
-        return result
-    return map_children(stmt, desugar)
+
+    def walk(node):
+        if type(node) is Switch:
+            result = yield walk(node.default)
+            for label, body in reversed(node.cases):
+                result = If(BinOp("==", node.scrutinee, label), (yield walk(body)), result)
+            return result
+        return (yield from mapped(node, walk))
+
+    return drive(walk(stmt))
 
 
 def rename(decl: Declaration, old: str, new: str) -> Declaration:
@@ -355,7 +376,7 @@ def rename(decl: Declaration, old: str, new: str) -> Declaration:
         return decl
 
     def ren(node):
-        node = map_children(node, ren)
+        node = yield from mapped(node, ren)
         if type(node) is Clause and node.name == old:
             return Clause(new, node.params, node.body)
         if type(node) is Call and node.name == old:
@@ -366,7 +387,7 @@ def rename(decl: Declaration, old: str, new: str) -> Declaration:
             return Rename(a, b, node.decl)
         return node
 
-    return ren(decl)
+    return drive(ren(decl))
 
 
 # ---------------------------------------------------------------------------

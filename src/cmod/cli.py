@@ -1,12 +1,12 @@
 """Command-line front end: run programs, the interactive REPL, and the
 formatter.
 
-Exit codes: 0 success, 1 no matching clause, 2 lex/parse error, a
-program nested too deeply to process, or a file that cannot be read or
-decoded, 3 other runtime faults (unbound variable, region fault, depth
-exceeded, type mismatch, division by zero) and internal errors, 130 an
-interrupt (Ctrl-C). Program output goes to stdout; diagnostics and the
-derivation trace go to stderr.
+Exit codes: 0 success, 1 no matching clause, 2 lex/parse error or a
+file that cannot be read or decoded, 3 other runtime faults (unbound
+variable, region fault, depth exceeded, type mismatch, division by zero)
+and internal errors, 130 an interrupt (Ctrl-C). Program output goes to
+stdout; diagnostics and the derivation trace go to stderr. Everything
+runs on the calling thread: no input needs a deep Python stack.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import sys
 
 from . import ast
-from .engine import call_with_deep_stack, execute, run_source
-from .errors import NO_MATCHING_CLAUSE, TOO_DEEP, CmodError, EngineFailure, LexError, ParseError
+from .engine import execute, run_source
+from .errors import NO_MATCHING_CLAUSE, CmodError, EngineFailure, LexError, ParseError
 from .machine import DEFAULT_MAX_DEPTH, Machine
 from .parser import parse_repl_input, parse_source
 from .printer import pretty_print
@@ -111,17 +111,12 @@ def _dump_state(machine: Machine) -> None:
 
 def _cmd_run(source: str, options: dict) -> int:
     trace = _stderr_trace if options["--trace"] else None
-    outcome, machine = call_with_deep_stack(run_source, source, options["--max-depth"], trace, sys.stdout.write)
+    outcome, machine = run_source(source, options["--max-depth"], trace, sys.stdout.write)
     if options["--dump-state"]:
         _dump_state(machine)
     if isinstance(outcome, EngineFailure):
         print(f"cmod: {_diagnostic(outcome)}", file=sys.stderr)
         return EXIT_NO_CLAUSE if outcome.reason == NO_MATCHING_CLAUSE else EXIT_RUNTIME
-    return EXIT_OK
-
-
-def _cmd_fmt(source: str) -> int:
-    print(call_with_deep_stack(lambda: pretty_print(parse_source(source))))
     return EXIT_OK
 
 
@@ -161,7 +156,7 @@ def _cmd_repl(options: dict) -> int:
             continue
 
         try:
-            call_with_deep_stack(_repl_entry, machine, buffer)
+            _repl_entry(machine, buffer)
         except ParseError as exc:
             if exc.at_eof and line.strip():
                 continue  # statement not finished; keep reading
@@ -201,12 +196,10 @@ def main(argv=None) -> int:
             return EXIT_SYNTAX
         if command == "run":
             return _cmd_run(source, options)
-        return _cmd_fmt(source)
+        print(pretty_print(parse_source(source)))
+        return EXIT_OK
     except (LexError, ParseError) as exc:
         print(f"cmod: syntax error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except RecursionError:  # only formatting still runs out of Python stack here
-        print(f"cmod: syntax error: {TOO_DEEP}", file=sys.stderr)
         return EXIT_SYNTAX
     except KeyboardInterrupt:
         print("cmod: interrupted", file=sys.stderr)

@@ -31,10 +31,11 @@ follows the macro environment: it is rebuilt when first read under another
 one, with the same renamed nodes, and its frames are indexed under it, so
 no change of environment touches an index.
 
-Statements run from one work stack, so a call costs no Python stack.
-Implication, macro and allocation scopes and calls push an exit below
-their body that pops what they pushed and puts back what they replaced:
-the macro environment or the store value the handle hid. A failure is an
+Statements run from one work stack and expressions from one loop, so
+neither a call nor any nesting costs Python stack. Implication, macro
+and allocation scopes and calls push an exit below their body that pops
+what they pushed and puts back what they replaced: the macro
+environment or the store value the handle hid. A failure is an
 EngineFailure raised with its reason and detail only; execute attaches
 the call chain, runs the exits left and returns the failure as the outcome.
 """
@@ -42,8 +43,6 @@ the call chain, runs the exits left and returns the failure as the outcome.
 from __future__ import annotations
 
 import operator
-import sys
-import threading
 from types import MappingProxyType
 
 from . import ast
@@ -107,9 +106,9 @@ def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
 
     The work stack holds (statement, trace depth, environment) items and
     the exits scopes and calls push below their bodies; whatever ends the
-    run, the exits left run here, innermost first. Running out of Python
-    stack, on a deeply nested expression or declaration, is a
-    depth-exceeded failure too.
+    run, the exits left run here, innermost first. Then, with no frame
+    left, the machine drops its clause tables and renamings, so a
+    session's caches stay bounded by one run.
     """
     work = [(stmt, 0, _NO_BINDINGS)]
     try:
@@ -128,15 +127,13 @@ def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
     except EngineFailure as failure:
         failure.call_chain = tuple(machine.call_stack)
         return failure.with_traceback(None)  # an outcome holds no frames
-    except RecursionError:
-        return EngineFailure(
-            DEPTH_EXCEEDED,
-            f"the Python stack ran out before the call-depth limit of {machine.max_depth}",
-        )
     finally:
         for function, argument, env in reversed(work):
             if env is _EXIT:
                 function(machine, argument)
+        if not machine.module_stack:  # no frame reads a table or a renaming any more
+            machine.tables.clear()
+            machine.renamed.clear()
     return Success(machine)
 
 
@@ -440,10 +437,10 @@ def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declara
             return node
         if type(node) is ast.AllocScope and node.handle == var:
             # the handle hides var in the body, not in the length
-            return ast.map_children(node, lambda child: subst(child) if child is node.length else child)
-        return ast.map_children(node, subst)
+            return (yield from ast.mapped(node, lambda child: subst(child) if child is node.length else child))
+        return (yield from ast.mapped(node, subst))
 
-    return subst(decl)
+    return ast.drive(subst(decl))
 
 
 # ---------------------------------------------------------------------------
@@ -453,65 +450,87 @@ def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declara
 
 def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.Value:
     """The value of expr; a variable is looked up in env (the activation
-    environment), then in the store. A value is its own literal."""
-    if type(expr) in ast.Value:
-        return expr
-
-    if type(expr) is ast.Var:
-        value = env.get(expr.name)
-        if value is not None:
-            return value
-        if expr.name in machine.store:
-            return machine.store[expr.name]
-        # An unbound all-lowercase identifier is a self-evaluating atom.
-        if expr.name == expr.name.lower():
-            return ast.Atom(expr.name)
-        raise EngineFailure(
-            UNBOUND_VARIABLE, f"variable '{expr.name}' is not bound"
-        )
-
-    if type(expr) is ast.UnaryOp:
-        name, operand_class, apply = _UNARY_OPERATORS[expr.op]
-        operand = eval_expr(machine, expr.operand, env)
-        if type(operand) is not operand_class:
-            raise _type_error(name, operand)
-        return operand_class(apply(operand.value))
-
-    if type(expr) is ast.BinOp:
-        op = expr.op
-        if op in ("&&", "||"):  # operands left to right, until one decides
-            for operand in (expr.left, expr.right):
-                value = eval_expr(machine, operand, env)
+    environment), then in the store. A value is its own literal. One loop
+    evaluates operands left to right; pending holds each operator waiting
+    for an operand, as (node, first operand's value) once it has that one."""
+    store, pending = machine.store, []
+    while True:
+        kind = type(expr)  # evaluate expr, or go down to its first operand
+        if kind is ast.Var:  # a value is never false
+            value = env.get(expr.name) or store.get(expr.name) or _atom(expr.name)
+        elif kind is ast.BinOp:
+            pending.append(expr)
+            expr = expr.left
+            continue
+        elif kind in ast.Value:
+            value = expr
+        elif kind is ast.Index or kind is ast.UnaryOp:
+            pending.append(expr)
+            expr = expr.base if kind is ast.Index else expr.operand
+            continue
+        else:
+            raise TypeError(f"not an expression: {expr!r}")
+        while pending:  # apply what waited for value
+            node = pending.pop()
+            if type(node) is tuple:  # value is the second operand
+                node, first = node
+            elif type(node) is ast.UnaryOp:
+                name, operand_class, apply = _UNARY_OPERATORS[node.op]
+                if type(value) is not operand_class:
+                    raise _type_error(name, value)
+                value = operand_class(apply(value.value))
+                continue
+            else:  # value is the first operand
+                if type(node) is ast.BinOp:
+                    expr = node.right
+                    if node.op in _DECIDING:  # operands left to right, until one decides
+                        if type(value) is not ast.Bool:
+                            raise _type_error(node.op, value)
+                        if value.value is _DECIDING[node.op]:
+                            continue
+                elif type(value) is not ast.Handle:
+                    raise _type_error("indexing", value)
+                else:
+                    expr = node.index
+                first = value
+                if type(expr) is ast.Var:
+                    value = env.get(expr.name) or store.get(expr.name) or _atom(expr.name)
+                elif type(expr) in ast.Value:
+                    value = expr
+                else:
+                    pending.append((node, first))
+                    break
+            if type(node) is ast.Index:
+                if type(value) is not ast.Int:
+                    raise _type_error("region index", value)
+                value = region_read(machine, first, value.value)
+                continue
+            op = node.op
+            if op in _DECIDING:
                 if type(value) is not ast.Bool:
                     raise _type_error(op, value)
-                if value.value == (op == "||"):
-                    break
+            elif op == "==" or op == "!=":
+                equal = type(first) is type(value) and first == value
+                value = ast.Bool(equal if op == "==" else not equal)
+            elif type(first) is not ast.Int or type(value) is not ast.Int:
+                raise _type_error(op, first if type(first) is not ast.Int else value)
+            elif op == "/" and value.value == 0:
+                raise EngineFailure(DIVISION_BY_ZERO, f"{ast.render_value(first)} / 0")
+            else:
+                apply = _INTEGER_OPERATORS.get(op)
+                if apply is None:
+                    raise TypeError(f"unknown operator {op!r}")
+                result = apply(first.value, value.value)
+                value = ast.Bool(result) if type(result) is bool else ast.Int(result)
+        else:
             return value
-        left = eval_expr(machine, expr.left, env)
-        right = eval_expr(machine, expr.right, env)
-        if op in ("==", "!="):
-            equal = type(left) is type(right) and left == right
-            return ast.Bool(equal if op == "==" else not equal)
-        if type(left) is not ast.Int or type(right) is not ast.Int:
-            raise _type_error(op, left if type(left) is not ast.Int else right)
-        apply = _INTEGER_OPERATORS.get(op)
-        if apply is None:
-            raise TypeError(f"unknown operator {op!r}")
-        if op == "/" and right.value == 0:
-            raise EngineFailure(DIVISION_BY_ZERO, f"{ast.render_value(left)} / 0")
-        result = apply(left.value, right.value)
-        return ast.Bool(result) if isinstance(result, bool) else ast.Int(result)
 
-    if type(expr) is ast.Index:
-        base = eval_expr(machine, expr.base, env)
-        if type(base) is not ast.Handle:
-            raise _type_error("indexing", base)
-        index = eval_expr(machine, expr.index, env)
-        if type(index) is not ast.Int:
-            raise _type_error("region index", index)
-        return region_read(machine, base, index.value)
 
-    raise TypeError(f"not an expression: {expr!r}")
+def _atom(name: str) -> ast.Atom:
+    """An unbound all-lowercase identifier: a self-evaluating atom."""
+    if name != name.lower():
+        raise EngineFailure(UNBOUND_VARIABLE, f"variable '{name}' is not bound")
+    return ast.Atom(name)
 
 
 def _truncating_quotient(a: int, b: int) -> int:
@@ -525,6 +544,8 @@ _INTEGER_OPERATORS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _truncating_quotient,
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
+# && and ||, each with the value of its first operand that decides it.
+_DECIDING = {"&&": False, "||": True}
 # Each unary operator's name in diagnostics, operand class and function.
 _UNARY_OPERATORS = {"!": ("!", ast.Bool, operator.not_), "-": ("unary -", ast.Int, operator.neg)}
 
@@ -554,59 +575,6 @@ def run_source(source: str, max_depth: int = DEFAULT_MAX_DEPTH, trace=None, writ
     return execute(machine, program.main), machine
 
 
-# sys.setrecursionlimit and threading.stack_size are process-wide: the
-# first of concurrent callers raises both and the last restores them.
-_deep_stack_lock = threading.Lock()
-_deep_stack_callers = 0
-_saved_limits = (0, 0)
-
-
 def call_with_deep_stack(fn, *args, **kwargs):
-    """Run fn in a worker thread with a large stack; thread-safe.
-
-    Parsing and formatting recurse on the nesting of the source, and
-    evaluation on the nesting of an expression; the worker lets deeply
-    nested source outrun the main thread's stack. An interrupt of the
-    wait (Ctrl-C) is raised in the worker as well and handed on once the
-    worker has stopped, so no run goes on behind it; the limits come back
-    when the last caller's worker has stopped.
-    """
-    global _deep_stack_callers, _saved_limits
-    result: dict = {}
-    stopped = threading.Event()
-
-    def worker():
-        try:
-            result["value"] = fn(*args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - re-raised in caller
-            result["error"] = exc
-        finally:
-            stopped.set()
-
-    with _deep_stack_lock:
-        if not _deep_stack_callers:
-            _saved_limits = sys.getrecursionlimit(), threading.stack_size(512 * 1024 * 1024)
-            sys.setrecursionlimit(1_000_000)
-        _deep_stack_callers += 1
-    try:
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
-        try:
-            thread.join()
-        except KeyboardInterrupt:
-            import ctypes  # only here: importing it would slow every start-up
-
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(ctypes.c_ulong(thread.ident), ctypes.py_object(KeyboardInterrupt))
-            stopped.wait()  # on CPython 3.11 an interrupted join can take a running thread for stopped
-            thread.join()
-            raise
-    finally:
-        with _deep_stack_lock:
-            _deep_stack_callers -= 1
-            if not _deep_stack_callers:
-                sys.setrecursionlimit(_saved_limits[0])
-                threading.stack_size(_saved_limits[1])
-
-    if "error" in result:
-        raise result["error"]
-    return result["value"]
+    """fn(*args, **kwargs), for callers written when nested source needed a deep stack."""
+    return fn(*args, **kwargs)

@@ -13,7 +13,6 @@ DEPTH_EXCEEDED = "depth-exceeded"
 REGION_FAULT = "region-fault"
 TYPE_MISMATCH = "type-mismatch"
 DIVISION_BY_ZERO = "division-by-zero"
-TOO_DEEP = "the program is nested too deeply to process"
 
 
 class CmodError(Exception):
@@ -47,8 +46,7 @@ class EngineFailure(CmodError):
 
     ``reason`` is one of the module-level reason constants; ``call_chain``
     is the chain of call sites active where it was raised, outermost
-    first, and empty for a failure outside every call or one that ran
-    out of Python stack.
+    first, and empty for a failure outside every call.
     """
 
     def __init__(self, reason: str, detail: str, call_chain=()):

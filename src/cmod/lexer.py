@@ -6,7 +6,7 @@ runs to end of line), then one alternative per token class. A column
 counts characters from the last newline, so a tab or a carriage return
 is one column. An identifier starts with a letter of any script or
 ``_``, an integer is ASCII digits, and a string literal ends on its own
-line with ``ESCAPES`` as its escapes. A ``Lexer`` builds each token when
+line with ``ESCAPES`` as its escapes. ``lex`` builds each token when
 its iteration asks for it and keeps none; ``tokenize`` lists them all.
 """
 
@@ -71,48 +71,39 @@ class Token(Node):
         return repr(self.lexeme)
 
 
-class Lexer:
-    """The tokens of source, ending with an eof marker, built as iterated.
-    Every iteration starts where the last token built ended: a RecursionError
-    ends a generator for good, and a new iteration goes on in its place."""
-
-    def __init__(self, source: str):
-        self.source, self.pos, self.line, self.line_start = source, 0, 1, 0
-        # the longest literal int() converts; 0 when there is no such limit
-        self.max_digits = getattr(sys, "get_int_max_str_digits", int)()
-
-    def __iter__(self) -> Iterator[Token]:
-        source, pos, line, line_start, max_digits = self.source, self.pos, self.line, self.line_start, self.max_digits
-        while pos <= len(source):
-            match = _TOKEN.match(source, pos)
-            kind, pos = match.lastgroup, match.end()
-            lexeme = match[kind] if kind else ""
-            column = pos - len(lexeme) - line_start + 1
-            if kind == "newline":
-                line, line_start = line + 1, pos
-                continue
-            if kind is None:
-                if pos < len(source):
-                    raise LexError(line, column, source[pos])
-                kind, pos = "eof", pos + 1  # past the end: the iteration stops
-            elif kind == "int" and max_digits and len(lexeme) > max_digits:
-                raise LexError(line, column, lexeme[0], f"integer literal longer than {max_digits} digits")
-            elif kind == "word":
-                if not (lexeme[0].isalpha() or lexeme[0] == "_"):  # \w also takes digits such as ² or ½
-                    raise LexError(line, column, lexeme[0])
-                kind = "keyword" if lexeme in KEYWORDS else "ident"
-            elif kind == "string":
-                lexeme = _ESCAPE.sub(lambda esc: _unescape(esc, line, column + 1), match["body"])
-                if not match["close"]:
-                    raise LexError(line, column, '"', "unterminated string literal")
-            token = Token(kind, lexeme, line, column)
-            self.pos, self.line, self.line_start = pos, line, line_start
-            yield token
+def lex(source: str) -> Iterator[Token]:
+    """The tokens of source, ending with an eof marker, each built when the
+    iteration asks for it."""
+    max_digits = getattr(sys, "get_int_max_str_digits", int)()  # the longest literal int() converts; 0: no limit
+    pos, line, line_start = 0, 1, 0
+    while pos <= len(source):
+        match = _TOKEN.match(source, pos)
+        kind, pos = match.lastgroup, match.end()
+        lexeme = match[kind] if kind else ""
+        column = pos - len(lexeme) - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, pos
+            continue
+        if kind is None:
+            if pos < len(source):
+                raise LexError(line, column, source[pos])
+            kind, pos = "eof", pos + 1  # past the end: the iteration stops
+        elif kind == "int" and max_digits and len(lexeme) > max_digits:
+            raise LexError(line, column, lexeme[0], f"integer literal longer than {max_digits} digits")
+        elif kind == "word":
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):  # \w also takes digits such as ² or ½
+                raise LexError(line, column, lexeme[0])
+            kind = "keyword" if lexeme in KEYWORDS else "ident"
+        elif kind == "string":
+            lexeme = _ESCAPE.sub(lambda esc: _unescape(esc, line, column + 1), match["body"])
+            if not match["close"]:
+                raise LexError(line, column, '"', "unterminated string literal")
+        yield Token(kind, lexeme, line, column)
 
 
 def tokenize(source: str) -> list[Token]:
     """The full token list for source, ending with an eof marker."""
-    return list(Lexer(source))
+    return list(lex(source))
 
 
 def _unescape(escape: re.Match, line: int, body_column: int) -> str:

@@ -1,4 +1,4 @@
-"""Recursive-descent parser producing cmod syntax trees.
+"""Parser producing cmod syntax trees, recursive descent without Python recursion.
 
 Concrete syntax notes:
 
@@ -23,8 +23,10 @@ Concrete syntax notes:
   reads too: left-associative, except that a comparison takes no
   comparison operand (``a == b == c`` is a syntax error).
 * Tokens come one at a time from any iterable and are dropped once read.
-* Input nested deeper than the Python stack reaches is a ParseError at
-  the token where the stack ran out. A LexError anywhere wins over it.
+  A LexError anywhere wins over a ParseError.
+* Nothing recurses in Python on the input's nesting: statements and
+  declarations are generators run by ``ast.drive``, and an expression
+  is read by one operator-precedence loop, so any nesting parses.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections.abc import Iterable
 
 from . import ast
 from .errors import ParseError
-from .lexer import Lexer, Token
+from .lexer import Token, lex
 
 _STATEMENT_START_KEYWORDS = {"true", "if", "switch", "print", "macro", "forall", "ren"}
 # Binary operator precedence, loosest first; the printer reads it too.
@@ -45,6 +47,9 @@ PRECEDENCE = {
     "*": 5, "/": 5,
 }
 _TIGHTEST = max(PRECEDENCE.values())
+_COMPARISON = PRECEDENCE["=="]
+_LITERALS = {"ident": ast.Var, "int": lambda lexeme: ast.Int(int(lexeme)), "string": ast.Str}  # by token kind
+_CLOSING = {"(": ")", "[": "]"}
 
 
 class SourceProgram(ast.Node):
@@ -61,38 +66,38 @@ class SourceProgram(ast.Node):
 
 
 def parse_source(source: str) -> SourceProgram:
-    return parse_program(Lexer(source))
+    return parse_program(lex(source))
 
 
 def parse_program(tokens: Iterable[Token]) -> SourceProgram:
-    return _Parser(tokens).run(_Parser.parse_program)
+    return _Parser(tokens).run(need_main=True)
 
 
 def parse_repl_input(source: str) -> tuple[list[ast.MacroDef], ast.Statement | None]:
     """Parse one REPL entry: any number of module/macro definitions,
     optionally followed by a statement."""
-    return _Parser(Lexer(source)).run(_Parser.parse_repl_input)
+    program = _Parser(lex(source)).run(need_main=False)
+    return program.seeds(), program.main
 
 
 class _Parser:
+    """A method that parses what nests is a generator that yields the parse of
+    each part (ast.drive runs it), or returns a node or such a generator."""
+
     def __init__(self, tokens: Iterable[Token]):
-        self._token_source, self._tokens = tokens, iter(tokens)
+        self._tokens = iter(tokens)
         self.tok = next(self._tokens)  # the current token
         self.ahead = next(self._tokens, self.tok)  # the one after it; eof repeats
         self._handles: list[str] = []
 
-    def run(self, parse):
-        """parse(self); input nested deeper than the Python stack reaches
-        is a ParseError at the token where the stack ran out. A ParseError
-        first iterates the token source anew to its end (the stack running
-        out may have ended the last iteration), so a LexError anywhere wins."""
+    def run(self, need_main: bool) -> SourceProgram:
+        """The program the tokens hold; a ParseError first reads the rest of
+        them, so a LexError anywhere wins over it."""
         try:
-            return parse(self)
-        except RecursionError:
-            error = ParseError(self.tok.line, self.tok.column, "less deeply nested input", str(self.tok))
+            return ast.drive(self._parse_program(need_main))
         except ParseError as exc:
             error = exc
-        for _ in self._token_source:
+        for _ in self._tokens:
             pass
         raise error
 
@@ -104,7 +109,7 @@ class _Parser:
     def _advance(self) -> Token:
         tok = self.tok
         if tok.kind != "eof":
-            self.ahead, self.tok = next(self._tokens, self.ahead), self.ahead  # if the stack runs out, tok stays
+            self.ahead, self.tok = next(self._tokens, self.ahead), self.ahead
         return tok
 
     def _check(self, lexeme: str, offset: int = 0) -> bool:
@@ -133,59 +138,50 @@ class _Parser:
 
     # -- program structure --------------------------------------------
 
-    def parse_program(self) -> SourceProgram:
-        module_defs, macro_defs, main = self._parse_items(need_main=True)
-        assert main is not None
-        if self._peek().kind != "eof":
-            raise self._error("end of input after the main statement")
-        return SourceProgram(tuple(module_defs.items()), tuple(macro_defs), main)
-
-    def parse_repl_input(self) -> tuple[list[ast.MacroDef], ast.Statement | None]:
-        module_defs, macro_defs, main = self._parse_items(need_main=False)
-        if self._peek().kind != "eof":
-            raise self._error("end of input")
-        return SourceProgram(tuple(module_defs.items()), tuple(macro_defs), main).seeds(), main
-
-    def _parse_items(self, need_main: bool):
+    def _parse_program(self, need_main: bool):
+        """Module and macro definitions, then the main statement, which only
+        the REPL (need_main false) may leave out; then the end of input."""
         module_defs: dict[str, ast.Declaration] = {}  # in source order
         macro_defs: list[ast.MacroDef] = []
         main: ast.Statement | None = None
         while True:
             if self._check("module"):
-                name_tok, decl = self._parse_module_def()
+                name_tok, decl = yield self._parse_module_def()
                 if name_tok.lexeme in module_defs:
                     raise self._error(f"a module name other than '{name_tok.lexeme}' (already defined)", name_tok)
                 module_defs[name_tok.lexeme] = decl
                 continue
             if self._check("macro"):
                 self._advance()
-                defs = self._parse_macro_defs()
+                defs = yield self._parse_macro_defs()
                 if self._accept("in"):
-                    main = ast.MacroScope(defs, self.parse_statement())
+                    main = ast.MacroScope(defs, (yield self.parse_statement()))
                     break
                 macro_defs.extend(defs)
                 continue
             break
         if main is None and (need_main or self._peek().kind != "eof"):
-            main = self.parse_statement()
-        return module_defs, macro_defs, main
+            main = yield self.parse_statement()
+        if self._peek().kind != "eof":
+            raise self._error("end of input after the main statement" if need_main else "end of input")
+        return SourceProgram(tuple(module_defs.items()), tuple(macro_defs), main)
 
-    def _parse_module_def(self) -> tuple[Token, ast.Declaration]:
+    def _parse_module_def(self):
         self._expect("module")
         name_tok = self._expect_ident("module name")
         self._expect(".")
-        decl = self.parse_declaration()
+        decl = yield self.parse_declaration()
         self._expect("end")
         return name_tok, decl
 
-    def _parse_macro_defs(self) -> tuple[ast.MacroDef, ...]:
+    def _parse_macro_defs(self):
         defs = []
         while True:
             self._expect("/")
             name = self._expect_ident("macro name").lexeme
             self._expect("=")
             self._expect("{")
-            body = self.parse_declaration()
+            body = yield self.parse_declaration()
             self._expect("}")
             defs.append(ast.MacroDef(name, body))
             # an "and" before the end of input is a group not finished yet
@@ -197,13 +193,16 @@ class _Parser:
 
     # -- statements ----------------------------------------------------
 
-    def parse_statement(self) -> ast.Statement:
-        return self._parse_seq(self._parse_arrow())
-
-    def _parse_seq(self, first: ast.Statement) -> ast.Statement:
-        if self._accept(";") and self._starts_statement():
-            return ast.Seq(first, self.parse_statement())
-        return first
+    def parse_statement(self, first: ast.Statement | None = None):
+        """Arrows joined by ';', nested to the right, first the one already
+        read if given. A chain is length, not nesting: a loop reads it."""
+        stmts = [(yield self._parse_arrow()) if first is None else first]
+        while self._accept(";") and self._starts_statement():
+            stmts.append((yield self._parse_arrow()))
+        stmt = stmts.pop()
+        while stmts:
+            stmt = ast.Seq(stmts.pop(), stmt)
+        return stmt
 
     def _starts_statement(self) -> bool:
         tok = self._peek()
@@ -213,17 +212,17 @@ class _Parser:
             return tok.lexeme in _STATEMENT_START_KEYWORDS
         return tok.kind == "punct" and tok.lexeme in ("(", "/")
 
-    def _parse_arrow(self) -> ast.Statement:
-        unit = self._parse_unit()
+    def _parse_arrow(self):
+        unit = yield self._parse_unit()
         if type(unit) in ast.Declaration:
-            return self._parse_implication(self._parse_conjuncts(unit))
+            return (yield self._parse_implication((yield self._parse_conjuncts(unit))))
         return unit
 
-    def _parse_implication(self, decl: ast.Declaration) -> ast.Statement:
+    def _parse_implication(self, decl: ast.Declaration):
         self._expect("=>")
-        return ast.Implication(decl, self.parse_statement())
+        return ast.Implication(decl, (yield self.parse_statement()))
 
-    def _parse_unit(self) -> ast.Statement | ast.Declaration:
+    def _parse_unit(self):
         """A statement, or the first unit of an implication's declaration,
         decided by the first tokens."""
         if self.tok.kind == "ident":
@@ -244,32 +243,35 @@ class _Parser:
             self._expect(")")
             return ast.Print(expr)
         if self._accept("macro"):
-            defs = self._parse_macro_defs()
-            self._expect("in")
-            return ast.MacroScope(defs, self.parse_statement())
+            return self._parse_macro_scope()
         raise self._error("statement")
 
-    def _parse_group(self) -> ast.Statement | ast.Declaration:
+    def _parse_macro_scope(self):
+        defs = yield self._parse_macro_defs()
+        self._expect("in")
+        return ast.MacroScope(defs, (yield self.parse_statement()))
+
+    def _parse_group(self):
         """A parenthesised group: a declaration when it holds one and
         closes before the arrow, as in ``(D) => G``; otherwise a statement,
         which may be ``(D => G)``."""
         self._expect("(")
-        unit = self._parse_unit()
+        unit = yield self._parse_unit()
         if type(unit) in ast.Declaration:
-            decl = self._parse_conjuncts(unit)
+            decl = yield self._parse_conjuncts(unit)
             if self._accept(")"):
                 return decl
-            unit = self._parse_implication(decl)
-        inner = self._parse_seq(unit)
+            unit = yield self._parse_implication(decl)
+        inner = yield self.parse_statement(unit)
         self._expect(")")
         return inner
 
-    def _parse_ident_statement(self) -> ast.Statement | ast.Declaration:
+    def _parse_ident_statement(self):
         name_tok = self._advance()
         name = name_tok.lexeme
 
-        if self._accept("=>"):
-            return ast.Implication(ast.MacroRef(name), self.parse_statement())
+        if self._check("=>"):
+            return self._parse_implication(ast.MacroRef(name))
 
         if self._accept("="):
             if self._check("new"):
@@ -307,7 +309,7 @@ class _Parser:
 
         raise self._error("'=>', '=', '[' or '(' after identifier", name_tok)
 
-    def _parse_alloc(self, name_tok: Token) -> ast.AllocScope:
+    def _parse_alloc(self, name_tok: Token):
         name = name_tok.lexeme
         if name in self._handles:
             raise self._error(
@@ -320,22 +322,22 @@ class _Parser:
         self._expect("]")
         self._expect("=>")
         self._handles.append(name)
-        body = self.parse_statement()
+        body = yield self.parse_statement()
         self._handles.pop()
         return ast.AllocScope(name, "int", length, body)
 
-    def _parse_if(self) -> ast.If:
+    def _parse_if(self):
         self._expect("if")
         self._expect("(")
         cond = self.parse_expression()
         self._expect(")")
-        then = self._parse_arrow()
+        then = yield self._parse_arrow()
         orelse: ast.Statement = ast.TrueStmt()
         if self._accept("else"):
-            orelse = self._parse_arrow()
+            orelse = yield self._parse_arrow()
         return ast.If(cond, then, orelse)
 
-    def _parse_switch(self) -> ast.Switch:
+    def _parse_switch(self):
         self._expect("switch")
         self._expect("(")
         scrutinee = self.parse_expression()
@@ -351,14 +353,14 @@ class _Parser:
                 raise self._error("a distinct case label", label_tok)
             seen.add(label)
             self._expect(":")
-            body = self.parse_statement()
+            body = yield self.parse_statement()
             self._expect("break")
             self._expect(";")
             cases.append((label, body))
         default: ast.Statement = ast.TrueStmt()
         if self._accept("default"):
             self._expect(":")
-            default = self.parse_statement()
+            default = yield self.parse_statement()
             self._expect("break")
             self._expect(";")
         self._expect("}")
@@ -379,29 +381,29 @@ class _Parser:
 
     # -- declarations ---------------------------------------------------
 
-    def parse_declaration(self) -> ast.Declaration:
-        return self._parse_conjuncts(self._parse_decl_unit())
+    def parse_declaration(self):
+        return (yield self._parse_conjuncts((yield self._parse_decl_unit())))
 
-    def _parse_conjuncts(self, decl: ast.Declaration) -> ast.Declaration:
+    def _parse_conjuncts(self, decl: ast.Declaration):
         while self._accept("and"):
-            decl = ast.And(decl, self._parse_decl_unit())
+            decl = ast.And(decl, (yield self._parse_decl_unit()))
         return decl
 
-    def _parse_decl_unit(self) -> ast.Declaration:
+    def _parse_decl_unit(self):
         if self._accept("forall"):
             var = self._expect_ident("bound variable name").lexeme
-            return ast.Forall(var, self._parse_decl_unit())
+            return ast.Forall(var, (yield self._parse_decl_unit()))
         if self._accept("ren"):
             self._expect("(")
             old = self._expect_ident("procedure name").lexeme
             self._expect(",")
             new = self._expect_ident("procedure name").lexeme
             self._expect(")")
-            return ast.Rename(old, new, self._parse_decl_unit())
+            return ast.Rename(old, new, (yield self._parse_decl_unit()))
         if self._accept("/"):
             return ast.MacroRef(self._expect_ident("macro name").lexeme)
         if self._accept("("):
-            decl = self.parse_declaration()
+            decl = yield self.parse_declaration()
             self._expect(")")
             return decl
         tok = self._peek()
@@ -415,14 +417,14 @@ class _Parser:
                     params.append(ast.Var(self._expect_ident("formal parameter").lexeme))
             self._expect(")")
             self._expect("=")
-            return self._finish_clause(name_tok, tuple(params))
+            return (yield self._finish_clause(name_tok, tuple(params)))
         raise self._error("declaration")
 
-    def _finish_clause(self, name_tok: Token, params: tuple[ast.Expression, ...]) -> ast.Declaration:
+    def _finish_clause(self, name_tok: Token, params: tuple[ast.Expression, ...]):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise self._error("distinct formal parameter names", name_tok)
-        body = self.parse_statement()
+        body = yield self.parse_statement()
         decl: ast.Declaration = ast.Clause(name_tok.lexeme, params, body)
         for name in reversed(names):
             decl = ast.Forall(name, decl)
@@ -430,46 +432,46 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------
 
-    def parse_expression(self, min_prec: int = 1) -> ast.Expression:
-        """An expression whose binary operators have precedence min_prec or more."""
-        left = self._parse_unary()
-        limit = _TIGHTEST
+    def parse_expression(self) -> ast.Expression:
+        """One expression, read by one operator-precedence loop. The open
+        expression takes binary operators of precedence min_prec to limit; a
+        comparison lowers limit below the comparisons, so they do not chain.
+        pending holds what waits for an operand: a prefix operator, or (left
+        operand or None, operator or bracket, the bounds to go on with)."""
+        pending: list = []
+        min_prec, limit, expr = 1, _TIGHTEST, None
         while True:
             tok = self.tok
-            prec = PRECEDENCE.get(tok.lexeme, 0) if tok.kind == "punct" else 0
-            if not min_prec <= prec <= limit:
-                return left
-            self._advance()
-            left = ast.BinOp(tok.lexeme, left, self.parse_expression(prec + 1))
-            limit = prec - 1 if prec == PRECEDENCE["=="] else prec  # comparisons do not chain
-
-    def _parse_unary(self) -> ast.Expression:
-        if self._check("!") or self._check("-"):
-            op = self._advance().lexeme
-            return ast.UnaryOp(op, self._parse_unary())
-        expr = self._parse_primary()
-        while self._accept("["):
-            expr = ast.Index(expr, self.parse_expression())
-            self._expect("]")
-        return expr
-
-    def _parse_primary(self) -> ast.Expression:
-        tok = self.tok
-        if tok.kind == "ident":
-            self._advance()
-            return ast.Var(tok.lexeme)
-        if tok.kind == "int":
-            self._advance()
-            return ast.Int(int(tok.lexeme))
-        if tok.kind == "string":
-            self._advance()
-            return ast.Str(tok.lexeme)
-        if self._accept("true"):
-            return ast.Bool(True)
-        if self._accept("false"):
-            return ast.Bool(False)
-        if self._accept("("):
-            expr = self.parse_expression()
-            self._expect(")")
-            return expr
-        raise self._error("expression")
+            if expr is None:  # an operand: prefix operators, then a primary
+                if tok.kind in _LITERALS:
+                    expr = _LITERALS[tok.kind](tok.lexeme)
+                elif self._check("true") or self._check("false"):
+                    expr = ast.Bool(tok.lexeme == "true")
+                elif self._check("!") or self._check("-"):
+                    pending.append(tok.lexeme)
+                elif self._check("("):
+                    pending.append((None, "(", min_prec, limit))
+                    min_prec, limit = 1, _TIGHTEST
+                else:
+                    raise self._error("expression")
+                self._advance()
+            elif self._accept("["):  # after a primary: its indexes, its prefix operators, then binary operators
+                pending.append((expr, "[", min_prec, limit))
+                min_prec, limit, expr = 1, _TIGHTEST, None
+            else:
+                while pending and type(pending[-1]) is str:
+                    expr = ast.UnaryOp(pending.pop(), expr)
+                prec = PRECEDENCE.get(tok.lexeme, 0) if tok.kind == "punct" else 0
+                if min_prec <= prec <= limit:
+                    self._advance()
+                    pending.append((expr, tok.lexeme, min_prec, prec - 1 if prec == _COMPARISON else prec))
+                    min_prec, limit, expr = prec + 1, _TIGHTEST, None
+                elif not pending:
+                    return expr
+                else:  # the open expression ends
+                    left, op, min_prec, limit = pending.pop()
+                    if op in _CLOSING:
+                        self._expect(_CLOSING[op])
+                        expr = expr if left is None else ast.Index(left, expr)
+                    else:
+                        expr = ast.BinOp(op, left, expr)

@@ -26,119 +26,158 @@ def pretty_print(program: SourceProgram) -> str:
 
 
 def format_expression(expr: ast.Expression, min_prec: int = 0, env=None) -> str:
+    """expr's text, parenthesized if its operator binds looser than
+    min_prec. One loop prints each operator's first operand first; work
+    holds what is left to print, last piece first: text, or an operand
+    with its min_prec."""
+    if type(expr) not in _OPERATORS:
+        return _leaf(expr, env)
+    if type(expr) is ast.BinOp and type(expr.left) not in _OPERATORS and type(expr.right) not in _OPERATORS:
+        text = _leaf(expr.left, env) + _OPERATOR_TEXT[expr.op] + _leaf(expr.right, env)  # the usual case, at once
+        return f"({text})" if PRECEDENCE[expr.op] < min_prec else text
+    parts, work = [], []
+    while True:
+        if type(expr) is ast.BinOp:
+            prec = PRECEDENCE[expr.op]
+            if prec < min_prec:
+                parts.append("(")
+                work.append(")")
+            work += (expr.right, prec + 1), _OPERATOR_TEXT[expr.op]
+            # comparisons are non-associative: parenthesize nested ones on either side
+            expr, min_prec = expr.left, prec + 1 if prec == PRECEDENCE["=="] else prec
+            continue
+        if type(expr) is ast.UnaryOp:
+            if min_prec > 6:
+                parts.append("(")
+                work.append(")")
+            parts.append(expr.op)
+            expr, min_prec = expr.operand, 6
+            continue
+        if type(expr) is ast.Index:
+            work += "]", (expr.index, 0), "["
+            expr, min_prec = expr.base, 7
+            continue
+        parts.append(_leaf(expr, env))
+        while work and type(work[-1]) is str:
+            parts.append(work.pop())
+        if not work:
+            return "".join(parts)
+        expr, min_prec = work.pop()
+
+
+_OPERATORS = (ast.BinOp, ast.UnaryOp, ast.Index)
+_OPERATOR_TEXT = {op: f" {op} " for op in PRECEDENCE}
+
+
+def _leaf(expr: ast.Expression, env) -> str:
+    """The text of a variable, or of a value as its literal."""
     if type(expr) is ast.Var:
         value = env.get(expr.name) if env else None
-        return expr.name if value is None else format_expression(value)
+        if value is None:
+            return expr.name
+        expr = value
     if type(expr) is ast.Str:
         return '"' + "".join(_ESCAPES.get(c, c) for c in expr.value) + '"'
     if type(expr) in ast.Value:
         return ast.render_value(expr)
-    if type(expr) is ast.Index:
-        return f"{format_expression(expr.base, 7, env)}[{format_expression(expr.index, 0, env)}]"
-    if type(expr) is ast.UnaryOp:
-        text = f"{expr.op}{format_expression(expr.operand, 6, env)}"
-        return f"({text})" if min_prec > 6 else text
-    if type(expr) is ast.BinOp:
-        prec = PRECEDENCE[expr.op]
-        # comparisons are non-associative: parenthesize nested ones on
-        # either side
-        left_prec = prec + 1 if prec == PRECEDENCE["=="] else prec
-        left = format_expression(expr.left, left_prec, env)
-        right = format_expression(expr.right, prec + 1, env)
-        text = f"{left} {expr.op} {right}"
-        return f"({text})" if prec < min_prec else text
     raise TypeError(f"not an expression: {expr!r}")
 
 
 def format_statement(stmt: ast.Statement, indent: int = 0, compact: bool = False, env=None) -> str:
-    nl = " " if compact else "\n" + " " * indent
-    nl2 = " " if compact else "\n" + " " * (indent + 2)
-
-    if type(stmt) is ast.TrueStmt:
-        return "true"
-    if type(stmt) is ast.Call:
-        args = ", ".join(format_expression(a, 0, env) for a in stmt.args)
-        return f"{stmt.name}({args})"
-    if type(stmt) is ast.Assign:
-        return f"{stmt.name} = {format_expression(stmt.expr, 0, env)}"
-    if type(stmt) is ast.StoreIndex:
-        base = format_expression(stmt.base, 7, env)
-        return f"{base}[{format_expression(stmt.index, 0, env)}] = {format_expression(stmt.value, 0, env)}"
-    if type(stmt) is ast.Print:
-        return f"print({format_expression(stmt.expr, 0, env)})"
-    if type(stmt) is ast.Seq:
-        first = format_statement(stmt.first, indent, compact, env)
-        if type(stmt.first) is ast.Seq:
-            first = f"({first})"
-        return f"{first};{nl}{format_statement(stmt.second, indent, compact, env)}"
-    if type(stmt) is ast.Implication:
-        decl = format_declaration(stmt.decl, indent + 1, compact, env)
-        body = format_statement(stmt.body, indent + 2, compact, env)
-        return f"({decl} =>{nl2}{body})"
-    if type(stmt) is ast.MacroScope:
-        defs = " and ".join(
-            f"/{d.name} = {{{nl2}{format_declaration(d.body, indent + 2, compact, env)}{nl}}}"
-            for d in stmt.defs
-        )
-        return f"(macro {defs} in{nl2}{format_statement(stmt.body, indent + 2, compact, env)})"
-    if type(stmt) is ast.AllocScope:
-        head = f"{stmt.handle} = new {stmt.elem_type}[{format_expression(stmt.length, 0, env)}]"
-        body = format_statement(stmt.body, indent + 2, compact, _hide(env, (stmt.handle,)))
-        return f"({head} =>{nl2}{body})"
-    if type(stmt) is ast.If:
-        cond = format_expression(stmt.cond, 0, env)
-        then = format_statement(stmt.then, indent + 2, compact, env)
-        orelse = format_statement(stmt.orelse, indent + 2, compact, env)
-        return f"if ({cond}) ({then}) else ({orelse})"
-    if type(stmt) is ast.Switch:
-        lines = [f"switch ({format_expression(stmt.scrutinee, 0, env)}) {{"]
-        for label, body in stmt.cases:
-            body_text = format_statement(body, indent + 4, compact, env)
-            lines.append(f"  case {ast.render_value(label)}: {body_text}; break;")
-        lines.append(f"  default: {format_statement(stmt.default, indent + 4, compact, env)}; break;")
-        lines.append("}")
-        return nl.join(lines)
-    raise TypeError(f"not a statement: {stmt!r}")
+    """The text of a statement, or of a declaration. As in format_expression,
+    one loop prints the first part of each node first; work holds what is
+    left to print, last piece first: text, or (node, indent, env)."""
+    parts, work, node = [], [], stmt
+    nl = nl2 = " "  # a line break and one indented a level deeper, in one line when compact
+    while True:
+        kind = type(node)
+        if not compact:
+            nl, nl2 = "\n" + " " * indent, "\n" + " " * (indent + 2)
+        if kind is ast.Call:
+            parts.append(f"{node.name}({', '.join(format_expression(a, 0, env) for a in node.args)})")
+        elif kind is ast.Assign:
+            parts.append(f"{node.name} = {format_expression(node.expr, 0, env)}")
+        elif kind is ast.Seq:
+            work += (node.second, indent, env), f";{nl}"
+            if type(node.first) is ast.Seq:
+                parts.append("(")
+                work.append(")")
+            node = node.first
+            continue
+        elif kind is ast.If:
+            parts.append(f"if ({format_expression(node.cond, 0, env)}) (")
+            work += ")", (node.orelse, indent + 2, env), ") else ("
+            node, indent = node.then, indent + 2
+            continue
+        elif kind is ast.Forall:
+            chain: list[str] = []
+            while type(node) is ast.Forall:
+                chain.append(node.var)
+                node = node.decl
+            env = _hide(env, chain)
+            if type(node) is ast.Clause:  # a parameter printed as a value is in no chain: it fails as the value would
+                formals = [p.name for p in node.params if type(p) is ast.Var]
+                if len(formals) == len(node.params) and chain[len(chain) - len(formals):] == formals:
+                    del chain[len(chain) - len(formals):]  # the formals' quantifiers go without saying
+            parts.append("".join(f"forall {v} " for v in chain))
+            work += _unit(node, indent, env)
+        elif kind is ast.Clause:
+            parts.append(f"{node.name}({', '.join(format_expression(p, 0, env) for p in node.params)}) = (")
+            work.append(")")
+            node, indent = node.body, indent + 2
+            continue
+        elif kind is ast.TrueStmt:
+            parts.append("true")
+        elif kind is ast.Print:
+            parts.append(f"print({format_expression(node.expr, 0, env)})")
+        elif kind is ast.StoreIndex:
+            base = format_expression(node.base, 7, env)
+            parts.append(f"{base}[{format_expression(node.index, 0, env)}] = {format_expression(node.value, 0, env)}")
+        elif kind is ast.Implication:
+            parts.append("(")
+            work += ")", (node.body, indent + 2, env), f" =>{nl2}"
+            node, indent = node.decl, indent + 1
+            continue
+        elif kind is ast.AllocScope:
+            parts.append(f"({node.handle} = new {node.elem_type}[{format_expression(node.length, 0, env)}] =>{nl2}")
+            work.append(")")
+            node, indent, env = node.body, indent + 2, _hide(env, (node.handle,))
+            continue
+        elif kind is ast.And:
+            work += *_unit(node.right, indent, env), f"{nl}and "
+            node = node.left
+            continue
+        elif kind is ast.Rename:
+            parts.append(f"ren({node.old}, {node.new}) ")
+            work += _unit(node.decl, indent, env)
+        elif kind is ast.MacroRef:
+            parts.append(f"/{node.name}")
+        elif kind is ast.MacroScope:
+            work += ")", (node.body, indent + 2, env), f" in{nl2}"
+            for i, d in reversed(list(enumerate(node.defs))):
+                work += f"{nl}}}", (d.body, indent + 2, env), f"{' and ' if i else '(macro '}/{d.name} = {{{nl2}"
+        elif kind is ast.Switch:
+            work += f"; break;{nl}}}", (node.default, indent + 4, env), f"{nl}  default: "
+            for label, body in reversed(node.cases):
+                work += "; break;", (body, indent + 4, env), f"{nl}  case {ast.render_value(label)}: "
+            parts.append(f"switch ({format_expression(node.scrutinee, 0, env)}) {{")
+        else:
+            raise TypeError(f"not a statement or declaration: {node!r}")
+        while work and type(work[-1]) is str:
+            parts.append(work.pop())
+        if not work:
+            return "".join(parts)
+        node, indent, env = work.pop()
 
 
 def format_declaration(decl: ast.Declaration, indent: int = 0, compact: bool = False, env=None) -> str:
-    nl = " " if compact else "\n" + " " * indent
-
-    if type(decl) is ast.Forall:
-        chain: list[str] = []
-        inner: ast.Declaration = decl
-        while type(inner) is ast.Forall:
-            chain.append(inner.var)
-            inner = inner.decl
-        env = _hide(env, chain)
-        if type(inner) is ast.Clause:  # a parameter printed as a value is in no chain: it fails as the value would
-            formals = [p.name for p in inner.params if type(p) is ast.Var]
-            if len(formals) == len(inner.params) and chain[len(chain) - len(formals):] == formals:
-                explicit = chain[: len(chain) - len(formals)]
-                prefix = "".join(f"forall {v} " for v in explicit)
-                return prefix + format_declaration(inner, indent, compact, env)
-        prefix = "".join(f"forall {v} " for v in chain)
-        return prefix + _format_decl_unit(inner, indent, compact, env)
-    if type(decl) is ast.Clause:
-        params = ", ".join(format_expression(p, 0, env) for p in decl.params)
-        body = format_statement(decl.body, indent + 2, compact, env)
-        return f"{decl.name}({params}) = ({body})"
-    if type(decl) is ast.And:
-        left = format_declaration(decl.left, indent, compact, env)
-        right = _format_decl_unit(decl.right, indent, compact, env)
-        return f"{left}{nl}and {right}"
-    if type(decl) is ast.Rename:
-        return f"ren({decl.old}, {decl.new}) {_format_decl_unit(decl.decl, indent, compact, env)}"
-    if type(decl) is ast.MacroRef:
-        return f"/{decl.name}"
-    raise TypeError(f"not a declaration: {decl!r}")
+    return format_statement(decl, indent, compact, env)
 
 
-def _format_decl_unit(decl: ast.Declaration, indent: int, compact: bool, env=None) -> str:
-    text = format_declaration(decl, indent, compact, env)
-    if type(decl) is ast.And:
-        return f"({text})"
-    return text
+def _unit(decl: ast.Declaration, indent: int, env) -> tuple:
+    """The work items that print decl as an operand of and, ren or forall:
+    a conjunction goes in parentheses."""
+    return (")", (decl, indent, env), "(") if type(decl) is ast.And else ((decl, indent, env),)
 
 
 def _hide(env, names):

@@ -10,7 +10,6 @@ from cmod.cli import main
 from cmod.engine import (
     Failure,
     Success,
-    call_with_deep_stack,
     execute,
     run_source,
 )
@@ -214,16 +213,14 @@ def hand_traced_activations(n: int) -> int:
 def test_c6_mutual_recursion():
     for k in range(9):
         events = []
-        outcome, _ = call_with_deep_stack(
-            run_source, EV_OD + f"(/Ev => Even({2 * k}))", trace=events.append
-        )
+        outcome, _ = run_source(EV_OD + f"(/Ev => Even({2 * k}))", trace=events.append)
         assert isinstance(outcome, Success), f"Even({2 * k}) failed"
         activations = sum(1 for e in events if e.phase == "bc" and e.rule_id == 1)
         expected = hand_traced_activations(2 * k)
         assert expected == (1 if k == 0 else 2 * k)
         assert activations == expected, f"Even({2 * k}): {activations} activations"
 
-    outcome, machine = call_with_deep_stack(run_source, EV_OD + "(/Ev => Even(9))")
+    outcome, machine = run_source(EV_OD + "(/Ev => Even(9))")
     assert isinstance(outcome, Failure)
     assert outcome.reason == DEPTH_EXCEEDED
     assert machine.max_depth == 10000  # at the default limit

@@ -5,10 +5,11 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from cmod.cli import _dump_state, main
+from cmod.cli import _dump_state, _repl_entry, main
 from cmod.machine import Machine
 from cmod.parser import parse_source
 from conftest import CORPUS, ROOT
@@ -452,25 +453,42 @@ def test_repl_trace_flag_streams_to_stderr(monkeypatch, capsys):
     assert "bc:1" in captured.err
 
 
-DEEP_PARENS = "x = " + "(" * 2000 + "1" + ")" * 2000
-DEEP_NEGATION = "x = " + "-" * 500 + "1; print(x)"  # parses, and nothing walks it again before it runs
+@pytest.fixture
+def main_thread_only(monkeypatch):
+    """The interpreter's default recursion limit, and no thread can start."""
+
+    def cannot_start(self):
+        raise RuntimeError("no thread may start")
+
+    monkeypatch.setattr(threading.Thread, "start", cannot_start)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
 
 
-@pytest.mark.parametrize(
-    "command, source, message",
-    [
-        ("run", DEEP_PARENS, "expected less deeply nested input, found '('"),
-        ("fmt", DEEP_PARENS, "expected less deeply nested input, found '('"),
-    ],
-    ids=["run-parens", "fmt-parens"],
-)
-def test_nesting_deeper_than_the_stack_is_a_syntax_error_exit_2(tmp_path, capsys, monkeypatch, command, source, message):
-    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
-    code = main([command, write(tmp_path, source)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("cmod: syntax error: ") and captured.err.endswith(message + "\n")
-    assert captured.out == ""
+DEEP = 100000
+DEEP_NEGATION = "x = " + "-" * DEEP + "1; print(x)"
+DEEP_PARENS = "x = " + "(" * DEEP + "1" + ")" * DEEP + "; print(x)"
+DEEP_GROUPS = "s = 0; " + "(s = s + 1; " * DEEP + "print(s)" + ")" * DEEP  # each group holds the next
+
+
+def same_tree(a, b) -> bool:
+    """a == b for trees too deep for Node.__eq__, which recurses."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is not type(b):
+            return False
+        if type(a) in (tuple, list):
+            if len(a) != len(b):
+                return False
+            pairs += zip(a, b)
+        elif hasattr(a, "__match_args__"):
+            pairs += ((getattr(a, f), getattr(b, f)) for f in a.__match_args__)
+        elif a != b:
+            return False
+    return True
 
 
 LEX_AFTER_SYNTAX = ["x = ; y = 1 $", "(" * 100000 + "x = 1" + "$"]
@@ -479,7 +497,6 @@ LEX_AFTER_SYNTAX = ["x = ; y = 1 $", "(" * 100000 + "x = 1" + "$"]
 @pytest.mark.parametrize("source", LEX_AFTER_SYNTAX, ids=["syntax", "nesting"])
 @pytest.mark.parametrize("command", ["run", "fmt"])
 def test_a_lex_error_after_a_syntax_error_is_the_one_reported(tmp_path, capsys, monkeypatch, command, source):
-    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
     code = main([command, write(tmp_path, source)])
     captured = capsys.readouterr()
     assert code == 2
@@ -488,44 +505,58 @@ def test_a_lex_error_after_a_syntax_error_is_the_one_reported(tmp_path, capsys, 
 
 @pytest.mark.parametrize("source", LEX_AFTER_SYNTAX, ids=["syntax", "nesting"])
 def test_repl_reports_a_lex_error_after_a_syntax_error(monkeypatch, capsys, source):
-    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
     code, captured = repl(monkeypatch, capsys, [source, ":quit"])
     assert code == 0
     assert f"syntax error: 1:{len(source)}: unexpected character '$'\n" in captured.out
 
 
-def test_a_deep_negation_runs_on_the_main_thread(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+@pytest.mark.parametrize("source, out", [(DEEP_PARENS, "1\n"), (DEEP_GROUPS, f"{DEEP}\n")], ids=["parens", "groups"])
+def test_deep_nesting_runs_on_the_main_thread(tmp_path, capsys, main_thread_only, source, out):
+    code = main(["run", write(tmp_path, source)])
+    assert code == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_a_deep_negation_runs_on_the_main_thread(tmp_path, capsys, main_thread_only):
     code = main(["run", write(tmp_path, DEEP_NEGATION)])
     assert code == 0
     assert capsys.readouterr() == ("1\n", "")
 
 
-@pytest.mark.parametrize("source", [DEEP_PARENS], ids=["parens"])
-def test_repl_nesting_deeper_than_the_stack_is_a_syntax_error_not_the_end(monkeypatch, capsys, source):
-    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
-    code, captured = repl(monkeypatch, capsys, [source, "print(7)", ":quit"])
-    assert code == 0
-    assert "syntax error: " in captured.out
-    assert captured.out.endswith("7\nok\ncmod> ")
-
-
-def test_repl_runs_a_deep_negation_on_the_main_thread(monkeypatch, capsys):
-    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
-    code, captured = repl(monkeypatch, capsys, [DEEP_NEGATION, ":quit"])
+def test_repl_runs_a_deep_negation_on_the_main_thread(monkeypatch, capsys, main_thread_only):
+    code, captured = repl(monkeypatch, capsys, [DEEP_NEGATION, "print(7)", ":quit"])
     assert code == 0
     assert "syntax error" not in captured.out
-    assert "1\nok\n" in captured.out
+    assert captured.out.endswith("1\nok\ncmod> 7\nok\ncmod> ")
 
 
-def test_deep_recursion_runs_on_the_main_thread(tmp_path, capsys, monkeypatch):
-    # On the main thread's small stack this once ran out of Python stack.
-    monkeypatch.setattr("cmod.cli.call_with_deep_stack", lambda fn, *args, **kwargs: fn(*args, **kwargs))
+def test_fmt_of_a_deep_sum_reparses_equal_on_the_main_thread(tmp_path, capsys, main_thread_only):
+    source = "x = " + "1 + (" * 10000 + "1" + ")" * 10000
+    code = main(["fmt", write(tmp_path, source)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert same_tree(parse_source(captured.out), parse_source(source))
+
+
+def test_deep_recursion_runs_on_the_main_thread(tmp_path, capsys, main_thread_only):
     path = write(tmp_path, "(Loop(n) = if (n == 0) (done = 1) else (Loop(n - 1)) => Loop(600))")
     code = main(["run", path, "--dump-state"])
     captured = capsys.readouterr()
     assert code == 0
     assert "done = 1" in captured.out and captured.err == ""
+
+
+def test_a_session_keeps_no_clause_table_or_renaming_between_entries(capsys):
+    # Each entry pushes a declaration and a renamed one; with no frame left
+    # after an entry, its tables and renamings go.
+    machine = Machine.initial()
+    entry = "(p() = true => p()); (ren(h, g) (h() = true) => g())"
+    sizes = []
+    for _ in range(300):
+        _repl_entry(machine, entry)
+        sizes.append((len(machine.tables), len(machine.renamed)))
+    capsys.readouterr()
+    assert sizes[99] == sizes[299]
 
 
 def test_ctrl_c_during_a_traced_run_exits_130(tmp_path):

@@ -1,8 +1,5 @@
 import random
-import signal
 import sys
-import threading
-import time
 
 import hypothesis.strategies as st
 import pytest
@@ -15,7 +12,6 @@ from cmod.engine import (
     Failure,
     Success,
     _push,
-    call_with_deep_stack,
     eval_expr,
     execute,
     machine_for,
@@ -945,17 +941,17 @@ def assert_scopes_undone(machine, macro_env):
     assert machine.store["h"] == A.Int(7)  # the value the handle hid
 
 
-def test_an_expression_too_deep_to_evaluate_unwinds_every_scope():
-    # Expressions still evaluate by Python recursion.
-    deep = A.Int(1)
-    for _ in range(5000):
-        deep = A.UnaryOp("-", deep)
+def test_a_failure_deep_in_an_expression_unwinds_every_scope():
+    # A division by zero at the bottom of a 100,000-deep expression.
+    deep = A.BinOp("/", A.Int(1), A.Int(0))
+    for i in range(100000):
+        deep = A.UnaryOp("-", deep) if i % 2 else A.BinOp("+", A.Int(1), deep)
     machine = Machine.initial()
     machine.store["h"] = A.Int(7)
     macro_env = machine.macro_env
     outcome = execute(machine, nested_scopes(A.Assign("y", deep)))
-    assert isinstance(outcome, Failure) and outcome.reason == DEPTH_EXCEEDED
-    assert "Python stack" in outcome.detail and outcome.__traceback__ is None
+    assert isinstance(outcome, Failure) and outcome.reason == DIVISION_BY_ZERO
+    assert outcome.detail == "1 / 0" and outcome.__traceback__ is None
     assert "y" not in machine.store
     assert_scopes_undone(machine, macro_env)
 
@@ -982,134 +978,3 @@ def test_a_program_once_too_deep_to_desugar_runs():
     program = parse_source("module M. p() = x = " + "-" * 700 + "1 end\n(M => p()); print(x)")
     machine = machine_for(program)
     assert isinstance(execute(machine, program.main), Success) and machine.output_text() == "1\n"
-
-
-def test_concurrent_deep_runs_keep_the_deep_stack():
-    # The recursion limit and thread stack size are process-wide. A run
-    # that started first ends first, while a later one has yet to recurse;
-    # the later one must keep the deep limits, and the originals come
-    # back once the last run ends.
-    limit, size = sys.getrecursionlimit(), threading.stack_size()
-    shallow_in, deep_in, shallow_done = threading.Event(), threading.Event(), threading.Event()
-    results = {}
-
-    def shallow():
-        shallow_in.set()
-        assert deep_in.wait(timeout=30)
-        return "shallow"
-
-    def deep():
-        deep_in.set()
-        assert shallow_done.wait(timeout=30)
-        outcome, machine = run_source("(Loop(n) = if (n == 0) (done = 1) else Loop(n - 1) => Loop(3000))")
-        return outcome, machine.store.get("done")
-
-    def caller(name, fn):
-        results[name] = call_with_deep_stack(fn)
-        if name == "shallow":
-            shallow_done.set()
-
-    first = threading.Thread(target=caller, args=("shallow", shallow))
-    second = threading.Thread(target=caller, args=("deep", deep))
-    first.start()
-    assert shallow_in.wait(timeout=30)
-    second.start()
-    for thread in (first, second):
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    assert results["shallow"] == "shallow"
-    outcome, done = results["deep"]
-    assert isinstance(outcome, Success) and done == A.Int(1)
-    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
-
-
-def test_an_interrupted_wait_stops_the_worker(monkeypatch):
-    # Ctrl-C reaches the caller in its wait: the caller stops the worker,
-    # and the interrupt reaches the caller only once the worker has
-    # stopped and the limits are back.
-    limit, size = sys.getrecursionlimit(), threading.stack_size()
-    entered, workers, outcomes = threading.Event(), [], []
-    join = threading.Thread.join
-
-    def fn():
-        workers.append(threading.current_thread())
-        entered.set()
-        deadline = time.monotonic() + 30
-        try:
-            while time.monotonic() < deadline:  # busy until stopped
-                pass
-        except KeyboardInterrupt:
-            outcomes.append("stopped")
-            raise
-
-    def interrupted_join(self, timeout=None):
-        monkeypatch.setattr(threading.Thread, "join", join)
-        assert entered.wait(timeout=30)
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
-    with pytest.raises(KeyboardInterrupt):
-        call_with_deep_stack(fn)
-    assert outcomes == ["stopped"]
-    assert not workers[0].is_alive()
-    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
-
-
-def test_a_real_interrupt_of_the_wait_waits_for_the_worker():
-    # A SIGINT that interrupts Thread.join leaves CPython 3.11 taking the still
-    # running worker for stopped; the caller must wait for it all the same.
-    outcomes = []
-
-    def fn():
-        time.sleep(0.2)  # the caller is in its wait by now
-        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-        deadline = time.monotonic() + 30
-        try:
-            while time.monotonic() < deadline:  # busy until stopped
-                pass
-        except KeyboardInterrupt:
-            time.sleep(0.2)  # the worker takes a while to stop
-            outcomes.append("stopped")
-            raise
-
-    with pytest.raises(KeyboardInterrupt):
-        call_with_deep_stack(fn)
-    assert outcomes == ["stopped"]
-
-
-def test_a_worker_that_cannot_start_restores_the_limits(monkeypatch):
-    limit, size = sys.getrecursionlimit(), threading.stack_size()
-
-    def cannot_start(self):
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", cannot_start)
-    with pytest.raises(RuntimeError, match="can't start new thread"):
-        call_with_deep_stack(lambda: None)
-    monkeypatch.undo()
-    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)
-    assert call_with_deep_stack(lambda: 5) == 5
-
-
-def test_many_concurrent_deep_runs():
-    limit, size = sys.getrecursionlimit(), threading.stack_size()
-    switch = sys.getswitchinterval()
-    results = []
-    source = "(Loop(n) = if (n == 0) (done = 1) else Loop(n - 1) => Loop(1500))"
-
-    def caller():
-        outcome, machine = call_with_deep_stack(run_source, source)
-        results.append(isinstance(outcome, Success) and machine.store.get("done") == A.Int(1))
-
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=caller) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(switch)
-    assert results == [True] * 4
-    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, size)

@@ -286,22 +286,6 @@ def test_an_entry_ending_in_and_before_end_of_input():
     assert (info.value.column, info.value.found, info.value.at_eof) == (27, "'and'", False)
 
 
-@pytest.mark.parametrize(
-    "parse, source",
-    [
-        (parse_source, "x = " + "(" * 2000 + "1" + ")" * 2000),
-        (parse_source, "(" * 2000 + "x = 1" + ")" * 2000),
-        (parse_repl_input, "x = " + "(" * 2000 + "1"),  # unfinished, but no continuation can help
-    ],
-    ids=["expression", "statement", "repl-unfinished"],
-)
-def test_nesting_deeper_than_the_stack_is_a_parse_error(parse, source):
-    with pytest.raises(ParseError) as info:
-        parse(source)
-    assert (info.value.line, info.value.expected, info.value.found) == (1, "less deeply nested input", "'('")
-    assert 1 < info.value.column < len(source) and not info.value.at_eof
-
-
 # -- one pass over the tokens ---------------------------------------------
 
 
@@ -335,9 +319,9 @@ def test_each_token_is_advanced_once(source, monkeypatch):
 
 
 def test_deeply_nested_groups_run():
-    from cmod.engine import Success, call_with_deep_stack, run_source
+    from cmod.engine import Success, run_source
 
-    outcome, machine = call_with_deep_stack(run_source, nested_groups(12))
+    outcome, machine = run_source(nested_groups(12))
     assert isinstance(outcome, Success)
     assert machine.store == {"x": A.Int(1), "y": A.Int(2)}
 
@@ -400,39 +384,6 @@ def test_a_lex_error_after_a_syntax_error_wins(parse, source):
     with pytest.raises(LexError) as info:
         parse(source)
     assert (info.value.line, info.value.column, info.value.char) == (1, len(source), "$")
-
-
-def test_wherever_the_stack_runs_out_a_lex_error_later_still_wins():
-    # Each limit runs the stack out at another point: in the parser, in
-    # the lexer between tokens, or inside it while a token is being built.
-    import inspect
-    import sys
-
-    from cmod.errors import LexError
-    from cmod.lexer import tokenize
-
-    nested = "x = " + '("a\\n" + ' * 40 + "1" + ")" * 40
-    outcomes = []
-    depth, old = len(inspect.stack(0)), sys.getrecursionlimit()
-    try:
-        for limit in range(depth + 20, depth + 260):
-            sys.setrecursionlimit(limit)
-            for source in (nested, nested + " $"):
-                try:
-                    outcomes.append((source, parse_source(source)))
-                except (LexError, ParseError) as exc:
-                    outcomes.append((source, exc))
-    finally:
-        sys.setrecursionlimit(old)
-    tokens = {(t.line, t.column, str(t)) for t in tokenize(nested)}
-    for source, outcome in outcomes:
-        if source.endswith("$"):
-            assert isinstance(outcome, LexError) and outcome.column == len(source)
-        elif isinstance(outcome, ParseError):
-            assert outcome.expected == "less deeply nested input"
-            assert (outcome.line, outcome.column, outcome.found) in tokens
-    # the limits reach from too shallow for the nesting to deep enough
-    assert isinstance(outcomes[0][1], ParseError) and outcomes[-2][1] == parse_source(nested)
 
 
 # -- a group is what it holds -----------------------------------------------

@@ -179,7 +179,7 @@ def test_statement_print_parse_round_trip(stmt):
     for compact in (False, True):
         text = format_statement(stmt, compact=compact)
         parser = _Parser(tokenize(text))
-        reparsed = parser.parse_statement()
+        reparsed = A.drive(parser.parse_statement())
         assert parser._peek().kind == "eof"
         assert reparsed == stmt
 
