@@ -122,7 +122,7 @@ def _cmd_run(source: str, options: dict) -> int:
 
 def _cmd_repl(options: dict) -> int:
     trace = _stderr_trace if options["--trace"] else None
-    machine = Machine.initial(max_depth=options["--max-depth"], trace=trace, write=sys.stdout.write)
+    machine = Machine(max_depth=options["--max-depth"], trace=trace, write=sys.stdout.write)
     print("cmod repl; :quit to leave, :store :macros :reset to inspect")
     buffer = ""
     while True:
@@ -138,7 +138,7 @@ def _cmd_repl(options: dict) -> int:
             if command in (":quit", ":q"):
                 return EXIT_OK
             if command == ":reset":
-                machine = Machine.initial(max_depth=machine.max_depth, trace=trace, write=machine.write)
+                machine = Machine(max_depth=machine.max_depth, trace=trace, write=machine.write)
                 print("machine reset")
             elif command == ":store":
                 for line in _store_lines(machine) or ["(empty)"]:

@@ -157,11 +157,8 @@ def _assign(machine, work, stmt, depth, env) -> None:
 
 def _store_index(machine, work, stmt, depth, env) -> None:
     handle = eval_expr(machine, stmt.base, env)
-    if type(handle) is not ast.Handle:
-        raise EngineFailure(
-            TYPE_MISMATCH,
-            f"{ast.render_value(handle)} is not a region handle",
-        )
+    if type(handle) is not ast.Handle:  # eval_expr words a read's faults the same
+        raise EngineFailure(TYPE_MISMATCH, f"{ast.render_value(handle)} is not a region handle")
     index = eval_expr(machine, stmt.index, env)
     if type(index) is not ast.Int:
         raise EngineFailure(TYPE_MISMATCH, "region index must be an integer")
@@ -185,16 +182,16 @@ def _implication(machine, work, stmt, depth, env) -> None:
 
 
 def _macro_scope(machine, work, stmt, depth, env) -> None:
-    outer = machine.macro_env
-    machine.macro_env = outer.define(stmt.defs, env or None)
-    work.append((_set_macro_env, outer, _EXIT))
+    machine.macro_env = machine.macro_env.define(stmt.defs, env or None)
     _push(machine, tuple((ast.MacroRef(d.name), None) for d in stmt.defs))
-    work.append((_pop, len(stmt.defs), _EXIT))
+    work.append((_end_macro_scope, len(stmt.defs), _EXIT))
     work.append((stmt.body, depth + 1, env))
 
 
-def _set_macro_env(machine, env) -> None:
-    machine.macro_env = env
+def _end_macro_scope(machine, count) -> None:
+    """Pop the scope's count frames, then go back to the environment it extended."""
+    _pop(machine, count)
+    machine.macro_env = machine.macro_env.parent
 
 
 def _alloc_scope(machine, work, stmt, depth, env) -> None:
@@ -489,7 +486,7 @@ def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.V
                         if value.value is _DECIDING[node.op]:
                             continue
                 elif type(value) is not ast.Handle:
-                    raise _type_error("indexing", value)
+                    raise EngineFailure(TYPE_MISMATCH, f"{ast.render_value(value)} is not a region handle")
                 else:
                     expr = node.index
                 first = value
@@ -502,7 +499,7 @@ def eval_expr(machine: Machine, expr: ast.Expression, env=_NO_BINDINGS) -> ast.V
                     break
             if type(node) is ast.Index:
                 if type(value) is not ast.Int:
-                    raise _type_error("region index", value)
+                    raise EngineFailure(TYPE_MISMATCH, "region index must be an integer")
                 value = region_read(machine, first, value.value)
                 continue
             op = node.op
@@ -565,7 +562,7 @@ def _type_error(op: str, value: ast.Value) -> EngineFailure:
 def machine_for(program: SourceProgram, max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> Machine:
     """An empty machine seeded with the program's module and macro
     definitions, the very trees the parser built."""
-    return Machine.initial(seeds=program.seeds(), max_depth=max_depth, trace=trace, write=write)
+    return Machine(program.seeds(), max_depth=max_depth, trace=trace, write=write)
 
 
 def run_source(source: str, max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> tuple[ExecOutcome, Machine]:

@@ -11,11 +11,12 @@ DEFAULT_MAX_DEPTH = 10000
 
 
 class Machine:
-    def __init__(self, macro_env=None, store=None, max_depth=DEFAULT_MAX_DEPTH, trace=None, write=None):
-        # The program triple: module stack of (declaration, activation pushed
-        # from) closures, last = most recent; macro environment; variable store.
+    def __init__(self, seeds=(), store=None, max_depth=DEFAULT_MAX_DEPTH, trace=None, write=None):
+        # The program triple: module stack of (declaration, activation pushed from) closures,
+        # last = most recent; macro environment, a chain of definition groups whose first link
+        # holds seeds, the top-level module/macro definitions; variable store.
         self.module_stack: list[tuple[ast.Declaration, dict | None]] = []
-        self.macro_env: MacroEnv = MacroEnv() if macro_env is None else macro_env
+        self.macro_env: MacroEnv = MacroEnv().define(seeds)
         self.store: dict[str, ast.Value] = {} if store is None else store
         self.regions = RegionStack()
         self.output: list[str] = []
@@ -28,12 +29,6 @@ class Machine:
         # (index, keys, table); tables by key, [declaration, environment (None: never changes), steps, entries];
         # renamings by (id(node), old, new), (node, renamed node).
         self.frame_index, self.ref_index, self.frame_tables, self.tables, self.renamed = {}, {}, [], {}, {}
-
-    @classmethod
-    def initial(cls, seeds=(), max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> Machine:
-        """An empty machine whose macro environment holds the given
-        top-level module/macro definitions."""
-        return cls(macro_env=MacroEnv.seeded(seeds), max_depth=max_depth, trace=trace, write=write)
 
     def output_text(self) -> str:
         """What the program printed, when written to the default list."""

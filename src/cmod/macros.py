@@ -1,33 +1,41 @@
 """The macro environment: named declarations with most-recent lookup.
 
-Environments are immutable snapshots; define returns a new one, so a
-scoped definition group is reverted by restoring the environment it
-replaced. A definition is a closure, (MacroDef, scope): scope is the
-activation that entered its ``macro ... in`` scope, or None at top level.
-Environments compare with ==; one that holds a scope does not hash.
+An environment is one link of a chain: a group of definitions as parsed,
+the scope that entered them (the activation of its ``macro ... in``
+statement, or None at top level), and the environment they extend.
+define links one group and copies nothing, so a scope ends by going back
+to its link's parent. A definition is a closure, (MacroDef, its link's
+scope). Environments compare by identity.
 """
 
 from __future__ import annotations
 
 from . import ast
-from .ast import rename  # noqa: F401 - exported here, defined beside map_children
 
 
-class MacroEnv(ast.Node):
-    defs: tuple[tuple[ast.MacroDef, dict | None], ...] = ()  # most recent first
+class MacroEnv:
+    __slots__ = ("defs", "scope", "parent")
 
-    @classmethod
-    def seeded(cls, seeds) -> MacroEnv:
-        """An environment of permanent top-level definitions; later seeds
-        shadow earlier ones."""
-        return cls().define(seeds)
+    def __init__(self, defs=(), scope=None, parent=None):
+        self.defs, self.scope, self.parent = defs, scope, parent  # defs as parsed: the last is the newest
 
     def define(self, new_defs, scope=None) -> MacroEnv:
-        return MacroEnv(tuple((macro, scope) for macro in reversed(list(new_defs))) + self.defs)
+        return MacroEnv(tuple(new_defs), scope, self)
 
     def find(self, name: str) -> tuple[ast.Declaration, dict | None] | None:
         """(body, scope) of name's most recent definition, or None."""
-        return next(((macro.body, scope) for macro, scope in self.defs if macro.name == name), None)
+        env = self
+        while env is not None:
+            for macro in reversed(env.defs):
+                if macro.name == name:
+                    return macro.body, env.scope
+            env = env.parent
+        return None
 
     def names(self) -> list[str]:
-        return [macro.name for macro, _ in self.defs]
+        """Every defined name, the most recent first, shadowed ones too."""
+        names, env = [], self
+        while env is not None:
+            names += [macro.name for macro in reversed(env.defs)]
+            env = env.parent
+        return names

@@ -119,7 +119,7 @@ class ScopeBalanceChecker:
 
     def __init__(self, machine):
         self.machine = machine
-        self.open: list[tuple[int, int, int]] = []
+        self.open: list[tuple[int, int, MacroEnv]] = []
         self.checked = 0
 
     def __call__(self, event) -> None:
@@ -128,7 +128,7 @@ class ScopeBalanceChecker:
             batch.append(self.open.pop())
         self._verify(batch)
         if event.phase == "ex" and event.rule_id in (11, 12):
-            self.open.append((event.depth, len(self.machine.module_stack), len(self.machine.macro_env.defs)))
+            self.open.append((event.depth, len(self.machine.module_stack), self.machine.macro_env))
 
     def finish(self) -> None:
         batch = list(reversed(self.open))
@@ -138,9 +138,9 @@ class ScopeBalanceChecker:
     def _verify(self, batch) -> None:
         if not batch:
             return
-        _, stack_len, env_len = batch[-1]  # outermost scope closed here
+        _, stack_len, env = batch[-1]  # outermost scope closed here
         assert len(self.machine.module_stack) == stack_len, "module stack not restored"
-        assert len(self.machine.macro_env.defs) == env_len, "macro environment not restored"
+        assert self.machine.macro_env is env, "macro environment not restored"
         self.checked += len(batch)
 
 
@@ -381,7 +381,7 @@ def inline_macros(program: SourceProgram) -> A.Statement:
             return result
         return A.map_children(node, lambda child: walk(child, env))
 
-    return walk(program.main, MacroEnv.seeded(program.seeds()))
+    return walk(program.main, MacroEnv().define(program.seeds()))
 
 
 def macro_equivalence_case(rng: random.Random) -> SourceProgram:

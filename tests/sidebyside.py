@@ -97,8 +97,8 @@ def observe(program, max_depth: int, traced: bool) -> tuple[str, str, str, str]:
     machine, with the cmod on sys.path. program is a source text, or a
     (seeds, statement) pair of trees, executed without desugaring."""
     from cmod import ast
-    from cmod.engine import Success, execute, run_source
-    from cmod.machine import Machine
+    from cmod.engine import Success, execute, machine_for, run_source
+    from cmod.parser import SourceProgram
 
     lines: list[str] = []
     trace = (lambda event: lines.append(event.format())) if traced else None
@@ -106,7 +106,7 @@ def observe(program, max_depth: int, traced: bool) -> tuple[str, str, str, str]:
         outcome, machine = run_source(program, max_depth=max_depth, trace=trace)
     else:
         seeds, main = program
-        machine = Machine.initial(seeds=seeds, max_depth=max_depth, trace=trace)
+        machine = machine_for(SourceProgram((), tuple(seeds), main), max_depth=max_depth, trace=trace)
         outcome = execute(machine, main)
     if isinstance(outcome, Success):
         result = "ok"

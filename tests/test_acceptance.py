@@ -73,7 +73,7 @@ def test_c2_shadowing():
     rng = random.Random(2024)
     for _ in range(500):
         stmt, expected = proggen.shadowing_case(rng)
-        machine = Machine.initial()
+        machine = Machine()
         outcome = execute(machine, stmt)
         assert isinstance(outcome, Success)
         assert machine.store["hit"] == A.Int(expected)
@@ -90,7 +90,7 @@ def test_c3_stack_balance():
     total_scopes = 0
     for _ in range(500):
         seeds, stmt, assigned = proggen.balanced_case(rng)
-        machine = Machine.initial(seeds=seeds)
+        machine = Machine(seeds=seeds)
         checker = proggen.ScopeBalanceChecker(machine)
         machine.trace = checker
         outcome = execute(machine, stmt)
@@ -142,7 +142,7 @@ def test_c4_macro_equivalence():
 
         program = parse_source(source)
         inlined = A.desugar(proggen.inline_macros(program))
-        flat_machine = Machine.initial()  # no macro environment at all
+        flat_machine = Machine()  # no macro environment at all
         flat_outcome = execute(flat_machine, inlined)
 
         assert isinstance(outcome, Success) == isinstance(flat_outcome, Success), source
@@ -246,7 +246,7 @@ def test_c7_regions():
     rng = random.Random(7077)
     for _ in range(1000):
         stmt, expect_dangle = proggen.region_case(rng)
-        machine = Machine.initial()
+        machine = Machine()
         events = proggen.record_region_events(machine.regions)
         outcome = execute(machine, stmt)
         if expect_dangle:
@@ -270,7 +270,7 @@ def test_c8_search_oracle():
     rng = random.Random(8088)
     for _ in range(600):
         frame, _, target = proggen.conj_frame(rng)
-        machine = Machine.initial(max_depth=32)
+        machine = Machine(max_depth=32)
         outcome = execute(machine, A.Implication(frame, A.Call(target, ())))
         expected = proggen.branch_order_success(frame, target)
         assert isinstance(outcome, Success) == expected, (frame, target)

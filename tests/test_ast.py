@@ -81,7 +81,7 @@ def test_child_fields_name_exactly_the_fields_that_hold_nodes():
 
 # -- the Node base ----------------------------------------------------------
 
-RECORD_TYPES = (Token, CallSite, TraceEvent, MacroEnv, SourceProgram, Success)
+RECORD_TYPES = (Token, CallSite, TraceEvent, SourceProgram, Success)
 
 
 def test_equal_nodes_have_the_same_class_and_equal_fields():
@@ -97,7 +97,7 @@ def test_equal_nodes_have_the_same_class_and_equal_fields():
 
 def test_equal_nodes_hash_equal():
     pairs = [(A.Int(7), A.Int(7)), (A.TrueStmt(), A.TrueStmt()), (emp_switch(), emp_switch()),
-             (Token("ident", "x", 1, 1), Token("ident", "x", 1, 1)), (MacroEnv(), MacroEnv())]
+             (Token("ident", "x", 1, 1), Token("ident", "x", 1, 1))]
     for a, b in pairs:
         assert a is not b and a == b and hash(a) == hash(b)
     assert len({A.Int(1), A.Int(1), A.Bool(True), A.Atom("a"), A.Var("a")}) == 4
@@ -108,7 +108,6 @@ def test_repr_names_each_field():
     assert repr(A.TrueStmt()) == "TrueStmt()"
     assert repr(A.Call("p", (A.Var("x"),))) == "Call(name='p', args=(Var(name='x'),))"
     assert repr(Token("eof", "", 2, 7)) == "Token(kind='eof', lexeme='', line=2, column=7)"
-    assert repr(MacroEnv()) == "MacroEnv(defs=())"
 
 
 def test_a_wrong_argument_count_is_a_type_error():
@@ -131,7 +130,11 @@ def test_fields_are_the_match_args():
 
 
 def test_a_field_default_becomes_an_init_default():
-    assert MacroEnv().defs == () and MacroEnv.__init__.__defaults__ == ((),)
+    class Defaulted(A.Node):
+        first: int
+        rest: tuple = ()
+
+    assert Defaulted(1).rest == () and Defaulted.__init__.__defaults__ == ((),)
     with pytest.raises(TypeError, match="follows one with a default"):
         class Bad(A.Node):
             first: int = 0
@@ -197,7 +200,7 @@ def test_macro_ref_contributes_nothing_without_env():
 
 
 def test_macro_ref_chains_resolve_with_an_env():
-    env = MacroEnv.seeded(
+    env = MacroEnv().define(
         [
             A.MacroDef("inner", A.Clause("deep", (), A.TrueStmt())),
             A.MacroDef("outer", A.And(A.Clause("shallow", (), A.TrueStmt()), A.MacroRef("inner"))),
@@ -209,7 +212,7 @@ def test_macro_ref_chains_resolve_with_an_env():
 
 
 def test_macro_ref_cycles_are_cut():
-    env = MacroEnv.seeded(
+    env = MacroEnv().define(
         [
             A.MacroDef("a", A.And(A.Clause("pa", (), A.TrueStmt()), A.MacroRef("b"))),
             A.MacroDef("b", A.And(A.Clause("pb", (), A.TrueStmt()), A.MacroRef("a"))),
@@ -235,7 +238,7 @@ def _summary(table):
 
 
 def test_the_table_lists_steps_in_search_order_at_relative_depths():
-    env = MacroEnv.seeded([A.MacroDef("m", _clause("s"))])
+    env = MacroEnv().define([A.MacroDef("m", _clause("s"))])
     decl = A.Rename("p", "q", A.Forall("x", A.And(A.And(_clause("p", "x"), _clause("r")), A.MacroRef("m"))))
     table = A.clause_table(decl, env)
     steps, entries = table
@@ -264,7 +267,7 @@ def test_a_quantifier_shared_by_two_heads_lists_both_positions():
     _, entries = A.clause_table(decl, None)
     (_, binders, *_), = entries["q"]
     assert binders == (("x", [1, 0]),) and entries["p"][0][1] is binders
-    machine = Machine.initial()
+    machine = Machine()
     assert isinstance(execute(machine, A.Implication(decl, parse_source("q(5); p(0, 7)").main)), Success)
     assert machine.output_text() == "5\n7\n"
 
@@ -277,7 +280,7 @@ def test_an_inner_quantifier_hides_an_outer_one_of_its_name():
 
 
 def test_a_macro_reference_starts_a_new_quantifier_scope():
-    env = MacroEnv.seeded([A.MacroDef("m", _clause("q", "x"))])
+    env = MacroEnv().define([A.MacroDef("m", _clause("q", "x"))])
     decl = A.Forall("x", A.And(_clause("p", "x"), A.MacroRef("m")))
     _, entries = A.clause_table(decl, env)
     assert entries["p"][0][1] == (("x", [0]),)
@@ -287,7 +290,7 @@ def test_a_macro_reference_starts_a_new_quantifier_scope():
 def test_a_macro_reference_leaves_the_pushing_activation_behind():
     # the frame's own steps and clauses keep the scope it was pushed from;
     # those of a macro body it refers to have none: they read the store
-    env = MacroEnv.seeded([A.MacroDef("m", A.And(_clause("q"), _clause("s")))])
+    env = MacroEnv().define([A.MacroDef("m", A.And(_clause("q"), _clause("s")))])
     scope = {"k": A.Int(1)}
     steps, entries = A.clause_table(A.And(_clause("p"), A.MacroRef("m")), env, scope)
     assert entries["p"][0][4] is scope and entries["q"][0][4] is None and entries["s"][0][4] is None
@@ -295,7 +298,7 @@ def test_a_macro_reference_leaves_the_pushing_activation_behind():
 
 
 def test_cyclic_and_undefined_references_add_nothing():
-    env = MacroEnv.seeded([A.MacroDef("a", A.And(_clause("pa"), A.MacroRef("a")))])
+    env = MacroEnv().define([A.MacroDef("a", A.And(_clause("pa"), A.MacroRef("a")))])
     table = A.clause_table(A.And(A.MacroRef("ghost"), A.MacroRef("a")), env)
     assert _summary(table) == ([(0, 3), (0, 4), (1, 6), (2, 3), (2, 4)], [("pa", 4, 3)])
     assert A.clause_table(A.MacroRef("a"), None) == ([], {})

@@ -126,6 +126,36 @@ def test_runtime_faults_exit_3(tmp_path, capsys, source):
     assert code == 3
 
 
+# A read and a write word the same region-access fault the same.
+@pytest.mark.parametrize(
+    "source, detail",
+    [
+        ("x = 1; x[0] = 2", "1 is not a region handle"),
+        ("x = 1; y = x[0]", "1 is not a region handle"),
+        ("(h = new int[2] => h[true] = 1)", "region index must be an integer"),
+        ("(h = new int[2] => y = h[true])", "region index must be an integer"),
+    ],
+    ids=["write-handle", "read-handle", "write-index", "read-index"],
+)
+def test_a_region_access_fault_has_one_diagnostic(tmp_path, capsys, source, detail):
+    code = main(["run", write(tmp_path, source)])
+    assert (code, *capsys.readouterr()) == (3, "", f"cmod: type mismatch: {detail}\n")
+
+
+@pytest.mark.parametrize(
+    "source, code, err",
+    [
+        ("x = true && 1", 3, "type mismatch: && is not applicable to 1"),
+        ("x = false || 1", 3, "type mismatch: || is not applicable to 1"),
+        ("p; q()", 2, "syntax error: 1:1: expected '=>', '=', '[' or '(' after identifier, found 'p'"),
+        ('switch (x) { case "s": true; break; }', 2, "syntax error: 1:19: expected case label (atom or integer), found 's'"),
+    ],
+    ids=["and-operand", "or-operand", "bare-identifier", "string-case-label"],
+)
+def test_a_failure_ends_with_its_exit_code_and_diagnostic(tmp_path, capsys, source, code, err):
+    assert (main(["run", write(tmp_path, source)]), *capsys.readouterr()) == (code, "", f"cmod: {err}\n")
+
+
 def test_depth_exceeded_exits_3(tmp_path, capsys):
     path = write(tmp_path, "(loop() = loop() => loop())")
     code = main(["run", path, "--max-depth", "50"])
@@ -199,6 +229,12 @@ def test_a_usage_error_ends_with_its_message(tmp_path, capsys):
     assert (out, err.splitlines()[-1]) == ("", "cmod: error: argument --max-depth: must be at least 1")
 
 
+def test_a_value_given_to_a_flag_is_a_usage_error(tmp_path, capsys):
+    assert exit_code(["run", "--trace=1", write(tmp_path, "x = 1")]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[-1]) == ("", "cmod: error: argument --trace: ignored explicit argument '1'")
+
+
 def test_trace_goes_to_stderr_and_is_well_formed(capsys):
     code = main(["run", str(CORPUS / "ev_od.cmod"), "--trace"])
     captured = capsys.readouterr()
@@ -247,7 +283,7 @@ def test_dump_state_table(tmp_path, capsys):
 
 
 def test_dump_state_lists_the_live_regions(capsys):
-    machine = Machine.initial()
+    machine = Machine()
     machine.regions.free(machine.regions.allocate("int", 2))
     machine.regions.allocate("int", 3)
     _dump_state(machine)
@@ -353,7 +389,7 @@ def test_a_repl_entry_keeps_no_line_it_printed(capsys):
     from cmod.cli import _repl_entry
     from cmod.machine import Machine
 
-    machine = Machine.initial(write=sys.stdout.write)  # as the REPL builds it
+    machine = Machine(write=sys.stdout.write)  # as the REPL builds it
     for source in ("print(1)", "print(2)"):
         _repl_entry(machine, source)
         assert machine.output == []
@@ -419,6 +455,12 @@ def test_repl_blank_line_flushes_a_stuck_buffer(monkeypatch, capsys):
     assert "syntax error" in captured.out
 
 
+def test_repl_blank_lines_with_nothing_buffered_print_nothing(monkeypatch, capsys):
+    code, captured = repl(monkeypatch, capsys, ["", "   ", "\t", "print(1)", ":quit"])
+    assert code == 0
+    assert captured.out.split("\n", 1)[1] == "cmod> " * 4 + "1\nok\ncmod> "
+
+
 def test_repl_eof_is_a_clean_exit(monkeypatch, capsys):
     code, captured = repl(monkeypatch, capsys, ["x = 1"])
     assert code == 0
@@ -435,6 +477,13 @@ def test_repl_macros_listing(monkeypatch, capsys):
     code, captured = repl(monkeypatch, capsys, ["macro /m = { f() = true }", ":macros", ":quit"])
     assert code == 0
     assert "/m" in captured.out
+
+
+def test_repl_macros_lists_the_newest_first_shadowed_ones_too(monkeypatch, capsys):
+    lines = ["macro /m = { f() = true }", "module M. g() = true end", "macro /m = { h() = true }", ":macros", ":quit"]
+    code, captured = repl(monkeypatch, capsys, lines)
+    assert code == 0
+    assert "cmod> /m /M /m\n" in captured.out
 
 
 def test_repl_continues_a_macro_group_after_and(monkeypatch, capsys):
@@ -549,7 +598,7 @@ def test_deep_recursion_runs_on_the_main_thread(tmp_path, capsys, main_thread_on
 def test_a_session_keeps_no_clause_table_or_renaming_between_entries(capsys):
     # Each entry pushes a declaration and a renamed one; with no frame left
     # after an entry, its tables and renamings go.
-    machine = Machine.initial()
+    machine = Machine()
     entry = "(p() = true => p()); (ren(h, g) (h() = true) => g())"
     sizes = []
     for _ in range(300):

@@ -2,7 +2,9 @@
 n and 2n: clause tables built (cmod.ast.clause_table), declarations
 renamed while a table is built (cmod.engine.rename, the only way the
 engine renames, traced or not), frames pushed (the frames handed to
-cmod.engine._push) and the most tables cached on the machine at a push. A count
+cmod.engine._push), the most tables cached on the machine at a push and
+the macro definitions held by the environments cmod.macros.MacroEnv.define
+returns. A count
 that grows with the depth of the recursion where it should not fails
 here on any machine, unlike a timing."""
 
@@ -10,6 +12,7 @@ import pytest
 
 import cmod.ast
 import cmod.engine
+import cmod.macros
 from cmod.engine import Success, run_source
 
 N = 300
@@ -32,9 +35,10 @@ CLAUSES = " and ".join(f"c{i}() = (s = s + {1 if i == 39 else 'n'})" for i in ra
 
 
 def counts(monkeypatch, family: str, n: int, trace=None) -> dict[str, int]:
-    """The four counts of one run of family at size n; cached is the most
-    tables the machine held at a push."""
-    counted = {"tables": 0, "renames": 0, "frames": 0}
+    """The counts of one run of family at size n; cached is the most
+    tables the machine held at a push, defined the sum of len(env.defs)
+    over the environments define returned."""
+    counted = {"tables": 0, "renames": 0, "frames": 0, "defined": 0}
 
     def count(owner, attr, key, amount=lambda *args: 1):
         original = getattr(owner, attr)
@@ -49,7 +53,13 @@ def counts(monkeypatch, family: str, n: int, trace=None) -> dict[str, int]:
         counted["cached"] = max(counted["cached"], len(machine.tables))  # before the run drops them
         return len(frames)
 
-    counted["cached"] = 0
+    def define(env, *args):
+        defined = original_define(env, *args)
+        counted["defined"] += len(defined.defs)
+        return defined
+
+    counted["cached"], original_define = 0, cmod.macros.MacroEnv.define
+    monkeypatch.setattr(cmod.macros.MacroEnv, "define", define)
     count(cmod.ast, "clause_table", "tables")
     count(cmod.engine, "rename", "renames")
     count(cmod.engine, "_push", "frames", pushed)
@@ -82,3 +92,4 @@ def test_a_macro_scope_at_every_level_costs_the_same_at_every_level(monkeypatch)
     small, large = counts(monkeypatch, "mscope", N), counts(monkeypatch, "mscope", 2 * N)
     assert large["frames"] <= 2.2 * small["frames"]
     assert large["tables"] <= 2.2 * small["tables"]
+    assert large["defined"] <= 2.2 * small["defined"]

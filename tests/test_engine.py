@@ -47,7 +47,7 @@ def push(machine, *decls):
 
 
 def test_true_is_always_a_success():
-    machine = Machine.initial()
+    machine = Machine()
     machine.store["x"] = A.Int(1)
     outcome = execute(machine, A.TrueStmt())
     assert isinstance(outcome, Success)
@@ -56,7 +56,7 @@ def test_true_is_always_a_success():
 
 
 def test_assignment_replaces_the_binding():
-    machine = Machine.initial()
+    machine = Machine()
     machine.store["x"] = A.Int(1)
     execute(machine, A.Assign("x", A.Int(2)))
     assert machine.store == {"x": A.Int(2)}
@@ -82,12 +82,12 @@ def test_emp_implication_golden():
 
 
 def test_module_stack_restored_after_implication():
-    machine = Machine.initial()
-    before = list(machine.module_stack)
+    machine = Machine()
+    before, env = list(machine.module_stack), machine.macro_env
     outcome = execute(machine, main_of("(p() = true => true)"))
     assert isinstance(outcome, Success)
     assert machine.module_stack == before
-    assert len(machine.macro_env.defs) == 0
+    assert machine.macro_env is env and machine.macro_env.names() == []
 
 
 def test_store_effects_survive_the_pop():
@@ -125,7 +125,7 @@ def test_unbound_module_name_fails():
 
 def test_an_implication_over_an_undefined_macro_fails_up_front():
     # built directly, as a library caller would; the body must not run
-    machine = Machine.initial()
+    machine = Machine()
     outcome = execute(machine, A.Implication(A.MacroRef("nope"), A.Assign("x", A.Int(1))))
     assert isinstance(outcome, Failure)
     assert (outcome.reason, outcome.detail) == (NO_MATCHING_CLAUSE, "module or macro '/nope' is not defined")
@@ -153,7 +153,7 @@ def test_switch_executes_like_its_desugaring():
 
 
 def test_execute_accepts_an_undesugared_switch():
-    machine = Machine.initial()
+    machine = Machine()
     machine.store["x"] = A.Atom("kim")
     raw = parse_source("switch (x) { case kim: r = 1; break; }").main
     assert isinstance(raw, A.Switch)
@@ -180,7 +180,7 @@ def test_switch_labels_match_by_class():
     outcome, machine = run("x = 1; switch (x) { case one: r = 1; break; default: r = 3; break; }")
     assert isinstance(outcome, Success)
     assert machine.store["r"] == A.Int(3)
-    machine = Machine.initial()  # True == 1 in Python, not in cmod
+    machine = Machine()  # True == 1 in Python, not in cmod
     stmt = A.Switch(A.Int(1), ((A.Bool(True), A.Assign("r", A.Int(1))),), A.Assign("r", A.Int(3)))
     assert isinstance(execute(machine, stmt), Success)
     assert machine.store["r"] == A.Int(3)
@@ -197,7 +197,7 @@ def test_a_switch_takes_the_first_equal_label_and_fails_on_an_unbound_scrutinee(
 
 
 def test_resolve_call_picks_the_top_declaring_frame():
-    machine = Machine.initial()
+    machine = Machine()
     push(machine, A.Clause("p", (), A.Assign("x", A.Int(1))), A.Clause("p", (), A.Assign("x", A.Int(2))))
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Success)
@@ -205,13 +205,13 @@ def test_resolve_call_picks_the_top_declaring_frame():
 
 
 def test_resolve_call_empty_stack():
-    outcome = execute(Machine.initial(), A.Call("p", ()))
+    outcome = execute(Machine(), A.Call("p", ()))
     assert isinstance(outcome, Failure)
     assert outcome.reason == NO_MATCHING_CLAUSE and outcome.detail == "p/0"
 
 
 def test_resolve_call_name_absent():
-    machine = Machine.initial()
+    machine = Machine()
     push(machine, A.Clause("q", (), A.TrueStmt()))
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
@@ -220,7 +220,7 @@ def test_resolve_call_name_absent():
 def test_selection_is_by_name_only_no_fall_through():
     # the top frame declares p/1; a deeper frame declares p/0; calling p()
     # selects the top frame by name and then fails on arity
-    machine = Machine.initial()
+    machine = Machine()
     push(machine, A.Clause("p", (), A.Assign("x", A.Int(1))), proggen.closed_clause("p", ("a",), A.TrueStmt()))
     outcome = execute(machine, A.Call("p", ()))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
@@ -262,7 +262,7 @@ def test_backchain_instantiates_from_the_call():
 
 
 def test_backchain_falls_through_to_the_right_branch():
-    machine = Machine.initial()
+    machine = Machine()
     decl = A.And(A.Clause("p", (), A.TrueStmt()), A.Clause("q", (), A.Assign("x", A.Int(1))))
     outcome = execute(machine, A.Implication(decl, A.Call("q", ())))
     assert isinstance(outcome, Success)
@@ -270,7 +270,7 @@ def test_backchain_falls_through_to_the_right_branch():
 
 
 def test_backchain_head_mismatch_is_no_matching_clause():
-    machine = Machine.initial()
+    machine = Machine()
     outcome = execute(machine, A.Implication(A.Clause("p", (), A.TrueStmt()), A.Call("q", ())))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
 
@@ -279,7 +279,7 @@ def test_mismatch_detail_is_the_call_signature_past_an_undefined_macro():
     # the frame declares pa, so it decides the call; the undefined /nope
     # searched last contributes no clause and does not become the detail
     decl = A.And(A.Clause("pa", (), A.TrueStmt()), A.MacroRef("nope"))
-    outcome = execute(Machine.initial(), A.Implication(decl, A.Call("pa", (A.Int(1),))))
+    outcome = execute(Machine(), A.Implication(decl, A.Call("pa", (A.Int(1),))))
     assert isinstance(outcome, Failure)
     assert (outcome.reason, outcome.detail) == (NO_MATCHING_CLAUSE, "pa/1")
 
@@ -287,7 +287,7 @@ def test_mismatch_detail_is_the_call_signature_past_an_undefined_macro():
 def test_no_fallback_after_a_head_matches():
     # both clauses are named p; the first head matches and its body fails,
     # so the second clause must not run
-    machine = Machine.initial()
+    machine = Machine()
     decl = A.And(
         A.Clause("p", (), A.Call("missing", ())),
         A.Clause("p", (), A.Assign("x", A.Int(1))),
@@ -327,9 +327,9 @@ def test_body_mismatch_from_a_module_frame_does_not_fall_through():
 
 def test_backchain_rename_directly():
     renamed = A.Rename("f", "g", A.Forall("x", A.Clause("f", (A.Var("x"),), A.TrueStmt())))
-    ok = execute(Machine.initial(), A.Implication(renamed, A.Call("g", (A.Int(1),))))
+    ok = execute(Machine(), A.Implication(renamed, A.Call("g", (A.Int(1),))))
     assert isinstance(ok, Success)
-    bad = execute(Machine.initial(), A.Implication(renamed, A.Call("f", (A.Int(1),))))
+    bad = execute(Machine(), A.Implication(renamed, A.Call("f", (A.Int(1),))))
     assert isinstance(bad, Failure) and bad.reason == NO_MATCHING_CLAUSE
 
 
@@ -389,7 +389,7 @@ def test_colliding_renames_merge_names_textually():
     # ren(p, q) over ren(q, r): the outer pass turns p into q, colliding
     # with the original q, and the inner pass sends every q to r; both
     # clauses end up named r and left-first search wins (no hygiene)
-    machine = Machine.initial(
+    machine = Machine(
         seeds=[
             A.MacroDef(
                 "m",
@@ -538,7 +538,7 @@ def test_selection_walks_only_the_deciding_frame(monkeypatch):
         stmt = A.Implication(A.Clause(f"p{i}", (), A.TrueStmt()), stmt)
     stmt = A.Implication(A.Clause("base", (), A.Assign("x", A.Int(1))), stmt)
     built, read = record_tables(monkeypatch)
-    machine = Machine.initial()
+    machine = Machine()
     assert isinstance(execute(machine, stmt), Success)
     assert machine.store["x"] == A.Int(1)
     assert len(built) == 201
@@ -558,7 +558,7 @@ def test_macro_reference_frames_share_one_table_per_environment(monkeypatch):
 
 
 def test_the_frame_index_holds_live_frames_only():
-    machine = Machine.initial()
+    machine = Machine()
     outcome = execute(machine, main_of("(p() = q() => (r() = true => p()))"))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
     assert machine.module_stack == [] and machine.frame_tables == [] and machine.frame_index == {}
@@ -583,7 +583,7 @@ def test_forall_with_unused_binder_still_matches():
 
 
 def eval_in(store, expr):
-    machine = Machine.initial()
+    machine = Machine()
     for key, value in store.items():
         machine.store[key] = value
     return eval_expr(machine, expr)
@@ -831,7 +831,7 @@ def test_no_run_substitutes_traced_or_untraced(monkeypatch):
             run(path.read_text(encoding="utf-8"), trace=trace)
         for case in test_golden.CASES.values():
             seeds, stmt = case()
-            execute(Machine.initial(seeds=seeds, trace=trace), stmt)
+            execute(Machine(seeds=seeds, trace=trace), stmt)
     assert calls == []
 
 
@@ -868,7 +868,7 @@ def test_left_first_search_matches_the_branch_order_oracle_quick():
     rng = random.Random(11)
     for _ in range(120):
         frame, _, target = proggen.conj_frame(rng)
-        machine = Machine.initial(max_depth=32)
+        machine = Machine(max_depth=32)
         outcome = execute(machine, A.Implication(frame, A.Call(target, ())))
         assert isinstance(outcome, Success) == proggen.branch_order_success(frame, target)
 
@@ -897,7 +897,7 @@ def test_a_macro_scope_at_every_level_uses_no_python_stack():
     while frame:
         here, frame = here + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    machine = Machine.initial()
+    machine = Machine()
     sys.setrecursionlimit(here + 100)
     try:
         outcome = execute(machine, main)
@@ -946,7 +946,7 @@ def test_a_failure_deep_in_an_expression_unwinds_every_scope():
     deep = A.BinOp("/", A.Int(1), A.Int(0))
     for i in range(100000):
         deep = A.UnaryOp("-", deep) if i % 2 else A.BinOp("+", A.Int(1), deep)
-    machine = Machine.initial()
+    machine = Machine()
     machine.store["h"] = A.Int(7)
     macro_env = machine.macro_env
     outcome = execute(machine, nested_scopes(A.Assign("y", deep)))
@@ -961,7 +961,7 @@ def test_an_exception_from_the_trace_hook_propagates_and_unwinds_every_scope():
         if event.phase == "ex" and event.subject.startswith("y ="):
             raise ValueError("hook")
 
-    machine = Machine.initial(trace=hook)
+    machine = Machine(trace=hook)
     machine.store["h"] = A.Int(7)
     macro_env = machine.macro_env
     with pytest.raises(ValueError, match="hook"):

@@ -185,7 +185,7 @@ def corpus_trace(path: Path, capture) -> str:
 def case_trace(name: str) -> str:
     seeds, stmt = CASES[name]()
     lines: list[str] = []
-    machine = Machine.initial(seeds=seeds, trace=lambda event: lines.append(event.format()))
+    machine = Machine(seeds=seeds, trace=lambda event: lines.append(event.format()))
     outcome = execute(machine, stmt)
     if isinstance(outcome, Failure):
         result = f"fail {outcome.reason}: {outcome.detail} [{outcome.render_chain()}]"

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 
 from cmod import ast as A
-from cmod.macros import MacroEnv, rename
+from cmod.ast import rename
+from cmod.macros import MacroEnv
 from proggen import MacroNotDefined, conj_expand, lookup
 
 
@@ -31,14 +32,13 @@ def test_shadow_then_pop_restores():
     shadowed = base.define([macro("p", clause("new"))])
     assert lookup(shadowed, "p") == clause("new")
     assert lookup(base, "p") == clause("old")
-    assert shadowed.defs[1:] == base.defs
+    assert shadowed.parent is base
 
 
 def test_empty_frame_define_keeps_defs():
     env = MacroEnv().define([macro("p", clause("f"))])
     framed = env.define([])
-    assert framed.defs == env.defs
-    assert framed == env
+    assert framed.find("p") == env.find("p") and framed.names() == env.names() == ["p"]
 
 
 def test_lookup_missing_raises():
@@ -54,26 +54,37 @@ def test_within_one_group_later_definitions_shadow():
 
 def test_seeded_environment_has_no_frames():
     seeds = [macro("p", clause("a")), macro("p", clause("b"))]
-    env = MacroEnv.seeded(seeds)
+    env = MacroEnv().define(seeds)
     assert lookup(env, "p") == clause("b")
-    assert env == MacroEnv().define(seeds)
+    other = MacroEnv().define(seeds)
+    assert env.find("p") == other.find("p") and env.names() == other.names() == ["p", "p"]
 
 
 def test_pop_restores_across_multiple_frames():
-    env0 = MacroEnv.seeded([macro("base", clause("f"))])
+    env0 = MacroEnv().define([macro("base", clause("f"))])
     env1 = env0.define([macro("p", clause("x"))])
     env2 = env1.define([macro("q", clause("y")), macro("p", clause("z"))])
     assert lookup(env2, "p") == clause("z")
-    assert env2.defs[2:] == env1.defs and lookup(env1, "p") == clause("x")
-    assert env1.defs[1:] == env0.defs and env0.find("p") is None
+    assert env2.parent is env1 and lookup(env1, "p") == clause("x")
+    assert env1.parent is env0 and env0.find("p") is None
     assert lookup(env0, "base") == clause("f")
+
+
+def test_a_deep_chain_compares_hashes_and_prints():
+    # environments compare by identity, so nothing walks the chain; each link holds a scope
+    env = MacroEnv()
+    for i in range(3000):
+        env = env.define([macro(f"m{i}", clause("f"))], {"x": A.Int(i)})
+    assert env == env and env != env.parent and hash(env) == hash(env)
+    assert repr(env).startswith("<cmod.macros.MacroEnv")
+    assert env.find("m0") == (clause("f"), {"x": A.Int(0)}) and len(env.names()) == 3000
 
 
 def test_conj_expand_pair():
     # /p and /q expand to the conjunction of their bodies
     f = A.Forall("x", A.Clause("f", (A.Var("x"),), A.Assign("y", A.Var("x"))))
     g = A.Forall("x", A.Clause("g", (A.Var("x"),), A.Assign("y", A.Int(0))))
-    env = MacroEnv.seeded([macro("p", f), macro("q", g)])
+    env = MacroEnv().define([macro("p", f), macro("q", g)])
     assert conj_expand(env, A.And(A.MacroRef("p"), A.MacroRef("q"))) == A.And(f, g)
 
 
@@ -88,7 +99,7 @@ def test_conj_expand_missing_raises():
 
 
 def test_conj_expand_cuts_cycles():
-    env = MacroEnv.seeded(
+    env = MacroEnv().define(
         [
             macro("a", A.And(clause("pa"), A.MacroRef("b"))),
             macro("b", A.And(clause("pb"), A.MacroRef("a"))),
@@ -104,7 +115,7 @@ def test_conj_expand_leaves_statement_bodies_alone():
         "x",
         A.Clause("Even", (A.Var("x"),), A.Implication(A.MacroRef("Od"), A.Call("Odd", (A.Var("x"),)))),
     )
-    env = MacroEnv.seeded([macro("Ev", ev_body)])
+    env = MacroEnv().define([macro("Ev", ev_body)])
     assert conj_expand(env, A.MacroRef("Ev")) == ev_body
 
 
@@ -158,10 +169,10 @@ def test_lazy_resolution_agrees_with_eager_inlining_on_random_programs():
     for _ in range(250):
         program = proggen.macro_equivalence_case(rng)
         seeds = [A.MacroDef(d.name, A.desugar(d.body)) for d in program.seeds()]
-        direct = Machine.initial(seeds=seeds, max_depth=48)
+        direct = Machine(seeds=seeds, max_depth=48)
         direct_out = execute(direct, A.desugar(program.main))
 
-        flat = Machine.initial(max_depth=48)
+        flat = Machine(max_depth=48)
         flat_out = execute(flat, A.desugar(proggen.inline_macros(program)))
 
         assert isinstance(direct_out, Success) == isinstance(flat_out, Success)

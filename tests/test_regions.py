@@ -56,14 +56,14 @@ def test_store_read_after_assign(bindings, name, value):
 
 
 def test_fresh_region_is_zero_initialized():
-    machine = Machine.initial()
+    machine = Machine()
     handle = machine.regions.allocate("int", 3)
     assert region_read(machine, handle, 0) == A.Int(0)
     assert region_read(machine, handle, 2) == A.Int(0)
 
 
 def test_read_at_length_is_a_bounds_fault():
-    machine = Machine.initial()
+    machine = Machine()
     handle = machine.regions.allocate("int", 2)
     with pytest.raises(EngineFailure) as info:
         region_read(machine, handle, 2)
@@ -71,7 +71,7 @@ def test_read_at_length_is_a_bounds_fault():
 
 
 def test_write_negative_index_is_a_bounds_fault():
-    machine = Machine.initial()
+    machine = Machine()
     handle = machine.regions.allocate("int", 2)
     with pytest.raises(EngineFailure) as info:
         region_write(machine, handle, -1, A.Int(5))
@@ -79,14 +79,14 @@ def test_write_negative_index_is_a_bounds_fault():
 
 
 def test_write_then_read_same_index():
-    machine = Machine.initial()
+    machine = Machine()
     handle = machine.regions.allocate("int", 4)
     region_write(machine, handle, 3, A.Int(9))
     assert region_read(machine, handle, 3) == A.Int(9)
 
 
 def test_element_type_is_enforced():
-    machine = Machine.initial()
+    machine = Machine()
     handle = machine.regions.allocate("int", 1)
     with pytest.raises(EngineFailure) as info:
         region_write(machine, handle, 0, A.Bool(True))
@@ -165,7 +165,7 @@ def test_a_handle_is_read_only_exactly_while_a_scope_of_its_name_is_live(source,
 
 
 def test_scope_pops_even_when_the_body_fails():
-    machine = Machine.initial()
+    machine = Machine()
     body = A.Call("nope", ())
     outcome = execute(machine, A.AllocScope("p", "int", A.Int(2), body))
     assert isinstance(outcome, Failure)
@@ -233,7 +233,7 @@ def test_free_out_of_order_is_a_hard_error():
 
 
 def test_lifo_event_log():
-    machine = Machine.initial()
+    machine = Machine()
     events = proggen.record_region_events(machine.regions)
     source = "(a = new int[1] => ((b = new int[2] => true); (c = new int[3] => true)))"
     outcome = execute(machine, parse_source(source).main)
@@ -243,7 +243,7 @@ def test_lifo_event_log():
 
 
 def test_assign_never_touches_regions_and_writes_never_touch_the_store():
-    machine = Machine.initial()
+    machine = Machine()
     handle = machine.regions.allocate("int", 2)
     execute(machine, A.Assign("x", A.Int(1)))
     cells_before = list(machine.regions.regions[0].cells)
@@ -256,7 +256,7 @@ def test_assign_never_touches_regions_and_writes_never_touch_the_store():
 
 def test_interleaved_writes_against_flat_map_oracle():
     rng = random.Random(7)
-    machine = Machine.initial()
+    machine = Machine()
     handles = [machine.regions.allocate("int", 5), machine.regions.allocate("int", 5)]
     model: dict[tuple[int, int], A.Int] = {}
     for _ in range(200):
@@ -273,7 +273,7 @@ def test_interleaved_writes_against_flat_map_oracle():
 
 def test_scope_exit_restores_region_count_at_every_level():
     source = "(a = new int[1] => ((b = new int[2] => b[0] = 1); a[0] = 2))"
-    machine = Machine.initial()
+    machine = Machine()
     stack, free, counts = machine.regions, machine.regions.free, []
 
     def counting_free(handle):
@@ -300,7 +300,7 @@ def test_handles_pass_through_procedure_parameters():
 
 
 def test_execute_store_index_through_non_handle_is_a_type_error():
-    machine = Machine.initial()
+    machine = Machine()
     machine.store["x"] = A.Int(3)
     outcome = execute(machine, A.StoreIndex(A.Var("x"), A.Int(0), A.Int(1)))
     assert isinstance(outcome, Failure) and outcome.reason == TYPE_MISMATCH
@@ -356,7 +356,7 @@ def test_sequential_big_scopes_give_their_cells_back():
 
 
 def test_a_repl_session_holds_no_region_it_has_freed(capsys):
-    machine = Machine.initial()
+    machine = Machine()
     for k in range(1000):
         _repl_entry(machine, f"(p = new int[100] => p[99] = {k})")
     assert capsys.readouterr().out == "ok\n" * 1000
