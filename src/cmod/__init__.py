@@ -4,7 +4,7 @@ modules, a constructive macro language, and region-scoped allocation."""
 from .engine import Success, eval_expr, execute, machine_for, run_source, substitute
 from .errors import CmodError, EngineFailure, LexError, ParseError
 from .ast import desugar, free_procedure_names, rename
-from .lexer import Token, tokenize
+from .lexer import tokenize
 from .machine import Machine
 from .macros import MacroEnv
 from .parser import SourceProgram, parse_program, parse_repl_input, parse_source
@@ -23,7 +23,6 @@ __all__ = [
     "RegionStack",
     "SourceProgram",
     "Success",
-    "Token",
     "desugar",
     "eval_expr",
     "execute",

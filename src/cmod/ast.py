@@ -23,18 +23,14 @@ from types import GeneratorType
 
 class _NodeClass(type):
     """Builds each Node class from the fields its body annotates, in order: the slots, __match_args__,
-    the key equality and hashing read, and a positional __init__ defaulting to class attributes."""
+    the key equality and hashing read, and a positional __init__."""
 
     def __new__(meta, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
-        defaulted = tuple(f for f in fields if f in namespace)
-        if defaulted != fields[len(fields) - len(defaulted):]:
-            raise TypeError(f"{name}: a field without a default follows one with a default")
         code = {}
         exec(f"def __init__(self{''.join(', ' + f for f in fields)}):"
              + ("".join(f"\n self.{f} = {f}" for f in fields) or " pass"), {}, code)
         init = namespace["__init__"] = code["__init__"]
-        init.__defaults__ = tuple(namespace.pop(f) for f in defaulted) or None
         init.__qualname__ = f"{name}.__init__"
         namespace["__slots__"] = namespace["__match_args__"] = fields
         # the key: a lone field's value, a tuple of several, or the class

@@ -19,26 +19,33 @@ class CmodError(Exception):
     """Base class for every error raised by this package."""
 
 
+def _position(error: CmodError, source: str, offset: int) -> str:
+    """Set the error's offset, line and column, and return ``line:column``.
+    A column counts characters since the last newline: a tab or a CR is one."""
+    error.offset = offset
+    error.line = source.count("\n", 0, offset) + 1
+    error.column = offset - source.rfind("\n", 0, offset)
+    return f"{error.line}:{error.column}"
+
+
 class LexError(CmodError):
-    def __init__(self, line: int, column: int, char: str, message: str | None = None):
-        self.line = line
-        self.column = column
-        self.char = char
+    """``char`` is the character at ``offset`` that the message is about."""
+
+    def __init__(self, source: str, offset: int, message: str | None = None):
+        self.char = source[offset]
         if message is None:
-            message = f"unexpected character {char!r}"
-        super().__init__(f"{line}:{column}: {message}")
+            message = f"unexpected character {self.char!r}"
+        super().__init__(f"{_position(self, source, offset)}: {message}")
 
 
 class ParseError(CmodError):
-    def __init__(self, line: int, column: int, expected: str, found: str, at_eof: bool = False):
-        self.line = line
-        self.column = column
+    def __init__(self, source: str, offset: int, expected: str, found: str, at_eof: bool = False):
         self.expected = expected
         self.found = found
         # True when the input simply stopped short; the REPL uses this to
         # request a continuation line instead of reporting the error.
         self.at_eof = at_eof
-        super().__init__(f"{line}:{column}: expected {expected}, found {found}")
+        super().__init__(f"{_position(self, source, offset)}: expected {expected}, found {found}")
 
 
 class EngineFailure(CmodError):

@@ -1,13 +1,14 @@
 """Tokenizer for cmod source text.
 
 Source files are UTF-8. One pattern, ``_TOKEN``, reads a token at a time:
-first any spaces, tabs, carriage returns and ``%`` comments (a comment
-runs to end of line), then one alternative per token class. A column
-counts characters from the last newline, so a tab or a carriage return
-is one column. An identifier starts with a letter of any script or
-``_``, an integer is ASCII digits, and a string literal ends on its own
-line with ``ESCAPES`` as its escapes. ``lex`` builds each token when
-its iteration asks for it and keeps none; ``tokenize`` lists them all.
+first any spaces, tabs, carriage returns, newlines and ``%`` comments
+(a comment runs to end of line), then one alternative per token class.
+A token records only the offset its text starts at; ``cmod.errors``
+turns an offset into a line and a column. An identifier starts with a
+letter of any script or ``_``, an integer is ASCII digits, and a string
+literal ends on its own line with ``ESCAPES`` as its escapes. ``lex``
+builds each token when its iteration asks for it and keeps none;
+``tokenize`` lists them all.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import re
 import sys
 from collections.abc import Iterator
 
-from .ast import Node
 from .errors import LexError
 
 KEYWORDS = frozenset(
@@ -46,9 +46,8 @@ KEYWORDS = frozenset(
 ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
 _TOKEN = re.compile(
-    r"""(?:[ \t\r]+|%[^\n]*)*
-    (?: (?P<newline>\n)
-      | (?P<int>[0-9]+)
+    r"""(?:[ \t\r\n]+|%[^\n]*)*
+    (?: (?P<int>[0-9]+)
       | (?P<word>\w+)
       | (?P<string>"(?P<body>(?:[^"\\\n]|\\[\s\S]?)*)(?P<close>"?))
       | (?P<punct>=>|==|!=|<=|>=|&&|\|\||[()\[\]{};,.=<>+\-*/!:])
@@ -59,54 +58,41 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
-class Token(Node):
-    kind: str  # ident | int | string | keyword | punct | eof
-    lexeme: str
-    line: int
-    column: int
-
-    def __str__(self) -> str:
-        if self.kind == "eof":
-            return "end of input"
-        return repr(self.lexeme)
-
-
-def lex(source: str) -> Iterator[Token]:
-    """The tokens of source, ending with an eof marker, each built when the
-    iteration asks for it."""
+def lex(source: str) -> Iterator[tuple[str, str, int, str]]:
+    """The tokens of source as ``(kind, lexeme, offset, source)`` tuples,
+    ending with an eof marker at ``len(source)``, each built when the
+    iteration asks for it. kind is ident, int, string, keyword, punct or
+    eof; offset is where the token's text starts."""
     max_digits = getattr(sys, "get_int_max_str_digits", int)()  # the longest literal int() converts; 0: no limit
-    pos, line, line_start = 0, 1, 0
-    while pos <= len(source):
-        match = _TOKEN.match(source, pos)
-        kind, pos = match.lastgroup, match.end()
-        lexeme = match[kind] if kind else ""
-        column = pos - len(lexeme) - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, pos
-            continue
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
         if kind is None:
-            if pos < len(source):
-                raise LexError(line, column, source[pos])
-            kind, pos = "eof", pos + 1  # past the end: the iteration stops
-        elif kind == "int" and max_digits and len(lexeme) > max_digits:
-            raise LexError(line, column, lexeme[0], f"integer literal longer than {max_digits} digits")
-        elif kind == "word":
+            offset = match.end()
+            if offset < len(source):
+                raise LexError(source, offset)
+            yield "eof", "", offset, source
+            return
+        lexeme = match[kind]
+        offset = match.start(kind)
+        if kind == "word":
             if not (lexeme[0].isalpha() or lexeme[0] == "_"):  # \w also takes digits such as ² or ½
-                raise LexError(line, column, lexeme[0])
+                raise LexError(source, offset)
             kind = "keyword" if lexeme in KEYWORDS else "ident"
+        elif kind == "int" and max_digits and len(lexeme) > max_digits:
+            raise LexError(source, offset, f"integer literal longer than {max_digits} digits")
         elif kind == "string":
-            lexeme = _ESCAPE.sub(lambda esc: _unescape(esc, line, column + 1), match["body"])
+            lexeme = _ESCAPE.sub(lambda esc: _unescape(esc, source, offset + 1), match["body"])
             if not match["close"]:
-                raise LexError(line, column, '"', "unterminated string literal")
-        yield Token(kind, lexeme, line, column)
+                raise LexError(source, offset, "unterminated string literal")
+        yield kind, lexeme, offset, source
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> list[tuple[str, str, int, str]]:
     """The full token list for source, ending with an eof marker."""
     return list(lex(source))
 
 
-def _unescape(escape: re.Match, line: int, body_column: int) -> str:
+def _unescape(escape: re.Match, source: str, body_offset: int) -> str:
     if escape[1] in ESCAPES:
         return ESCAPES[escape[1]]
-    raise LexError(line, body_column + escape.start(), "\\", "bad escape sequence")
+    raise LexError(source, body_offset + escape.start(), "bad escape sequence")

@@ -35,7 +35,7 @@ from collections.abc import Iterable
 
 from . import ast
 from .errors import ParseError
-from .lexer import Token, lex
+from .lexer import lex
 
 _STATEMENT_START_KEYWORDS = {"true", "if", "switch", "print", "macro", "forall", "ren"}
 # Binary operator precedence, loosest first; the printer reads it too.
@@ -69,7 +69,7 @@ def parse_source(source: str) -> SourceProgram:
     return parse_program(lex(source))
 
 
-def parse_program(tokens: Iterable[Token]) -> SourceProgram:
+def parse_program(tokens: Iterable[tuple]) -> SourceProgram:
     return _Parser(tokens).run(need_main=True)
 
 
@@ -84,9 +84,9 @@ class _Parser:
     """A method that parses what nests is a generator that yields the parse of
     each part (ast.drive runs it), or returns a node or such a generator."""
 
-    def __init__(self, tokens: Iterable[Token]):
+    def __init__(self, tokens: Iterable[tuple]):
         self._tokens = iter(tokens)
-        self.tok = next(self._tokens)  # the current token
+        self.tok = next(self._tokens)  # the current (kind, lexeme, offset, source)
         self.ahead = next(self._tokens, self.tok)  # the one after it; eof repeats
         self._handles: list[str] = []
 
@@ -103,18 +103,18 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        return self.ahead if offset else self.tok
+    def _peek(self, ahead: int = 0) -> tuple:
+        return self.ahead if ahead else self.tok
 
-    def _advance(self) -> Token:
+    def _advance(self) -> tuple:
         tok = self.tok
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.ahead, self.tok = next(self._tokens, self.ahead), self.ahead
         return tok
 
-    def _check(self, lexeme: str, offset: int = 0) -> bool:
-        tok = self.ahead if offset else self.tok
-        return tok.lexeme == lexeme and tok.kind in ("punct", "keyword")
+    def _check(self, lexeme: str, ahead: int = 0) -> bool:
+        tok = self.ahead if ahead else self.tok
+        return tok[1] == lexeme and tok[0] in ("punct", "keyword")
 
     def _accept(self, lexeme: str) -> bool:
         if self._check(lexeme):
@@ -122,17 +122,18 @@ class _Parser:
             return True
         return False
 
-    def _error(self, expected: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self._peek()
-        return ParseError(tok.line, tok.column, expected, str(tok), at_eof=tok.kind == "eof")
+    def _error(self, expected: str, tok: tuple | None = None) -> ParseError:
+        kind, lexeme, offset, source = tok or self.tok
+        found = "end of input" if kind == "eof" else repr(lexeme)
+        return ParseError(source, offset, expected, found, at_eof=kind == "eof")
 
-    def _expect(self, lexeme: str) -> Token:
+    def _expect(self, lexeme: str) -> tuple:
         if not self._check(lexeme):
             raise self._error(f"'{lexeme}'")
         return self._advance()
 
-    def _expect_ident(self, what: str = "identifier") -> Token:
-        if self.tok.kind != "ident":
+    def _expect_ident(self, what: str = "identifier") -> tuple:
+        if self.tok[0] != "ident":
             raise self._error(what)
         return self._advance()
 
@@ -147,9 +148,9 @@ class _Parser:
         while True:
             if self._check("module"):
                 name_tok, decl = yield self._parse_module_def()
-                if name_tok.lexeme in module_defs:
-                    raise self._error(f"a module name other than '{name_tok.lexeme}' (already defined)", name_tok)
-                module_defs[name_tok.lexeme] = decl
+                if name_tok[1] in module_defs:
+                    raise self._error(f"a module name other than '{name_tok[1]}' (already defined)", name_tok)
+                module_defs[name_tok[1]] = decl
                 continue
             if self._check("macro"):
                 self._advance()
@@ -160,9 +161,9 @@ class _Parser:
                 macro_defs.extend(defs)
                 continue
             break
-        if main is None and (need_main or self._peek().kind != "eof"):
+        if main is None and (need_main or self._peek()[0] != "eof"):
             main = yield self.parse_statement()
-        if self._peek().kind != "eof":
+        if self._peek()[0] != "eof":
             raise self._error("end of input after the main statement" if need_main else "end of input")
         return SourceProgram(tuple(module_defs.items()), tuple(macro_defs), main)
 
@@ -178,14 +179,14 @@ class _Parser:
         defs = []
         while True:
             self._expect("/")
-            name = self._expect_ident("macro name").lexeme
+            name = self._expect_ident("macro name")[1]
             self._expect("=")
             self._expect("{")
             body = yield self.parse_declaration()
             self._expect("}")
             defs.append(ast.MacroDef(name, body))
             # an "and" before the end of input is a group not finished yet
-            if self._check("and") and (self._check("/", offset=1) or self._peek(1).kind == "eof"):
+            if self._check("and") and (self._check("/", ahead=1) or self._peek(1)[0] == "eof"):
                 self._advance()
                 continue
             break
@@ -206,11 +207,11 @@ class _Parser:
 
     def _starts_statement(self) -> bool:
         tok = self._peek()
-        if tok.kind == "ident":
+        if tok[0] == "ident":
             return True
-        if tok.kind == "keyword":
-            return tok.lexeme in _STATEMENT_START_KEYWORDS
-        return tok.kind == "punct" and tok.lexeme in ("(", "/")
+        if tok[0] == "keyword":
+            return tok[1] in _STATEMENT_START_KEYWORDS
+        return tok[0] == "punct" and tok[1] in ("(", "/")
 
     def _parse_arrow(self):
         unit = yield self._parse_unit()
@@ -225,7 +226,7 @@ class _Parser:
     def _parse_unit(self):
         """A statement, or the first unit of an implication's declaration,
         decided by the first tokens."""
-        if self.tok.kind == "ident":
+        if self.tok[0] == "ident":
             return self._parse_ident_statement()
         if self._check("("):
             return self._parse_group()
@@ -268,7 +269,7 @@ class _Parser:
 
     def _parse_ident_statement(self):
         name_tok = self._advance()
-        name = name_tok.lexeme
+        name = name_tok[1]
 
         if self._check("=>"):
             return self._parse_implication(ast.MacroRef(name))
@@ -295,7 +296,7 @@ class _Parser:
                 while True:
                     first = self.tok
                     args.append(self.parse_expression())
-                    if not_formal is None and (first.kind != "ident" or type(args[-1]) is not ast.Var):
+                    if not_formal is None and (first[0] != "ident" or type(args[-1]) is not ast.Var):
                         not_formal = first
                     if not self._accept(","):
                         break
@@ -309,8 +310,8 @@ class _Parser:
 
         raise self._error("'=>', '=', '[' or '(' after identifier", name_tok)
 
-    def _parse_alloc(self, name_tok: Token):
-        name = name_tok.lexeme
+    def _parse_alloc(self, name_tok: tuple):
+        name = name_tok[1]
         if name in self._handles:
             raise self._error(
                 f"no rebinding of '{name}' (region handles are read-only in their scope)", name_tok
@@ -368,15 +369,15 @@ class _Parser:
 
     def _parse_case_label(self) -> ast.Value:
         tok = self._peek()
-        if tok.kind == "ident":
+        if tok[0] == "ident":
             self._advance()
-            return ast.Atom(tok.lexeme)
-        if tok.kind == "int":
+            return ast.Atom(tok[1])
+        if tok[0] == "int":
             self._advance()
-            return ast.Int(int(tok.lexeme))
-        if self._check("-") and self._peek(1).kind == "int":
+            return ast.Int(int(tok[1]))
+        if self._check("-") and self._peek(1)[0] == "int":
             self._advance()
-            return ast.Int(-int(self._advance().lexeme))
+            return ast.Int(-int(self._advance()[1]))
         raise self._error("case label (atom or integer)")
 
     # -- declarations ---------------------------------------------------
@@ -391,41 +392,41 @@ class _Parser:
 
     def _parse_decl_unit(self):
         if self._accept("forall"):
-            var = self._expect_ident("bound variable name").lexeme
+            var = self._expect_ident("bound variable name")[1]
             return ast.Forall(var, (yield self._parse_decl_unit()))
         if self._accept("ren"):
             self._expect("(")
-            old = self._expect_ident("procedure name").lexeme
+            old = self._expect_ident("procedure name")[1]
             self._expect(",")
-            new = self._expect_ident("procedure name").lexeme
+            new = self._expect_ident("procedure name")[1]
             self._expect(")")
             return ast.Rename(old, new, (yield self._parse_decl_unit()))
         if self._accept("/"):
-            return ast.MacroRef(self._expect_ident("macro name").lexeme)
+            return ast.MacroRef(self._expect_ident("macro name")[1])
         if self._accept("("):
             decl = yield self.parse_declaration()
             self._expect(")")
             return decl
         tok = self._peek()
-        if tok.kind == "ident":
+        if tok[0] == "ident":
             name_tok = self._advance()
             self._expect("(")
             params: list[ast.Expression] = []
             if not self._check(")"):
-                params.append(ast.Var(self._expect_ident("formal parameter").lexeme))
+                params.append(ast.Var(self._expect_ident("formal parameter")[1]))
                 while self._accept(","):
-                    params.append(ast.Var(self._expect_ident("formal parameter").lexeme))
+                    params.append(ast.Var(self._expect_ident("formal parameter")[1]))
             self._expect(")")
             self._expect("=")
             return (yield self._finish_clause(name_tok, tuple(params)))
         raise self._error("declaration")
 
-    def _finish_clause(self, name_tok: Token, params: tuple[ast.Expression, ...]):
+    def _finish_clause(self, name_tok: tuple, params: tuple[ast.Expression, ...]):
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise self._error("distinct formal parameter names", name_tok)
         body = yield self.parse_statement()
-        decl: ast.Declaration = ast.Clause(name_tok.lexeme, params, body)
+        decl: ast.Declaration = ast.Clause(name_tok[1], params, body)
         for name in reversed(names):
             decl = ast.Forall(name, decl)
         return decl
@@ -443,12 +444,12 @@ class _Parser:
         while True:
             tok = self.tok
             if expr is None:  # an operand: prefix operators, then a primary
-                if tok.kind in _LITERALS:
-                    expr = _LITERALS[tok.kind](tok.lexeme)
+                if tok[0] in _LITERALS:
+                    expr = _LITERALS[tok[0]](tok[1])
                 elif self._check("true") or self._check("false"):
-                    expr = ast.Bool(tok.lexeme == "true")
+                    expr = ast.Bool(tok[1] == "true")
                 elif self._check("!") or self._check("-"):
-                    pending.append(tok.lexeme)
+                    pending.append(tok[1])
                 elif self._check("("):
                     pending.append((None, "(", min_prec, limit))
                     min_prec, limit = 1, _TIGHTEST
@@ -461,10 +462,10 @@ class _Parser:
             else:
                 while pending and type(pending[-1]) is str:
                     expr = ast.UnaryOp(pending.pop(), expr)
-                prec = PRECEDENCE.get(tok.lexeme, 0) if tok.kind == "punct" else 0
+                prec = PRECEDENCE.get(tok[1], 0) if tok[0] == "punct" else 0
                 if min_prec <= prec <= limit:
                     self._advance()
-                    pending.append((expr, tok.lexeme, min_prec, prec - 1 if prec == _COMPARISON else prec))
+                    pending.append((expr, tok[1], min_prec, prec - 1 if prec == _COMPARISON else prec))
                     min_prec, limit, expr = prec + 1, _TIGHTEST, None
                 elif not pending:
                     return expr

@@ -154,11 +154,25 @@ def soup_digest(source: str) -> str:
         tokens = tokenize(source)
     except LexError as exc:
         return f"LexError {exc.char!r} {exc}"
-    lexed = repr([(t.kind, t.lexeme, t.line, t.column) for t in tokens])
+    lexed = repr([token_fields(tok) for tok in tokens])
     try:
         return f"{lexed}\n{json.dumps(encode(parse_program(tokens)))}"
     except ParseError as exc:
         return f"{lexed}\nParseError {exc} at_eof={exc.at_eof}"
+
+
+def token_fields(tok) -> tuple:
+    """(kind, lexeme, line, column) of a token, whether a ``Token`` node with
+    those fields or a ``(kind, lexeme, offset, source)`` tuple, whose line
+    and column are those a diagnostic at its offset reports, with the cmod
+    on sys.path."""
+    from cmod.errors import ParseError
+
+    if isinstance(tok, tuple):
+        kind, lexeme, offset, source = tok
+        error = ParseError(source, offset, "", "")
+        return kind, lexeme, error.line, error.column
+    return tok.kind, tok.lexeme, tok.line, tok.column
 
 
 def streamed_digest(source: str) -> str:

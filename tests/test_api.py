@@ -4,6 +4,8 @@ README's "Library use" section writes in backticks."""
 import importlib
 import re
 
+import pytest
+
 import cmod
 from conftest import ROOT
 
@@ -43,3 +45,18 @@ def test_every_name_in_library_use_resolves():
     assert "execute" in names and "cmod.ast.map_children" in names
     for name in names:
         resolve(name)  # raises on a name that does not exist
+
+
+
+def test_a_token_is_a_tuple_and_an_error_carries_its_offset():
+    # as "Library use" describes them: no Token class, plain
+    # (kind, lexeme, offset, source) tuples, errors with offset, line and column
+    assert "Token" not in cmod.__all__ and not hasattr(cmod, "Token")
+    assert cmod.tokenize("x =") == [("ident", "x", 0, "x ="), ("punct", "=", 2, "x ="), ("eof", "", 3, "x =")]
+    with pytest.raises(cmod.ParseError) as parse_error:
+        cmod.parse_program(cmod.tokenize("x ="))
+    with pytest.raises(cmod.LexError) as lex_error:
+        cmod.tokenize("x =\n\t$")
+    for info, position in [(parse_error, (3, 1, 4)), (lex_error, (5, 2, 2))]:
+        assert (info.value.offset, info.value.line, info.value.column) == position
+        assert str(info.value).startswith("%d:%d: " % position[1:])

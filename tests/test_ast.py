@@ -6,7 +6,6 @@ from hypothesis import given
 
 from cmod import ast as A
 from cmod.engine import CallSite, Success, TraceEvent, execute
-from cmod.lexer import Token
 from cmod.machine import Machine
 from cmod.macros import MacroEnv
 from cmod.parser import SourceProgram, parse_source
@@ -81,7 +80,7 @@ def test_child_fields_name_exactly_the_fields_that_hold_nodes():
 
 # -- the Node base ----------------------------------------------------------
 
-RECORD_TYPES = (Token, CallSite, TraceEvent, SourceProgram, Success)
+RECORD_TYPES = (CallSite, TraceEvent, SourceProgram, Success)
 
 
 def test_equal_nodes_have_the_same_class_and_equal_fields():
@@ -97,7 +96,7 @@ def test_equal_nodes_have_the_same_class_and_equal_fields():
 
 def test_equal_nodes_hash_equal():
     pairs = [(A.Int(7), A.Int(7)), (A.TrueStmt(), A.TrueStmt()), (emp_switch(), emp_switch()),
-             (Token("ident", "x", 1, 1), Token("ident", "x", 1, 1))]
+             (TraceEvent("bc", 1, "x", 1), TraceEvent("bc", 1, "x", 1))]
     for a, b in pairs:
         assert a is not b and a == b and hash(a) == hash(b)
     assert len({A.Int(1), A.Int(1), A.Bool(True), A.Atom("a"), A.Var("a")}) == 4
@@ -107,7 +106,7 @@ def test_repr_names_each_field():
     assert repr(A.Int(1)) == "Int(value=1)"
     assert repr(A.TrueStmt()) == "TrueStmt()"
     assert repr(A.Call("p", (A.Var("x"),))) == "Call(name='p', args=(Var(name='x'),))"
-    assert repr(Token("eof", "", 2, 7)) == "Token(kind='eof', lexeme='', line=2, column=7)"
+    assert repr(TraceEvent("ex", 2, "", 7)) == "TraceEvent(phase='ex', depth=2, subject='', rule_id=7)"
 
 
 def test_a_wrong_argument_count_is_a_type_error():
@@ -117,7 +116,7 @@ def test_a_wrong_argument_count_is_a_type_error():
 
 
 def test_a_new_attribute_is_rejected():
-    for node in (A.Int(1), A.TrueStmt(), A.Seq(A.TrueStmt(), A.TrueStmt()), Token("eof", "", 1, 1)):
+    for node in (A.Int(1), A.TrueStmt(), A.Seq(A.TrueStmt(), A.TrueStmt()), TraceEvent("ex", 1, "", 1)):
         with pytest.raises(AttributeError):
             node.extra = 1
 
@@ -127,18 +126,6 @@ def test_fields_are_the_match_args():
     for cls in NODE_TYPES + RECORD_TYPES:
         fields = tuple(cls.__annotations__)
         assert fields == cls.__match_args__ == cls.__slots__, cls.__name__
-
-
-def test_a_field_default_becomes_an_init_default():
-    class Defaulted(A.Node):
-        first: int
-        rest: tuple = ()
-
-    assert Defaulted(1).rest == () and Defaulted.__init__.__defaults__ == ((),)
-    with pytest.raises(TypeError, match="follows one with a default"):
-        class Bad(A.Node):
-            first: int = 0
-            second: int
 
 
 def test_node_classes_generate_no_comparison_or_repr_of_their_own():

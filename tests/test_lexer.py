@@ -2,12 +2,66 @@ import sys
 
 import pytest
 
-from cmod.errors import LexError
-from cmod.lexer import Token, tokenize
+from cmod import lexer
+from cmod.errors import LexError, ParseError
+from cmod.parser import parse_program
+
+
+def check_offsets(source):
+    """Check the offsets that lexing and then parsing source report: each
+    token's text starts at its offset, offsets strictly increase and end of
+    input is at len(source); an error's line and column are those of its
+    offset, where the character or token it names starts."""
+    try:
+        tokens = lexer.tokenize(source)
+    except LexError as exc:
+        assert_locates(exc, source)
+        assert exc.char == source[exc.offset]
+        return
+    for kind, lexeme, offset, tok_source in tokens:
+        assert tok_source is source
+        assert source.startswith('"' if kind == "string" else lexeme, offset), (kind, lexeme, offset)
+    offsets = [tok[2] for tok in tokens]
+    assert offsets == sorted(set(offsets))
+    assert tokens[-1] == ("eof", "", len(source), source)
+    try:
+        parse_program(tokens)
+    except ParseError as exc:
+        assert_locates(exc, source)
+        kind, lexeme = next(tok[:2] for tok in tokens if tok[2] == exc.offset)
+        assert (exc.found, exc.at_eof) == (("end of input", True) if kind == "eof" else (repr(lexeme), False))
+
+
+def assert_locates(error, source):
+    before = source[: error.offset].split("\n")
+    assert (error.line, error.column) == (len(before), len(before[-1]) + 1)
+    assert str(error).startswith(f"{error.line}:{error.column}: ")
+
+
+def tokenize(source):
+    """lexer.tokenize(source), each source these tests lex checked first."""
+    check_offsets(source)
+    return lexer.tokenize(source)
 
 
 def kinds_and_lexemes(tokens):
-    return [(t.kind, t.lexeme) for t in tokens]
+    return [tok[:2] for tok in tokens]
+
+
+def position(tok):
+    """(line, column) of a token, as a diagnostic at its offset reports them."""
+    kind, lexeme, offset, source = tok
+    error = ParseError(source, offset, "", "")
+    return error.line, error.column
+
+
+def test_offsets_hold_on_the_corpus_with_each_token_dropped(corpus_files):
+    for path in corpus_files:
+        source = path.read_text(encoding="utf-8")
+        check_offsets(source)
+        for kind, lexeme, offset, _ in lexer.tokenize(source):
+            if kind != "string":  # its lexeme is the unescaped text
+                check_offsets(source[:offset] + source[offset + len(lexeme):])
 
 
 def test_simple_call():
@@ -45,10 +99,10 @@ def test_comment_runs_to_end_of_line_only():
 
 def test_positions_are_one_based():
     tokens = tokenize("x = 1\n  y = 22")
-    assert (tokens[0].line, tokens[0].column) == (1, 1)
-    assert (tokens[2].line, tokens[2].column) == (1, 5)
-    assert (tokens[3].line, tokens[3].column) == (2, 3)  # y
-    assert (tokens[5].line, tokens[5].column) == (2, 7)  # 22
+    assert position(tokens[0]) == (1, 1)
+    assert position(tokens[2]) == (1, 5)
+    assert position(tokens[3]) == (2, 3)  # y
+    assert position(tokens[5]) == (2, 7)  # 22
 
 
 def test_keywords_and_identifiers():
@@ -64,14 +118,13 @@ def test_keywords_and_identifiers():
 
 def test_two_char_operators_before_one_char():
     tokens = tokenize("=> == != <= >= && || = < >")
-    lexemes = [t.lexeme for t in tokens[:-1]]
+    lexemes = [tok[1] for tok in tokens[:-1]]
     assert lexemes == ["=>", "==", "!=", "<=", ">=", "&&", "||", "=", "<", ">"]
 
 
 def test_string_escapes():
     tokens = tokenize(r'"a\nb\t\"\\"')
-    assert tokens[0].kind == "string"
-    assert tokens[0].lexeme == 'a\nb\t"\\'
+    assert tokens[0][:2] == ("string", 'a\nb\t"\\')
 
 
 @pytest.mark.parametrize("source", ["$100", "deposit(tom, $100)", "a & b", "a | b", "#x"])
@@ -106,7 +159,7 @@ def test_integers_are_ascii_digits_only(digits):
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
 def test_integer_literal_past_the_conversion_limit_is_a_lex_error():
     limit = sys.get_int_max_str_digits()
-    assert tokenize("x = " + "1" * limit)[2].kind == "int"
+    assert tokenize("x = " + "1" * limit)[2][0] == "int"
     with pytest.raises(LexError) as info:
         tokenize("x = " + "0" * (limit + 1))
     assert (info.value.line, info.value.column) == (1, 5)
@@ -134,7 +187,7 @@ def test_a_string_ends_on_its_own_line():
 
 def test_carriage_return_and_tab_are_one_column_each():
     tokens = tokenize("\tx\r\r=\t\t1\r\n y")
-    assert [(t.lexeme, t.line, t.column) for t in tokens] == [
+    assert [(tok[1], *position(tok)) for tok in tokens] == [
         ("x", 1, 2),
         ("=", 1, 5),
         ("1", 1, 8),
@@ -144,8 +197,9 @@ def test_carriage_return_and_tab_are_one_column_each():
 
 
 def test_end_of_input_after_a_trailing_comment():
-    assert tokenize("x % note")[-1] == Token("eof", "", 1, 9)
-    assert tokenize("x\n% note")[-1] == Token("eof", "", 2, 7)
+    for source, line, column in [("x % note", 1, 9), ("x\n% note", 2, 7)]:
+        eof = tokenize(source)[-1]
+        assert eof == ("eof", "", len(source), source) and position(eof) == (line, column)
 
 
 def test_digits_then_letters_are_an_int_then_an_identifier():

@@ -347,7 +347,7 @@ def test_the_parser_holds_at_most_two_tokens_it_has_not_passed(monkeypatch):
     def counting_advance(self):
         nonlocal passed, held
         tok = advance(self)
-        passed += tok.kind != "eof"
+        passed += tok[0] != "eof"
         held = max(held, pulled - passed)
         return tok
 

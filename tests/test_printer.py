@@ -89,7 +89,7 @@ def test_expression_print_parse_round_trip(expr):
     text = format_expression(expr)
     parser = _Parser(tokenize(text))
     reparsed = parser.parse_expression()
-    assert parser._peek().kind == "eof"
+    assert parser._peek()[0] == "eof"
     assert reparsed == expr
 
 
@@ -180,7 +180,7 @@ def test_statement_print_parse_round_trip(stmt):
         text = format_statement(stmt, compact=compact)
         parser = _Parser(tokenize(text))
         reparsed = A.drive(parser.parse_statement())
-        assert parser._peek().kind == "eof"
+        assert parser._peek()[0] == "eof"
         assert reparsed == stmt
 
 

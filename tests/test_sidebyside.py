@@ -6,6 +6,7 @@ against a base commit."""
 from __future__ import annotations
 
 import json
+import types
 
 import pytest
 
@@ -45,6 +46,13 @@ def test_a_soup_that_parses_is_its_tokens_and_tree():
     lexed, tree = sidebyside.soup_digest("print(7)").split("\n")
     assert lexed.startswith("[('keyword', 'print', 1, 1), ('punct', '(', 1, 6)")
     assert json.loads(tree) == ["SourceProgram", ["()"], ["()"], ["Print", ["Int", 7]]]
+
+
+def test_a_token_reads_the_same_as_a_node_or_as_a_tuple():
+    # a base before tokens became tuples lexes Token nodes with a line and column
+    node = types.SimpleNamespace(kind="ident", lexeme="y", line=2, column=3)
+    source = "x =\n  y"
+    assert sidebyside.token_fields(node) == sidebyside.token_fields(("ident", "y", 6, source)) == ("ident", "y", 2, 3)
 
 
 @pytest.mark.parametrize(
