@@ -105,7 +105,7 @@ def _dump_state(machine: Machine) -> None:
         print(line)
     stack = machine.regions
     print(f"-- regions: {stack.allocated} allocated, {len(stack.regions)} live --")
-    for region in stack.regions:
+    for region in stack.regions.values():
         print(f"{region.id} {region.elem_type} {len(region.cells)}")
 
 

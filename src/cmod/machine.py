@@ -11,13 +11,13 @@ DEFAULT_MAX_DEPTH = 10000
 
 
 class Machine:
-    def __init__(self, seeds=(), store=None, max_depth=DEFAULT_MAX_DEPTH, trace=None, write=None):
+    def __init__(self, seeds=(), max_depth=DEFAULT_MAX_DEPTH, trace=None, write=None):
         # The program triple: module stack of (declaration, activation pushed from) closures,
         # last = most recent; macro environment, a chain of definition groups whose first link
         # holds seeds, the top-level module/macro definitions; variable store.
         self.module_stack: list[tuple[ast.Declaration, dict | None]] = []
         self.macro_env: MacroEnv = MacroEnv().define(seeds)
-        self.store: dict[str, ast.Value] = {} if store is None else store
+        self.store: dict[str, ast.Value] = {}
         self.regions = RegionStack()
         self.output: list[str] = []
         self.write = self.output.append if write is None else write  # called with each printed line

@@ -2,15 +2,12 @@
 
 Regions live exactly as long as the allocation scope that created them;
 they are freed strictly LIFO and give their cells back, and every access
-through a handle looks for its region among the live ones, so dangling
+through a handle looks its serial up among the live ones, so dangling
 use is a detected fault rather than undefined behaviour. The engine runs
 the scopes; this module holds only the live regions and their cells.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
-from operator import attrgetter
 
 from . import ast
 from .errors import REGION_FAULT, TYPE_MISMATCH, EngineFailure
@@ -27,31 +24,29 @@ class Region:
 
 class RegionStack:
     def __init__(self):
-        # The live regions, oldest first: only the last one may be freed. A
-        # region's id is its serial, the count allocated before it; serials
-        # rise along the stack and are never reused, so the count tells a
-        # dangling handle from an unknown one with no dead region kept.
-        self.regions: list[Region] = []
+        # The live regions by serial, the count allocated before each, oldest
+        # first: only the last one may be freed. Serials are never reused, so
+        # the count tells a dangling handle from an unknown one with no dead
+        # region kept.
+        self.regions: dict[int, Region] = {}
         self.allocated = 0
 
     def allocate(self, elem_type: str, length: int) -> ast.Handle:
-        region = Region(self.allocated, elem_type, [ast.Int(0)] * length)
+        serial = self.allocated
+        self.regions[serial] = Region(serial, elem_type, [ast.Int(0)] * length)
         self.allocated += 1
-        self.regions.append(region)
-        return ast.Handle(region.id)
+        return ast.Handle(serial)
 
     def free(self, handle: ast.Handle) -> None:
-        if not self.regions or self.regions[-1].id != handle.region_id:
+        if next(reversed(self.regions), None) != handle.region_id:
             raise RuntimeError(f"region {handle.region_id} freed out of stack order")
-        self.regions.pop()
+        self.regions.popitem()
 
     def checked(self, handle: ast.Handle) -> Region:
-        regions, serial = self.regions, handle.region_id
-        if regions and regions[-1].id == serial:  # the top, as a fill loop uses
-            return regions[-1]
-        at = bisect_left(regions, serial, key=attrgetter("id"))
-        if at < len(regions) and regions[at].id == serial:
-            return regions[at]
+        serial = handle.region_id
+        region = self.regions.get(serial)
+        if region is not None:
+            return region
         if 0 <= serial < self.allocated:
             raise EngineFailure(REGION_FAULT, f"dangling handle to region {serial}")
         raise EngineFailure(REGION_FAULT, f"unknown region {serial}")

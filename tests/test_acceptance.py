@@ -255,7 +255,7 @@ def test_c7_regions():
         else:
             assert isinstance(outcome, Success)
         # the region count always returns to its pre-scope value
-        assert machine.regions.regions == []
+        assert machine.regions.regions == {}
         # frees happen strictly LIFO
         proggen.assert_lifo(events)
 

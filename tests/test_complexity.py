@@ -4,7 +4,8 @@ renamed while a table is built (cmod.engine.rename, the only way the
 engine renames, traced or not), frames pushed (the frames handed to
 cmod.engine._push), the most tables cached on the machine at a push and
 the macro definitions held by the environments cmod.macros.MacroEnv.define
-returns. A count
+returns, and the macro definitions whose names are read while loading
+many modules. A count
 that grows with the depth of the recursion where it should not fails
 here on any machine, unlike a timing."""
 
@@ -93,3 +94,30 @@ def test_a_macro_scope_at_every_level_costs_the_same_at_every_level(monkeypatch)
     assert large["frames"] <= 2.2 * small["frames"]
     assert large["tables"] <= 2.2 * small["tables"]
     assert large["defined"] <= 2.2 * small["defined"]
+
+
+def names_read_loading_modules(monkeypatch, k: int, m: int = 10) -> int:
+    """The names of macro definitions read (cmod.ast.MacroDef.name) in one
+    run that loads k top-level modules, each by a nested /Mi =>, around a
+    count loop of m calls."""
+    modules = "\n".join(f"module M{i}. f{i}() = true end" for i in range(k))
+    body = f"(s = 0; Loop({m}); print(s))"
+    for i in reversed(range(k)):
+        body = f"(/M{i} => {body})"
+    source = f"{modules}\n(Loop(n) = if (n == 0) true else (s = s + 1; Loop(n - 1)) => {body})"
+    slot, read = cmod.ast.MacroDef.__dict__["name"], [0]
+
+    def name(macro):
+        read[0] += 1
+        return slot.__get__(macro)
+
+    monkeypatch.setattr(cmod.ast.MacroDef, "name", property(name, slot.__set__))
+    outcome, machine = run_source(source)
+    monkeypatch.undo()
+    assert isinstance(outcome, Success) and machine.output_text() == f"{m}\n"
+    return read[0]
+
+
+def test_loading_each_of_many_modules_reads_a_bounded_number_of_definitions(monkeypatch):
+    small, large = (names_read_loading_modules(monkeypatch, k) for k in (N, 2 * N))
+    assert large <= 2.2 * small

@@ -937,7 +937,7 @@ def nested_scopes(body):
 def assert_scopes_undone(machine, macro_env):
     assert_unwound(machine)
     assert machine.macro_env is macro_env
-    assert machine.regions.regions == [] and all(count == 0 for count in machine.handles.values())
+    assert machine.regions.regions == {} and all(count == 0 for count in machine.handles.values())
     assert machine.store["h"] == A.Int(7)  # the value the handle hid
 
 

@@ -33,7 +33,8 @@ def test_store_assign_and_read():
 
 
 def test_store_disjoint_assign():
-    machine = Machine(store={"y": A.Int(1)})
+    machine = Machine()
+    machine.store["y"] = A.Int(1)
     assert isinstance(execute(machine, A.Assign("x", A.Int(2))), Success)
     assert machine.store == {"y": A.Int(1), "x": A.Int(2)}
 
@@ -50,7 +51,8 @@ def test_store_unbound_read():
     st.integers(-99, 99).map(A.Int),
 )
 def test_store_read_after_assign(bindings, name, value):
-    machine = Machine(store=dict(bindings))
+    machine = Machine()
+    machine.store.update(bindings)
     assert isinstance(execute(machine, A.Assign(name, value)), Success)
     assert eval_expr(machine, A.Var(name)) == value
 
@@ -98,7 +100,7 @@ def test_nested_scopes_see_both_regions(corpus_files):
     outcome, machine = run_source(path.read_text(encoding="utf-8"))
     assert isinstance(outcome, Success)
     assert machine.output_text() == "33\n12\n"
-    assert machine.regions.regions == []
+    assert machine.regions.regions == {}
     assert machine.store["sum"] == A.Int(33)
 
 
@@ -106,7 +108,7 @@ def test_empty_region_allocates():
     outcome, machine = run_source("(p = new int[0] => x = p[0])")
     assert isinstance(outcome, Failure) and outcome.reason == REGION_FAULT
     assert outcome.detail == "bounds: index 0 outside region 0 of length 0"
-    assert machine.regions.allocated == 1 and machine.regions.regions == []
+    assert machine.regions.allocated == 1 and machine.regions.regions == {}
 
 
 def test_escaped_handle_faults_after_scope_exit():
@@ -135,7 +137,7 @@ def test_scope_exit_puts_back_the_variable_the_handle_shadowed(name):
 def test_a_failing_body_still_puts_back_the_shadowed_variable():
     outcome, machine = run_source("p = 5; (p = new int[3] => nope()); print(p)")
     assert isinstance(outcome, Failure) and outcome.detail == "nope/0"
-    assert machine.regions.regions == []
+    assert machine.regions.regions == {}
     assert machine.store == {"p": A.Int(5)}
 
 
@@ -170,7 +172,7 @@ def test_scope_pops_even_when_the_body_fails():
     outcome = execute(machine, A.AllocScope("p", "int", A.Int(2), body))
     assert isinstance(outcome, Failure)
     assert outcome.reason == "no-matching-clause"
-    assert machine.regions.regions == []
+    assert machine.regions.regions == {}
     assert "p" not in machine.store
 
 
@@ -209,10 +211,10 @@ def test_free_follows_the_live_stack_across_reuse_of_the_top():
     b = stack.allocate("int", 2)
     stack.free(b)
     c = stack.allocate("int", 3)
-    assert [(r.id, len(r.cells)) for r in stack.regions] == [(0, 1), (2, 3)]
+    assert [(r.id, len(r.cells)) for r in stack.regions.values()] == [(0, 1), (2, 3)]
     stack.free(c)
     stack.free(a)
-    assert stack.regions == [] and stack.allocated == 3
+    assert stack.regions == {} and stack.allocated == 3
     assert events == [
         ("alloc", 0), ("alloc", 1), ("free", 1), ("alloc", 2), ("free", 2), ("free", 0),
     ]
@@ -284,7 +286,7 @@ def test_scope_exit_restores_region_count_at_every_level():
     stack.free = counting_free
     assert isinstance(execute(machine, parse_source(source).main), Success)
     assert counts == [2, 1, 1, 0]
-    assert stack.regions == [] and stack.allocated == 2
+    assert stack.regions == {} and stack.allocated == 2
 
 
 def test_handles_pass_through_procedure_parameters():
@@ -296,7 +298,7 @@ def test_handles_pass_through_procedure_parameters():
     outcome, machine = run_source(source)
     assert isinstance(outcome, Success)
     assert machine.store["seen"] == A.Int(9)
-    assert machine.regions.regions == []
+    assert machine.regions.regions == {}
 
 
 def test_execute_store_index_through_non_handle_is_a_type_error():
@@ -315,7 +317,7 @@ def test_a_handle_is_live_dangling_or_unknown_by_its_serial():
         if length % 2 == 0:
             stack.free(handles[-1])
     for serial in (0, 2, 4):
-        assert stack.checked(handles[serial]) is stack.regions[serial // 2]
+        assert stack.checked(handles[serial]) is stack.regions[serial]
     assert stack.allocated == 5
     for serial, detail in [(1, "dangling handle to region 1"), (3, "dangling handle to region 3"),
                            (-1, "unknown region -1"), (5, "unknown region 5")]:
@@ -360,4 +362,4 @@ def test_a_repl_session_holds_no_region_it_has_freed(capsys):
     for k in range(1000):
         _repl_entry(machine, f"(p = new int[100] => p[99] = {k})")
     assert capsys.readouterr().out == "ok\n" * 1000
-    assert machine.regions.regions == [] and machine.regions.allocated == 1000
+    assert machine.regions.regions == {} and machine.regions.allocated == 1000
