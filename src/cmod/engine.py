@@ -22,14 +22,14 @@ statement emits as it is taken to run, under the rule _STEPS gives its class.
 Operators apply from one table each; only && and || (short-circuit) and
 == and != (any class) are special forms.
 
-Shallow binding finds the deciding frame: an index from each procedure
-name to the live frames declaring it, kept on every push and pop. A
-declaration's clause table is built once and shared by its frames, which
-supply their scope; it lists nodes renamed as it was built, renaming each
-node once per machine, so no call renames. A table that refers to a macro
-follows the macro environment: it is rebuilt when first read under another
-one, with the same renamed nodes, and its frames are indexed under it, so
-no change of environment touches an index.
+Shallow binding finds the deciding frame. A declaration's clause table is
+built once, renaming each node once per machine, so no call renames; its
+frames share it and supply their scope, and it keeps their positions.
+While a table has a live frame it is indexed under the names it declares,
+so a call reads the newest frame of each table declaring its name. A table
+that refers to a macro follows the macro environment: the first call under
+another one rebuilds it, with the same renamed nodes, and re-indexes it; so
+does a push that finds it stale and held by no frame.
 
 Statements run from one work stack and expressions from one loop, so
 neither a call nor any nesting costs Python stack. Implication, macro
@@ -336,34 +336,41 @@ def _head_matches(clause: ast.Clause, values, actuals: tuple[ast.Value, ...]) ->
 
 
 def _push(machine: Machine, frames) -> None:
-    """Push (declaration, scope) frames and index them, a referring one under
-    its table's key, any other under the names it declares; every push goes
-    through here, and every pop through _pop. A macro reference's key is its
-    name: a macro scope builds a new reference node at every entry."""
+    """Push (declaration, scope) frames, keeping each one's position in its
+    table; a table's first live frame indexes its key under the names it
+    declares. Every push goes through here, every pop through _pop. A macro
+    reference's key is its name: a macro scope builds a new reference node at every entry."""
     for decl, scope in frames:
         key = decl.name if type(decl) is ast.MacroRef else id(decl)
         table = machine.tables.get(key)
-        if table is None:  # the node stays alive in its table, so its id is not reused
-            env = machine.macro_env if _refers(decl) else None
-            table = machine.tables[key] = [decl, env, *_table(machine, decl)]
-        index, names = (machine.frame_index, table[3]) if table[1] is None else (machine.ref_index, (key,))
-        for name in names:
-            index.setdefault(name, []).append(len(machine.module_stack))
-        machine.frame_tables.append((index, names, table))
+        if table is None or not table[4] and table[1] not in (None, machine.macro_env):  # or stale, held by no frame
+            env = machine.macro_env if _refers(decl) else None  # the node stays alive in its table, so its id is not reused
+            table = machine.tables[key] = [decl, env, *_table(machine, decl), []]
+        if not table[4]:
+            _reindex(machine, key, (), table[3])
+        table[4].append(len(machine.module_stack))
         machine.module_stack.append((decl, scope))
 
 
 def _pop(machine: Machine, count: int) -> None:
-    """Pop count frames and their index entries."""
-    while count:
-        del machine.module_stack[-1]
-        index, names, _ = machine.frame_tables.pop()
-        for name in names:
-            positions = index[name]
-            del positions[-1]
-            if not positions:
-                del index[name]
-        count -= 1
+    """Pop count frames; a key's last frame takes it out of the name index."""
+    for _ in range(count):
+        decl = machine.module_stack.pop()[0]
+        key = decl.name if type(decl) is ast.MacroRef else id(decl)
+        table = machine.tables[key]
+        del table[4][-1]
+        if not table[4]:
+            _reindex(machine, key, table[3], ())
+
+
+def _reindex(machine: Machine, key, old, new) -> None:
+    """Move key in the name index from the names in old to those in new."""
+    for name in old:
+        machine.name_index[name].discard(key)
+        if not machine.name_index[name]:
+            del machine.name_index[name]
+    for name in new:
+        machine.name_index.setdefault(name, set()).add(key)
 
 
 def _table(machine: Machine, decl: ast.Declaration):
@@ -396,21 +403,24 @@ def _refers(decl: ast.Declaration) -> bool:
 
 def _deciding_table(machine: Machine, name: str):
     """The steps and entries of the newest live frame declaring name, and its
-    scope: the newer of the newest frame indexed by name and the newest frame
-    of a referring table that, as the macro environment now is, declares name."""
-    positions = machine.frame_index.get(name)
-    newest = positions[-1] if positions else -1
-    for positions in machine.ref_index.values():
-        if positions[-1] > newest:
-            table = machine.frame_tables[positions[-1]][2]
-            if table[1] is not machine.macro_env:  # first read under this environment
-                table[1:] = machine.macro_env, *_table(machine, table[0])
-            if name in table[3]:
-                newest = positions[-1]
+    scope. The first call under a macro environment rebuilds and re-indexes
+    each live table built under another, so a frame declares what its macro holds now."""
+    if machine.read_env is not machine.macro_env:
+        machine.read_env = env = machine.macro_env
+        for key, table in machine.tables.items():
+            if table[4] and table[1] not in (None, env):
+                names = table[3]
+                table[1:4] = env, *_table(machine, table[0])
+                if table[3].keys() != names.keys():
+                    _reindex(machine, key, names, table[3])
+    newest = -1
+    for key in machine.name_index.get(name, ()):
+        table = machine.tables[key]
+        if table[4][-1] > newest:
+            newest, found = table[4][-1], table
     if newest < 0:
         return (), {}, None
-    table = machine.frame_tables[newest][2]
-    return table[2], table[3], machine.module_stack[newest][1]
+    return found[2], found[3], machine.module_stack[newest][1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ class Machine:
         self.trace = trace  # called with each TraceEvent when set
         self.call_stack: list = []
         self.handles: dict[str, int] = {}  # live allocation scopes per handle name
-        # Shallow binding: frame positions per declared name and per referring table's key; each frame's
-        # (index, keys, table); tables by key, [declaration, environment (None: never changes), steps, entries];
-        # renamings by (id(node), old, new), (node, renamed node).
-        self.frame_index, self.ref_index, self.frame_tables, self.tables, self.renamed = {}, {}, [], {}, {}
+        # Shallow binding: tables by key, [declaration, environment (None: never changes), steps, entries,
+        # positions of its live frames]; the live keys whose tables declare each name; the macro environment
+        # a call last read; renamings by (id(node), old, new), (node, renamed node).
+        self.tables, self.name_index, self.read_env, self.renamed = {}, {}, None, {}
 
     def output_text(self) -> str:
         """What the program printed, when written to the default list."""

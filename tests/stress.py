@@ -1,4 +1,4 @@
-"""Run cmod on four large programs, each in its own child process, and gate
+"""Run cmod on five large programs, each in its own child process, and gate
 on what each child exits with, prints and, for two of them, its peak RSS.
 
     python3 tests/stress.py >> "$GITHUB_STEP_SUMMARY"
@@ -46,6 +46,14 @@ PROGRAMS = [
      "(Rec(n) = if (n == 0) true else (macro /m = { q() = (s = s + 1) } in (/m => (q(); Rec(n - 1))))"
      " => (s = 0; Rec(8000); print(s)))\n",
      [], "8000\n", 60, "macro environments are copied"),
+    # 2,000 modules loaded at once by nested /Mi =>, around a 4,000-iteration loop that
+    # calls the outermost module's procedure and itself: each of the 8,000 calls reads
+    # the frames that declare its name, not every loaded module.
+    ("2,000 loaded modules, 8,000 calls",
+     "".join(f"module M{i}. f{i}() = true end\n" for i in range(2000))
+     + "(Loop(n) = if (n == 0) true else (f0(); s = s + 1; Loop(n - 1)) => "
+     + "".join(f"(/M{i} => " for i in range(2000)) + "(s = 0; Loop(4000); print(s))" + ")" * 2001 + "\n",
+     [], "4000\n", None, None),
 ]
 
 

@@ -4,10 +4,13 @@ renamed while a table is built (cmod.engine.rename, the only way the
 engine renames, traced or not), frames pushed (the frames handed to
 cmod.engine._push), the most tables cached on the machine at a push and
 the macro definitions held by the environments cmod.macros.MacroEnv.define
-returns, and the macro definitions whose names are read while loading
-many modules. A count
-that grows with the depth of the recursion where it should not fails
-here on any machine, unlike a timing."""
+returns, the macro definitions whose names are read while loading many
+modules, and the lines the deciding-frame lookup (cmod.engine._deciding_table)
+runs per call while many modules are loaded. A count that grows with the
+depth of the recursion where it should not fails here on any machine,
+unlike a timing."""
+
+import sys
 
 import pytest
 
@@ -98,13 +101,7 @@ def test_a_macro_scope_at_every_level_costs_the_same_at_every_level(monkeypatch)
 
 def names_read_loading_modules(monkeypatch, k: int, m: int = 10) -> int:
     """The names of macro definitions read (cmod.ast.MacroDef.name) in one
-    run that loads k top-level modules, each by a nested /Mi =>, around a
-    count loop of m calls."""
-    modules = "\n".join(f"module M{i}. f{i}() = true end" for i in range(k))
-    body = f"(s = 0; Loop({m}); print(s))"
-    for i in reversed(range(k)):
-        body = f"(/M{i} => {body})"
-    source = f"{modules}\n(Loop(n) = if (n == 0) true else (s = s + 1; Loop(n - 1)) => {body})"
+    run of the modules family at k and m."""
     slot, read = cmod.ast.MacroDef.__dict__["name"], [0]
 
     def name(macro):
@@ -112,12 +109,47 @@ def names_read_loading_modules(monkeypatch, k: int, m: int = 10) -> int:
         return slot.__get__(macro)
 
     monkeypatch.setattr(cmod.ast.MacroDef, "name", property(name, slot.__set__))
-    outcome, machine = run_source(source)
+    run_modules(k, m)
     monkeypatch.undo()
-    assert isinstance(outcome, Success) and machine.output_text() == f"{m}\n"
     return read[0]
+
+
+def run_modules(k: int, m: int) -> None:
+    """Run the modules family: k top-level modules, each loaded by a nested
+    /Mi =>, around a count loop of m calls."""
+    modules = "\n".join(f"module M{i}. f{i}() = true end" for i in range(k))
+    body = f"(s = 0; Loop({m}); print(s))"
+    for i in reversed(range(k)):
+        body = f"(/M{i} => {body})"
+    outcome, machine = run_source(f"{modules}\n(Loop(n) = if (n == 0) true else (s = s + 1; Loop(n - 1)) => {body})")
+    assert isinstance(outcome, Success) and machine.output_text() == f"{m}\n"
 
 
 def test_loading_each_of_many_modules_reads_a_bounded_number_of_definitions(monkeypatch):
     small, large = (names_read_loading_modules(monkeypatch, k) for k in (N, 2 * N))
     assert large <= 2.2 * small
+
+
+def lookup_lines_loading_modules(k: int, m: int) -> int:
+    """The line events in the deciding-frame lookup (the code object of
+    cmod.engine._deciding_table) in one run of the modules family at k and m."""
+    code, lines = cmod.engine._deciding_table.__code__, [0]
+
+    def in_lookup(frame, event, arg):
+        if event == "line":
+            lines[0] += 1
+        return in_lookup
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_lookup if frame.f_code is code else None)
+    try:
+        run_modules(k, m)
+    finally:
+        sys.settrace(previous)
+    return lines[0]
+
+
+def test_a_call_reads_the_frames_that_declare_its_name_not_every_loaded_module():
+    # the lookup's work per call, from 10 to 1,010 loop calls, at k and 2k modules loaded
+    small, large = (lookup_lines_loading_modules(k, 1010) - lookup_lines_loading_modules(k, 10) for k in (N, 2 * N))
+    assert small == large

@@ -435,6 +435,20 @@ def test_a_live_frame_declares_what_its_macro_holds_now():
     assert (machine.store["y"], machine.store["x"]) == (A.Int(2), A.Int(1))
 
 
+def test_a_table_pushed_again_declares_what_its_macro_holds_now():
+    # D's frame /m and p() is pushed by D(1) when /m declares q, popped, and
+    # pushed again by D(2) under a /m that declares z only: its cached table
+    # is rebuilt, so q() falls to the outer frame
+    source = (
+        "macro /m = { q() = (x = 1) }\n"
+        "((q() = (x = 3)) => (D(k) = ((/m and p() = true) => (if (k == 1) p() else q())) => "
+        "(D(1); (macro /m = { z() = (x = 2) } in (p0() = true => (p0(); D(2)))))))"
+    )
+    outcome, machine = run(source)
+    assert isinstance(outcome, Success)
+    assert machine.store["x"] == A.Int(3)
+
+
 # A frame that refers to a macro, traced across a change of the macro
 # environment: /g is undefined when its frame is pushed, and /m is
 # redefined under a renaming frame. Each frame's steps follow what the
@@ -561,8 +575,7 @@ def test_the_frame_index_holds_live_frames_only():
     machine = Machine()
     outcome = execute(machine, main_of("(p() = q() => (r() = true => p()))"))
     assert isinstance(outcome, Failure) and outcome.reason == NO_MATCHING_CLAUSE
-    assert machine.module_stack == [] and machine.frame_tables == [] and machine.frame_index == {}
-    assert machine.ref_index == {}
+    assert machine.module_stack == [] and machine.tables == {} and machine.name_index == {}
 
 
 def test_cyclic_macro_reference_terminates():
@@ -875,7 +888,7 @@ def test_left_first_search_matches_the_branch_order_oracle_quick():
 
 def assert_unwound(machine):
     assert machine.module_stack == [] and machine.call_stack == []
-    assert machine.frame_tables == [] and machine.frame_index == {} and machine.ref_index == {}
+    assert machine.tables == {} and machine.name_index == {}
 
 
 def test_call_depth_uses_no_python_stack():
