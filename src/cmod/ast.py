@@ -408,6 +408,8 @@ def clause_table(decl: Declaration, env, scope=None, rename=rename):
     in search order. scope is what decl's own steps and entries carry (the
     engine's mark for its frame's scope); a macro body has no binders and
     the scope its definition closed over (None at top level: the store).
+    Given an env, entries also holds each macro name the walk reads, defined
+    or not, as "/name" with no clauses: a key no procedure name can be.
     """
     steps, entries = [], {}
     work = [(decl, 0, (), (), (), scope)]  # chains to walk, and bc:4 steps due after a left operand
@@ -438,6 +440,8 @@ def clause_table(decl: Declaration, env, scope=None, rename=rename):
                 decl = rename(decl.decl, decl.old, decl.new)
             elif type(decl) is MacroRef:
                 found = None if env is None or decl.name in path else env.find(decl.name)
+                if env is not None:
+                    entries.setdefault("/" + decl.name, [])  # a read, defined or not
                 if found is None:
                     break
                 steps.append((depth, 6, decl, binders, scope))
@@ -453,5 +457,5 @@ def clause_table(decl: Declaration, env, scope=None, rename=rename):
 
 def free_procedure_names(decl: Declaration, env=None) -> frozenset[str]:
     """The procedure names declared by clause heads in decl, after renaming:
-    the names clause search can match, the keys of decl's clause table."""
-    return frozenset(clause_table(decl, env)[1])
+    the names clause search can match, decl's clause table's keys but "/name" reads."""
+    return frozenset(name for name in clause_table(decl, env)[1] if name[0] != "/")

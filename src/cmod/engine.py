@@ -25,17 +25,18 @@ Operators apply from one table each; only && and || (short-circuit) and
 Shallow binding finds the deciding frame. A declaration's clause table is
 built once, renaming each node once per machine, so no call renames; its
 frames share it and supply their scope, and it keeps their positions.
-While a table has a live frame it is indexed under the names it declares,
-so a call reads the newest frame of each table declaring its name. A table
-that refers to a macro follows the macro environment: the first call under
-another one rebuilds it, with the same renamed nodes, and re-indexes it; so
-does a push that finds it stale and held by no frame.
+While a table has a live frame it is indexed under the names it declares
+and the macros it reads, so a call reads the newest frame of each table
+declaring its name. Rerooting follows the macro environment: a scope's entry
+rebuilds, with the same renamed nodes, the live tables reading a name it
+defines and its exit puts back what they held; a push rebuilds a table
+built under another environment and held by no frame.
 
 Statements run from one work stack and expressions from one loop, so
 neither a call nor any nesting costs Python stack. Implication, macro
 and allocation scopes and calls push an exit below their body that pops
-what they pushed and puts back what they replaced: the macro
-environment or the store value the handle hid. A failure is an
+what they pushed and puts back what they replaced: the macro environment
+and the tables it rebuilt, or the store value the handle hid. A failure is an
 EngineFailure raised with its reason and detail only; execute attaches
 the call chain, runs the exits left and returns the failure as the outcome.
 """
@@ -182,16 +183,23 @@ def _implication(machine, work, stmt, depth, env) -> None:
 
 
 def _macro_scope(machine, work, stmt, depth, env) -> None:
+    """Link the group and reroot: rebuild the live tables indexed under a name
+    it defines, handing what they held to the exit; push a frame per definition."""
     machine.macro_env = machine.macro_env.define(stmt.defs, env or None)
+    readers = {key for macro in stmt.defs for key in machine.name_index.get("/" + macro.name, ())}
+    held = [(key, _retable(machine, key, _table(machine, machine.tables[key][0]))) for key in readers]
     _push(machine, tuple((ast.MacroRef(d.name), None) for d in stmt.defs))
-    work.append((_end_macro_scope, len(stmt.defs), _EXIT))
+    work.append((_end_macro_scope, (len(stmt.defs), held), _EXIT))
     work.append((stmt.body, depth + 1, env))
 
 
-def _end_macro_scope(machine, count) -> None:
-    """Pop the scope's count frames, then go back to the environment it extended."""
+def _end_macro_scope(machine, scope) -> None:
+    """Pop the scope's frames, go back to the environment it extended, put back the tables it rebuilt."""
+    count, held = scope
     _pop(machine, count)
     machine.macro_env = machine.macro_env.parent
+    for key, contents in held:
+        _retable(machine, key, contents)
 
 
 def _alloc_scope(machine, work, stmt, depth, env) -> None:
@@ -344,8 +352,7 @@ def _push(machine: Machine, frames) -> None:
         key = decl.name if type(decl) is ast.MacroRef else id(decl)
         table = machine.tables.get(key)
         if table is None or not table[4] and table[1] not in (None, machine.macro_env):  # or stale, held by no frame
-            env = machine.macro_env if _refers(decl) else None  # the node stays alive in its table, so its id is not reused
-            table = machine.tables[key] = [decl, env, *_table(machine, decl), []]
+            table = machine.tables[key] = [decl, *_table(machine, decl), []]  # decl stays alive, so its id is not reused
         if not table[4]:
             _reindex(machine, key, (), table[3])
         table[4].append(len(machine.module_stack))
@@ -373,10 +380,20 @@ def _reindex(machine: Machine, key, old, new) -> None:
         machine.name_index.setdefault(name, set()).add(key)
 
 
+def _retable(machine: Machine, key, contents):
+    """Give key's live table contents (environment, steps, entries),
+    re-indexing it when its names change; returns what it held."""
+    table = machine.tables[key]
+    if contents[2].keys() != table[3].keys():
+        _reindex(machine, key, table[3], contents[2])
+    held, table[1:4] = table[1:4], contents
+    return held
+
+
 def _table(machine: Machine, decl: ast.Declaration):
-    """decl's steps and entries as the macro environment now is. Each
-    renaming is done once per machine: machine.renamed keeps it by (id of
-    the node renamed, old, new), with that node, so the id is not reused."""
+    """decl's environment (None if it reads no macro), steps and entries as the macro
+    environment now is. Each renaming is done once per machine: machine.renamed keeps
+    it by (id of the node renamed, old, new), with that node, so the id is not reused."""
 
     def renamed(node, old, new):
         key = id(node), old, new
@@ -384,35 +401,13 @@ def _table(machine: Machine, decl: ast.Declaration):
             machine.renamed[key] = node, rename(node, old, new)
         return machine.renamed[key][1]
 
-    return ast.clause_table(decl, machine.macro_env, _OWN, renamed)
-
-
-def _refers(decl: ast.Declaration) -> bool:
-    """Whether decl holds a macro reference outside its clauses, defined or not."""
-    decls = [decl]
-    while decls:
-        decl = decls.pop()
-        if type(decl) is ast.And:
-            decls += decl.left, decl.right
-        elif type(decl) in (ast.Forall, ast.Rename):
-            decls.append(decl.decl)
-        elif type(decl) is ast.MacroRef:
-            return True
-    return False
+    steps, entries = ast.clause_table(decl, machine.macro_env, _OWN, renamed)
+    return machine.macro_env if any(name[0] == "/" for name in entries) else None, steps, entries
 
 
 def _deciding_table(machine: Machine, name: str):
     """The steps and entries of the newest live frame declaring name, and its
-    scope. The first call under a macro environment rebuilds and re-indexes
-    each live table built under another, so a frame declares what its macro holds now."""
-    if machine.read_env is not machine.macro_env:
-        machine.read_env = env = machine.macro_env
-        for key, table in machine.tables.items():
-            if table[4] and table[1] not in (None, env):
-                names = table[3]
-                table[1:4] = env, *_table(machine, table[0])
-                if table[3].keys() != names.keys():
-                    _reindex(machine, key, names, table[3])
+    scope: a read of the name index, which macro scopes keep current."""
     newest = -1
     for key in machine.name_index.get(name, ()):
         table = machine.tables[key]

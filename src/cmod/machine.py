@@ -25,10 +25,10 @@ class Machine:
         self.trace = trace  # called with each TraceEvent when set
         self.call_stack: list = []
         self.handles: dict[str, int] = {}  # live allocation scopes per handle name
-        # Shallow binding: tables by key, [declaration, environment (None: never changes), steps, entries,
-        # positions of its live frames]; the live keys whose tables declare each name; the macro environment
-        # a call last read; renamings by (id(node), old, new), (node, renamed node).
-        self.tables, self.name_index, self.read_env, self.renamed = {}, {}, None, {}
+        # Shallow binding: tables by key, [declaration, environment built under (None: reads no macro),
+        # steps, entries, positions of its live frames]; the live keys whose tables declare or read (as
+        # "/name") each name; renamings by (id(node), old, new), (node, renamed node).
+        self.tables, self.name_index, self.renamed = {}, {}, {}
 
     def output_text(self) -> str:
         """What the program printed, when written to the default list."""

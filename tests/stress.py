@@ -1,4 +1,4 @@
-"""Run cmod on five large programs, each in its own child process, and gate
+"""Run cmod on six large programs, each in its own child process, and gate
 on what each child exits with, prints and, for two of them, its peak RSS.
 
     python3 tests/stress.py >> "$GITHUB_STEP_SUMMARY"
@@ -54,6 +54,14 @@ PROGRAMS = [
      + "(Loop(n) = if (n == 0) true else (f0(); s = s + 1; Loop(n - 1)) => "
      + "".join(f"(/M{i} => " for i in range(2000)) + "(s = 0; Loop(4000); print(s))" + ")" * 2001 + "\n",
      [], "4000\n", None, None),
+    # 1,000 modules loaded the same way, around a 1,000-iteration loop that enters a
+    # macro scope per iteration: each scope rebuilds the one live table that reads the
+    # name it defines (the outer iterations' /z), not every loaded module's.
+    ("1,000 loaded modules, 1,000 macro scopes",
+     "".join(f"module M{i}. f{i}() = true end\n" for i in range(1000))
+     + "(Loop(n) = if (n == 0) true else (macro /z = { z() = true } in (f0(); z(); s = s + 1; Loop(n - 1))) => "
+     + "".join(f"(/M{i} => " for i in range(1000)) + "(s = 0; Loop(1000); print(s))" + ")" * 1001 + "\n",
+     [], "1000\n", None, None),
 ]
 
 

@@ -5,10 +5,12 @@ engine renames, traced or not), frames pushed (the frames handed to
 cmod.engine._push), the most tables cached on the machine at a push and
 the macro definitions held by the environments cmod.macros.MacroEnv.define
 returns, the macro definitions whose names are read while loading many
-modules, and the lines the deciding-frame lookup (cmod.engine._deciding_table)
-runs per call while many modules are loaded. A count that grows with the
-depth of the recursion where it should not fails here on any machine,
-unlike a timing."""
+modules, the lines the deciding-frame lookup (cmod.engine._deciding_table)
+runs per call while many modules are loaded, and the clause tables built
+per macro scope a loop enters while many modules are loaded: a scope
+rebuilds only the live tables that read a name it defines. A count that
+grows with the depth of the recursion where it should not fails here on
+any machine, unlike a timing."""
 
 import sys
 
@@ -114,20 +116,48 @@ def names_read_loading_modules(monkeypatch, k: int, m: int = 10) -> int:
     return read[0]
 
 
-def run_modules(k: int, m: int) -> None:
+def run_modules(k: int, m: int, scoped: bool = False) -> None:
     """Run the modules family: k top-level modules, each loaded by a nested
-    /Mi =>, around a count loop of m calls."""
+    /Mi =>, around a count loop of m calls; scoped, each iteration enters a
+    macro scope."""
     modules = "\n".join(f"module M{i}. f{i}() = true end" for i in range(k))
+    step = "s = s + 1; Loop(n - 1)"
+    if scoped:
+        step = f"macro /z = {{ z() = true }} in ({step})"
     body = f"(s = 0; Loop({m}); print(s))"
     for i in reversed(range(k)):
         body = f"(/M{i} => {body})"
-    outcome, machine = run_source(f"{modules}\n(Loop(n) = if (n == 0) true else (s = s + 1; Loop(n - 1)) => {body})")
+    outcome, machine = run_source(f"{modules}\n(Loop(n) = if (n == 0) true else ({step}) => {body})")
     assert isinstance(outcome, Success) and machine.output_text() == f"{m}\n"
 
 
 def test_loading_each_of_many_modules_reads_a_bounded_number_of_definitions(monkeypatch):
     small, large = (names_read_loading_modules(monkeypatch, k) for k in (N, 2 * N))
     assert large <= 2.2 * small
+
+
+def tables_built_loading_modules(monkeypatch, k: int, m: int) -> int:
+    """The clause tables built (cmod.ast.clause_table) in one run of the
+    modules family at k and m, a macro scope entered per iteration."""
+    clause_table, built = cmod.ast.clause_table, [0]
+
+    def counting(*args):
+        built[0] += 1
+        return clause_table(*args)
+
+    monkeypatch.setattr(cmod.ast, "clause_table", counting)
+    run_modules(k, m, scoped=True)
+    monkeypatch.undo()
+    return built[0]
+
+
+def test_a_macro_scope_rebuilds_the_tables_that_read_its_names_not_every_loaded_module(monkeypatch):
+    # the tables built from 10 to 110 iterations, each entering a scope, at k and 2k modules loaded
+    small, large = (
+        tables_built_loading_modules(monkeypatch, k, 110) - tables_built_loading_modules(monkeypatch, k, 10)
+        for k in (N, 2 * N)
+    )
+    assert small == large
 
 
 def lookup_lines_loading_modules(k: int, m: int) -> int:

@@ -522,6 +522,22 @@ def test_a_macro_scope_puts_back_the_environment_it_replaced(call):
     assert machine.macro_env is before
 
 
+def test_a_read_of_an_undefined_macro_gains_its_clauses_when_a_scope_defines_it():
+    # the frame's table read /n before any definition; the scope rebuilds it
+    outcome, machine = run("((ren(g, h) /n) => (macro /n = { g() = (x = 2) } in h()))")
+    assert isinstance(outcome, Success) and machine.store["x"] == A.Int(2)
+
+
+def test_a_nested_macro_read_follows_an_inner_definition_until_the_scope_ends():
+    # /k reads /m; inside the scope h() runs the new q, after it the old one again
+    outcome, machine = run(
+        "macro /m = { q() = (x = 1) } and /k = { ren(q, h) /m }\n"
+        "(/k => ((macro /m = { q() = (x = 2) } in h()); y = x; h()))"
+    )
+    assert isinstance(outcome, Success)
+    assert (machine.store["y"], machine.store["x"]) == (A.Int(2), A.Int(1))
+
+
 def record_tables(monkeypatch):
     """Make every clause table record the names a call looks up in it;
     returns the (declaration, entries) pairs built and the (entries,
