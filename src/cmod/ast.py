@@ -408,8 +408,8 @@ def clause_table(decl: Declaration, env, scope=None, rename=rename):
     in search order. scope is what decl's own steps and entries carry (the
     engine's mark for its frame's scope); a macro body has no binders and
     the scope its definition closed over (None at top level: the store).
-    Given an env, entries also holds each macro name the walk reads, defined
-    or not, as "/name" with no clauses: a key no procedure name can be.
+    Given an env, entries also maps each macro name the walk reads, as
+    "/name" (a key no procedure name can be), to what env.find gave for it.
     """
     steps, entries = [], {}
     work = [(decl, 0, (), (), (), scope)]  # chains to walk, and bc:4 steps due after a left operand
@@ -441,7 +441,7 @@ def clause_table(decl: Declaration, env, scope=None, rename=rename):
             elif type(decl) is MacroRef:
                 found = None if env is None or decl.name in path else env.find(decl.name)
                 if env is not None:
-                    entries.setdefault("/" + decl.name, [])  # a read, defined or not
+                    entries.setdefault("/" + decl.name, found)  # a read, defined or not, and its binding
                 if found is None:
                     break
                 steps.append((depth, 6, decl, binders, scope))

@@ -144,8 +144,7 @@ def _cmd_repl(options: dict) -> int:
                 for line in _store_lines(machine) or ["(empty)"]:
                     print(line)
             elif command == ":macros":
-                names = machine.macro_env.names()
-                print(" ".join(f"/{n}" for n in names) if names else "(empty)")
+                print(" ".join(f"/{n}" for n in machine.macro_env) or "(empty)")
             else:
                 print(f"unknown command {command}")
             continue
@@ -171,7 +170,7 @@ def _repl_entry(machine: Machine, source: str) -> None:
     statement, reporting each step."""
     seeds, stmt = parse_repl_input(source)
     if seeds:
-        machine.macro_env = machine.macro_env.define(seeds)
+        machine.macro_env.define(seeds)
         print("defined " + ", ".join(f"/{d.name}" for d in seeds))
     if stmt is not None:
         outcome = execute(machine, stmt)

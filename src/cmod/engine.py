@@ -27,16 +27,16 @@ built once, renaming each node once per machine, so no call renames; its
 frames share it and supply their scope, and it keeps their positions.
 While a table has a live frame it is indexed under the names it declares
 and the macros it reads, so a call reads the newest frame of each table
-declaring its name. Rerooting follows the macro environment: a scope's entry
-rebuilds, with the same renamed nodes, the live tables reading a name it
-defines and its exit puts back what they held; a push rebuilds a table
-built under another environment and held by no frame.
+declaring its name. Macros are shallow-bound too, and rerooting follows
+them: a scope's entry binds its names and rebuilds, with the same renamed
+nodes, the live tables reading them; its exit puts back both. A push
+rebuilds a table held by no frame only if a macro it read is bound anew.
 
 Statements run from one work stack and expressions from one loop, so
 neither a call nor any nesting costs Python stack. Implication, macro
 and allocation scopes and calls push an exit below their body that pops
-what they pushed and puts back what they replaced: the macro environment
-and the tables it rebuilt, or the store value the handle hid. A failure is an
+what they pushed and puts back what they replaced: the macro bindings
+and the tables a scope rebuilt, or the store value the handle hid. A failure is an
 EngineFailure raised with its reason and detail only; execute attaches
 the call chain, runs the exits left and returns the failure as the outcome.
 """
@@ -183,21 +183,21 @@ def _implication(machine, work, stmt, depth, env) -> None:
 
 
 def _macro_scope(machine, work, stmt, depth, env) -> None:
-    """Link the group and reroot: rebuild the live tables indexed under a name
-    it defines, handing what they held to the exit; push a frame per definition."""
-    machine.macro_env = machine.macro_env.define(stmt.defs, env or None)
+    """Bind the group and reroot: rebuild the live tables indexed under a name it
+    binds, handing what they held and what it displaced to the exit; push a frame per definition."""
+    displaced = machine.macro_env.define(stmt.defs, env or None)
     readers = {key for macro in stmt.defs for key in machine.name_index.get("/" + macro.name, ())}
     held = [(key, _retable(machine, key, _table(machine, machine.tables[key][0]))) for key in readers]
     _push(machine, tuple((ast.MacroRef(d.name), None) for d in stmt.defs))
-    work.append((_end_macro_scope, (len(stmt.defs), held), _EXIT))
+    work.append((_end_macro_scope, (len(stmt.defs), displaced, held), _EXIT))
     work.append((stmt.body, depth + 1, env))
 
 
 def _end_macro_scope(machine, scope) -> None:
-    """Pop the scope's frames, go back to the environment it extended, put back the tables it rebuilt."""
-    count, held = scope
+    """Pop the scope's frames, put back the bindings and the tables it replaced."""
+    count, displaced, held = scope
     _pop(machine, count)
-    machine.macro_env = machine.macro_env.parent
+    machine.macro_env.undefine(displaced)
     for key, contents in held:
         _retable(machine, key, contents)
 
@@ -351,11 +351,13 @@ def _push(machine: Machine, frames) -> None:
     for decl, scope in frames:
         key = decl.name if type(decl) is ast.MacroRef else id(decl)
         table = machine.tables.get(key)
-        if table is None or not table[4] and table[1] not in (None, machine.macro_env):  # or stale, held by no frame
+        if table is None or not table[3] and any(  # or held by no frame, and a macro it read is bound anew
+            machine.macro_env.get(name[1:]) is not found for name, found in table[2].items() if name[0] == "/"
+        ):
             table = machine.tables[key] = [decl, *_table(machine, decl), []]  # decl stays alive, so its id is not reused
-        if not table[4]:
-            _reindex(machine, key, (), table[3])
-        table[4].append(len(machine.module_stack))
+        if not table[3]:
+            _reindex(machine, key, (), table[2])
+        table[3].append(len(machine.module_stack))
         machine.module_stack.append((decl, scope))
 
 
@@ -365,9 +367,9 @@ def _pop(machine: Machine, count: int) -> None:
         decl = machine.module_stack.pop()[0]
         key = decl.name if type(decl) is ast.MacroRef else id(decl)
         table = machine.tables[key]
-        del table[4][-1]
-        if not table[4]:
-            _reindex(machine, key, table[3], ())
+        del table[3][-1]
+        if not table[3]:
+            _reindex(machine, key, table[2], ())
 
 
 def _reindex(machine: Machine, key, old, new) -> None:
@@ -381,19 +383,19 @@ def _reindex(machine: Machine, key, old, new) -> None:
 
 
 def _retable(machine: Machine, key, contents):
-    """Give key's live table contents (environment, steps, entries),
-    re-indexing it when its names change; returns what it held."""
+    """Give key's live table contents (steps, entries), re-indexing it
+    when its names change; returns what it held."""
     table = machine.tables[key]
-    if contents[2].keys() != table[3].keys():
-        _reindex(machine, key, table[3], contents[2])
-    held, table[1:4] = table[1:4], contents
+    if contents[1].keys() != table[2].keys():
+        _reindex(machine, key, table[2], contents[1])
+    held, table[1:3] = table[1:3], contents
     return held
 
 
 def _table(machine: Machine, decl: ast.Declaration):
-    """decl's environment (None if it reads no macro), steps and entries as the macro
-    environment now is. Each renaming is done once per machine: machine.renamed keeps
-    it by (id of the node renamed, old, new), with that node, so the id is not reused."""
+    """decl's steps and entries as the macro environment now is. Each renaming
+    is done once per machine: machine.renamed keeps it by (id of the node
+    renamed, old, new), with that node, so the id is not reused."""
 
     def renamed(node, old, new):
         key = id(node), old, new
@@ -401,8 +403,7 @@ def _table(machine: Machine, decl: ast.Declaration):
             machine.renamed[key] = node, rename(node, old, new)
         return machine.renamed[key][1]
 
-    steps, entries = ast.clause_table(decl, machine.macro_env, _OWN, renamed)
-    return machine.macro_env if any(name[0] == "/" for name in entries) else None, steps, entries
+    return ast.clause_table(decl, machine.macro_env, _OWN, renamed)
 
 
 def _deciding_table(machine: Machine, name: str):
@@ -411,11 +412,11 @@ def _deciding_table(machine: Machine, name: str):
     newest = -1
     for key in machine.name_index.get(name, ()):
         table = machine.tables[key]
-        if table[4][-1] > newest:
-            newest, found = table[4][-1], table
+        if table[3][-1] > newest:
+            newest, found = table[3][-1], table
     if newest < 0:
         return (), {}, None
-    return found[2], found[3], machine.module_stack[newest][1]
+    return found[1], found[2], machine.module_stack[newest][1]
 
 
 # ---------------------------------------------------------------------------

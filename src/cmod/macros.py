@@ -1,44 +1,32 @@
 """The macro environment: named declarations with most-recent lookup.
 
-An environment is one link of a chain: a group of definitions as parsed,
-the scope that entered them (the activation of its ``macro ... in``
-statement, or None at top level), and the environment they extend.
-define links one group and copies nothing, so a scope ends by going back
-to its link's parent. Each link indexes its own group by name, a later
-definition in the group over an earlier one, so find reads one entry per
-link. A definition is a closure, (MacroDef, its link's scope).
-Environments compare by identity.
+One environment per machine, shallow-bound: a dict from each defined
+name to its newest definition, a closure (MacroDef body, the scope that
+entered it: the activation of its ``macro ... in`` statement, or None at
+top level). define binds a group as parsed, a later definition in the
+group over an earlier one, and returns what each binding displaced;
+the scope's exit hands that to undefine, which puts it back. So find is
+one read, and a definition's binding is the same object while it holds.
 """
 
-from __future__ import annotations
 
-from . import ast
+class MacroEnv(dict):
+    __slots__ = ()
 
+    find = dict.get  # (body, scope) of name's most recent definition, or None
 
-class MacroEnv:
-    __slots__ = ("defs", "bodies", "scope", "parent")
+    def define(self, defs, scope=None) -> list:
+        """Bind each definition in order; [(name, binding it displaced or None), ...]."""
+        displaced = []
+        for macro in defs:
+            displaced.append((macro.name, self.get(macro.name)))
+            self[macro.name] = macro.body, scope
+        return displaced
 
-    def __init__(self, defs=(), scope=None, parent=None):
-        self.defs, self.scope, self.parent = defs, scope, parent  # defs as parsed: the last is the newest
-        self.bodies = {macro.name: macro.body for macro in defs}
-
-    def define(self, new_defs, scope=None) -> MacroEnv:
-        return MacroEnv(tuple(new_defs), scope, self)
-
-    def find(self, name: str) -> tuple[ast.Declaration, dict | None] | None:
-        """(body, scope) of name's most recent definition, or None."""
-        env = self
-        while env is not None:
-            body = env.bodies.get(name)
-            if body is not None:
-                return body, env.scope
-            env = env.parent
-        return None
-
-    def names(self) -> list[str]:
-        """Every defined name, the most recent first, shadowed ones too."""
-        names, env = [], self
-        while env is not None:
-            names += [macro.name for macro in reversed(env.defs)]
-            env = env.parent
-        return names
+    def undefine(self, displaced) -> None:
+        """Put back what define displaced, the last binding first."""
+        for name, binding in reversed(displaced):
+            if binding is None:
+                del self[name]
+            else:
+                self[name] = binding

@@ -6,7 +6,6 @@ import random
 
 from cmod import ast as A
 from cmod.errors import CmodError
-from cmod.macros import MacroEnv
 from cmod.parser import SourceProgram
 
 
@@ -105,9 +104,16 @@ def balanced_case(rng: random.Random) -> tuple[list[A.MacroDef], A.Statement, li
     return seeds, build(rng.randint(2, 4)), assigned
 
 
+def same_bindings(env: dict, snapshot: dict) -> bool:
+    """Whether env binds the names snapshot (a dict(env) taken earlier)
+    binds, each to the very same definition."""
+    return env.keys() == snapshot.keys() and all(env[name] is binding for name, binding in snapshot.items())
+
+
 class ScopeBalanceChecker:
     """Trace callback verifying that every scope statement leaves the
-    module stack and macro environment at their pre-statement sizes.
+    module stack at its pre-statement size and the macro environment
+    with its pre-statement bindings.
 
     An ``ex`` event for a scope rule fires before the push; the next
     event at the same or a shallower depth fires after the scope (and
@@ -119,7 +125,7 @@ class ScopeBalanceChecker:
 
     def __init__(self, machine):
         self.machine = machine
-        self.open: list[tuple[int, int, MacroEnv]] = []
+        self.open: list[tuple[int, int, dict]] = []
         self.checked = 0
 
     def __call__(self, event) -> None:
@@ -128,7 +134,7 @@ class ScopeBalanceChecker:
             batch.append(self.open.pop())
         self._verify(batch)
         if event.phase == "ex" and event.rule_id in (11, 12):
-            self.open.append((event.depth, len(self.machine.module_stack), self.machine.macro_env))
+            self.open.append((event.depth, len(self.machine.module_stack), dict(self.machine.macro_env)))
 
     def finish(self) -> None:
         batch = list(reversed(self.open))
@@ -138,9 +144,9 @@ class ScopeBalanceChecker:
     def _verify(self, batch) -> None:
         if not batch:
             return
-        _, stack_len, env = batch[-1]  # outermost scope closed here
+        _, stack_len, bindings = batch[-1]  # outermost scope closed here
         assert len(self.machine.module_stack) == stack_len, "module stack not restored"
-        assert self.machine.macro_env is env, "macro environment not restored"
+        assert same_bindings(self.machine.macro_env, bindings), "macro environment not restored"
         self.checked += len(batch)
 
 
@@ -324,15 +330,15 @@ class MacroNotDefined(CmodError):
         super().__init__(f"macro or module '/{name}' is not defined")
 
 
-def lookup(env: MacroEnv, name: str) -> A.Declaration:
-    """The body env binds name to; MacroNotDefined when it binds none."""
-    found = env.find(name)
-    if found is None:
+def lookup(env: dict[str, A.Declaration], name: str) -> A.Declaration:
+    """The body env, a plain dict from name to body, binds name to;
+    MacroNotDefined when it binds none."""
+    if name not in env:
         raise MacroNotDefined(name)
-    return found[0]
+    return env[name]
 
 
-def conj_expand(env: MacroEnv, decl: A.Declaration) -> A.Declaration:
+def conj_expand(env: dict[str, A.Declaration], decl: A.Declaration) -> A.Declaration:
     """decl with every macro reference replaced by its looked-up body,
     recursively.
 
@@ -367,21 +373,21 @@ def inline_macros(program: SourceProgram) -> A.Statement:
     rebound while a frame referencing it is live.
     """
 
-    def expand_decl(decl: A.Declaration, env: MacroEnv) -> A.Declaration:
+    def expand_decl(decl: A.Declaration, env: dict[str, A.Declaration]) -> A.Declaration:
         return walk(conj_expand(env, decl), env)
 
-    def walk(node, env: MacroEnv):
+    def walk(node, env: dict[str, A.Declaration]):
         if isinstance(node, A.Implication):
             return A.Implication(expand_decl(node.decl, env), walk(node.body, env))
         if isinstance(node, A.MacroScope):
-            inner_env = env.define(node.defs)
+            inner_env = {**env, **{macro_def.name: macro_def.body for macro_def in node.defs}}
             result = walk(node.body, inner_env)
             for macro_def in reversed(node.defs):
                 result = A.Implication(expand_decl(macro_def.body, inner_env), result)
             return result
         return A.map_children(node, lambda child: walk(child, env))
 
-    return walk(program.main, MacroEnv().define(program.seeds()))
+    return walk(program.main, {macro_def.name: macro_def.body for macro_def in program.seeds()})
 
 
 def macro_equivalence_case(rng: random.Random) -> SourceProgram:

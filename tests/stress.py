@@ -1,4 +1,4 @@
-"""Run cmod on six large programs, each in its own child process, and gate
+"""Run cmod on seven large programs, each in its own child process, and gate
 on what each child exits with, prints and, for two of them, its peak RSS.
 
     python3 tests/stress.py >> "$GITHUB_STEP_SUMMARY"
@@ -39,9 +39,9 @@ PROGRAMS = [
      "(Many(k) = if (k == 0) true else ((p = new int[100000] => (p[99999] = k; s = s + p[99999])); Many(k - 1))"
      " => (s = 0; Many(200); print(s)))\n",
      [], "20100\n", 60, "freed regions are kept"),
-    # 8,000 nested macro scopes: each links one group of definitions onto the macro
-    # environment and copies nothing, so the child's maxrss stays far below what the
-    # n(n+1)/2 entries of copied environments would take.
+    # 8,000 nested macro scopes: each binds its definitions in the one macro environment
+    # and copies nothing, so the child's maxrss stays far below what the n(n+1)/2
+    # entries of copied environments would take.
     ("8,000 nested macro scopes",
      "(Rec(n) = if (n == 0) true else (macro /m = { q() = (s = s + 1) } in (/m => (q(); Rec(n - 1))))"
      " => (s = 0; Rec(8000); print(s)))\n",
@@ -62,6 +62,14 @@ PROGRAMS = [
      + "(Loop(n) = if (n == 0) true else (macro /z = { z() = true } in (f0(); z(); s = s + 1; Loop(n - 1))) => "
      + "".join(f"(/M{i} => " for i in range(1000)) + "(s = 0; Loop(1000); print(s))" + ")" * 1001 + "\n",
      [], "1000\n", None, None),
+    # 8,000 macro scopes, one per iteration, each loading a top-level module: a lookup
+    # is one read at any scope depth, and the module's cached table is kept while its
+    # binding is unchanged, so no scope rebuilds it.
+    ("8,000 macro scopes each loading a top-level module",
+     "module M0. f0() = true end\n"
+     "(Loop(n) = if (n == 0) true else (macro /z = { z() = true } in ((/M0 => f0()); s = s + 1; Loop(n - 1)))"
+     " => (s = 0; Loop(8000); print(s)))\n",
+     ["--max-depth", "400000"], "8000\n", None, None),
 ]
 
 

@@ -186,12 +186,17 @@ def test_macro_ref_contributes_nothing_without_env():
     assert A.free_procedure_names(A.MacroRef("p")) == frozenset()
 
 
+def _env(*defs):
+    """A macro environment binding defs, top-level definitions."""
+    env = MacroEnv()
+    env.define(defs)
+    return env
+
+
 def test_macro_ref_chains_resolve_with_an_env():
-    env = MacroEnv().define(
-        [
-            A.MacroDef("inner", A.Clause("deep", (), A.TrueStmt())),
-            A.MacroDef("outer", A.And(A.Clause("shallow", (), A.TrueStmt()), A.MacroRef("inner"))),
-        ]
+    env = _env(
+        A.MacroDef("inner", A.Clause("deep", (), A.TrueStmt())),
+        A.MacroDef("outer", A.And(A.Clause("shallow", (), A.TrueStmt()), A.MacroRef("inner"))),
     )
     assert A.free_procedure_names(A.MacroRef("outer"), env) == {"shallow", "deep"}
     assert A.free_procedure_names(A.MacroRef("inner"), env) == {"deep"}
@@ -199,11 +204,9 @@ def test_macro_ref_chains_resolve_with_an_env():
 
 
 def test_macro_ref_cycles_are_cut():
-    env = MacroEnv().define(
-        [
-            A.MacroDef("a", A.And(A.Clause("pa", (), A.TrueStmt()), A.MacroRef("b"))),
-            A.MacroDef("b", A.And(A.Clause("pb", (), A.TrueStmt()), A.MacroRef("a"))),
-        ]
+    env = _env(
+        A.MacroDef("a", A.And(A.Clause("pa", (), A.TrueStmt()), A.MacroRef("b"))),
+        A.MacroDef("b", A.And(A.Clause("pb", (), A.TrueStmt()), A.MacroRef("a"))),
     )
     assert A.free_procedure_names(A.MacroRef("a"), env) == {"pa", "pb"}
 
@@ -216,16 +219,16 @@ def _clause(name, *params):
 
 
 def _summary(table):
-    """(depth, rule id) per step, and (name, steps before, depth) per entry."""
+    """(depth, rule id) per step, and (name, steps before, depth) per entry but "/name" reads."""
     steps, entries = table
     return (
         [(depth, rule_id) for depth, rule_id, *_ in steps],
-        [(name, before, depth) for name, items in entries.items() for _, _, before, depth, _ in items],
+        [(name, before, depth) for name, items in entries.items() if name[0] != "/" for _, _, before, depth, _ in items],
     )
 
 
 def test_the_table_lists_steps_in_search_order_at_relative_depths():
-    env = MacroEnv().define([A.MacroDef("m", _clause("s"))])
+    env = _env(A.MacroDef("m", _clause("s")))
     decl = A.Rename("p", "q", A.Forall("x", A.And(A.And(_clause("p", "x"), _clause("r")), A.MacroRef("m"))))
     table = A.clause_table(decl, env)
     steps, entries = table
@@ -267,7 +270,7 @@ def test_an_inner_quantifier_hides_an_outer_one_of_its_name():
 
 
 def test_a_macro_reference_starts_a_new_quantifier_scope():
-    env = MacroEnv().define([A.MacroDef("m", _clause("q", "x"))])
+    env = _env(A.MacroDef("m", _clause("q", "x")))
     decl = A.Forall("x", A.And(_clause("p", "x"), A.MacroRef("m")))
     _, entries = A.clause_table(decl, env)
     assert entries["p"][0][1] == (("x", [0]),)
@@ -277,7 +280,7 @@ def test_a_macro_reference_starts_a_new_quantifier_scope():
 def test_a_macro_reference_leaves_the_pushing_activation_behind():
     # the frame's own steps and clauses keep the scope it was pushed from;
     # those of a macro body it refers to have none: they read the store
-    env = MacroEnv().define([A.MacroDef("m", A.And(_clause("q"), _clause("s")))])
+    env = _env(A.MacroDef("m", A.And(_clause("q"), _clause("s"))))
     scope = {"k": A.Int(1)}
     steps, entries = A.clause_table(A.And(_clause("p"), A.MacroRef("m")), env, scope)
     assert entries["p"][0][4] is scope and entries["q"][0][4] is None and entries["s"][0][4] is None
@@ -285,7 +288,7 @@ def test_a_macro_reference_leaves_the_pushing_activation_behind():
 
 
 def test_cyclic_and_undefined_references_add_nothing():
-    env = MacroEnv().define([A.MacroDef("a", A.And(_clause("pa"), A.MacroRef("a")))])
+    env = _env(A.MacroDef("a", A.And(_clause("pa"), A.MacroRef("a"))))
     table = A.clause_table(A.And(A.MacroRef("ghost"), A.MacroRef("a")), env)
     assert _summary(table) == ([(0, 3), (0, 4), (1, 6), (2, 3), (2, 4)], [("pa", 4, 3)])
     assert A.clause_table(A.MacroRef("a"), None) == ([], {})

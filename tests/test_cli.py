@@ -479,11 +479,11 @@ def test_repl_macros_listing(monkeypatch, capsys):
     assert "/m" in captured.out
 
 
-def test_repl_macros_lists_the_newest_first_shadowed_ones_too(monkeypatch, capsys):
+def test_repl_macros_lists_each_defined_name_once_in_definition_order(monkeypatch, capsys):
     lines = ["macro /m = { f() = true }", "module M. g() = true end", "macro /m = { h() = true }", ":macros", ":quit"]
     code, captured = repl(monkeypatch, capsys, lines)
     assert code == 0
-    assert "cmod> /m /M /m\n" in captured.out
+    assert "cmod> /m /M\n" in captured.out
 
 
 def test_repl_continues_a_macro_group_after_and(monkeypatch, capsys):

@@ -3,14 +3,17 @@ n and 2n: clause tables built (cmod.ast.clause_table), declarations
 renamed while a table is built (cmod.engine.rename, the only way the
 engine renames, traced or not), frames pushed (the frames handed to
 cmod.engine._push), the most tables cached on the machine at a push and
-the macro definitions held by the environments cmod.macros.MacroEnv.define
-returns, the macro definitions whose names are read while loading many
-modules, the lines the deciding-frame lookup (cmod.engine._deciding_table)
-runs per call while many modules are loaded, and the clause tables built
-per macro scope a loop enters while many modules are loaded: a scope
-rebuilds only the live tables that read a name it defines. A count that
-grows with the depth of the recursion where it should not fails here on
-any machine, unlike a timing."""
+the macro definitions handed to cmod.macros.MacroEnv.define, the macro
+definitions whose names are read while loading many modules, the lines
+the deciding-frame lookup (cmod.engine._deciding_table) runs per call
+while many modules are loaded, and the clause tables built per macro
+scope a loop enters while many modules are loaded: a scope rebuilds only
+the live tables that read a name it defines. A loop that loads a
+top-level module inside a macro scope per iteration builds one table per
+scope, its module's being kept while the module's binding is unchanged,
+and runs the same lines of cmod/macros.py per iteration at any depth. A
+count that grows with the depth of the recursion where it should not
+fails here on any machine, unlike a timing."""
 
 import sys
 
@@ -42,8 +45,8 @@ CLAUSES = " and ".join(f"c{i}() = (s = s + {1 if i == 39 else 'n'})" for i in ra
 
 def counts(monkeypatch, family: str, n: int, trace=None) -> dict[str, int]:
     """The counts of one run of family at size n; cached is the most
-    tables the machine held at a push, defined the sum of len(env.defs)
-    over the environments define returned."""
+    tables the machine held at a push, defined the number of definitions
+    handed to define."""
     counted = {"tables": 0, "renames": 0, "frames": 0, "defined": 0}
 
     def count(owner, attr, key, amount=lambda *args: 1):
@@ -59,10 +62,9 @@ def counts(monkeypatch, family: str, n: int, trace=None) -> dict[str, int]:
         counted["cached"] = max(counted["cached"], len(machine.tables))  # before the run drops them
         return len(frames)
 
-    def define(env, *args):
-        defined = original_define(env, *args)
-        counted["defined"] += len(defined.defs)
-        return defined
+    def define(env, defs, *args):
+        counted["defined"] += len(defs)
+        return original_define(env, defs, *args)
 
     counted["cached"], original_define = 0, cmod.macros.MacroEnv.define
     monkeypatch.setattr(cmod.macros.MacroEnv, "define", define)
@@ -116,16 +118,17 @@ def names_read_loading_modules(monkeypatch, k: int, m: int = 10) -> int:
     return read[0]
 
 
-def run_modules(k: int, m: int, scoped: bool = False) -> None:
+def run_modules(k: int, m: int, scoped: bool = False, each: bool = False) -> None:
     """Run the modules family: k top-level modules, each loaded by a nested
     /Mi =>, around a count loop of m calls; scoped, each iteration enters a
-    macro scope."""
+    macro scope; each, none is loaded around the loop, and each iteration
+    loads /M0 and calls f0() instead."""
     modules = "\n".join(f"module M{i}. f{i}() = true end" for i in range(k))
-    step = "s = s + 1; Loop(n - 1)"
+    step = "(/M0 => f0()); s = s + 1; Loop(n - 1)" if each else "s = s + 1; Loop(n - 1)"
     if scoped:
         step = f"macro /z = {{ z() = true }} in ({step})"
     body = f"(s = 0; Loop({m}); print(s))"
-    for i in reversed(range(k)):
+    for i in reversed(range(0 if each else k)):
         body = f"(/M{i} => {body})"
     outcome, machine = run_source(f"{modules}\n(Loop(n) = if (n == 0) true else ({step}) => {body})")
     assert isinstance(outcome, Success) and machine.output_text() == f"{m}\n"
@@ -136,7 +139,7 @@ def test_loading_each_of_many_modules_reads_a_bounded_number_of_definitions(monk
     assert large <= 2.2 * small
 
 
-def tables_built_loading_modules(monkeypatch, k: int, m: int) -> int:
+def tables_built_loading_modules(monkeypatch, k: int, m: int, each: bool = False) -> int:
     """The clause tables built (cmod.ast.clause_table) in one run of the
     modules family at k and m, a macro scope entered per iteration."""
     clause_table, built = cmod.ast.clause_table, [0]
@@ -146,7 +149,7 @@ def tables_built_loading_modules(monkeypatch, k: int, m: int) -> int:
         return clause_table(*args)
 
     monkeypatch.setattr(cmod.ast, "clause_table", counting)
-    run_modules(k, m, scoped=True)
+    run_modules(k, m, scoped=True, each=each)
     monkeypatch.undo()
     return built[0]
 
@@ -160,26 +163,49 @@ def test_a_macro_scope_rebuilds_the_tables_that_read_its_names_not_every_loaded_
     assert small == large
 
 
-def lookup_lines_loading_modules(k: int, m: int) -> int:
-    """The line events in the deciding-frame lookup (the code object of
-    cmod.engine._deciding_table) in one run of the modules family at k and m."""
-    code, lines = cmod.engine._deciding_table.__code__, [0]
+def test_a_module_loaded_inside_each_macro_scope_keeps_its_table(monkeypatch):
+    # from 10 to 110 iterations, each entering a scope that loads /M0: one table
+    # per scope, /z's; /M0's is kept, since its binding does not change
+    def built(m):
+        return tables_built_loading_modules(monkeypatch, 1, m, each=True)
 
-    def in_lookup(frame, event, arg):
+    assert built(110) - built(10) == 100
+
+
+def lines_loading_modules(counted, k: int, m: int, **options) -> int:
+    """The line events in the code objects counted(code) accepts in one run
+    of the modules family at k and m, with run_modules' options."""
+    lines = [0]
+
+    def in_counted(frame, event, arg):
         if event == "line":
             lines[0] += 1
-        return in_lookup
+        return in_counted
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: in_lookup if frame.f_code is code else None)
+    sys.settrace(lambda frame, event, arg: in_counted if counted(frame.f_code) else None)
     try:
-        run_modules(k, m)
+        run_modules(k, m, **options)
     finally:
         sys.settrace(previous)
     return lines[0]
 
 
+def test_a_macro_lookup_costs_the_same_at_any_scope_depth():
+    # the lines of cmod/macros.py run from 10 to 110 iterations and from 110 to 210,
+    # each iteration entering a scope that loads /M0
+    def macros_lines(m):
+        return lines_loading_modules(lambda code: code.co_filename == cmod.macros.__file__, 1, m, scoped=True, each=True)
+
+    first, second = (macros_lines(m) - macros_lines(m - 100) for m in (110, 210))
+    assert first == second
+
+
 def test_a_call_reads_the_frames_that_declare_its_name_not_every_loaded_module():
-    # the lookup's work per call, from 10 to 1,010 loop calls, at k and 2k modules loaded
-    small, large = (lookup_lines_loading_modules(k, 1010) - lookup_lines_loading_modules(k, 10) for k in (N, 2 * N))
+    # the lookup's (cmod.engine._deciding_table's) lines, from 10 to 1,010 loop calls,
+    # at k and 2k modules loaded
+    def lookup_lines(k, m):
+        return lines_loading_modules(lambda code: code is cmod.engine._deciding_table.__code__, k, m)
+
+    small, large = (lookup_lines(k, 1010) - lookup_lines(k, 10) for k in (N, 2 * N))
     assert small == large
