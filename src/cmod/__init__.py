@@ -1,10 +1,9 @@
 """cmod: an interpreter for a small C-like language with statement-local
 modules, a constructive macro language, and region-scoped allocation."""
 
-from .engine import Success, eval_expr, execute, machine_for, run_source, substitute
+from .engine import Success, eval_expr, execute, machine_for, run_source
 from .errors import CmodError, EngineFailure, LexError, ParseError
-from .ast import desugar, free_procedure_names, rename
-from .lexer import tokenize
+from .ast import rename
 from .machine import Machine
 from .macros import MacroEnv
 from .parser import SourceProgram, parse_program, parse_repl_input, parse_source
@@ -23,13 +22,11 @@ __all__ = [
     "RegionStack",
     "SourceProgram",
     "Success",
-    "desugar",
     "eval_expr",
     "execute",
     "format_declaration",
     "format_expression",
     "format_statement",
-    "free_procedure_names",
     "machine_for",
     "parse_program",
     "parse_repl_input",
@@ -39,7 +36,5 @@ __all__ = [
     "region_write",
     "rename",
     "run_source",
-    "substitute",
-    "tokenize",
     "__version__",
 ]

@@ -331,11 +331,6 @@ def mapped(node, fn):
     return type(node)(*values) if changed else node
 
 
-def map_children(node, fn):
-    """node with fn applied to each of its child nodes, as ``mapped`` gives it."""
-    return drive(mapped(node, fn))
-
-
 # ---------------------------------------------------------------------------
 # Tree rewrites: desugaring and renaming
 # ---------------------------------------------------------------------------
@@ -348,7 +343,7 @@ def desugar(stmt: Statement) -> Statement:
     label, a value and so its own literal, ending in the default branch;
     all other nodes are preserved structurally (including inside
     declarations), so any node may be passed. Idempotent. The engine
-    runs a Switch itself and never needs this.
+    runs a Switch itself and never needs this; cmod does not export it.
     """
 
     def walk(node):

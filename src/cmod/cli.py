@@ -15,7 +15,7 @@ import sys
 
 from . import ast
 from .engine import execute, run_source
-from .errors import NO_MATCHING_CLAUSE, CmodError, EngineFailure, LexError, ParseError
+from .errors import NO_MATCHING_CLAUSE, EngineFailure, LexError, ParseError
 from .machine import DEFAULT_MAX_DEPTH, Machine
 from .parser import parse_repl_input, parse_source
 from .printer import pretty_print
@@ -105,8 +105,8 @@ def _dump_state(machine: Machine) -> None:
         print(line)
     stack = machine.regions
     print(f"-- regions: {stack.allocated} allocated, {len(stack.regions)} live --")
-    for region in stack.regions.values():
-        print(f"{region.id} {region.elem_type} {len(region.cells)}")
+    for serial, cells in stack.regions.items():
+        print(f"{serial} int {len(cells)}")
 
 
 def _cmd_run(source: str, options: dict) -> int:
@@ -203,9 +203,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("cmod: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except CmodError as exc:  # pragma: no cover - safety net
-        print(f"cmod: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - no input may end in a traceback
         print(f"cmod: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

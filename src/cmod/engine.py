@@ -91,8 +91,6 @@ class Success(ast.Node):
 # A failed outcome is the raised failure itself.
 Failure = EngineFailure
 
-ExecOutcome = (Success, EngineFailure)
-
 _NO_BINDINGS = MappingProxyType({})  # the environment outside every call
 _OWN = object()  # the scope of a table item from the frame's own declaration: the frame's
 
@@ -102,7 +100,7 @@ _OWN = object()  # the scope of a table item from the frame's own declaration: t
 # ---------------------------------------------------------------------------
 
 
-def execute(machine: Machine, stmt: ast.Statement) -> ExecOutcome:
+def execute(machine: Machine, stmt: ast.Statement) -> Success | EngineFailure:
     """Run stmt; store, region and output effects persist either way.
 
     The work stack holds (statement, trace depth, environment) items and
@@ -427,7 +425,8 @@ def _deciding_table(machine: Machine, name: str):
 def substitute(decl: ast.Declaration, var: str, value: ast.Value) -> ast.Declaration:
     """decl with every free occurrence of var replaced by value, its own
     literal, in clause heads and in expressions within bodies. The engine
-    never calls it: a body runs, and a trace step prints, in its activation.
+    never calls it (a body runs, and a trace step prints, in its activation),
+    and cmod does not export it; perfbench/tracing.py wraps it here.
 
     Inner binders of the same name (a quantifier or an allocation handle)
     shadow the substitution; assignment targets are name bindings, not
@@ -571,7 +570,7 @@ def machine_for(program: SourceProgram, max_depth: int = DEFAULT_MAX_DEPTH, trac
     return Machine(program.seeds(), max_depth=max_depth, trace=trace, write=write)
 
 
-def run_source(source: str, max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> tuple[ExecOutcome, Machine]:
+def run_source(source: str, max_depth: int = DEFAULT_MAX_DEPTH, trace=None, write=None) -> tuple[Success | EngineFailure, Machine]:
     """Parse, seed, and execute a whole program from the empty machine."""
     program = parse_source(source)
     machine = machine_for(program, max_depth=max_depth, trace=trace, write=write)

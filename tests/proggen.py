@@ -352,7 +352,7 @@ def conj_expand(env: dict[str, A.Declaration], decl: A.Declaration) -> A.Declara
             return expand(lookup(env, node.name), path | {node.name})
         if isinstance(node, (A.MacroRef, A.Clause)):
             return node
-        return A.map_children(node, lambda child: expand(child, path))
+        return A.drive(A.mapped(node, lambda child: expand(child, path)))
 
     return expand(decl, frozenset())
 
@@ -385,7 +385,7 @@ def inline_macros(program: SourceProgram) -> A.Statement:
             for macro_def in reversed(node.defs):
                 result = A.Implication(expand_decl(macro_def.body, inner_env), result)
             return result
-        return A.map_children(node, lambda child: walk(child, env))
+        return A.drive(A.mapped(node, lambda child: walk(child, env)))
 
     return walk(program.main, {macro_def.name: macro_def.body for macro_def in program.seeds()})
 

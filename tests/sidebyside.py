@@ -162,17 +162,14 @@ def soup_digest(source: str) -> str:
 
 
 def token_fields(tok) -> tuple:
-    """(kind, lexeme, line, column) of a token, whether a ``Token`` node with
-    those fields or a ``(kind, lexeme, offset, source)`` tuple, whose line
-    and column are those a diagnostic at its offset reports, with the cmod
-    on sys.path."""
+    """(kind, lexeme, line, column) of a ``(kind, lexeme, offset, source)``
+    token, whose line and column are those a diagnostic at its offset
+    reports, with the cmod on sys.path."""
     from cmod.errors import ParseError
 
-    if isinstance(tok, tuple):
-        kind, lexeme, offset, source = tok
-        error = ParseError(source, offset, "", "")
-        return kind, lexeme, error.line, error.column
-    return tok.kind, tok.lexeme, tok.line, tok.column
+    kind, lexeme, offset, source = tok
+    error = ParseError(source, offset, "", "")
+    return kind, lexeme, error.line, error.column
 
 
 def streamed_digest(source: str) -> str:
@@ -194,21 +191,16 @@ def _digest(parts) -> str:
 def work(path: str) -> None:
     """Worker: one line per input, [untraced hash, traced hash] for a
     program and [hash] for a soup."""
-    from cmod.engine import call_with_deep_stack
-
-    def run_all():
-        for item in json.loads(Path(path).read_text(encoding="utf-8")):
-            if "soup" in item:
-                print(json.dumps([_digest([soup_digest(item["soup"]), streamed_digest(item["soup"])])]))
-                continue
-            if "source" in item:
-                program = item["source"]
-            else:
-                program = [decode(s) for s in item["seeds"]], decode(item["main"])
-            runs = [observe(program, item["max_depth"], traced) for traced in (False, True)]
-            print(json.dumps([_digest(runs[0][:3]), _digest(runs[1])]))
-
-    call_with_deep_stack(run_all)
+    for item in json.loads(Path(path).read_text(encoding="utf-8")):
+        if "soup" in item:
+            print(json.dumps([_digest([soup_digest(item["soup"]), streamed_digest(item["soup"])])]))
+            continue
+        if "source" in item:
+            program = item["source"]
+        else:
+            program = [decode(s) for s in item["seeds"]], decode(item["main"])
+        runs = [observe(program, item["max_depth"], traced) for traced in (False, True)]
+        print(json.dumps([_digest(runs[0][:3]), _digest(runs[1])]))
 
 
 def run_tree(src: Path, inputs_path: Path) -> list[list[str]]:

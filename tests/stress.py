@@ -1,4 +1,4 @@
-"""Run cmod on seven large programs, each in its own child process, and gate
+"""Run cmod on eight large programs, each in its own child process, and gate
 on what each child exits with, prints and, for two of them, its peak RSS.
 
     python3 tests/stress.py >> "$GITHUB_STEP_SUMMARY"
@@ -70,6 +70,14 @@ PROGRAMS = [
      "(Loop(n) = if (n == 0) true else (macro /z = { z() = true } in ((/M0 => f0()); s = s + 1; Loop(n - 1)))"
      " => (s = 0; Loop(8000); print(s)))\n",
      ["--max-depth", "400000"], "8000\n", None, None),
+    # The 2,000 loaded modules again, but all declaring f, around the same 8,000 calls:
+    # the newest loaded declaration decides each f() call. Its wall time is the baseline
+    # for a call decided in one read however many live modules declare its name.
+    ("2,000 loaded modules all declaring f, 8,000 calls",
+     "".join(f"module M{i}. f() = true end\n" for i in range(2000))
+     + "(Loop(n) = if (n == 0) true else (f(); s = s + 1; Loop(n - 1)) => "
+     + "".join(f"(/M{i} => " for i in range(2000)) + "(s = 0; Loop(4000); print(s))" + ")" * 2001 + "\n",
+     [], "4000\n", None, None),
 ]
 
 

@@ -138,9 +138,9 @@ def test_node_classes_generate_no_comparison_or_repr_of_their_own():
 
 def test_map_children_shares_a_node_whose_children_are_unchanged():
     tree = A.Seq(A.Call("p", (A.Var("x"),)), emp_switch())
-    assert A.map_children(tree, lambda child: child) is tree
-    assert A.map_children(emp_switch(), lambda child: child) == emp_switch()
-    assert A.map_children(A.Var("x"), lambda child: A.Int(1)) == A.Var("x")
+    assert A.drive(A.mapped(tree, lambda child: child)) is tree
+    assert A.drive(A.mapped(emp_switch(), lambda child: child)) == emp_switch()
+    assert A.drive(A.mapped(A.Var("x"), lambda child: A.Int(1))) == A.Var("x")
 
 
 def test_map_children_rebuilds_only_the_changed_path():
@@ -149,16 +149,16 @@ def test_map_children_rebuilds_only_the_changed_path():
     tree = A.Seq(call, kept)
 
     def swap(node):
-        return A.Int(1) if node == A.Var("x") else A.map_children(node, swap)
+        return A.Int(1) if node == A.Var("x") else A.drive(A.mapped(node, swap))
 
-    result = A.map_children(tree, swap)
+    result = A.drive(A.mapped(tree, swap))
     assert result == A.Seq(A.Call("p", (A.Int(1), A.Int(2))), kept)
     assert result.second is kept and result.first.args[1] is call.args[1]
 
 
 def test_map_children_maps_switch_case_bodies_not_labels():
     seen = []
-    result = A.map_children(emp_switch(), lambda child: seen.append(child) or A.TrueStmt())
+    result = A.drive(A.mapped(emp_switch(), lambda child: seen.append(child) or A.TrueStmt()))
     bodies = [A.Assign("age", A.Int(n)) for n in (31, 40, 0)]
     assert seen == [A.Var("emp")] + bodies
     assert result.cases == ((A.Atom("tom"), A.TrueStmt()), (A.Atom("kim"), A.TrueStmt()))

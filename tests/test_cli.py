@@ -149,8 +149,9 @@ def test_a_region_access_fault_has_one_diagnostic(tmp_path, capsys, source, deta
         ("x = false || 1", 3, "type mismatch: || is not applicable to 1"),
         ("p; q()", 2, "syntax error: 1:1: expected '=>', '=', '[' or '(' after identifier, found 'p'"),
         ('switch (x) { case "s": true; break; }', 2, "syntax error: 1:19: expected case label (atom or integer), found 's'"),
+        ("y = aB", 3, "unbound variable: variable 'aB' is not bound"),  # an atom is all-lowercase
     ],
-    ids=["and-operand", "or-operand", "bare-identifier", "string-case-label"],
+    ids=["and-operand", "or-operand", "bare-identifier", "string-case-label", "mixed-case-identifier"],
 )
 def test_a_failure_ends_with_its_exit_code_and_diagnostic(tmp_path, capsys, source, code, err):
     assert (main(["run", write(tmp_path, source)]), *capsys.readouterr()) == (code, "", f"cmod: {err}\n")

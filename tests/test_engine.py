@@ -186,6 +186,11 @@ def test_switch_labels_match_by_class():
     assert machine.store["r"] == A.Int(3)
 
 
+def test_a_string_scrutinee_never_takes_the_integer_label_it_renders_as():
+    outcome, machine = run('x = "1"; switch (x) { case 1: r = 1; break; default: r = 2; break; }')
+    assert isinstance(outcome, Success) and machine.store["r"] == A.Int(2)
+
+
 def test_a_switch_takes_the_first_equal_label_and_fails_on_an_unbound_scrutinee():
     outcome, machine = run("x = kim; switch (x) { case tom: r = 1; break; case kim: r = 2; break; }")
     assert isinstance(outcome, Success) and machine.store["r"] == A.Int(2)
@@ -383,6 +388,13 @@ def test_stacked_renames_through_a_reference():
     outcome, machine = run(source)
     assert isinstance(outcome, Success)
     assert machine.store["x"] == A.Int(1) and machine.store["y"] == A.Int(2)
+
+
+def test_an_outer_ren_renames_the_operands_of_an_inner_ren():
+    # the outer pass turns the inner ren(p, r) into ren(q, r) and p() into q(),
+    # which the inner pass then renames to r()
+    outcome, machine = run("(ren(p, q) (ren(p, r) (p() = print(renamed))) => r())")
+    assert isinstance(outcome, Success) and machine.output_text() == "renamed\n"
 
 
 def test_colliding_renames_merge_names_textually():

@@ -201,13 +201,13 @@ def _nodes(node, found):
     """Collect node and every statement and declaration below it."""
     if type(node) in A.Statement + A.Declaration:
         found.append(node)
-    return A.map_children(node, lambda child: _nodes(child, found))
+    return A.drive(A.mapped(node, lambda child: _nodes(child, found)))
 
 
 def _names_in(node, found):
     """Collect every variable, quantifier and handle name in node."""
     found.update(getattr(node, attr) for attr in ("name", "var", "handle") if type(getattr(node, attr, None)) is str)
-    return A.map_children(node, lambda child: _names_in(child, found))
+    return A.drive(A.mapped(node, lambda child: _names_in(child, found)))
 
 
 def test_rendering_in_an_environment_renders_the_substituted_tree():

@@ -193,6 +193,16 @@ def test_length_above_the_cap_is_a_region_fault_and_allocates_nothing():
     assert machine.regions.allocated == 0 and machine.output_text() == ""
 
 
+def test_a_region_of_exactly_the_limit_is_allocated(monkeypatch):
+    monkeypatch.setattr("cmod.engine.MAX_REGION_LENGTH", 8)
+    outcome, machine = run_source("(p = new int[8] => (p[7] = 5; print(p[7])))")
+    assert isinstance(outcome, Success) and machine.output_text() == "5\n"
+    outcome, machine = run_source("(p = new int[9] => print(1))")
+    assert isinstance(outcome, Failure) and outcome.reason == REGION_FAULT
+    assert outcome.detail == "region length 9 exceeds the limit of 8"
+    assert machine.regions.allocated == 0
+
+
 def test_unknown_region_id_is_a_region_fault():
     stack = RegionStack()
     stack.allocate("int", 1)
@@ -211,7 +221,7 @@ def test_free_follows_the_live_stack_across_reuse_of_the_top():
     b = stack.allocate("int", 2)
     stack.free(b)
     c = stack.allocate("int", 3)
-    assert [(r.id, len(r.cells)) for r in stack.regions.values()] == [(0, 1), (2, 3)]
+    assert [(serial, len(cells)) for serial, cells in stack.regions.items()] == [(0, 1), (2, 3)]
     stack.free(c)
     stack.free(a)
     assert stack.regions == {} and stack.allocated == 3
@@ -248,9 +258,9 @@ def test_assign_never_touches_regions_and_writes_never_touch_the_store():
     machine = Machine()
     handle = machine.regions.allocate("int", 2)
     execute(machine, A.Assign("x", A.Int(1)))
-    cells_before = list(machine.regions.regions[0].cells)
+    cells_before = list(machine.regions.regions[0])
     execute(machine, A.Assign("x", A.Int(2)))
-    assert machine.regions.regions[0].cells == cells_before
+    assert machine.regions.regions[0] == cells_before
     store_before = dict(machine.store)
     region_write(machine, handle, 0, A.Int(7))
     assert dict(machine.store) == store_before
@@ -337,7 +347,7 @@ def test_handle_lookup_against_a_set_of_live_serials(steps, serial):
             stack.free(A.Handle(live.pop()))
     handle = A.Handle(serial)
     if serial in live:
-        assert stack.checked(handle).id == serial
+        assert stack.checked(handle) is stack.regions[serial]
     else:
         with pytest.raises(EngineFailure) as info:
             stack.checked(handle)
