@@ -3,14 +3,15 @@ formatter.
 
 Exit codes: 0 success, 1 no matching clause, 2 lex/parse error or a
 file that cannot be read or decoded, 3 other runtime faults (unbound
-variable, region fault, depth exceeded, type mismatch, division by zero)
-and internal errors, 130 an interrupt (Ctrl-C). Program output goes to
-stdout; diagnostics and the derivation trace go to stderr. Everything
-runs on the calling thread: no input needs a deep Python stack.
+variable, region fault, depth exceeded, type mismatch, division by zero),
+output that cannot be written and internal errors, 130 an interrupt (Ctrl-C).
+Program output goes to stdout; diagnostics and the derivation trace go to
+stderr. Everything runs on the calling thread: no input needs a deep Python stack.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from . import ast
@@ -100,13 +101,9 @@ def _store_lines(machine: Machine) -> list[str]:
 
 
 def _dump_state(machine: Machine) -> None:
-    print("-- store --")
-    for line in _store_lines(machine):
-        print(line)
     stack = machine.regions
-    print(f"-- regions: {stack.allocated} allocated, {len(stack.regions)} live --")
-    for serial, cells in stack.regions.items():
-        print(f"{serial} int {len(cells)}")
+    print("-- store --", *_store_lines(machine), f"-- regions: {stack.allocated} allocated, {len(stack.regions)} live --",
+          *(f"{serial} int {len(cells)}" for serial, cells in stack.regions.items()), sep="\n")
 
 
 def _cmd_run(source: str, options: dict) -> int:
@@ -141,8 +138,7 @@ def _cmd_repl(options: dict) -> int:
                 machine = Machine(max_depth=machine.max_depth, trace=trace, write=machine.write)
                 print("machine reset")
             elif command == ":store":
-                for line in _store_lines(machine) or ["(empty)"]:
-                    print(line)
+                print(*_store_lines(machine) or ["(empty)"], sep="\n")
             elif command == ":macros":
                 print(" ".join(f"/{n}" for n in machine.macro_env) or "(empty)")
             else:
@@ -156,11 +152,9 @@ def _cmd_repl(options: dict) -> int:
 
         try:
             _repl_entry(machine, buffer)
-        except ParseError as exc:
-            if exc.at_eof and line.strip():
+        except (LexError, ParseError) as exc:
+            if isinstance(exc, ParseError) and exc.at_eof and line.strip():
                 continue  # statement not finished; keep reading
-            print(f"syntax error: {exc}")
-        except LexError as exc:
             print(f"syntax error: {exc}")
         buffer = ""
 
@@ -180,33 +174,55 @@ def _repl_entry(machine: Machine, source: str) -> None:
             print("ok")
 
 
-def main(argv=None) -> int:
-    command, path, options = _parse_args(sys.argv[1:] if argv is None else list(argv))
+def _run_command(argv: list[str]) -> int:
+    command, path, options = _parse_args(argv)
     if options["--trace"]:  # each printed line then keeps its place among the trace lines
         sys.stdout.reconfigure(line_buffering=True)
+    if command == "repl":
+        return _cmd_repl(options)
     try:
-        if command == "repl":
-            return _cmd_repl(options)
-        try:
-            with open(path, encoding="utf-8") as file:
-                source = file.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"cmod: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_SYNTAX
-        if command == "run":
-            return _cmd_run(source, options)
-        print(pretty_print(parse_source(source)))
-        return EXIT_OK
+        with open(path, encoding="utf-8") as file:
+            source = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cmod: cannot read {path}: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
+    if command == "run":
+        return _cmd_run(source, options)
+    print(pretty_print(parse_source(source)))
+    return EXIT_OK
+
+
+def main(argv=None) -> int:
+    try:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
+        code = _run_command(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()  # a write still buffered fails here, within the handlers below
+        return code
     except (LexError, ParseError) as exc:
         print(f"cmod: syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
     except KeyboardInterrupt:
         print("cmod: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except OSError as exc:  # a source that cannot be read is reported above: this is a write
+        sys.stdout = None  # what it still holds would only fail again
+        print(f"cmod: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - no input may end in a traceback
         print(f"cmod: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry() -> None:
+    """The process: main(), a flush of stdout and stderr, then an exit that skips interpreter teardown."""
+    try:
+        code = main()
+    except SystemExit as exc:  # --help or a usage error
+        code = exc.code
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError:
+        sys.exit(code)  # Python reports the failed flush as it always has
+    os._exit(code)

@@ -1,6 +1,8 @@
+import errno
 import io
 import os
 import re
+import runpy
 import select
 import signal
 import subprocess
@@ -9,6 +11,7 @@ import threading
 
 import pytest
 
+from cmod import cli
 from cmod.cli import _dump_state, _repl_entry, main
 from cmod.machine import Machine
 from cmod.parser import parse_source
@@ -23,6 +26,13 @@ def write(tmp_path, text, name="prog.cmod"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def child_env(buffered=True):
+    # stdout to a pipe or a file is block-buffered unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if not (buffered and k == "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(SRC)
+    return env
 
 
 def test_run_emp_bank_golden(capsys):
@@ -180,7 +190,7 @@ def test_a_run_imports_no_unused_standard_library():
         "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+                          env=child_env())
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == "[]"
 
@@ -259,11 +269,9 @@ def test_trace_goes_to_stderr_and_is_well_formed(capsys):
 def test_a_traced_run_into_one_pipe_prints_each_line_after_its_print_step():
     # stdout to a pipe is block-buffered and stderr is not; a traced run
     # flushes each printed line, so it follows its ex:7 line
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(SRC)
     done = subprocess.run(
         [sys.executable, "-m", "cmod", "run", "--trace", str(CORPUS / "emp_bank.cmod")],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True, timeout=60,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=child_env(), text=True, timeout=60,
     )
     lines = done.stdout.splitlines()
     printed = [i for i, line in enumerate(lines) if not TRACE_LINE.match(line)]
@@ -612,10 +620,9 @@ def test_a_session_keeps_no_clause_table_or_renaming_between_entries(capsys):
 def test_ctrl_c_during_a_traced_run_exits_130(tmp_path):
     calls = "; ".join(["Loop(100)"] * 3000)
     path = write(tmp_path, f"(Loop(k) = if (k == 0) true else Loop(k - 1) => ({calls}))")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     child = subprocess.Popen(
         [sys.executable, "-m", "cmod", "run", "--trace", path],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=child_env(),
     )
     try:
         first = child.stderr.readline().decode()
@@ -635,11 +642,9 @@ def test_ctrl_c_keeps_the_lines_printed_before_it(tmp_path):
     # recursion would take about a million levels to end: a run that holds its output
     # back shows none within the wait.
     path = write(tmp_path, "(P(n) = (print(n); P(n + 1)) => P(0))")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # a pipe, as usual, buffers
-    env["PYTHONPATH"] = str(SRC)
-    child = subprocess.Popen(
+    child = subprocess.Popen(  # a pipe, as usual, buffers
         [sys.executable, "-m", "cmod", "run", "--max-depth", "1000000", path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,  # readline takes only its line
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(), bufsize=0,  # readline takes only its line
     )
     try:
         assert select.select([child.stdout], [], [], 5)[0], "no output within 5 s"
@@ -662,3 +667,123 @@ def test_ctrl_c_at_the_repl_prompt_exits_130(monkeypatch, capsys):
     code = main(["repl"])
     assert code == 130
     assert capsys.readouterr().err == "cmod: interrupted\n"
+
+
+# The process exit: `python -m cmod` and the installed `cmod` script both end through
+# cli.entry, which flushes stdout and stderr and then ends without interpreter teardown.
+
+def cmod_child(argv, stdout=subprocess.PIPE, buffered=True):
+    return subprocess.run([sys.executable, "-m", "cmod", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=child_env(buffered), text=True, timeout=60)
+
+
+def test_a_child_writes_every_printed_line_to_a_file(tmp_path):
+    path = write(tmp_path, "(Row(n) = if (n == 0) true else (print(n); Row(n - 1)) => Row(20000))")
+    with open(tmp_path / "out.txt", "wb") as out:
+        done = cmod_child(["run", "--max-depth", "20001", path], stdout=out)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "out.txt").read_bytes() == "".join(f"{n}\n" for n in range(20000, 0, -1)).encode()
+
+
+@pytest.mark.parametrize("source, code, err", [
+    ("print(1); Age(tom)", 1, "cmod: no matching clause: Age/1 (call chain: Age(tom))\n"),
+    ("print(1); y = Zz", 3, "cmod: unbound variable: variable 'Zz' is not bound\n"),
+], ids=["no-clause", "unbound"])
+def test_a_failing_child_keeps_its_output_and_diagnostic(tmp_path, source, code, err):
+    done = cmod_child(["run", write(tmp_path, source)])
+    assert (done.returncode, done.stdout, done.stderr) == (code, "1\n", err)
+
+
+def test_a_child_exits_0_on_help_and_2_on_a_usage_error():
+    done = cmod_child(["--help"])
+    assert (done.returncode, done.stderr) == (0, "") and done.stdout.startswith("usage:")
+    done = cmod_child(["run"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("cmod: error: the following arguments are required: file\n")
+
+
+class Stream:
+    def __init__(self, name, events):
+        self.name, self.events = name, events
+
+    def write(self, text):
+        self.events.append((self.name, text))
+
+    def flush(self):
+        self.events.append((self.name, "flush"))
+
+
+@pytest.mark.parametrize("ending, code", [(lambda: 3, 3), (lambda: sys.exit(2), 2)], ids=["return", "SystemExit"])
+def test_the_entry_flushes_both_streams_before_it_exits_with_the_code(monkeypatch, ending, code):
+    events = []
+
+    def fake_main():
+        sys.stdout.write("out")
+        return ending()
+
+    monkeypatch.setattr(sys, "stdout", Stream("stdout", events))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr", events))
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(os, "_exit", lambda status: events.append(("exit", status)))
+    cli.entry()
+    assert events == [("stdout", "out"), ("stdout", "flush"), ("stderr", "flush"), ("exit", code)]
+
+
+def test_the_console_script_is_the_entry_python_m_cmod_calls(monkeypatch):
+    # a line match, not tomllib: Python 3.10 has none
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^cmod = "cmod\.cli:(\w+)"$', scripts, re.M)
+    assert target, scripts
+    calls = []
+    monkeypatch.setattr(cli, target.group(1), lambda: calls.append("called"))
+    runpy.run_module("cmod", run_name="__main__")
+    assert calls == ["called"]
+
+
+# A write that fails, while the program runs or in the final flush, is an output
+# failure: exit 3 and one line on stderr.
+BROKEN_PIPE = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target, reason", [
+    ("pipe", BROKEN_PIPE),
+    ("full", f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
+    ("closed", "standard output is closed"),
+], ids=["pipe", "full", "closed"])
+def test_output_that_cannot_be_written_ends_in_its_own_diagnostic(tmp_path, buffered, target, reason):
+    path = write(tmp_path, "print(1)")
+    if target == "closed":
+        done = subprocess.run(["sh", "-c", 'exec "$0" -m cmod run "$1" >&-', sys.executable, path],
+                              stderr=subprocess.PIPE, env=child_env(buffered), text=True, timeout=60)
+    elif target == "pipe":  # its reader is gone before the first write
+        read_end, out = os.pipe()
+        os.close(read_end)
+        try:
+            done = cmod_child(["run", path], stdout=out, buffered=buffered)
+        finally:
+            os.close(out)
+    else:
+        with open("/dev/full", "wb") as out:
+            done = cmod_child(["run", path], stdout=out, buffered=buffered)
+    assert (done.returncode, done.stderr) == (3, f"cmod: cannot write output: {reason}\n")
+
+
+class Broken(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class Interrupted(io.StringIO):
+    def flush(self):
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("stdout, code, err", [
+    (Broken, 3, f"cmod: cannot write output: {BROKEN_PIPE}\n"),
+    (Interrupted, 130, "cmod: interrupted\n"),  # Ctrl-C while the last output is flushed
+], ids=["write", "flush"])
+def test_a_write_or_flush_that_fails_is_reported_in_process(monkeypatch, tmp_path, capsys, stdout, code, err):
+    monkeypatch.setattr(sys, "stdout", stdout())
+    assert (main(["run", write(tmp_path, "print(1)")]), capsys.readouterr().err) == (code, err)
