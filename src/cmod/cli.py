@@ -1,12 +1,13 @@
-"""Command-line front end: run programs, the interactive REPL, and the
-formatter.
+"""Command-line front end: run programs, the interactive REPL, and the formatter.
 
-Exit codes: 0 success, 1 no matching clause, 2 lex/parse error or a
-file that cannot be read or decoded, 3 other runtime faults (unbound
-variable, region fault, depth exceeded, type mismatch, division by zero),
-output that cannot be written and internal errors, 130 an interrupt (Ctrl-C).
-Program output goes to stdout; diagnostics and the derivation trace go to
-stderr. Everything runs on the calling thread: no input needs a deep Python stack.
+Exit codes: 0 success or --help, 1 no matching clause, 2 lex/parse error, a usage
+error or a file that cannot be read or decoded, 3 other runtime faults (unbound
+variable, region fault, depth exceeded, type mismatch, division by zero), output
+that cannot be written and internal errors, 130 an interrupt (Ctrl-C). main(argv)
+returns the code once it has flushed stdout, and the process ends with os._exit.
+Program output goes to stdout; diagnostics and the derivation trace go to stderr,
+and a diagnostic that cannot be written changes no exit code. Everything runs on
+the calling thread: no input needs a deep Python stack.
 """
 
 from __future__ import annotations
@@ -37,14 +38,23 @@ COMMANDS = {"run": ("--help", "--trace", "--max-depth", "--dump-state"),
             "repl": ("--help", "--trace", "--max-depth"), "fmt": ("--help",)}
 
 
-def _usage_error(message: str):
-    sys.stderr.write(f"{USAGE}cmod: error: {message}\n")
-    raise SystemExit(EXIT_SYNTAX)
+def _report(code: int, text: str) -> int:
+    """Write one diagnostic line to stderr and return code, whether or not stderr can be written."""
+    try:
+        sys.stderr.write(f"{text}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # stderr closed at start (None), full, or a pipe with no reader
+        pass
+    return code
 
 
-def _parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
-    """(command, file, options) from argv as README's grammar gives them, options
-    before or after the file; options maps every option name to its value."""
+def _usage_error(message: str) -> int:
+    return _report(EXIT_SYNTAX, f"{USAGE}cmod: error: {message}")
+
+
+def _parse_args(argv: list[str]) -> tuple[str, str | None, dict] | int:
+    """(command, file, options) from argv as README's grammar gives them, options before or after
+    the file, each mapped to its value; or, for --help or a usage error, the exit code."""
     command = argv[0] if argv else ""
     names = COMMANDS.get(command, ("--help",))
     files, options = [], {"--trace": False, "--max-depth": DEFAULT_MAX_DEPTH, "--dump-state": False}
@@ -57,39 +67,36 @@ def _parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
         matches = [n for n in names if n == name] or [n for n in names if n.startswith(name) and len(name) > 2]
         if name == "-h" or matches == ["--help"]:
             sys.stdout.write(USAGE)
-            raise SystemExit(EXIT_OK)
+            return EXIT_OK
         if len(matches) != 1:
-            _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}" if matches
-                         else f"unrecognized arguments: {word}")
+            return _usage_error(f"ambiguous option: {name} could match {', '.join(matches)}" if matches
+                                else f"unrecognized arguments: {word}")
         name = matches[0]
         if name != "--max-depth":
             if given:
-                _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+                return _usage_error(f"argument {name}: ignored explicit argument {value!r}")
             options[name] = True
             continue
         value = value if given else next(words, "")
         try:
             options[name] = int(value)
         except ValueError:
-            _usage_error(f"argument {name}: {f'invalid int value: {value!r}' if value else 'expected one argument'}")
+            return _usage_error(f"argument {name}: {f'invalid int value: {value!r}' if value else 'expected one argument'}")
         if options[name] < 1:
-            _usage_error(f"argument {name}: must be at least 1")
+            return _usage_error(f"argument {name}: must be at least 1")
     if command not in COMMANDS:
-        _usage_error(f"argument command: invalid choice: {command!r} (choose from 'run', 'repl', 'fmt')"
-                     if command else "the following arguments are required: command")
+        return _usage_error(f"argument command: invalid choice: {command!r} (choose from 'run', 'repl', 'fmt')"
+                            if command else "the following arguments are required: command")
     wanted = command != "repl"  # the number of files
     if len(files) != wanted:
-        _usage_error(f"unrecognized arguments: {' '.join(files[wanted:])}" if files
-                     else "the following arguments are required: file")
+        return _usage_error(f"unrecognized arguments: {' '.join(files[wanted:])}" if files
+                            else "the following arguments are required: file")
     return command, files[0] if files else None, options
 
 
 def _diagnostic(failure: EngineFailure) -> str:
-    line = f"{failure.reason.replace('-', ' ')}: {failure.detail}"
     chain = failure.render_chain()
-    if chain:
-        line += f" (call chain: {chain})"
-    return line
+    return f"{failure.reason.replace('-', ' ')}: {failure.detail}" + (f" (call chain: {chain})" if chain else "")
 
 
 def _stderr_trace(event) -> None:
@@ -112,8 +119,8 @@ def _cmd_run(source: str, options: dict) -> int:
     if options["--dump-state"]:
         _dump_state(machine)
     if isinstance(outcome, EngineFailure):
-        print(f"cmod: {_diagnostic(outcome)}", file=sys.stderr)
-        return EXIT_NO_CLAUSE if outcome.reason == NO_MATCHING_CLAUSE else EXIT_RUNTIME
+        return _report(EXIT_NO_CLAUSE if outcome.reason == NO_MATCHING_CLAUSE else EXIT_RUNTIME,
+                       f"cmod: {_diagnostic(outcome)}")
     return EXIT_OK
 
 
@@ -175,7 +182,12 @@ def _repl_entry(machine: Machine, source: str) -> None:
 
 
 def _run_command(argv: list[str]) -> int:
-    command, path, options = _parse_args(argv)
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
+    parsed = _parse_args(argv)
+    if isinstance(parsed, int):  # --help or a usage error
+        return parsed
+    command, path, options = parsed
     if options["--trace"]:  # each printed line then keeps its place among the trace lines
         sys.stdout.reconfigure(line_buffering=True)
     if command == "repl":
@@ -184,45 +196,35 @@ def _run_command(argv: list[str]) -> int:
         with open(path, encoding="utf-8") as file:
             source = file.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cmod: cannot read {path}: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+        return _report(EXIT_SYNTAX, f"cmod: cannot read {path}: {exc}")
     if command == "run":
         return _cmd_run(source, options)
     print(pretty_print(parse_source(source)))
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+def _guarded(step, *args) -> int | None:
+    """step(*args), or the exit code of the failure it ends in, once reported."""
     try:
-        if sys.stdout is None:
-            raise OSError("standard output is closed")
-        code = _run_command(sys.argv[1:] if argv is None else list(argv))
-        sys.stdout.flush()  # a write still buffered fails here, within the handlers below
-        return code
+        return step(*args)
     except (LexError, ParseError) as exc:
-        print(f"cmod: syntax error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+        return _report(EXIT_SYNTAX, f"cmod: syntax error: {exc}")
     except KeyboardInterrupt:
-        print("cmod: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return _report(EXIT_INTERRUPTED, "cmod: interrupted")
     except OSError as exc:  # a source that cannot be read is reported above: this is a write
         sys.stdout = None  # what it still holds would only fail again
-        print(f"cmod: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _report(EXIT_RUNTIME, f"cmod: cannot write output: {exc}")
     except Exception as exc:  # noqa: BLE001 - no input may end in a traceback
-        print(f"cmod: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _report(EXIT_RUNTIME, f"cmod: internal error: {type(exc).__name__}: {exc}")
+
+
+def main(argv=None) -> int:
+    """Run one command, then flush stdout, however the command ended; the exit code."""
+    code = _guarded(_run_command, sys.argv[1:] if argv is None else list(argv))
+    # stdout is None once a write to it failed; a flush that fails, or a Ctrl-C in it, has its own code
+    return (sys.stdout and _guarded(sys.stdout.flush)) or code
 
 
 def entry() -> None:
-    """The process: main(), a flush of stdout and stderr, then an exit that skips interpreter teardown."""
-    try:
-        code = main()
-    except SystemExit as exc:  # --help or a usage error
-        code = exc.code
-    try:
-        for stream in filter(None, (sys.stdout, sys.stderr)):
-            stream.flush()
-    except OSError:
-        sys.exit(code)  # Python reports the failed flush as it always has
-    os._exit(code)
+    """The process: main(), then an exit that skips interpreter teardown (stderr is written a line at a time)."""
+    os._exit(main())

@@ -289,24 +289,11 @@ class _Parser:
             self._expect("=")
             return ast.StoreIndex(ast.Var(name), index, self.parse_expression())
 
-        if self._accept("("):
-            args: list[ast.Expression] = []
-            not_formal = None  # the first argument that is not a lone identifier
-            if not self._check(")"):
-                while True:
-                    first = self.tok
-                    args.append(self.parse_expression())
-                    if not_formal is None and (first[0] != "ident" or type(args[-1]) is not ast.Var):
-                        not_formal = first
-                    if not self._accept(","):
-                        break
-            self._expect(")")
-            if self._accept("="):
-                # A clause head: the first unit of an implication.
-                if not_formal is not None:
-                    raise self._error("formal parameter", not_formal)
-                return self._finish_clause(name_tok, tuple(args))
-            return ast.Call(name, tuple(args))
+        if self._check("("):
+            args, not_formal = self._parse_arguments()
+            if self._accept("="):  # a clause head: the first unit of an implication
+                return self._finish_clause(name_tok, args, not_formal)
+            return ast.Call(name, args)
 
         raise self._error("'=>', '=', '[' or '(' after identifier", name_tok)
 
@@ -407,21 +394,31 @@ class _Parser:
             decl = yield self.parse_declaration()
             self._expect(")")
             return decl
-        tok = self._peek()
-        if tok[0] == "ident":
+        if self.tok[0] == "ident":
             name_tok = self._advance()
-            self._expect("(")
-            params: list[ast.Expression] = []
-            if not self._check(")"):
-                params.append(ast.Var(self._expect_ident("formal parameter")[1]))
-                while self._accept(","):
-                    params.append(ast.Var(self._expect_ident("formal parameter")[1]))
-            self._expect(")")
+            args, not_formal = self._parse_arguments()
             self._expect("=")
-            return (yield self._finish_clause(name_tok, tuple(params)))
+            return (yield self._finish_clause(name_tok, args, not_formal))
         raise self._error("declaration")
 
-    def _finish_clause(self, name_tok: tuple, params: tuple[ast.Expression, ...]):
+    def _parse_arguments(self) -> tuple[tuple[ast.Expression, ...], tuple | None]:
+        """'(' arguments ')', and the token that starts the first that is not a lone identifier, if any."""
+        self._expect("(")
+        args, not_formal = [], None
+        if not self._check(")"):
+            while True:
+                first = self.tok
+                args.append(self.parse_expression())
+                if not_formal is None and (first[0] != "ident" or type(args[-1]) is not ast.Var):
+                    not_formal = first
+                if not self._accept(","):
+                    break
+        self._expect(")")
+        return tuple(args), not_formal
+
+    def _finish_clause(self, name_tok: tuple, params: tuple[ast.Expression, ...], not_formal: tuple | None):
+        if not_formal is not None:
+            raise self._error("formal parameter", not_formal)
         names = [p.name for p in params]
         if len(set(names)) != len(names):
             raise self._error("distinct formal parameter names", name_tok)

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -177,8 +178,7 @@ def test_depth_exceeded_exits_3(tmp_path, capsys):
 
 def test_max_depth_must_be_positive(tmp_path):
     path = write(tmp_path, "true")
-    with pytest.raises(SystemExit):
-        main(["run", path, "--max-depth", "0"])
+    assert main(["run", path, "--max-depth", "0"]) == 2
 
 
 def test_a_run_imports_no_unused_standard_library():
@@ -193,13 +193,6 @@ def test_a_run_imports_no_unused_standard_library():
                           env=child_env())
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1] == "[]"
-
-
-def exit_code(argv):
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 # Usage errors exit 2 with the usage on stderr; only the exit code and the start of
@@ -226,7 +219,7 @@ def exit_code(argv):
 )
 def test_argv_exit_codes(tmp_path, capsys, argv, code):
     prog = write(tmp_path, "x = 1")
-    assert exit_code([word.format(prog=prog) for word in argv]) == code
+    assert main([word.format(prog=prog) for word in argv]) == code
     out, err = capsys.readouterr()
     if code == 2:
         assert err.startswith("usage:") and out == ""
@@ -235,13 +228,13 @@ def test_argv_exit_codes(tmp_path, capsys, argv, code):
 
 
 def test_a_usage_error_ends_with_its_message(tmp_path, capsys):
-    assert exit_code(["run", "--max-depth", "0", write(tmp_path, "x = 1")]) == 2
+    assert main(["run", "--max-depth", "0", write(tmp_path, "x = 1")]) == 2
     out, err = capsys.readouterr()
     assert (out, err.splitlines()[-1]) == ("", "cmod: error: argument --max-depth: must be at least 1")
 
 
 def test_a_value_given_to_a_flag_is_a_usage_error(tmp_path, capsys):
-    assert exit_code(["run", "--trace=1", write(tmp_path, "x = 1")]) == 2
+    assert main(["run", "--trace=1", write(tmp_path, "x = 1")]) == 2
     out, err = capsys.readouterr()
     assert (out, err.splitlines()[-1]) == ("", "cmod: error: argument --trace: ignored explicit argument '1'")
 
@@ -376,6 +369,32 @@ def test_unexpected_exception_is_an_internal_error_exit_3(tmp_path, capsys, monk
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == "cmod: internal error: ValueError: boom\n"
+
+
+class Stream:
+    def __init__(self, name, events):
+        self.name, self.events = name, events
+
+    def write(self, text):
+        self.events.append((self.name, text))
+
+    def flush(self):
+        self.events.append((self.name, "flush"))
+
+
+def test_an_internal_error_keeps_the_output_written_before_it(tmp_path, monkeypatch):
+    events = []
+
+    def broken(source, max_depth, trace, write):
+        write("1\n")
+        raise ValueError("boom")
+
+    monkeypatch.setattr("cmod.cli.run_source", broken)
+    monkeypatch.setattr(sys, "stdout", Stream("stdout", events))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr", events))
+    assert main(["run", write(tmp_path, "x = 1")]) == 3
+    assert events == [("stdout", "1\n"), ("stderr", "cmod: internal error: ValueError: boom\n"),
+                      ("stderr", "flush"), ("stdout", "flush")]
 
 
 # -- REPL ---------------------------------------------------------------------
@@ -659,6 +678,23 @@ def test_ctrl_c_keeps_the_lines_printed_before_it(tmp_path):
     assert first == b"0\n" and lines == [str(i) for i in range(len(lines))]
 
 
+def test_ctrl_c_keeps_the_output_still_buffered(tmp_path):
+    # The three lines are still in stdout's buffer when the interrupt comes, so they
+    # reach the pipe only if main flushes after the interrupt. The recursion would take
+    # 100,000,000 levels to end.
+    path = write(tmp_path, "print(1); print(2); print(3); (L() = L() => L())")
+    child = subprocess.Popen([sys.executable, "-m", "cmod", "run", "--max-depth", "100000000", path],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        time.sleep(1)
+        child.send_signal(signal.SIGINT)
+        out, err = child.communicate(timeout=10)
+    finally:
+        child.kill()
+        child.wait()
+    assert (child.returncode, out, err) == (130, b"1\n2\n3\n", b"cmod: interrupted\n")
+
+
 def test_ctrl_c_at_the_repl_prompt_exits_130(monkeypatch, capsys):
     def interrupt(prompt):
         raise KeyboardInterrupt
@@ -670,7 +706,7 @@ def test_ctrl_c_at_the_repl_prompt_exits_130(monkeypatch, capsys):
 
 
 # The process exit: `python -m cmod` and the installed `cmod` script both end through
-# cli.entry, which flushes stdout and stderr and then ends without interpreter teardown.
+# cli.entry, which ends with main's code without interpreter teardown.
 
 def cmod_child(argv, stdout=subprocess.PIPE, buffered=True):
     return subprocess.run([sys.executable, "-m", "cmod", *argv], stdout=stdout, stderr=subprocess.PIPE,
@@ -702,31 +738,12 @@ def test_a_child_exits_0_on_help_and_2_on_a_usage_error():
     assert done.stderr.endswith("cmod: error: the following arguments are required: file\n")
 
 
-class Stream:
-    def __init__(self, name, events):
-        self.name, self.events = name, events
-
-    def write(self, text):
-        self.events.append((self.name, text))
-
-    def flush(self):
-        self.events.append((self.name, "flush"))
-
-
-@pytest.mark.parametrize("ending, code", [(lambda: 3, 3), (lambda: sys.exit(2), 2)], ids=["return", "SystemExit"])
-def test_the_entry_flushes_both_streams_before_it_exits_with_the_code(monkeypatch, ending, code):
+def test_the_entry_exits_with_the_code_main_returns(monkeypatch):
     events = []
-
-    def fake_main():
-        sys.stdout.write("out")
-        return ending()
-
-    monkeypatch.setattr(sys, "stdout", Stream("stdout", events))
-    monkeypatch.setattr(sys, "stderr", Stream("stderr", events))
-    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
     monkeypatch.setattr(os, "_exit", lambda status: events.append(("exit", status)))
     cli.entry()
-    assert events == [("stdout", "out"), ("stdout", "flush"), ("stderr", "flush"), ("exit", code)]
+    assert events == ["main", ("exit", 3)]
 
 
 def test_the_console_script_is_the_entry_python_m_cmod_calls(monkeypatch):
@@ -742,32 +759,70 @@ def test_the_console_script_is_the_entry_python_m_cmod_calls(monkeypatch):
 
 
 # A write that fails, while the program runs or in the final flush, is an output
-# failure: exit 3 and one line on stderr.
+# failure: exit 3 and one line on stderr. A diagnostic that cannot be written changes
+# no exit code.
 BROKEN_PIPE = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+BUFFERED = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+DEEP_TRACE = "(R(n) = if (n == 0) true else R(n - 1) => R(3000))"
 
 
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("target, reason", [
-    ("pipe", BROKEN_PIPE),
-    ("full", f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"),
-    ("closed", "standard output is closed"),
-], ids=["pipe", "full", "closed"])
-def test_output_that_cannot_be_written_ends_in_its_own_diagnostic(tmp_path, buffered, target, reason):
-    path = write(tmp_path, "print(1)")
-    if target == "closed":
-        done = subprocess.run(["sh", "-c", 'exec "$0" -m cmod run "$1" >&-', sys.executable, path],
-                              stderr=subprocess.PIPE, env=child_env(buffered), text=True, timeout=60)
-    elif target == "pipe":  # its reader is gone before the first write
-        read_end, out = os.pipe()
-        os.close(read_end)
-        try:
-            done = cmod_child(["run", path], stdout=out, buffered=buffered)
-        finally:
-            os.close(out)
-    else:
-        with open("/dev/full", "wb") as out:
-            done = cmod_child(["run", path], stdout=out, buffered=buffered)
+def broken_child(argv, fd, target, buffered):
+    """A `python -m cmod` child whose stdout (fd 1) or stderr (fd 2) is a pipe whose
+    reader is gone before the first write, /dev/full, or closed; the other is captured."""
+    read_end, dead = os.pipe()
+    os.close(read_end)
+    redirect = {"pipe": f">&{dead}", "full": ">/dev/full", "closed": ">&-"}[target]
+    try:
+        # bash: sh may not redirect to a descriptor above 9
+        return subprocess.run(["bash", "-c", f'exec "$0" -m cmod "$@" {fd}{redirect}', sys.executable, *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=(dead,),
+                              env=child_env(buffered), text=True, timeout=60)
+    finally:
+        os.close(dead)
+
+
+@BUFFERED
+@pytest.mark.parametrize("argv, target, reason", [
+    (["run", "{prog}"], "pipe", BROKEN_PIPE),
+    (["run", "{prog}"], "full", NO_SPACE),
+    (["run", "{prog}"], "closed", "standard output is closed"),
+    (["-h"], "pipe", BROKEN_PIPE),
+    (["-h"], "full", NO_SPACE),
+    (["-h"], "closed", "standard output is closed"),
+], ids=["pipe", "full", "closed", "help-pipe", "help-full", "help-closed"])
+def test_output_that_cannot_be_written_ends_in_its_own_diagnostic(tmp_path, buffered, argv, target, reason):
+    prog = write(tmp_path, "print(1)")
+    done = broken_child([word.format(prog=prog) for word in argv], 1, target, buffered)
     assert (done.returncode, done.stderr) == (3, f"cmod: cannot write output: {reason}\n")
+
+
+@BUFFERED
+@pytest.mark.parametrize("target", ["pipe", "full", "closed"])
+@pytest.mark.parametrize("argv, source, code, out", [
+    (["run", "{prog}"], "x = = 1", 2, ""),
+    (["run", "{prog}"], "print(1); Age(tom)", 1, "1\n"),
+    (["run", "{prog}"], "print(1); y = Zz", 3, "1\n"),
+    (["run", "{prog}.missing"], "", 2, ""),
+    (["go", "{prog}"], "", 2, ""),
+    (["run", "--trace", "{prog}"], DEEP_TRACE, 3, ""),  # the trace is output: it fails at its first line
+], ids=["syntax", "no-clause", "unbound", "missing", "usage", "trace"])
+def test_a_diagnostic_that_cannot_be_written_changes_no_exit_code(tmp_path, buffered, target, argv, source, code, out):
+    prog = write(tmp_path, source)
+    done = broken_child([word.format(prog=prog) for word in argv], 2, target, buffered)
+    assert (done.returncode, done.stdout) == (code, out)
+
+
+@BUFFERED
+def test_a_trace_into_a_pipe_read_for_one_line_exits_3(tmp_path, buffered):
+    # as `cmod run --trace prog 2>&1 | head -1`
+    read_end, write_end = os.pipe()
+    child = subprocess.Popen([sys.executable, "-m", "cmod", "run", "--trace", write(tmp_path, DEEP_TRACE)],
+                             stdout=write_end, stderr=write_end, env=child_env(buffered))
+    os.close(write_end)
+    with open(read_end, "rb") as reader:
+        assert TRACE_LINE.match(reader.readline().decode())
+    assert child.wait(timeout=60) == 3
 
 
 class Broken(io.StringIO):

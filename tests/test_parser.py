@@ -443,8 +443,12 @@ def test_ren_declaration_after_semicolon():
         ("p(a, (b)) = print(b) => p(1, 2)", 6),
         ("p(1) = true => p(1)", 3),
         ("p(a + 1) = true => p(1)", 3),
+        ("(q() = true and p(a + 1) = true) => q()", 19),
+        ("module M. p(a + 1) = true end p(1)", 13),
+        ("(forall z p(a + 1) = true) => p(1)", 13),
     ],
-    ids=["statement-head", "group-head", "second-formal", "literal", "expression"],
+    ids=["statement-head", "group-head", "second-formal", "literal", "expression", "and-operand", "module",
+         "forall"],
 )
 def test_formals_are_bare_identifiers(source, column):
     # formals in docs/grammar.ebnf are identifiers, wherever the head is
